@@ -19,8 +19,8 @@ use clam_load::LoaderProxy;
 use clam_net::{Connector, DirectConnector, Endpoint, MsgWriter};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
-    Caller, CallerConfig, Message, ProcId, Reply, RpcError, RpcResult, StatusCode, Target,
-    UpcallMsg,
+    Caller, CallerConfig, Message, ProcId, Reply, ReplyKind, RpcError, RpcResult, StatusCode,
+    Target, UpcallMsg,
 };
 use clam_task::{Event, Scheduler};
 use clam_xdr::{Bundle, Opaque};
@@ -209,7 +209,7 @@ impl ClamClient {
     /// # Errors
     ///
     /// Transport errors connecting or handshaking; a spawn failure for
-    /// the upcall pump surfaces as an application-level status.
+    /// the reply or upcall pump surfaces as an application-level status.
     pub fn connect_opts(endpoint: &Endpoint, opts: ClientOptions) -> RpcResult<Arc<ClamClient>> {
         let nonce = rand::thread_rng().next_u64();
 
@@ -229,7 +229,10 @@ impl ClamClient {
             .unwrap_or_else(|| Scheduler::new("clam-client"));
         let (rpc_writer, rpc_reader) = rpc_ch.split();
         let caller = Caller::new(&sched, rpc_writer, opts.caller);
-        caller.spawn_reply_pump(rpc_reader);
+        caller
+            .replies()
+            .spawn_reply_pump(rpc_reader, caller.buffer_pool(), ReplyKind::Reply)
+            .map_err(CoreError::spawn("clam-rpc-reply-pump"))?;
 
         let (mut up_writer, mut up_reader) = upcall_ch.split();
         // One pool for the upcall channel: inbound upcall frames are
@@ -263,10 +266,7 @@ impl ClamClient {
                     inbox.dead.store(true, Ordering::Release);
                     inbox.event.signal();
                 })
-                .map_err(|source| CoreError::Spawn {
-                    thread: "clam-upcall-pump".into(),
-                    source,
-                })?;
+                .map_err(CoreError::spawn("clam-upcall-pump"))?;
         }
 
         let client = Arc::new(ClamClient {

@@ -48,6 +48,14 @@ impl std::error::Error for CoreError {
     }
 }
 
+impl CoreError {
+    /// Map a thread-spawn failure of `thread` (for `map_err`).
+    pub(crate) fn spawn(thread: impl Into<String>) -> impl FnOnce(std::io::Error) -> CoreError {
+        let thread = thread.into();
+        move |source| CoreError::Spawn { thread, source }
+    }
+}
+
 impl From<RpcError> for CoreError {
     fn from(e: RpcError) -> Self {
         CoreError::Rpc(e)

@@ -13,14 +13,11 @@
 
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::Counter;
-use clam_rpc::{
-    DeadlineWatchdog, Message, ProcId, Reply, RpcError, RpcResult, StatusCode, UpcallMsg,
-};
+use clam_rpc::{Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, UpcallMsg};
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -30,26 +27,19 @@ fn obs_remote_upcalls() -> &'static Arc<Counter> {
     C.get_or_init(|| clam_obs::counter("core.upcall.remote"))
 }
 
-struct UpcallWait {
-    event: Event,
-    slot: Mutex<Option<RpcResult<Opaque>>>,
-}
-
 /// Per-client controller of the upcall channel.
 ///
-/// Owns the writer half; a pump thread feeds replies back through
-/// [`handle_reply`](UpcallRouter::handle_reply). The permit machinery
+/// Owns the writer half; a pump thread feeds replies back into its
+/// [`PendingReplies`] table. The permit machinery
 /// implements "we allow only one upcall to be active per client" —
 /// a server task invoking a synchronous upcall while another is active
 /// blocks until the slot frees (with `max_concurrent_upcalls > 1`, until
 /// *a* slot frees).
 pub struct UpcallRouter {
     writer: Mutex<Box<dyn MsgWriter>>,
-    pending: Mutex<HashMap<u64, Arc<UpcallWait>>>,
+    /// Outstanding synchronous upcalls and their deadlines.
+    replies: PendingReplies,
     permits: Event,
-    next_request: AtomicU64,
-    closed: AtomicBool,
-    sched: Scheduler,
     max_active: usize,
     /// Synchronous upcalls currently in flight (including those waiting
     /// for a permit). While nonzero, the session's RPC pump services
@@ -61,15 +51,13 @@ pub struct UpcallRouter {
     /// Deadline for synchronous upcalls; `None` is the paper's unbounded
     /// wait (a client that never replies blocks its server task forever).
     timeout: Option<Duration>,
-    /// Enforces upcall deadlines from outside the event machinery.
-    watchdog: DeadlineWatchdog,
 }
 
 impl std::fmt::Debug for UpcallRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpcallRouter")
             .field("max_active", &self.max_active)
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.replies.is_closed())
             .finish_non_exhaustive()
     }
 }
@@ -96,16 +84,12 @@ impl UpcallRouter {
         writer.attach_pool(&pool);
         Arc::new(UpcallRouter {
             writer: Mutex::new(writer),
-            pending: Mutex::new(HashMap::new()),
+            replies: PendingReplies::new(sched),
             permits,
-            next_request: AtomicU64::new(1),
-            closed: AtomicBool::new(false),
-            sched: sched.clone(),
             max_active,
             sync_in_flight: AtomicU64::new(0),
             pool,
             timeout,
-            watchdog: DeadlineWatchdog::new(),
         })
     }
 
@@ -135,28 +119,11 @@ impl UpcallRouter {
     /// Transport errors, [`RpcError::Disconnected`] if the client goes
     /// away, or the client procedure's error status.
     pub fn invoke(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(RpcError::Disconnected);
-        }
         // Mark the sync upcall BEFORE anything is sent: a nested call
         // from the client's handler must find the flag already up.
         self.sync_in_flight.fetch_add(1, Ordering::AcqRel);
         // One active upcall per client (section 4.4).
         self.permits.wait();
-        let result = self.invoke_inner(proc_id, args);
-        self.permits.signal();
-        self.sync_in_flight.fetch_sub(1, Ordering::AcqRel);
-        result
-    }
-
-    fn invoke_inner(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let wait = Arc::new(UpcallWait {
-            event: Event::new(&self.sched),
-            slot: Mutex::new(None),
-        });
-        self.pending.lock().insert(request_id, Arc::clone(&wait));
-
         // The upcall is a child span of whatever server-side span is
         // current (usually the client call that triggered it), so the
         // client's handler stitches into the same trace tree. Journal
@@ -170,44 +137,20 @@ impl UpcallRouter {
             parent.span,
             u32::try_from(proc_id.id).unwrap_or(u32::MAX),
         );
-        let msg = Message::Upcall(UpcallMsg {
-            proc_id: proc_id.id,
-            request_id,
-            args,
-            trace: ctx,
-        });
-        let send_result = (|| -> RpcResult<()> {
+        let result = self.replies.request(self.timeout, |request_id| {
+            let msg = Message::Upcall(UpcallMsg {
+                proc_id: proc_id.id,
+                request_id,
+                args,
+                trace: ctx,
+            });
             let frame = msg.to_frame_in(&self.pool)?;
             self.writer.lock().send(frame)?;
             Ok(())
-        })();
-        if let Err(e) = send_result {
-            self.pending.lock().remove(&request_id);
-            return Err(e);
-        }
-
-        if let Some(limit) = self.timeout {
-            // Deadline expiry completes the upcall from outside (same
-            // scheme as the caller's call deadlines): occupy the reply
-            // slot and wake the blocked server task. A no-op if the
-            // client's reply won the race.
-            let armed = Arc::clone(&wait);
-            self.watchdog.arm_after(limit, move || {
-                let mut slot = armed.slot.lock();
-                if slot.is_none() {
-                    *slot = Some(Err(RpcError::DeadlineExceeded));
-                    drop(slot);
-                    armed.event.signal();
-                }
-            });
-        }
-
-        wait.event.wait();
-        let outcome = wait.slot.lock().take();
-        // On expiry the entry is still in the map; reap it so a late
-        // reply finds nothing. On a normal reply this is a no-op.
-        self.pending.lock().remove(&request_id);
-        outcome.unwrap_or(Err(RpcError::Disconnected))
+        });
+        self.permits.signal();
+        self.sync_in_flight.fetch_sub(1, Ordering::AcqRel);
+        result
     }
 
     /// Perform an asynchronous upcall: no reply, no slot consumed.
@@ -216,7 +159,7 @@ impl UpcallRouter {
     ///
     /// Transport and bundling errors.
     pub fn invoke_async(&self, proc_id: ProcId, args: Opaque) -> RpcResult<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
         obs_remote_upcalls().inc();
@@ -233,85 +176,39 @@ impl UpcallRouter {
         Ok(())
     }
 
-    /// Deliver an upcall reply from the pump. Returns false for unmatched
-    /// replies.
-    pub fn handle_reply(&self, reply: Reply) -> bool {
-        let Some(wait) = self.pending.lock().remove(&reply.request_id) else {
-            return false;
-        };
-        let outcome = if reply.status == StatusCode::Ok {
-            Ok(reply.results)
-        } else {
-            Err(RpcError::Status {
-                code: reply.status,
-                message: reply.detail,
-            })
-        };
-        *wait.slot.lock() = Some(outcome);
-        wait.event.signal();
-        true
+    /// The router's pending-reply table.
+    #[must_use]
+    pub fn replies(&self) -> &PendingReplies {
+        &self.replies
+    }
+
+    /// The upcall channel's wire-buffer pool.
+    #[must_use]
+    pub fn buffer_pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// Number of upcalls awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.pending.lock().len()
+        self.replies.outstanding()
     }
 
     /// Fail every outstanding upcall (client teardown).
     pub fn fail_all(&self) {
-        self.closed.store(true, Ordering::Release);
-        let drained: Vec<_> = self.pending.lock().drain().collect();
-        for (_, wait) in drained {
-            *wait.slot.lock() = Some(Err(RpcError::Disconnected));
-            wait.event.signal();
-        }
+        self.replies.fail_all();
     }
 
-    /// Run the upcall-reply pump on the calling thread until the channel
-    /// closes. Spawn on a dedicated OS thread.
-    pub fn pump_replies(self: &Arc<Self>, mut reader: Box<dyn MsgReader>) {
-        reader.attach_pool(&self.pool);
-        while let Ok(frame) = reader.recv() {
-            match Message::from_frame(&frame) {
-                Ok(Message::UpcallReply(reply)) => {
-                    self.pool.recycle(frame.into_wire());
-                    self.handle_reply(reply);
-                }
-                Ok(_) | Err(_) => break,
-            }
-        }
-        self.fail_all();
-    }
-
-    /// Spawn the reply pump on a new OS thread.
-    ///
-    /// Holds the router weakly so dropping all router handles tears the
-    /// link down instead of cycling through the pump.
+    /// Spawn the reply pump ([`PendingReplies::spawn_reply_pump`]). On
+    /// `None` the OS refused the thread and every upcall fails with
+    /// [`RpcError::Disconnected`].
     pub fn spawn_reply_pump(
-        self: &Arc<Self>,
-        mut reader: Box<dyn MsgReader>,
-    ) -> std::thread::JoinHandle<()> {
-        reader.attach_pool(&self.pool);
-        let weak = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("clam-upcall-reply-pump".to_string())
-            .spawn(move || {
-                while let Ok(frame) = reader.recv() {
-                    let Some(router) = weak.upgrade() else { break };
-                    match Message::from_frame(&frame) {
-                        Ok(Message::UpcallReply(reply)) => {
-                            router.pool.recycle(frame.into_wire());
-                            router.handle_reply(reply);
-                        }
-                        Ok(_) | Err(_) => break,
-                    }
-                }
-                if let Some(router) = weak.upgrade() {
-                    router.fail_all();
-                }
-            })
-            .expect("failed to spawn upcall reply pump")
+        &self,
+        reader: Box<dyn MsgReader>,
+    ) -> Option<std::thread::JoinHandle<()>> {
+        self.replies
+            .spawn_reply_pump(reader, &self.pool, ReplyKind::UpcallReply)
+            .ok()
     }
 }
 
@@ -363,6 +260,7 @@ impl RemoteUpcall {
 mod tests {
     use super::*;
     use clam_net::pair;
+    use clam_rpc::{Reply, StatusCode};
 
     /// A fake client: answers every sync upcall by echoing args with a
     /// marker byte appended.

@@ -21,7 +21,7 @@ use crate::upcall::UpcallTarget;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::{DynamicLoader, LoaderImpl, Module};
 use clam_net::{Channel, Endpoint, Listener};
-use clam_rpc::{ConnId, Message, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
+use clam_rpc::{ConnId, Message, ProcId, ReplyKind, RpcError, RpcResult, RpcServer, StatusCode};
 use clam_task::Scheduler;
 use clam_xdr::Bundle;
 use parking_lot::Mutex;
@@ -186,15 +186,10 @@ impl ClamServer {
                         server.admit(channel);
                     }
                 })
-                .map_err(|source| {
-                    // Surface the failure instead of aborting: the caller
-                    // gets its error, already-started accept threads find
-                    // their weak server reference dead and exit.
-                    CoreError::Spawn {
-                        thread: "clam-accept".into(),
-                        source,
-                    }
-                })?;
+                // Surface the failure instead of aborting: the caller gets
+                // its error, already-started accept threads find their
+                // weak server reference dead and exit.
+                .map_err(CoreError::spawn("clam-accept"))?;
         }
 
         Ok(server)
@@ -355,10 +350,11 @@ impl ClamServer {
             ChannelRole::Rpc => (channel, other_ch),
             ChannelRole::Upcall => (other_ch, channel),
         };
-        self.open_session(rpc_ch, upcall_ch);
+        // A session whose threads cannot start drops its channels.
+        let _ = self.open_session(rpc_ch, upcall_ch);
     }
 
-    fn open_session(self: &Arc<Self>, rpc_ch: Channel, upcall_ch: Channel) {
+    fn open_session(self: &Arc<Self>, rpc_ch: Channel, upcall_ch: Channel) -> CoreResult<()> {
         let conn = ConnId(self.next_conn.fetch_add(1, Ordering::Relaxed));
         let (rpc_writer, mut rpc_reader) = rpc_ch.split();
         let (up_writer, up_reader) = upcall_ch.split();
@@ -369,7 +365,10 @@ impl ClamServer {
             self.config.max_concurrent_upcalls,
             self.config.upcall_timeout,
         );
-        router.spawn_reply_pump(up_reader);
+        router
+            .replies()
+            .spawn_reply_pump(up_reader, router.buffer_pool(), ReplyKind::UpcallReply)
+            .map_err(CoreError::spawn("clam-upcall-reply-pump"))?;
 
         let session = Session::new(&self.sched, conn, router, rpc_writer);
         self.sessions.insert(Arc::clone(&session));
@@ -443,6 +442,9 @@ impl ClamServer {
                 self.sessions.remove(conn);
                 self.rpc.invalidate_owner(conn);
             }
+            spawned
+                .map(drop)
+                .map_err(CoreError::spawn(format!("clam-rpc-pump-{}", conn.0)))
         }
     }
 

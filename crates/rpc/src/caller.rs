@@ -13,17 +13,15 @@
 //! [`Caller::call_async`] is the batched form; [`Caller::flush`] is the
 //! special synchronization procedure.
 
-use crate::deadline::DeadlineWatchdog;
-use crate::error::{RpcError, RpcResult, StatusCode};
-use crate::message::{BatchEncoder, Call, Message, Reply, Target};
+use crate::error::{RpcError, RpcResult};
+use crate::message::{BatchEncoder, Call, Target};
+use crate::pending::{PendingReplies, ReplyKind};
 use crate::server::SYNC_SERVICE_ID;
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::EventKind;
-use clam_task::{Event, Scheduler};
+use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,11 +32,12 @@ thread_local! {
 }
 
 /// Run `f` in *nested-call context*: synchronous calls made inside it are
-/// framed as [`Message::NestedCallBatch`], which servers service
-/// immediately instead of queuing behind their (possibly blocked) main
-/// RPC task. The client runtime wraps upcall handlers in this; spawning a
-/// task from inside a handler escapes the context — calls from such tasks
-/// may deadlock behind the outstanding upcall and are unsupported.
+/// framed as [`NestedCallBatch`](crate::Message::NestedCallBatch), which
+/// servers service immediately instead of queuing behind their (possibly
+/// blocked) main RPC task. The client runtime wraps upcall handlers in
+/// this; spawning a task from inside a handler escapes the context —
+/// calls from such tasks may deadlock behind the outstanding upcall and
+/// are unsupported.
 pub fn nested_call_scope<R>(f: impl FnOnce() -> R) -> R {
     let previous = NESTED_CONTEXT.with(|c| c.replace(true));
     let result = f();
@@ -171,11 +170,6 @@ fn latency_histogram(target: Target) -> Arc<clam_obs::Histogram> {
     }
 }
 
-struct ReplyWait {
-    event: Event,
-    slot: Mutex<Option<RpcResult<Opaque>>>,
-}
-
 struct Outbound {
     writer: Box<dyn MsgWriter>,
     /// The in-progress batch, already in wire form: calls are encoded
@@ -189,21 +183,17 @@ struct Outbound {
 
 /// The client end of one RPC channel.
 ///
-/// `Caller` is used through an `Arc`: the reply pump holds one clone and
-/// application stubs another. Calls may be issued from tasks of the
-/// scheduler passed to [`Caller::new`] (the task blocks, others run) or
-/// from plain threads (the thread blocks).
+/// `Caller` is shared through an `Arc` by application stubs; its reply
+/// pump holds only the pending-reply table. Calls may be issued from
+/// tasks of the scheduler passed to [`Caller::new`] (the task blocks,
+/// others run) or from plain threads (the thread blocks).
 pub struct Caller {
-    sched: Scheduler,
     out: Mutex<Outbound>,
-    pending: Mutex<HashMap<u64, Arc<ReplyWait>>>,
-    next_request: AtomicU64,
-    closed: AtomicBool,
+    /// Outstanding sync calls, their deadlines and retry backoffs.
+    replies: PendingReplies,
     config: CallerConfig,
     /// Buffers cycle: acquire → encode batch → send → transport recycles.
     pool: BufferPool,
-    /// Enforces call deadlines from outside the event machinery.
-    watchdog: DeadlineWatchdog,
     /// Pre-resolved metric handles (see [`CallerObs`]).
     obs: CallerObs,
 }
@@ -211,7 +201,7 @@ pub struct Caller {
 impl std::fmt::Debug for Caller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Caller")
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.replies.is_closed())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -219,7 +209,7 @@ impl std::fmt::Debug for Caller {
 
 impl Caller {
     /// Create a caller writing to `writer`; wire a reply pump (see
-    /// [`Caller::pump_replies`]) to the matching reader.
+    /// [`Caller::spawn_reply_pump`]) to the matching reader.
     ///
     /// The caller's [`BufferPool`] is attached to `writer`, so every sent
     /// frame's buffer comes straight back for the next batch.
@@ -232,19 +222,15 @@ impl Caller {
         let pool = BufferPool::default();
         writer.attach_pool(&pool);
         Arc::new(Caller {
-            sched: sched.clone(),
             out: Mutex::new(Outbound {
                 writer,
                 batch: None,
                 batches_sent: 0,
                 calls_sent: 0,
             }),
-            pending: Mutex::new(HashMap::new()),
-            next_request: AtomicU64::new(1),
-            closed: AtomicBool::new(false),
+            replies: PendingReplies::new(sched),
             config,
             pool,
-            watchdog: DeadlineWatchdog::new(),
             obs: CallerObs::new(),
         })
     }
@@ -253,6 +239,12 @@ impl Caller {
     #[must_use]
     pub fn buffer_pool(&self) -> &BufferPool {
         &self.pool
+    }
+
+    /// The caller's pending-reply table.
+    #[must_use]
+    pub fn replies(&self) -> &PendingReplies {
+        &self.replies
     }
 
     /// Synchronous call: flushes any pending batch (ahead of this call,
@@ -296,21 +288,17 @@ impl Caller {
                 {
                     attempt += 1;
                     self.obs.retries.inc();
-                    self.backoff_sleep(backoff);
+                    // Back off on a table entry no reply can match (its id
+                    // never goes on the wire): it expires through the sweeper.
+                    match self.replies.request(Some(backoff), |_| Ok(())) {
+                        Ok(_) | Err(RpcError::DeadlineExceeded) => {}
+                        Err(e) => return Err(e),
+                    }
                     backoff = backoff.saturating_mul(2);
                 }
                 other => return other,
             }
         }
-    }
-
-    /// Block cooperatively for `duration`: a task yields the processor
-    /// (the watchdog signals it back awake); a plain thread just parks.
-    fn backoff_sleep(&self, duration: Duration) {
-        let gate = Arc::new(Event::new(&self.sched));
-        let armed = Arc::clone(&gate);
-        self.watchdog.arm_after(duration, move || armed.signal());
-        gate.wait();
     }
 
     fn call_once(
@@ -320,9 +308,6 @@ impl Caller {
         args: Opaque,
         deadline: Option<Duration>,
     ) -> RpcResult<Opaque> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(RpcError::Disconnected);
-        }
         // Open a child span for this call: the caller's current context
         // (a new root if there is none) is the parent; the server
         // dispatches under the child span, and any upcall the call
@@ -331,84 +316,35 @@ impl Caller {
         let trace = parent.child();
         clam_obs::journal().record(EventKind::CallStart, trace, parent.span, method);
         let started = Instant::now();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let wait = Arc::new(ReplyWait {
-            event: Event::new(&self.sched),
-            slot: Mutex::new(None),
-        });
-        self.pending.lock().insert(request_id, Arc::clone(&wait));
-
-        let nested = in_nested_context();
-        let send_result = {
+        let outcome = self.replies.request(deadline, |request_id| {
+            let call = Call {
+                request_id,
+                target,
+                method,
+                args,
+                trace,
+            };
             let mut out = self.out.lock();
-            if nested {
+            if in_nested_context() {
                 // Flush whatever the application batched first (its own
                 // ordinary frame), then send the nested call alone in a
                 // NestedCallBatch so only IT jumps the server's queue.
-                self.flush_locked(&mut out, &self.obs.flush_sync)
-                    .and_then(|()| {
-                        out.calls_sent += 1;
-                        out.batches_sent += 1;
-                        let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
-                        enc.push(Call {
-                            request_id,
-                            target,
-                            method,
-                            args,
-                            trace,
-                        })?;
-                        out.writer.send(enc.finish()?)?;
-                        Ok(())
-                    })
+                self.flush_locked(&mut out, &self.obs.flush_sync)?;
+                out.calls_sent += 1;
+                out.batches_sent += 1;
+                let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
+                enc.push(call)?;
+                out.writer.send(enc.finish()?)?;
+                Ok(())
             } else {
-                self.append_locked(
-                    &mut out,
-                    Call {
-                        request_id,
-                        target,
-                        method,
-                        args,
-                        trace,
-                    },
-                )
-                .and_then(|()| self.flush_locked(&mut out, &self.obs.flush_sync))
+                self.append_locked(&mut out, call)?;
+                self.flush_locked(&mut out, &self.obs.flush_sync)
             }
-        };
-        if let Err(e) = send_result {
-            self.pending.lock().remove(&request_id);
-            return Err(e);
+        });
+        if matches!(outcome, Err(RpcError::DeadlineExceeded)) {
+            self.obs.deadline_expired.inc();
+            clam_obs::journal().record(EventKind::DeadlineFired, trace, parent.span, method);
         }
-
-        if let Some(limit) = deadline {
-            // Expiry completes the call from outside: occupy the reply
-            // slot and wake the waiter. If the reply won the race the
-            // slot is taken and this is a no-op (the extra signal banks
-            // on a dying event).
-            let armed = Arc::clone(&wait);
-            let expired = Arc::clone(&self.obs.deadline_expired);
-            self.watchdog.arm_after(limit, move || {
-                let mut slot = armed.slot.lock();
-                if slot.is_none() {
-                    *slot = Some(Err(RpcError::DeadlineExceeded));
-                    drop(slot);
-                    expired.inc();
-                    clam_obs::journal().record(
-                        EventKind::DeadlineFired,
-                        trace,
-                        parent.span,
-                        method,
-                    );
-                    armed.event.signal();
-                }
-            });
-        }
-
-        wait.event.wait();
-        let outcome = wait.slot.lock().take();
-        // On expiry the entry is still in the map (a late reply must not
-        // find it); on a normal reply this remove is a no-op.
-        self.pending.lock().remove(&request_id);
-        let outcome = outcome.unwrap_or(Err(RpcError::Disconnected));
         #[allow(clippy::cast_possible_truncation)]
         latency_histogram(target).observe(started.elapsed().as_micros() as u64);
         clam_obs::journal().record(
@@ -428,7 +364,7 @@ impl Caller {
     ///
     /// Transport errors if an automatic flush fires.
     pub fn call_async(&self, target: Target, method: u32, args: Opaque) -> RpcResult<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
         self.obs.calls_async.inc();
@@ -536,94 +472,27 @@ impl Caller {
     /// Number of calls awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.pending.lock().len()
+        self.replies.outstanding()
     }
 
-    /// Deliver a reply received from the transport. Returns `false` for
-    /// replies that match no outstanding call (a protocol anomaly the
-    /// pump may log).
-    pub fn handle_reply(&self, reply: Reply) -> bool {
-        let Some(wait) = self.pending.lock().remove(&reply.request_id) else {
-            return false;
-        };
-        let outcome = if reply.status == StatusCode::Ok {
-            Ok(reply.results)
-        } else {
-            Err(RpcError::Status {
-                code: reply.status,
-                message: reply.detail,
-            })
-        };
-        *wait.slot.lock() = Some(outcome);
-        wait.event.signal();
-        true
-    }
-
-    /// Fail every outstanding call (connection teardown).
-    pub fn fail_all(&self) {
-        self.closed.store(true, Ordering::Release);
-        let drained: Vec<_> = self.pending.lock().drain().collect();
-        for (_, wait) in drained {
-            *wait.slot.lock() = Some(Err(RpcError::Disconnected));
-            wait.event.signal();
-        }
-    }
-
-    /// Run the reply pump on the calling thread until the connection
-    /// closes: every inbound frame must be a `Reply` and is routed to its
-    /// waiting call. On exit all outstanding calls fail.
-    ///
-    /// Spawn this on a dedicated OS thread (it plays the kernel's role of
-    /// delivering I/O, so it must not be a task of the scheduler).
-    pub fn pump_replies(self: &Arc<Self>, mut reader: Box<dyn MsgReader>) {
-        reader.attach_pool(&self.pool);
-        while let Ok(frame) = reader.recv() {
-            match Message::from_frame(&frame) {
-                Ok(Message::Reply(reply)) => {
-                    self.pool.recycle(frame.into_wire());
-                    self.handle_reply(reply);
-                }
-                Ok(_) | Err(_) => break, // protocol violation: drop link
-            }
-        }
-        self.fail_all();
-    }
-
-    /// Spawn the reply pump on a new OS thread.
-    ///
-    /// The pump holds the caller weakly: dropping every caller handle
-    /// closes the connection (the writer is dropped), which in turn ends
-    /// the pump — no reference cycle keeps the link alive.
+    /// Spawn the reply pump ([`PendingReplies::spawn_reply_pump`]). On
+    /// `None` the OS refused the thread and every call fails with
+    /// [`RpcError::Disconnected`].
     pub fn spawn_reply_pump(
-        self: &Arc<Self>,
-        mut reader: Box<dyn MsgReader>,
-    ) -> std::thread::JoinHandle<()> {
-        reader.attach_pool(&self.pool);
-        let weak = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("clam-rpc-reply-pump".to_string())
-            .spawn(move || {
-                while let Ok(frame) = reader.recv() {
-                    let Some(caller) = weak.upgrade() else { break };
-                    match Message::from_frame(&frame) {
-                        Ok(Message::Reply(reply)) => {
-                            caller.pool.recycle(frame.into_wire());
-                            caller.handle_reply(reply);
-                        }
-                        Ok(_) | Err(_) => break,
-                    }
-                }
-                if let Some(caller) = weak.upgrade() {
-                    caller.fail_all();
-                }
-            })
-            .expect("failed to spawn reply pump")
+        &self,
+        reader: Box<dyn MsgReader>,
+    ) -> Option<std::thread::JoinHandle<()>> {
+        self.replies
+            .spawn_reply_pump(reader, &self.pool, ReplyKind::Reply)
+            .ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StatusCode;
+    use crate::message::{Message, Reply};
     use clam_net::pair;
     use clam_xdr::Opaque;
 
@@ -790,7 +659,7 @@ mod tests {
         let sched = Scheduler::new("um");
         let (w, _r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        assert!(!caller.handle_reply(Reply {
+        assert!(!caller.replies().complete(Reply {
             request_id: 42,
             status: StatusCode::Ok,
             detail: String::new(),

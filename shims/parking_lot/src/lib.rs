@@ -222,6 +222,23 @@ impl Condvar {
         guard.inner = Some(inner);
     }
 
+    /// Like [`wait`](Condvar::wait), but return once `deadline` passes
+    /// even without a notification.
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        deadline: std::time::Instant,
+    ) -> WaitTimeoutResult {
+        let timeout = deadline.saturating_duration_since(std::time::Instant::now());
+        let inner = guard.inner.take().expect("guard taken during wait");
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        guard.inner = Some(inner);
+        WaitTimeoutResult(result.timed_out())
+    }
+
     /// Wake one waiter. The return value (did anything wake) is a
     /// best-effort `false` here; no caller in this workspace consults it.
     pub fn notify_one(&self) -> bool {
@@ -234,6 +251,18 @@ impl Condvar {
     pub fn notify_all(&self) -> usize {
         self.inner.notify_all();
         0
+    }
+}
+
+/// Whether a [`Condvar::wait_until`] returned because its deadline passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    /// True if the wait ended at the deadline rather than a notification.
+    #[must_use]
+    pub fn timed_out(self) -> bool {
+        self.0
     }
 }
 
@@ -302,5 +331,16 @@ mod tests {
         }
         drop(g);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn condvar_wait_until_times_out() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        let start = std::time::Instant::now();
+        let deadline = start + std::time::Duration::from_millis(20);
+        while !cv.wait_until(&mut g, deadline).timed_out() {}
+        assert!(start.elapsed() >= std::time::Duration::from_millis(20));
     }
 }
