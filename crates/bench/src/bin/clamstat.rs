@@ -12,7 +12,7 @@
 
 use clam_bench::{BenchRig, Echo, ECHO_SERVICE_ID};
 use clam_net::Endpoint;
-use clam_obs::{Event, EventKind, SpanId, TraceId};
+use clam_obs::{Event, EventKind, MetricValue, SpanId, TraceId};
 use clam_rpc::Target;
 use clam_xdr::Opaque;
 use std::collections::BTreeMap;
@@ -123,17 +123,7 @@ fn main() -> ExitCode {
 
     println!("== clamstat: metrics delta over the workload ==");
     for (name, value) in delta.iter() {
-        match value {
-            clam_obs::MetricValue::Counter(v) => println!("  {name:<44} {v}"),
-            clam_obs::MetricValue::Gauge(v) => println!("  {name:<44} {v} (gauge)"),
-            clam_obs::MetricValue::Histogram(h) => println!(
-                "  {name:<44} n={} mean={:.1} p50={} p99={}",
-                h.count,
-                h.mean(),
-                h.percentile(50.0),
-                h.percentile(99.0),
-            ),
-        }
+        println!("  {}", metric_line(name, value));
     }
 
     println!("\n== trace trees ({} journal events) ==", events.len());
@@ -164,6 +154,23 @@ fn main() -> ExitCode {
         println!("report written to {path}");
     }
     ExitCode::SUCCESS
+}
+
+/// One line of the metrics delta: counters and gauges as numbers,
+/// histograms as count, mean and the p50/p99 bucket bounds.
+fn metric_line(name: &str, value: &MetricValue) -> String {
+    match value {
+        MetricValue::Counter(v) => format!("{name:<44} {v}"),
+        MetricValue::Gauge(v) => format!("{name:<44} {v} (gauge)"),
+        MetricValue::Histogram(h) => {
+            let (p50, p99) = h.p50_p99();
+            format!(
+                "{name:<44} n={} mean={:.1} p50={p50} p99={p99}",
+                h.count,
+                h.mean()
+            )
+        }
+    }
 }
 
 /// The cluster leg of the workload: a two-node fabric where the client
@@ -304,5 +311,29 @@ fn render_span(spans: &BTreeMap<SpanId, Node>, id: SpanId, depth: usize, out: &m
     out.push('\n');
     for child in &node.children {
         render_span(spans, *child, depth + 1, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn histogram_line_prints_the_p50_and_p99_buckets() {
+        let registry = clam_obs::Registry::new();
+        let h = registry.histogram("lat");
+        for _ in 0..90 {
+            h.observe(40); // bucket [32, 64)
+        }
+        for _ in 0..10 {
+            h.observe(5000); // bucket [4096, 8192)
+        }
+        let snap = registry.snapshot();
+        let value = MetricValue::Histogram(snap.histogram("lat").expect("histogram").clone());
+        let line = metric_line("lat", &value);
+        assert!(
+            line.ends_with(" n=100 mean=536.0 p50=63 p99=8191"),
+            "got {line:?}"
+        );
     }
 }

@@ -16,19 +16,18 @@
 use crate::error::CoreError;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::LoaderProxy;
-use clam_net::{Connector, DirectConnector, Endpoint, MsgWriter};
+use clam_net::{Connector, DirectConnector, Endpoint};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
     Caller, CallerConfig, Message, ProcId, Reply, ReplyKind, RpcError, RpcResult, StatusCode,
     Target, UpcallMsg,
 };
-use clam_task::{Event, Scheduler};
+use clam_task::{Mailbox, Scheduler};
 use clam_xdr::{Bundle, Opaque};
 use parking_lot::Mutex;
 use rand::RngCore;
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::session::{SessionCtl, SessionCtlProxy, SESSION_SERVICE_ID};
@@ -149,20 +148,12 @@ impl std::fmt::Debug for ClientOptions {
     }
 }
 
-struct UpcallInbox {
-    queue: Mutex<VecDeque<UpcallMsg>>,
-    event: Event,
-    dead: AtomicBool,
-}
-
 /// A connected CLAM client: RPC caller, upcall-handler task, procedure
 /// registry.
 pub struct ClamClient {
     sched: Scheduler,
     caller: Arc<Caller>,
     procs: Arc<ProcRegistry>,
-    upcall_writer: Arc<Mutex<Box<dyn MsgWriter>>>,
-    inbox: Arc<UpcallInbox>,
     /// Upcalls handled so far (diagnostics and tests).
     upcalls_handled: Arc<AtomicU64>,
 }
@@ -240,11 +231,7 @@ impl ClamClient {
         let upcall_pool = clam_xdr::BufferPool::default();
         up_writer.attach_pool(&upcall_pool);
         up_reader.attach_pool(&upcall_pool);
-        let inbox = Arc::new(UpcallInbox {
-            queue: Mutex::new(VecDeque::new()),
-            event: Event::new(&sched),
-            dead: AtomicBool::new(false),
-        });
+        let inbox = Arc::new(Mailbox::new(&sched));
 
         // Upcall read pump (OS thread, plays the kernel).
         {
@@ -254,17 +241,13 @@ impl ClamClient {
                 .name("clam-upcall-pump".to_string())
                 .spawn(move || {
                     while let Ok(frame) = up_reader.recv() {
-                        match Message::from_frame(&frame) {
-                            Ok(Message::Upcall(up)) => {
-                                pool.recycle(frame.into_wire());
-                                inbox.queue.lock().push_back(up);
-                                inbox.event.signal();
-                            }
-                            Ok(_) | Err(_) => break,
-                        }
+                        let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+                            break;
+                        };
+                        pool.recycle(frame.into_wire());
+                        inbox.push(up);
                     }
-                    inbox.dead.store(true, Ordering::Release);
-                    inbox.event.signal();
+                    inbox.close();
                 })
                 .map_err(CoreError::spawn("clam-upcall-pump"))?;
         }
@@ -273,8 +256,6 @@ impl ClamClient {
             sched,
             caller,
             procs: Arc::new(ProcRegistry::new()),
-            upcall_writer: Arc::new(Mutex::new(up_writer)),
-            inbox,
             upcalls_handled: Arc::new(AtomicU64::new(0)),
         });
 
@@ -282,27 +263,19 @@ impl ClamClient {
         // receipt of an upcall, replies, blocks again (section 4.4).
         {
             let procs = Arc::clone(&client.procs);
-            let writer = Arc::clone(&client.upcall_writer);
-            let inbox = Arc::clone(&client.inbox);
             let handled = Arc::clone(&client.upcalls_handled);
-            client.sched.spawn("upcall-handler", move || loop {
-                let up = loop {
-                    if let Some(up) = inbox.queue.lock().pop_front() {
-                        break up;
-                    }
-                    if inbox.dead.load(Ordering::Acquire) {
-                        return;
-                    }
-                    inbox.event.wait();
-                };
-                let reply = Self::run_upcall(&procs, &up);
-                handled.fetch_add(1, Ordering::Relaxed);
-                if up.request_id != 0 {
-                    let Ok(frame) = Message::UpcallReply(reply).to_frame_in(&upcall_pool) else {
-                        return;
-                    };
-                    if writer.lock().send(frame).is_err() {
-                        return;
+            client.sched.spawn("upcall-handler", move || {
+                while let Some(up) = inbox.recv() {
+                    let reply = Self::run_upcall(&procs, &up);
+                    handled.fetch_add(1, Ordering::Relaxed);
+                    if up.request_id != 0 {
+                        let Ok(frame) = Message::UpcallReply(reply).to_frame_in(&upcall_pool)
+                        else {
+                            return;
+                        };
+                        if up_writer.send(frame).is_err() {
+                            return;
+                        }
                     }
                 }
             });
@@ -325,51 +298,18 @@ impl ClamClient {
             );
         }
         let outcome = match procs.get(ProcId { id: up.proc_id }) {
-            Some(proc) => {
-                // Handler faults must not kill the upcall task: report
-                // them as a Fault status instead.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    // Calls the handler makes while its upcall is
-                    // outstanding are nested (section 4.4); tag them so
-                    // the server services them out of band.
-                    clam_rpc::nested_call_scope(|| proc(&up.args))
-                })) {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "handler fault".to_string());
-                        Err(RpcError::status(StatusCode::Fault, msg))
-                    }
-                }
-            }
+            // Handler faults must not kill the upcall task: report them
+            // as a Fault status instead. Calls the handler makes while
+            // its upcall is outstanding are nested (section 4.4); tag
+            // them so the server services them out of band.
+            Some(proc) => clam_task::catch_panic(|| clam_rpc::nested_call_scope(|| proc(&up.args)))
+                .unwrap_or_else(|fault| Err(RpcError::status(StatusCode::Fault, fault.message()))),
             None => Err(RpcError::status(
                 StatusCode::NoSuchMethod,
                 format!("no procedure {} registered", up.proc_id),
             )),
         };
-        let reply = match outcome {
-            Ok(results) => Reply {
-                request_id: up.request_id,
-                status: StatusCode::Ok,
-                detail: String::new(),
-                results,
-            },
-            Err(e) => {
-                let (status, detail) = match e {
-                    RpcError::Status { code, message } => (code, message),
-                    other => (StatusCode::AppError, other.to_string()),
-                };
-                Reply {
-                    request_id: up.request_id,
-                    status,
-                    detail,
-                    results: Opaque::new(),
-                }
-            }
-        };
+        let reply = Reply::from_outcome(up.request_id, outcome);
         if !up.trace.is_none() {
             clam_obs::journal().record(
                 EventKind::UpcallExit,

@@ -17,7 +17,6 @@ use clam_rpc::{Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, 
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -41,11 +40,6 @@ pub struct UpcallRouter {
     replies: PendingReplies,
     permits: Event,
     max_active: usize,
-    /// Synchronous upcalls currently in flight (including those waiting
-    /// for a permit). While nonzero, the session's RPC pump services
-    /// inbound frames in auxiliary tasks so a client's upcall handler
-    /// can call back into the server (section 4.4's nested flow).
-    sync_in_flight: AtomicU64,
     /// Upcall frames cycle: acquire → encode → send → writer recycles.
     pool: BufferPool,
     /// Deadline for synchronous upcalls; `None` is the paper's unbounded
@@ -87,18 +81,9 @@ impl UpcallRouter {
             replies: PendingReplies::new(sched),
             permits,
             max_active,
-            sync_in_flight: AtomicU64::new(0),
             pool,
             timeout,
         })
-    }
-
-    /// True while at least one synchronous upcall is in flight on this
-    /// router. The session pump consults this to decide whether inbound
-    /// frames may be nested calls from the client's upcall handler.
-    #[must_use]
-    pub fn sync_upcall_active(&self) -> bool {
-        self.sync_in_flight.load(Ordering::Acquire) > 0
     }
 
     /// The configured active-upcall limit.
@@ -119,9 +104,6 @@ impl UpcallRouter {
     /// Transport errors, [`RpcError::Disconnected`] if the client goes
     /// away, or the client procedure's error status.
     pub fn invoke(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
-        // Mark the sync upcall BEFORE anything is sent: a nested call
-        // from the client's handler must find the flag already up.
-        self.sync_in_flight.fetch_add(1, Ordering::AcqRel);
         // One active upcall per client (section 4.4).
         self.permits.wait();
         // The upcall is a child span of whatever server-side span is
@@ -149,7 +131,6 @@ impl UpcallRouter {
             Ok(())
         });
         self.permits.signal();
-        self.sync_in_flight.fetch_sub(1, Ordering::AcqRel);
         result
     }
 

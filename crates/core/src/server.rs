@@ -379,13 +379,12 @@ impl ClamServer {
         // execute in the order they were sent (section 3.4).
         {
             let session = Arc::clone(&session);
-            let server = Arc::clone(self);
+            let rpc = Arc::clone(&self.rpc);
             let _ = self
                 .sched
                 .try_spawn(&format!("rpc-main-{}", conn.0), move || {
-                    while let Some(frame) = session.next_frame() {
-                        Self::process_session_frame(&server, &session, conn, &frame);
-                        session.buffer_pool().recycle(frame.into_wire());
+                    while let Some(frame) = session.inbox.recv() {
+                        session.serve(&rpc, frame);
                     }
                 });
         }
@@ -413,16 +412,15 @@ impl ClamServer {
                         }
                         if Message::frame_is_nested(&frame) {
                             let session = Arc::clone(&session);
-                            let server = Arc::clone(&server);
-                            let spawned = server.sched.clone().try_spawn("rpc-nested", move || {
-                                Self::process_session_frame(&server, &session, conn, &frame);
-                                session.buffer_pool().recycle(frame.into_wire());
-                            });
+                            let rpc = Arc::clone(&server.rpc);
+                            let spawned = server
+                                .sched
+                                .try_spawn("rpc-nested", move || session.serve(&rpc, frame));
                             if spawned.is_err() {
                                 break; // scheduler shut down
                             }
                         } else {
-                            session.push_inbox(frame);
+                            session.inbox.push(frame);
                         }
                     }
                     // Peer death: wake blocked upcall waiters with an
@@ -445,27 +443,6 @@ impl ClamServer {
             spawned
                 .map(drop)
                 .map_err(CoreError::spawn(format!("clam-rpc-pump-{}", conn.0)))
-        }
-    }
-
-    /// Dispatch one inbound frame for a session and send its replies.
-    fn process_session_frame(
-        server: &Arc<ClamServer>,
-        session: &Arc<Session>,
-        conn: ConnId,
-        frame: &[u8],
-    ) {
-        let Ok(replies) = server.rpc.process_frame(conn, frame) else {
-            session.mark_dead(); // protocol violation
-            return;
-        };
-        for reply in replies {
-            let Ok(out) = Message::Reply(reply).to_frame_in(session.buffer_pool()) else {
-                return;
-            };
-            if session.send_rpc(out).is_err() {
-                return;
-            }
         }
     }
 }

@@ -6,12 +6,11 @@
 
 use crate::ruc::UpcallRouter;
 use clam_net::{Frame, MsgWriter};
-use clam_rpc::{current_conn, ConnId, ProcId, RpcError, RpcResult, StatusCode};
-use clam_task::{Event, Scheduler};
+use clam_rpc::{current_conn, ConnId, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
+use clam_task::{Mailbox, Scheduler};
 use clam_xdr::BufferPool;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Builtin service id of the session-control service.
@@ -36,9 +35,9 @@ pub struct Session {
     conn: ConnId,
     router: Arc<UpcallRouter>,
     rpc_writer: Mutex<Box<dyn MsgWriter>>,
-    inbox: Mutex<VecDeque<Frame>>,
-    inbox_event: Event,
-    alive: AtomicBool,
+    /// Inbound RPC frames for the main task, in arrival order; closed
+    /// when the session dies.
+    pub(crate) inbox: Mailbox<Frame>,
     error_proc: Mutex<Option<ProcId>>,
     /// Wire buffers for this session's RPC channel: inbound call frames
     /// and outbound replies cycle through here instead of the allocator.
@@ -49,7 +48,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("conn", &self.conn)
-            .field("alive", &self.alive.load(Ordering::Relaxed))
+            .field("alive", &self.is_alive())
             .finish_non_exhaustive()
     }
 }
@@ -67,9 +66,7 @@ impl Session {
             conn,
             router,
             rpc_writer: Mutex::new(rpc_writer),
-            inbox: Mutex::new(VecDeque::new()),
-            inbox_event: Event::new(sched),
-            alive: AtomicBool::new(true),
+            inbox: Mailbox::new(sched),
             error_proc: Mutex::new(None),
             pool,
         })
@@ -97,7 +94,7 @@ impl Session {
     /// Is the client still connected?
     #[must_use]
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        !self.inbox.is_closed()
     }
 
     /// The client's registered error-handler procedure, if any.
@@ -110,44 +107,23 @@ impl Session {
         *self.error_proc.lock() = proc;
     }
 
-    /// Queue one inbound RPC frame for consumption by
-    /// [`next_frame`](Session::next_frame). The built-in server spawns a
-    /// task per frame instead, but embedders building a strictly
-    /// serialized main-RPC-task loop (the paper's original single-task
-    /// form) drive sessions through this pair.
-    pub fn push_inbox(&self, frame: impl Into<Frame>) {
-        self.inbox.lock().push_back(frame.into());
-        self.inbox_event.signal();
-    }
-
-    /// Mark the session dead and wake the main task so it can exit.
+    /// Mark the session dead: the main task drains its inbox and exits,
+    /// and blocked upcall waiters fail.
     pub(crate) fn mark_dead(&self) {
-        self.alive.store(false, Ordering::Release);
+        self.inbox.close();
         self.router.fail_all();
-        self.inbox_event.signal();
     }
 
-    /// Next inbound frame queued by [`push_inbox`](Session::push_inbox),
-    /// blocking the calling *task*; `None` once the session is dead and
-    /// drained.
-    #[must_use]
-    pub fn next_frame(&self) -> Option<Frame> {
-        loop {
-            if let Some(frame) = self.inbox.lock().pop_front() {
-                return Some(frame);
-            }
-            if !self.is_alive() {
-                return None;
-            }
-            self.inbox_event.wait();
+    /// Serve one inbound RPC frame through `rpc` and send its replies
+    /// ([`RpcServer::serve_frame`]); a protocol violation kills the
+    /// session.
+    pub(crate) fn serve(&self, rpc: &RpcServer, frame: Frame) {
+        if rpc
+            .serve_frame(self.conn, frame, &self.pool, &self.rpc_writer)
+            .is_err()
+        {
+            self.mark_dead();
         }
-    }
-
-    /// Send a frame on the RPC channel (replies). The writer recycles the
-    /// frame's buffer into this session's pool after the write.
-    pub(crate) fn send_rpc(&self, frame: Frame) -> RpcResult<()> {
-        self.rpc_writer.lock().send(frame)?;
-        Ok(())
     }
 }
 
@@ -259,20 +235,6 @@ mod tests {
         let router = UpcallRouter::new(&sched, uw, 1, None);
         let s = Session::new(&sched, ConnId(7), router, w);
         (s, sched)
-    }
-
-    #[test]
-    fn inbox_delivers_in_order_and_drains_after_death() {
-        let (s, _sched) = session_rig();
-        s.push_inbox(vec![1]);
-        s.push_inbox(vec![2]);
-        assert_eq!(s.next_frame().unwrap(), vec![1]);
-        assert_eq!(s.next_frame().unwrap(), vec![2]);
-        s.push_inbox(vec![3]);
-        s.mark_dead();
-        assert_eq!(s.next_frame().unwrap(), vec![3], "drain after death");
-        assert!(s.next_frame().is_none());
-        assert!(!s.is_alive());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! so the per-kind counters read as per-layer traffic.
 
 use crate::error::NetResult;
-use crate::frame::Frame;
+use crate::frame::{read_frame_pooled, Frame};
 use clam_xdr::BufferPool;
 use crossbeam_channel::{Receiver, Sender};
+use std::io::{BufReader, Read, Write};
 use std::sync::Arc;
 
 /// The sending half of a channel.
@@ -93,6 +94,23 @@ impl Channel {
             }),
             label,
         }
+    }
+
+    /// Assemble a channel over a byte stream (the Unix-domain and TCP
+    /// transports): `stream` carries the writes, `read_half` — a clone of
+    /// the same socket — the reads.
+    pub(crate) fn from_stream<S>(label: &str, stream: S, read_half: S) -> Channel
+    where
+        S: Read + Write + Send + 'static,
+    {
+        Channel::from_halves(
+            label,
+            Box::new(StreamWriter { stream, pool: None }),
+            Box::new(StreamReader {
+                stream: BufReader::new(read_half),
+                pool: None,
+            }),
+        )
     }
 
     /// A human-readable transport label (for diagnostics).
@@ -188,6 +206,45 @@ impl MsgReader for MeteredReader {
 
     fn attach_pool(&mut self, pool: &BufferPool) {
         self.inner.attach_pool(pool);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Byte-stream halves shared by the Unix-domain and TCP transports.
+// ----------------------------------------------------------------------
+
+struct StreamWriter<S> {
+    stream: S,
+    pool: Option<BufferPool>,
+}
+
+impl<S: Write + Send> MsgWriter for StreamWriter<S> {
+    fn send(&mut self, frame: Frame) -> NetResult<()> {
+        // The frame already is its wire image: one write_all, no copy.
+        self.stream.write_all(frame.wire())?;
+        if let Some(pool) = &self.pool {
+            pool.recycle(frame.into_wire());
+        }
+        Ok(())
+    }
+
+    fn attach_pool(&mut self, pool: &BufferPool) {
+        self.pool = Some(pool.clone());
+    }
+}
+
+struct StreamReader<S> {
+    stream: BufReader<S>,
+    pool: Option<BufferPool>,
+}
+
+impl<S: Read + Send> MsgReader for StreamReader<S> {
+    fn recv(&mut self) -> NetResult<Frame> {
+        read_frame_pooled(&mut self.stream, self.pool.as_ref())
+    }
+
+    fn attach_pool(&mut self, pool: &BufferPool) {
+        self.pool = Some(pool.clone());
     }
 }
 

@@ -1,64 +1,19 @@
 //! TCP transport — the paper's same-machine and cross-machine TCP/IP
 //! rows of Figure 5.1.
 
-use crate::channel::{Channel, MsgReader, MsgWriter};
+use crate::channel::Channel;
 use crate::endpoint::Endpoint;
 use crate::error::NetResult;
-use crate::frame::{read_frame_pooled, Frame};
 use crate::Listener;
-use clam_xdr::BufferPool;
-use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-
-struct TcpWriter {
-    stream: TcpStream,
-    pool: Option<BufferPool>,
-}
-
-impl MsgWriter for TcpWriter {
-    fn send(&mut self, frame: Frame) -> NetResult<()> {
-        // The frame already is its wire image: one write_all, no copy.
-        self.stream.write_all(frame.wire())?;
-        if let Some(pool) = &self.pool {
-            pool.recycle(frame.into_wire());
-        }
-        Ok(())
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
-    }
-}
-
-struct TcpMsgReader {
-    stream: BufReader<TcpStream>,
-    pool: Option<BufferPool>,
-}
-
-impl MsgReader for TcpMsgReader {
-    fn recv(&mut self) -> NetResult<Frame> {
-        read_frame_pooled(&mut self.stream, self.pool.as_ref())
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
-    }
-}
 
 pub(crate) fn channel_from_stream(label: &str, stream: TcpStream) -> NetResult<Channel> {
     // An RPC round trip is a small write each way; Nagle would add 40 ms
     // class delays, drowning the measurement the benches exist to take.
     stream.set_nodelay(true)?;
     let read_half = stream.try_clone()?;
-    Ok(Channel::from_halves(
-        label,
-        Box::new(TcpWriter { stream, pool: None }),
-        Box::new(TcpMsgReader {
-            stream: BufReader::new(read_half),
-            pool: None,
-        }),
-    ))
+    Ok(Channel::from_stream(label, stream, read_half))
 }
 
 struct TcpChannelListener {

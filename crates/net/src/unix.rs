@@ -1,62 +1,17 @@
 //! Unix-domain stream transport — the paper's same-machine IPC
 //! (Figure 5.1, "UNIX domain connection" rows).
 
-use crate::channel::{Channel, MsgReader, MsgWriter};
+use crate::channel::Channel;
 use crate::endpoint::Endpoint;
 use crate::error::NetResult;
-use crate::frame::{read_frame_pooled, Frame};
 use crate::Listener;
-use clam_xdr::BufferPool;
-use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-struct UnixWriter {
-    stream: UnixStream,
-    pool: Option<BufferPool>,
-}
-
-impl MsgWriter for UnixWriter {
-    fn send(&mut self, frame: Frame) -> NetResult<()> {
-        // The frame already is its wire image: one write_all, no copy.
-        self.stream.write_all(frame.wire())?;
-        if let Some(pool) = &self.pool {
-            pool.recycle(frame.into_wire());
-        }
-        Ok(())
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
-    }
-}
-
-struct UnixMsgReader {
-    stream: BufReader<UnixStream>,
-    pool: Option<BufferPool>,
-}
-
-impl MsgReader for UnixMsgReader {
-    fn recv(&mut self) -> NetResult<Frame> {
-        read_frame_pooled(&mut self.stream, self.pool.as_ref())
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
-    }
-}
-
 pub(crate) fn channel_from_stream(label: &str, stream: UnixStream) -> NetResult<Channel> {
     let read_half = stream.try_clone()?;
-    Ok(Channel::from_halves(
-        label,
-        Box::new(UnixWriter { stream, pool: None }),
-        Box::new(UnixMsgReader {
-            stream: BufReader::new(read_half),
-            pool: None,
-        }),
-    ))
+    Ok(Channel::from_stream(label, stream, read_half))
 }
 
 struct UnixChannelListener {

@@ -155,11 +155,17 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound of the bucket holding the `p`-th percentile
-    /// (`0.0 ..= 1.0`); 0 when empty. Log2 buckets make this exact to
-    /// within a factor of two, which is what a tripwire needs.
+    /// The median and 99th percentile every report prints, each as the
+    /// upper bound of the bucket holding it; 0 when empty. Log2 buckets
+    /// make these exact to within a factor of two, which is what a
+    /// tripwire needs.
     #[must_use]
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub fn p50_p99(&self) -> (u64, u64) {
+        (self.percentile(0.50), self.percentile(0.99))
+    }
+
+    /// Upper bound of the bucket holding quantile `p` (`0.0 ..= 1.0`).
+    fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -387,14 +393,13 @@ impl MetricsSnapshot {
                     let _ = write!(out, "{g}");
                 }
                 MetricValue::Histogram(h) => {
+                    let (p50, p99) = h.p50_p99();
                     let _ = write!(
                         out,
-                        "{{\"count\":{},\"sum\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{}}}",
+                        "{{\"count\":{},\"sum\":{},\"mean\":{:.1},\"p50\":{p50},\"p99\":{p99}}}",
                         h.count,
                         h.sum,
                         h.mean(),
-                        h.percentile(0.50),
-                        h.percentile(0.99)
                     );
                 }
             }

@@ -22,6 +22,7 @@ use clam_obs::EventKind;
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,8 +137,7 @@ impl CallOptions {
 
 /// Process-global `rpc.*` metric handles, resolved once per caller so the
 /// batched async path — which must stay allocation-free at steady state —
-/// pays only relaxed atomic adds. Sync-call latency histograms are keyed
-/// per stub target and resolved lazily (sync calls block anyway).
+/// pays only relaxed atomic adds.
 struct CallerObs {
     calls_async: Arc<clam_obs::Counter>,
     flush_calls: Arc<clam_obs::Counter>,
@@ -146,6 +146,10 @@ struct CallerObs {
     batch_calls: Arc<clam_obs::Histogram>,
     retries: Arc<clam_obs::Counter>,
     deadline_expired: Arc<clam_obs::Counter>,
+    /// Sync-call latency histograms by target: one per builtin service
+    /// id, `None` for object calls. Each is resolved in the global
+    /// registry on the caller's first call to that target.
+    latency: Mutex<HashMap<Option<u32>, Arc<clam_obs::Histogram>>>,
 }
 
 impl CallerObs {
@@ -158,15 +162,23 @@ impl CallerObs {
             batch_calls: clam_obs::histogram("rpc.batch_calls"),
             retries: clam_obs::counter("rpc.retries"),
             deadline_expired: clam_obs::counter("rpc.deadline_expired"),
+            latency: Mutex::new(HashMap::new()),
         }
     }
-}
 
-/// The per-stub latency histogram for sync calls on `target`.
-fn latency_histogram(target: Target) -> Arc<clam_obs::Histogram> {
-    match target {
-        Target::Builtin(id) => clam_obs::histogram(&format!("rpc.call_latency_us.builtin_{id}")),
-        Target::Object(_) => clam_obs::histogram("rpc.call_latency_us.object"),
+    /// Record one sync call's latency in `target`'s histogram
+    /// (`rpc.call_latency_us.builtin_{id}` or `.object`).
+    fn observe_latency(&self, target: Target, micros: u64) {
+        let key = match target {
+            Target::Builtin(id) => Some(id),
+            Target::Object(_) => None,
+        };
+        let mut latency = self.latency.lock();
+        let histogram = latency.entry(key).or_insert_with(|| match key {
+            Some(id) => clam_obs::histogram(&format!("rpc.call_latency_us.builtin_{id}")),
+            None => clam_obs::histogram("rpc.call_latency_us.object"),
+        });
+        histogram.observe(micros);
     }
 }
 
@@ -346,7 +358,8 @@ impl Caller {
             clam_obs::journal().record(EventKind::DeadlineFired, trace, parent.span, method);
         }
         #[allow(clippy::cast_possible_truncation)]
-        latency_histogram(target).observe(started.elapsed().as_micros() as u64);
+        self.obs
+            .observe_latency(target, started.elapsed().as_micros() as u64);
         clam_obs::journal().record(
             EventKind::CallEnd,
             trace,
@@ -527,6 +540,25 @@ mod tests {
             }
             frames
         })
+    }
+
+    #[test]
+    fn each_sync_call_lands_in_its_targets_latency_histogram() {
+        const CALLS: u64 = 25;
+        // A service id no other test calls: the registry is global.
+        let name = "rpc.call_latency_us.builtin_4711";
+        let (caller, server) = test_caller();
+        let srv = serve_echo(server);
+        let before = clam_obs::snapshot();
+        for _ in 0..CALLS {
+            caller
+                .call(Target::Builtin(4711), 0, Opaque::new())
+                .unwrap();
+        }
+        let delta = clam_obs::snapshot().delta(&before);
+        assert_eq!(delta.histogram(name).map(|h| h.count), Some(CALLS));
+        drop(caller);
+        let _ = srv.join();
     }
 
     #[test]

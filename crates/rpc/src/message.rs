@@ -5,7 +5,7 @@
 //! replies on the upcall channel. Request id `0` marks an asynchronous
 //! call that expects no reply (and may therefore ride in a batch).
 
-use crate::error::StatusCode;
+use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::Handle;
 use clam_net::{Frame, FrameEncoder, MAX_FRAME_LEN};
 use clam_obs::TraceContext;
@@ -119,6 +119,26 @@ clam_xdr::bundle_struct! {
         pub detail: String,
         /// Bundled results (empty unless `Ok`).
         pub results: Opaque,
+    }
+}
+
+impl Reply {
+    /// The reply that carries a served call's or upcall's outcome: `Ok`
+    /// with its results, or the error's status and text. An error with
+    /// no status of its own travels as [`StatusCode::AppError`].
+    #[must_use]
+    pub fn from_outcome(request_id: u64, outcome: RpcResult<Opaque>) -> Reply {
+        let (status, detail, results) = match outcome {
+            Ok(results) => (StatusCode::Ok, String::new(), results),
+            Err(RpcError::Status { code, message }) => (code, message, Opaque::new()),
+            Err(other) => (StatusCode::AppError, other.to_string(), Opaque::new()),
+        };
+        Reply {
+            request_id,
+            status,
+            detail,
+            results,
+        }
     }
 }
 
@@ -391,6 +411,22 @@ mod tests {
                 span: clam_obs::SpanId(0xfedc_ba98),
             },
         }
+    }
+
+    #[test]
+    fn reply_from_outcome_maps_results_statuses_and_other_errors() {
+        let ok = Reply::from_outcome(4, Ok(Opaque::from(vec![7])));
+        assert_eq!((ok.request_id, ok.status), (4, StatusCode::Ok));
+        assert_eq!(ok.results.as_slice(), &[7]);
+        let status = Reply::from_outcome(5, Err(RpcError::status(StatusCode::Fault, "bug")));
+        assert_eq!(
+            (status.status, status.detail.as_str()),
+            (StatusCode::Fault, "bug")
+        );
+        assert!(status.results.is_empty());
+        let other = Reply::from_outcome(6, Err(RpcError::Disconnected));
+        assert_eq!(other.status, StatusCode::AppError);
+        assert_eq!(other.detail, RpcError::Disconnected.to_string());
     }
 
     #[test]

@@ -36,6 +36,26 @@ impl fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
+/// Run `f`, turning a panic into a [`TaskPanic`] with the payload's
+/// text: the one fault guard around task bodies, served calls and
+/// upcall handlers.
+///
+/// # Errors
+///
+/// The [`TaskPanic`] if `f` panicked.
+pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        TaskPanic::new(message)
+    })
+}
+
 /// Errors surfaced by scheduler operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -94,6 +114,18 @@ mod tests {
         let e = TaskError::from(TaskPanic::new("x".to_string()));
         assert!(e.source().is_some());
         assert!(TaskError::ShutDown.source().is_none());
+    }
+
+    #[test]
+    fn catch_panic_renders_str_string_and_other_payloads() {
+        assert_eq!(catch_panic(|| 7), Ok(7));
+        let s = catch_panic(|| -> () { panic!("static text") }).unwrap_err();
+        assert_eq!(s.message(), "static text");
+        let n = 3;
+        let f = catch_panic(|| -> () { panic!("formatted {n}") }).unwrap_err();
+        assert_eq!(f.message(), "formatted 3");
+        let o = catch_panic(|| std::panic::panic_any(42u8)).unwrap_err();
+        assert_eq!(o.message(), "non-string panic payload");
     }
 
     #[test]

@@ -45,10 +45,12 @@
 
 mod error;
 mod event;
+mod mailbox;
 mod scheduler;
 mod task;
 
-pub use error::{TaskError, TaskPanic, TaskResult};
+pub use error::{catch_panic, TaskError, TaskPanic, TaskResult};
 pub use event::Event;
+pub use mailbox::Mailbox;
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use task::{JoinHandle, TaskId, TaskState};

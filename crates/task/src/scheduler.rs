@@ -8,13 +8,12 @@
 //! are reused, instead of being newly created on each input event to
 //! reduce overhead").
 
-use crate::error::{TaskError, TaskPanic, TaskResult};
+use crate::error::{catch_panic, TaskError, TaskResult};
 use crate::task::{Completion, JoinHandle, TaskId, TaskState};
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -383,15 +382,8 @@ impl Scheduler {
         // Wait until the scheduler grants us the processor.
         baton.await_grant();
         CURRENT.with(|c| c.set(Some((inner.uid, id.0))));
-        let result = catch_unwind(AssertUnwindSafe(job));
+        let outcome = catch_panic(job).map_err(TaskError::Panicked);
         CURRENT.with(|c| c.set(None));
-
-        let outcome = match result {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(TaskError::Panicked(TaskPanic::new(panic_message(
-                payload.as_ref(),
-            )))),
-        };
         Self::finish_task(inner, id, outcome);
     }
 
@@ -552,15 +544,5 @@ pub(crate) fn wake_picked_task<F: FnOnce() -> Vec<TaskId>>(inner: &SchedInner, p
     let mut st = inner.state.lock();
     for id in pick() {
         Scheduler::make_ready_locked(inner, &mut st, id);
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
