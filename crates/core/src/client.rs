@@ -13,16 +13,15 @@
 //! as an ordinary bundled argument and comes back to life there as a RUC
 //! object (section 3.5.2).
 
-use crate::error::CoreError;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::LoaderProxy;
 use clam_net::{Connector, DirectConnector, Endpoint};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
-    Caller, CallerConfig, Message, ProcId, Reply, ReplyKind, RpcError, RpcResult, StatusCode,
-    Target, UpcallMsg,
+    Caller, CallerConfig, Message, ProcId, Reply, RpcError, RpcResult, StatusCode, Target,
+    UpcallMsg,
 };
-use clam_task::{Mailbox, Scheduler};
+use clam_task::Scheduler;
 use clam_xdr::{Bundle, Opaque};
 use parking_lot::Mutex;
 use rand::RngCore;
@@ -152,6 +151,9 @@ impl std::fmt::Debug for ClientOptions {
 /// registry.
 pub struct ClamClient {
     sched: Scheduler,
+    /// `sched` was created for this client, so dropping the client shuts
+    /// it down.
+    own_scheduler: bool,
     caller: Arc<Caller>,
     procs: Arc<ProcRegistry>,
     /// Upcalls handled so far (diagnostics and tests).
@@ -163,6 +165,16 @@ impl std::fmt::Debug for ClamClient {
         f.debug_struct("ClamClient")
             .field("procs", &self.procs)
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for ClamClient {
+    /// A private scheduler's idle workers exit now; the upcall task's
+    /// exits once the server closes the upcall channel.
+    fn drop(&mut self) {
+        if self.own_scheduler {
+            self.sched.shutdown();
+        }
     }
 }
 
@@ -199,8 +211,7 @@ impl ClamClient {
     ///
     /// # Errors
     ///
-    /// Transport errors connecting or handshaking; a spawn failure for
-    /// the reply or upcall pump surfaces as an application-level status.
+    /// Transport errors connecting or handshaking.
     pub fn connect_opts(endpoint: &Endpoint, opts: ClientOptions) -> RpcResult<Arc<ClamClient>> {
         let nonce = rand::thread_rng().next_u64();
 
@@ -215,15 +226,13 @@ impl ClamClient {
             nonce,
         })?)?;
 
+        let own_scheduler = opts.scheduler.is_none();
         let sched = opts
             .scheduler
             .unwrap_or_else(|| Scheduler::new("clam-client"));
         let (rpc_writer, rpc_reader) = rpc_ch.split();
         let caller = Caller::new(&sched, rpc_writer, opts.caller);
-        caller
-            .replies()
-            .spawn_reply_pump(rpc_reader, caller.buffer_pool(), ReplyKind::Reply)
-            .map_err(CoreError::spawn("clam-rpc-reply-pump"))?;
+        caller.spawn_reply_pump(rpc_reader);
 
         let (mut up_writer, mut up_reader) = upcall_ch.split();
         // One pool for the upcall channel: inbound upcall frames are
@@ -231,41 +240,30 @@ impl ClamClient {
         let upcall_pool = clam_xdr::BufferPool::default();
         up_writer.attach_pool(&upcall_pool);
         up_reader.attach_pool(&upcall_pool);
-        let inbox = Arc::new(Mailbox::new(&sched));
-
-        // Upcall read pump (OS thread, plays the kernel).
-        {
-            let inbox = Arc::clone(&inbox);
-            let pool = upcall_pool.clone();
-            std::thread::Builder::new()
-                .name("clam-upcall-pump".to_string())
-                .spawn(move || {
-                    while let Ok(frame) = up_reader.recv() {
-                        let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
-                            break;
-                        };
-                        pool.recycle(frame.into_wire());
-                        inbox.push(up);
-                    }
-                    inbox.close();
-                })
-                .map_err(CoreError::spawn("clam-upcall-pump"))?;
-        }
 
         let client = Arc::new(ClamClient {
             sched,
+            own_scheduler,
             caller,
             procs: Arc::new(ProcRegistry::new()),
             upcalls_handled: Arc::new(AtomicU64::new(0)),
         });
 
         // The upcall-handler task: initially blocked, unblocked on
-        // receipt of an upcall, replies, blocks again (section 4.4).
+        // receipt of an upcall, replies, blocks again (section 4.4). It
+        // reads the upcall channel itself, outside the baton; until it
+        // comes back for the next upcall, later ones wait in the
+        // transport's buffer.
         {
             let procs = Arc::clone(&client.procs);
             let handled = Arc::clone(&client.upcalls_handled);
+            let sched = client.sched.clone();
             client.sched.spawn("upcall-handler", move || {
-                while let Some(up) = inbox.recv() {
+                while let Ok(frame) = sched.outside(|| up_reader.recv()) {
+                    let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+                        return;
+                    };
+                    upcall_pool.recycle(frame.into_wire());
                     let reply = Self::run_upcall(&procs, &up);
                     handled.fetch_add(1, Ordering::Relaxed);
                     if up.request_id != 0 {

@@ -28,13 +28,14 @@ fn obs_remote_upcalls() -> &'static Arc<Counter> {
 
 /// Per-client controller of the upcall channel.
 ///
-/// Owns the writer half; a pump thread feeds replies back into its
-/// [`PendingReplies`] table. The permit machinery
+/// Owns the writer half; the reader half sits in its [`PendingReplies`]
+/// table, read by the upcallers themselves. The permit machinery
 /// implements "we allow only one upcall to be active per client" —
 /// a server task invoking a synchronous upcall while another is active
 /// blocks until the slot frees (with `max_concurrent_upcalls > 1`, until
 /// *a* slot frees).
 pub struct UpcallRouter {
+    sched: Scheduler,
     writer: Mutex<Box<dyn MsgWriter>>,
     /// Outstanding synchronous upcalls and their deadlines.
     replies: PendingReplies,
@@ -77,6 +78,7 @@ impl UpcallRouter {
         let pool = BufferPool::default();
         writer.attach_pool(&pool);
         Arc::new(UpcallRouter {
+            sched: sched.clone(),
             writer: Mutex::new(writer),
             replies: PendingReplies::new(sched),
             permits,
@@ -126,12 +128,28 @@ impl UpcallRouter {
                 args,
                 trace: ctx,
             });
-            let frame = msg.to_frame_in(&self.pool)?;
-            self.writer.lock().send(frame)?;
-            Ok(())
+            self.send(&msg)
         });
         self.permits.signal();
         result
+    }
+
+    /// Send an upcall. The client's upcall queue is the transport's
+    /// buffer; while it has room the send runs in place, holding the
+    /// baton like any other step of the task. Only a send that must wait
+    /// — for room in the buffer, or for another sender that is waiting
+    /// for it — goes outside the baton, so it does not stop the server's
+    /// other tasks.
+    fn send(&self, msg: &Message) -> RpcResult<()> {
+        let frame = msg.to_frame_in(&self.pool)?;
+        if let Some(mut writer) = self.writer.try_lock() {
+            if !writer.start_send(frame)? {
+                self.sched.outside(|| writer.finish_send())?;
+            }
+        } else {
+            self.sched.outside(|| self.writer.lock().send(frame))?;
+        }
+        Ok(())
     }
 
     /// Perform an asynchronous upcall: no reply, no slot consumed.
@@ -152,9 +170,7 @@ impl UpcallRouter {
             // span: nobody waits on them, so there is nothing to time.
             trace: clam_obs::current(),
         });
-        let frame = msg.to_frame_in(&self.pool)?;
-        self.writer.lock().send(frame)?;
-        Ok(())
+        self.send(&msg)
     }
 
     /// The router's pending-reply table.
@@ -180,16 +196,12 @@ impl UpcallRouter {
         self.replies.fail_all();
     }
 
-    /// Spawn the reply pump ([`PendingReplies::spawn_reply_pump`]). On
-    /// `None` the OS refused the thread and every upcall fails with
-    /// [`RpcError::Disconnected`].
-    pub fn spawn_reply_pump(
-        &self,
-        reader: Box<dyn MsgReader>,
-    ) -> Option<std::thread::JoinHandle<()>> {
+    /// Hand the upcall channel's reader to the pending-reply table
+    /// ([`PendingReplies::attach_reader`]): upcallers then read their own
+    /// replies, and no thread is started.
+    pub fn spawn_reply_pump(&self, reader: Box<dyn MsgReader>) {
         self.replies
-            .spawn_reply_pump(reader, &self.pool, ReplyKind::UpcallReply)
-            .ok()
+            .attach_reader(reader, &self.pool, ReplyKind::UpcallReply);
     }
 }
 
@@ -478,5 +490,34 @@ mod tests {
             h.join().unwrap();
         }
         t.join().unwrap();
+    }
+
+    #[test]
+    fn a_send_into_a_buffer_with_room_is_not_a_switch_point() {
+        let listener = clam_net::listen(&clam_net::Endpoint::tcp("127.0.0.1:0")).unwrap();
+        let server_end = clam_net::connect(&listener.endpoint()).unwrap();
+        let _client_end = listener.accept().unwrap();
+        let sched = Scheduler::new("ruc-room");
+        let (w, _r) = server_end.split();
+        let router = UpcallRouter::new(&sched, w, 1, None);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sender = {
+            let (s, log) = (sched.clone(), Arc::clone(&log));
+            sched.spawn("sender", move || {
+                // Ready from here on: it runs only when the sender blocks
+                // or ends.
+                let log2 = Arc::clone(&log);
+                s.spawn("bystander", move || log2.lock().push("bystander"));
+                for i in 0..3 {
+                    router
+                        .invoke_async(ProcId { id: 1 }, Opaque::from(vec![i]))
+                        .unwrap();
+                    log.lock().push("sent");
+                }
+            })
+        };
+        sender.join().unwrap();
+        sched.wait_idle();
+        assert_eq!(*log.lock(), ["sent", "sent", "sent", "bystander"]);
     }
 }

@@ -21,7 +21,7 @@ use crate::upcall::UpcallTarget;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::{DynamicLoader, LoaderImpl, Module};
 use clam_net::{Channel, Endpoint, Listener};
-use clam_rpc::{ConnId, Message, ProcId, ReplyKind, RpcError, RpcResult, RpcServer, StatusCode};
+use clam_rpc::{ConnId, Message, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
 use clam_task::Scheduler;
 use clam_xdr::Bundle;
 use parking_lot::Mutex;
@@ -95,8 +95,8 @@ pub struct ClamServer {
     endpoints: Vec<Endpoint>,
     /// Half-open clients: nonce → the channel that arrived first.
     pending_pairs: Mutex<HashMap<u64, (ChannelRole, Channel)>>,
-    #[allow(dead_code)] // owned to keep listeners alive
-    listeners: Vec<Arc<dyn Listener>>,
+    /// Owned to keep the listeners open until shutdown.
+    listeners: Mutex<Vec<Arc<dyn Listener>>>,
 }
 
 impl std::fmt::Debug for ClamServer {
@@ -158,7 +158,7 @@ impl ClamServer {
             shutting_down: AtomicBool::new(false),
             endpoints: resolved,
             pending_pairs: Mutex::new(HashMap::new()),
-            listeners: listeners.clone(),
+            listeners: Mutex::new(listeners.clone()),
         });
 
         // Error-reporting upcalls (section 4.3): when loaded code faults,
@@ -183,6 +183,9 @@ impl ClamServer {
                 .spawn(move || {
                     while let Ok(channel) = listener.accept() {
                         let Some(server) = weak.upgrade() else { break };
+                        if server.is_shutting_down() {
+                            break; // woken by `shutdown`
+                        }
                         server.admit(channel);
                     }
                 })
@@ -306,7 +309,16 @@ impl ClamServer {
     /// upcalls, drop every session, and refuse new tasks. Connected
     /// clients observe `Disconnected`/closed channels. Idempotent.
     pub fn shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
+        if self.shutting_down.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Wake each accept thread with a connection of our own; it sees
+        // the flag and exits instead of admitting it, and with it goes
+        // the last reference to its listener: later connects are refused.
+        for endpoint in &self.endpoints {
+            let _ = clam_net::connect(endpoint);
+        }
+        self.listeners.lock().clear();
         for session in self.sessions.drain_all() {
             session.mark_dead();
             self.rpc.invalidate_owner(session.conn());
@@ -365,12 +377,9 @@ impl ClamServer {
             self.config.max_concurrent_upcalls,
             self.config.upcall_timeout,
         );
-        router
-            .replies()
-            .spawn_reply_pump(up_reader, router.buffer_pool(), ReplyKind::UpcallReply)
-            .map_err(CoreError::spawn("clam-upcall-reply-pump"))?;
+        router.spawn_reply_pump(up_reader);
 
-        let session = Session::new(&self.sched, conn, router, rpc_writer);
+        let session = Session::new(&self.sched, conn, router, rpc_writer, rpc_reader.closer());
         self.sessions.insert(Arc::clone(&session));
 
         // The main RPC task: serializes this client's requests in strict
@@ -389,7 +398,7 @@ impl ClamServer {
                 });
         }
 
-        // Read pump (plays the kernel): frames go to the main task's
+        // Read thread (plays the kernel): frames go to the main task's
         // inbox in strict order — except frames the client marked as
         // *nested* (calls made from inside an upcall handler whose
         // triggering upcall is still outstanding, section 4.4: the
@@ -433,7 +442,7 @@ impl ClamServer {
                     server.rpc.invalidate_owner(conn);
                 });
             if spawned.is_err() {
-                // No pump thread means the session can never serve; tear
+                // No read thread means the session can never serve; tear
                 // it down cleanly — the client observes a dropped
                 // connection — rather than aborting the accept thread.
                 session.mark_dead();

@@ -5,7 +5,7 @@
 //! error handler (section 4.3's error reporting).
 
 use crate::ruc::UpcallRouter;
-use clam_net::{Frame, MsgWriter};
+use clam_net::{Closer, Frame, MsgWriter};
 use clam_rpc::{current_conn, ConnId, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
 use clam_task::{Mailbox, Scheduler};
 use clam_xdr::BufferPool;
@@ -35,6 +35,8 @@ pub struct Session {
     conn: ConnId,
     router: Arc<UpcallRouter>,
     rpc_writer: Mutex<Box<dyn MsgWriter>>,
+    /// Closes the RPC channel, waking the server's reader on it.
+    rpc_closer: Closer,
     /// Inbound RPC frames for the main task, in arrival order; closed
     /// when the session dies.
     pub(crate) inbox: Mailbox<Frame>,
@@ -59,6 +61,7 @@ impl Session {
         conn: ConnId,
         router: Arc<UpcallRouter>,
         mut rpc_writer: Box<dyn MsgWriter>,
+        rpc_closer: Closer,
     ) -> Arc<Session> {
         let pool = BufferPool::default();
         rpc_writer.attach_pool(&pool);
@@ -66,13 +69,14 @@ impl Session {
             conn,
             router,
             rpc_writer: Mutex::new(rpc_writer),
+            rpc_closer,
             inbox: Mailbox::new(sched),
             error_proc: Mutex::new(None),
             pool,
         })
     }
 
-    /// The session's wire-buffer pool. The server's read pump attaches
+    /// The session's wire-buffer pool. The server's read thread attaches
     /// this to the RPC reader and recycles frames after dispatch.
     #[must_use]
     pub fn buffer_pool(&self) -> &BufferPool {
@@ -108,10 +112,12 @@ impl Session {
     }
 
     /// Mark the session dead: the main task drains its inbox and exits,
-    /// and blocked upcall waiters fail.
+    /// blocked upcall waiters fail, and both channels close, so the
+    /// server's reader and the client's see the hangup.
     pub(crate) fn mark_dead(&self) {
         self.inbox.close();
         self.router.fail_all();
+        self.rpc_closer.close();
     }
 
     /// Serve one inbound RPC frame through `rpc` and send its replies
@@ -229,11 +235,12 @@ mod tests {
     fn session_rig() -> (Arc<Session>, Scheduler) {
         let sched = Scheduler::new("session-test");
         let (a, _b) = pair();
+        let closer = a.closer();
         let (w, _r) = a.split();
         let (ua, _ub) = pair();
         let (uw, _ur) = ua.split();
         let router = UpcallRouter::new(&sched, uw, 1, None);
-        let s = Session::new(&sched, ConnId(7), router, w);
+        let s = Session::new(&sched, ConnId(7), router, w, closer);
         (s, sched)
     }
 

@@ -7,12 +7,15 @@
 //! shaper or fault injector wrapping a TCP channel — meter at each layer,
 //! so the per-kind counters read as per-layer traffic.
 
-use crate::error::NetResult;
-use crate::frame::{read_frame_pooled, Frame};
+use crate::error::{NetError, NetResult};
+use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
-use crossbeam_channel::{Receiver, Sender};
-use std::io::{BufReader, Read, Write};
-use std::sync::Arc;
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::io::{self, BufReader, Read, Write};
+use std::net::Shutdown;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 /// The sending half of a channel.
 pub trait MsgWriter: Send {
@@ -29,6 +32,29 @@ pub trait MsgWriter: Send {
     /// is gone, or a transport-level error.
     fn send(&mut self, frame: Frame) -> NetResult<()>;
 
+    /// Send `frame` as far as the transport takes it without waiting for
+    /// the peer to read: `Ok(true)` if it is all sent, `Ok(false)` if the
+    /// rest waits for [`finish_send`](Self::finish_send). Default: a
+    /// whole [`send`](Self::send), for transports that never wait for
+    /// the peer.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](Self::send).
+    fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
+        self.send(frame).map(|()| true)
+    }
+
+    /// Send what [`start_send`](Self::start_send) left of its frame,
+    /// waiting as long as that takes; a no-op when nothing is left.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](Self::send).
+    fn finish_send(&mut self) -> NetResult<()> {
+        Ok(())
+    }
+
     /// Recycle spent frame buffers into `pool` after each send. Default:
     /// no pooling (buffers are dropped).
     fn attach_pool(&mut self, _pool: &BufferPool) {}
@@ -44,16 +70,49 @@ pub trait MsgReader: Send {
     /// hangs up, or a transport-level error.
     fn recv(&mut self) -> NetResult<Frame>;
 
+    /// Like [`recv`](Self::recv), but give up at `deadline` with
+    /// `Ok(None)`. Giving up loses nothing: what has arrived of a frame
+    /// is kept, and the next receive finishes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`recv`](Self::recv).
+    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>>;
+
+    /// A handle that closes this channel from any thread (see [`Closer`]).
+    fn closer(&self) -> Closer;
+
     /// Draw receive buffers from `pool` instead of allocating. Default:
     /// no pooling.
     fn attach_pool(&mut self, _pool: &BufferPool) {}
 }
 
+/// Closes a channel from any thread. After [`close`](Closer::close) the
+/// local writer fails with [`NetError::Closed`], the local reader — even
+/// one blocked in `recv` right now — gets what had already arrived and
+/// then `Closed`, and the peer's reader sees the hangup. Holding a closer
+/// does not keep the channel open.
+#[derive(Clone)]
+pub struct Closer(Arc<dyn Fn() + Send + Sync>);
+
+impl Closer {
+    /// Close the channel; idempotent, and a no-op once it is gone.
+    pub fn close(&self) {
+        (self.0)();
+    }
+}
+
+impl std::fmt::Debug for Closer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Closer")
+    }
+}
+
 /// A duplex, message-framed connection.
 ///
-/// Channels are used split: the reader half lives in an I/O pump thread,
-/// the writer half with the sender. The two halves may be used from
-/// different threads concurrently.
+/// Channels are used split: the reader half with whoever waits for
+/// messages, the writer half with the sender. The two halves may be used
+/// from different threads concurrently.
 pub struct Channel {
     writer: Box<dyn MsgWriter>,
     reader: Box<dyn MsgReader>,
@@ -96,21 +155,25 @@ impl Channel {
         }
     }
 
-    /// Assemble a channel over a byte stream (the Unix-domain and TCP
-    /// transports): `stream` carries the writes, `read_half` — a clone of
-    /// the same socket — the reads.
-    pub(crate) fn from_stream<S>(label: &str, stream: S, read_half: S) -> Channel
-    where
-        S: Read + Write + Send + 'static,
-    {
-        Channel::from_halves(
+    /// Assemble a channel over a connected socket (the Unix-domain and
+    /// TCP transports). Both halves share the one socket, which closes
+    /// when both are dropped.
+    ///
+    /// # Errors
+    ///
+    /// Setting the socket's write timeout can fail.
+    pub(crate) fn from_stream<S: Socket>(label: &str, stream: S) -> NetResult<Channel> {
+        stream.set_write_timeout(Some(WRITE_TICK))?;
+        let socket = Arc::new(stream);
+        Ok(Channel::from_halves(
             label,
-            Box::new(StreamWriter { stream, pool: None }),
-            Box::new(StreamReader {
-                stream: BufReader::new(read_half),
+            Box::new(StreamWriter {
+                socket: Arc::clone(&socket),
+                unsent: None,
                 pool: None,
             }),
-        )
+            Box::new(StreamReader::new(socket)),
+        ))
     }
 
     /// A human-readable transport label (for diagnostics).
@@ -150,6 +213,12 @@ impl Channel {
     pub fn recv(&mut self) -> NetResult<Frame> {
         self.reader.recv()
     }
+
+    /// A handle that closes this channel from any thread.
+    #[must_use]
+    pub fn closer(&self) -> Closer {
+        self.reader.closer()
+    }
 }
 
 /// The metric-key segment of a channel label: everything before the
@@ -174,14 +243,32 @@ struct MeteredWriter {
     frame_bytes: Arc<clam_obs::Histogram>,
 }
 
+impl MeteredWriter {
+    fn count(&self, wire_len: u64) {
+        self.frames.inc();
+        self.bytes.add(wire_len);
+        self.frame_bytes.observe(wire_len);
+    }
+}
+
 impl MsgWriter for MeteredWriter {
     fn send(&mut self, frame: Frame) -> NetResult<()> {
         let wire_len = frame.wire().len() as u64;
         self.inner.send(frame)?;
-        self.frames.inc();
-        self.bytes.add(wire_len);
-        self.frame_bytes.observe(wire_len);
+        self.count(wire_len);
         Ok(())
+    }
+
+    /// Counts the frame once the transport has taken it, sent or not.
+    fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
+        let wire_len = frame.wire().len() as u64;
+        let sent = self.inner.start_send(frame)?;
+        self.count(wire_len);
+        Ok(sent)
+    }
+
+    fn finish_send(&mut self) -> NetResult<()> {
+        self.inner.finish_send()
     }
 
     fn attach_pool(&mut self, pool: &BufferPool) {
@@ -196,12 +283,30 @@ struct MeteredReader {
     bytes: Arc<clam_obs::Counter>,
 }
 
+impl MeteredReader {
+    fn count(&self, frame: &Frame) {
+        self.frames.inc();
+        self.bytes.add(frame.wire().len() as u64);
+    }
+}
+
 impl MsgReader for MeteredReader {
     fn recv(&mut self) -> NetResult<Frame> {
         let frame = self.inner.recv()?;
-        self.frames.inc();
-        self.bytes.add(frame.wire().len() as u64);
+        self.count(&frame);
         Ok(frame)
+    }
+
+    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
+        let frame = self.inner.recv_until(deadline)?;
+        if let Some(frame) = &frame {
+            self.count(frame);
+        }
+        Ok(frame)
+    }
+
+    fn closer(&self) -> Closer {
+        self.inner.closer()
     }
 
     fn attach_pool(&mut self, pool: &BufferPool) {
@@ -213,18 +318,98 @@ impl MsgReader for MeteredReader {
 // Byte-stream halves shared by the Unix-domain and TCP transports.
 // ----------------------------------------------------------------------
 
-struct StreamWriter<S> {
-    stream: S,
+/// A connected stream socket both halves of a channel use through a
+/// shared reference.
+pub(crate) trait Socket: Send + Sync + 'static {
+    fn read(&self, buf: &mut [u8]) -> io::Result<usize>;
+    fn write(&self, buf: &[u8]) -> io::Result<usize>;
+    fn shutdown(&self, how: Shutdown) -> io::Result<()>;
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+macro_rules! impl_socket {
+    ($($t:ty),*) => {$(
+        impl Socket for $t {
+            fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
+                <&$t as Read>::read(&mut &*self, buf)
+            }
+            fn write(&self, buf: &[u8]) -> io::Result<usize> {
+                <&$t as Write>::write(&mut &*self, buf)
+            }
+            fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+                <$t>::shutdown(self, how)
+            }
+            fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+                <$t>::set_read_timeout(self, timeout)
+            }
+            fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+                <$t>::set_write_timeout(self, timeout)
+            }
+        }
+    )*};
+}
+impl_socket!(std::os::unix::net::UnixStream, std::net::TcpStream);
+
+/// The socket's write timeout. The kernel rounds it up to one clock tick
+/// (1–4 ms), so a write into a full socket buffer gives up after at most
+/// a tick instead of waiting for the peer to read.
+const WRITE_TICK: Duration = Duration::from_micros(1);
+
+struct StreamWriter<S: Socket> {
+    socket: Arc<S>,
+    /// A frame [`start_send`](MsgWriter::start_send) left part-sent, and
+    /// how many of its bytes are on the wire.
+    unsent: Option<(Frame, usize)>,
     pool: Option<BufferPool>,
 }
 
-impl<S: Write + Send> MsgWriter for StreamWriter<S> {
-    fn send(&mut self, frame: Frame) -> NetResult<()> {
-        // The frame already is its wire image: one write_all, no copy.
-        self.stream.write_all(frame.wire())?;
-        if let Some(pool) = &self.pool {
+impl<S: Socket> StreamWriter<S> {
+    /// Write the unsent frame until it is all sent (`true`) or the socket
+    /// buffer stays full for a tick (`false`).
+    fn write_some(&mut self) -> NetResult<bool> {
+        let Some((frame, sent)) = &mut self.unsent else {
+            return Ok(true);
+        };
+        while *sent < frame.wire().len() {
+            match self.socket.write(&frame.wire()[*sent..]) {
+                Ok(0) => {
+                    self.unsent = None;
+                    return Err(NetError::Closed);
+                }
+                Ok(n) => *sent += n,
+                Err(e) if timed_out(&e) => return Ok(false),
+                Err(e) => {
+                    self.unsent = None;
+                    return Err(e.into());
+                }
+            }
+        }
+        if let (Some((frame, _)), Some(pool)) = (self.unsent.take(), &self.pool) {
             pool.recycle(frame.into_wire());
         }
+        Ok(true)
+    }
+}
+
+impl<S: Socket> MsgWriter for StreamWriter<S> {
+    fn send(&mut self, frame: Frame) -> NetResult<()> {
+        if !self.start_send(frame)? {
+            self.finish_send()?;
+        }
+        Ok(())
+    }
+
+    fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
+        self.finish_send()?;
+        // The frame already is its wire image: written as is, no copy.
+        self.unsent = Some((frame, 0));
+        self.write_some()
+    }
+
+    fn finish_send(&mut self) -> NetResult<()> {
+        // Each round that finds no room has waited a tick for some.
+        while !self.write_some()? {}
         Ok(())
     }
 
@@ -233,14 +418,154 @@ impl<S: Write + Send> MsgWriter for StreamWriter<S> {
     }
 }
 
+impl<S: Socket> Drop for StreamWriter<S> {
+    /// A dropped writer is a hangup, as on the in-memory transport: the
+    /// peer's reader sees end of stream even while our reader lives on.
+    fn drop(&mut self) {
+        let _ = self.socket.shutdown(Shutdown::Write);
+    }
+}
+
+/// The reader's handle on the shared socket.
+struct Shared<S>(Arc<S>);
+
+impl<S: Socket> Read for Shared<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+/// A socket timeout, or a signal: the read or write may be retried.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 struct StreamReader<S> {
-    stream: BufReader<S>,
+    stream: BufReader<Shared<S>>,
+    /// The wire image of the frame being read: sized to the length
+    /// prefix until that is in, then to the whole frame; empty between
+    /// frames. A timed read that gives up mid-frame leaves it here, and
+    /// the next read goes on where that one stopped.
+    partial: Vec<u8>,
+    /// Bytes of `partial` read so far.
+    filled: usize,
+    /// The socket's read timeout as last set (`None`: reads block). It is
+    /// re-armed only when a wait would overshoot its deadline or wake too
+    /// often, not per call.
+    timeout: Option<Duration>,
     pool: Option<BufferPool>,
 }
 
-impl<S: Read + Send> MsgReader for StreamReader<S> {
+impl<S: Socket> StreamReader<S> {
+    fn new(socket: Arc<S>) -> StreamReader<S> {
+        StreamReader {
+            stream: BufReader::new(Shared(socket)),
+            partial: Vec::new(),
+            filled: 0,
+            timeout: None,
+            pool: None,
+        }
+    }
+
+    /// Read until a frame is complete, or give up at `deadline` with
+    /// `Ok(None)`, keeping what was read of the frame.
+    fn read(&mut self, deadline: Option<Instant>) -> NetResult<Option<Frame>> {
+        if self.partial.is_empty() {
+            self.partial = self
+                .pool
+                .as_ref()
+                .map_or_else(Vec::new, BufferPool::acquire);
+            self.partial.resize(FRAME_PREFIX_LEN, 0);
+        }
+        if self.filled < FRAME_PREFIX_LEN {
+            if !self.fill(deadline)? {
+                return Ok(None);
+            }
+            let prefix = self.partial[..FRAME_PREFIX_LEN]
+                .try_into()
+                .expect("4 bytes");
+            let len = u32::from_be_bytes(prefix) as usize;
+            if len > MAX_FRAME_LEN {
+                return Err(NetError::FrameTooLarge {
+                    len,
+                    max: MAX_FRAME_LEN,
+                });
+            }
+            self.partial.resize(FRAME_PREFIX_LEN + len, 0);
+        }
+        if !self.fill(deadline)? {
+            return Ok(None);
+        }
+        self.filled = 0;
+        Frame::from_wire(std::mem::take(&mut self.partial)).map(Some)
+    }
+
+    /// Read until `partial` is full (`true`) or `deadline` passes.
+    fn fill(&mut self, deadline: Option<Instant>) -> NetResult<bool> {
+        while self.filled < self.partial.len() {
+            if self.stream.buffer().is_empty() && !self.arm(deadline)? {
+                return Ok(false);
+            }
+            match self.stream.read(&mut self.partial[self.filled..]) {
+                Ok(0) => return Err(NetError::Closed),
+                Ok(n) => self.filled += n,
+                Err(e) if timed_out(&e) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Set the socket's read timeout for a wait until `deadline` (none:
+    /// block); `false` if the deadline has passed.
+    fn arm(&mut self, deadline: Option<Instant>) -> NetResult<bool> {
+        let wanted = match deadline {
+            None => None,
+            Some(at) => {
+                let remaining = at.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    return Ok(false);
+                }
+                // Waking up to 1/16 late is within every deadline's slack
+                // (a deadline fires within twice its timeout); waking at
+                // less than half the time left only costs a loop.
+                let fits = self
+                    .timeout
+                    .is_some_and(|t| t >= remaining / 2 && t <= remaining + remaining / 16);
+                if fits {
+                    return Ok(true);
+                }
+                Some(remaining)
+            }
+        };
+        if wanted != self.timeout {
+            self.stream.get_ref().0.set_read_timeout(wanted)?;
+            self.timeout = wanted;
+        }
+        Ok(true)
+    }
+}
+
+impl<S: Socket> MsgReader for StreamReader<S> {
     fn recv(&mut self) -> NetResult<Frame> {
-        read_frame_pooled(&mut self.stream, self.pool.as_ref())
+        self.read(None)?.ok_or(NetError::Closed)
+    }
+
+    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
+        self.read(Some(deadline))
+    }
+
+    fn closer(&self) -> Closer {
+        let socket: Weak<S> = Arc::downgrade(&self.stream.get_ref().0);
+        Closer(Arc::new(move || {
+            if let Some(socket) = socket.upgrade() {
+                // Wakes our own blocked reader too: it reads end of stream.
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }))
     }
 
     fn attach_pool(&mut self, pool: &BufferPool) {
@@ -252,8 +577,30 @@ impl<S: Read + Send> MsgReader for StreamReader<S> {
 // In-memory halves shared by the in-process transport and `pair()`.
 // ----------------------------------------------------------------------
 
-pub(crate) struct QueueWriter {
-    pub(crate) tx: Sender<Frame>,
+/// One direction of an in-memory channel.
+#[derive(Default)]
+struct Pipe {
+    state: Mutex<PipeState>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct PipeState {
+    frames: VecDeque<Frame>,
+    /// Either end dropped, or the channel was closed: sends fail, and the
+    /// reader drains what is queued, then sees `Closed`.
+    closed: bool,
+}
+
+impl Pipe {
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.arrived.notify_all();
+    }
+}
+
+struct QueueWriter {
+    pipe: Arc<Pipe>,
 }
 
 impl MsgWriter for QueueWriter {
@@ -261,17 +608,73 @@ impl MsgWriter for QueueWriter {
         // The frame's buffer moves to the peer intact — the receiving side
         // recycles it into *its* pool after dispatch, so in-process
         // channels are copy-free end to end.
-        self.tx.send(frame).map_err(|_| crate::NetError::Closed)
+        let mut st = self.pipe.state.lock();
+        if st.closed {
+            return Err(NetError::Closed);
+        }
+        st.frames.push_back(frame);
+        drop(st);
+        self.pipe.arrived.notify_one();
+        Ok(())
     }
 }
 
-pub(crate) struct QueueReader {
-    pub(crate) rx: Receiver<Frame>,
+impl Drop for QueueWriter {
+    fn drop(&mut self) {
+        self.pipe.close();
+    }
+}
+
+struct QueueReader {
+    /// Frames from the peer.
+    inbound: Arc<Pipe>,
+    /// Frames to the peer, for [`Closer`] only: the writer owns it.
+    outbound: Weak<Pipe>,
+}
+
+impl QueueReader {
+    fn next(&mut self, deadline: Option<Instant>) -> NetResult<Option<Frame>> {
+        let mut st = self.inbound.state.lock();
+        loop {
+            if let Some(frame) = st.frames.pop_front() {
+                return Ok(Some(frame));
+            }
+            if st.closed {
+                return Err(NetError::Closed);
+            }
+            match deadline {
+                Some(at) if Instant::now() >= at => return Ok(None),
+                Some(at) => {
+                    self.inbound.arrived.wait_until(&mut st, at);
+                }
+                None => self.inbound.arrived.wait(&mut st),
+            }
+        }
+    }
 }
 
 impl MsgReader for QueueReader {
     fn recv(&mut self) -> NetResult<Frame> {
-        self.rx.recv().map_err(|_| crate::NetError::Closed)
+        self.next(None)?.ok_or(NetError::Closed)
+    }
+
+    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
+        self.next(Some(deadline))
+    }
+
+    fn closer(&self) -> Closer {
+        let pipes = [Arc::downgrade(&self.inbound), self.outbound.clone()];
+        Closer(Arc::new(move || {
+            for pipe in pipes.iter().filter_map(Weak::upgrade) {
+                pipe.close();
+            }
+        }))
+    }
+}
+
+impl Drop for QueueReader {
+    fn drop(&mut self) {
+        self.inbound.close();
     }
 }
 
@@ -281,19 +684,23 @@ impl MsgReader for QueueReader {
 /// and for the local-upcall fast path in benches.
 #[must_use]
 pub fn pair() -> (Channel, Channel) {
-    let (a_tx, a_rx) = crossbeam_channel::unbounded();
-    let (b_tx, b_rx) = crossbeam_channel::unbounded();
-    let left = Channel::from_halves(
-        "inmem-left",
-        Box::new(QueueWriter { tx: a_tx }),
-        Box::new(QueueReader { rx: b_rx }),
-    );
-    let right = Channel::from_halves(
-        "inmem-right",
-        Box::new(QueueWriter { tx: b_tx }),
-        Box::new(QueueReader { rx: a_rx }),
-    );
-    (left, right)
+    let (to_right, to_left) = (Arc::new(Pipe::default()), Arc::new(Pipe::default()));
+    let end = |label, outbound: &Arc<Pipe>, inbound: &Arc<Pipe>| {
+        Channel::from_halves(
+            label,
+            Box::new(QueueWriter {
+                pipe: Arc::clone(outbound),
+            }),
+            Box::new(QueueReader {
+                inbound: Arc::clone(inbound),
+                outbound: Arc::downgrade(outbound),
+            }),
+        )
+    };
+    (
+        end("inmem-left", &to_right, &to_left),
+        end("inmem-right", &to_left, &to_right),
+    )
 }
 
 #[cfg(test)]
@@ -366,6 +773,190 @@ mod tests {
         assert_eq!(transport_kind("faulty-tcp-server"), "faulty");
         assert_eq!(transport_kind("inmem"), "inmem");
         assert_eq!(transport_kind(""), "other");
+    }
+
+    /// A connected pair on each transport.
+    fn pairs() -> Vec<(Channel, Channel)> {
+        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let tcp = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let c = std::net::TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
+        let (d, _) = tcp.accept().unwrap();
+        vec![
+            pair(),
+            (
+                Channel::from_stream("unix-a", a).unwrap(),
+                Channel::from_stream("unix-b", b).unwrap(),
+            ),
+            (
+                Channel::from_stream("tcp-a", c).unwrap(),
+                Channel::from_stream("tcp-b", d).unwrap(),
+            ),
+        ]
+    }
+
+    impl Socket for AnySocket {
+        fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
+            (**self).read(buf)
+        }
+        fn write(&self, buf: &[u8]) -> io::Result<usize> {
+            (**self).write(buf)
+        }
+        fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+            (**self).shutdown(how)
+        }
+        fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            (**self).set_read_timeout(timeout)
+        }
+        fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            (**self).set_write_timeout(timeout)
+        }
+    }
+
+    type AnySocket = Box<dyn Socket>;
+
+    /// A raw socket and a reader on its peer, for each stream transport.
+    fn raw_readers() -> Vec<(AnySocket, StreamReader<AnySocket>)> {
+        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let tcp = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let c = std::net::TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
+        let (d, _) = tcp.accept().unwrap();
+        let reader = |s: AnySocket| StreamReader::new(Arc::new(s));
+        vec![
+            (Box::new(a), reader(Box::new(b))),
+            (Box::new(c), reader(Box::new(d))),
+        ]
+    }
+
+    fn write_all(socket: &dyn Socket, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            match socket.write(bytes) {
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if timed_out(&e) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn recv_until_gives_up_at_the_deadline_and_loses_nothing() {
+        for (mut a, mut b) in pairs() {
+            let start = Instant::now();
+            let got = b.reader.recv_until(start + Duration::from_millis(30));
+            assert!(matches!(got, Ok(None)), "{}: {got:?}", b.label());
+            assert!(start.elapsed() >= Duration::from_millis(30));
+            a.send(b"late").unwrap();
+            let far = Instant::now() + Duration::from_secs(5);
+            assert_eq!(b.reader.recv_until(far).unwrap().unwrap(), b"late");
+            assert!(matches!(b.reader.recv_until(start), Ok(None)));
+        }
+    }
+
+    #[test]
+    fn a_frame_cut_off_by_the_deadline_is_finished_by_the_next_receive() {
+        let wire = Frame::from(b"split across the deadline").into_wire();
+        // Cut inside the length prefix, and inside the payload.
+        for cut in [2, 9] {
+            for (raw, mut reader) in raw_readers() {
+                write_all(&*raw, &wire[..cut]);
+                let rest = wire[cut..].to_vec();
+                // The rest comes long after the deadline: a reader that
+                // waits for it fails the checks below instead of hanging.
+                let writer = std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(300));
+                    write_all(&*raw, &rest);
+                    write_all(&*raw, Frame::from(b"next").wire());
+                    raw
+                });
+                let start = Instant::now();
+                let got = reader.recv_until(start + Duration::from_millis(50));
+                assert!(matches!(got, Ok(None)), "cut {cut}: {got:?}");
+                let took = start.elapsed();
+                assert!(took >= Duration::from_millis(50), "early: {took:?}");
+                assert!(took < Duration::from_millis(100), "late: {took:?}");
+                assert!(matches!(reader.recv_until(start), Ok(None)));
+
+                assert_eq!(reader.recv().unwrap(), b"split across the deadline");
+                assert_eq!(reader.recv().unwrap(), b"next");
+                drop(writer.join().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_plain_receive_after_a_timed_one_waits_without_a_timeout() {
+        for (raw, mut reader) in raw_readers() {
+            let soon = Instant::now() + Duration::from_millis(5);
+            assert!(matches!(reader.recv_until(soon), Ok(None)));
+            assert!(reader.timeout.is_some());
+            let writer = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                write_all(&*raw, Frame::from(b"idle wait").wire());
+                raw
+            });
+            assert_eq!(reader.recv().unwrap(), b"idle wait");
+            assert_eq!(reader.timeout, None, "the timeout was left armed");
+            drop(writer.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn start_send_stops_at_a_full_socket_buffer_and_finish_send_completes_it() {
+        for (a, mut b) in pairs().into_iter().skip(1) {
+            let label = a.label().to_string();
+            let (mut w, _r) = a.split();
+            let frame = || Frame::from(vec![7u8; 64 * 1024]);
+            let mut started = 0;
+            loop {
+                let at = Instant::now();
+                let sent = w.start_send(frame()).unwrap();
+                assert!(at.elapsed() < Duration::from_millis(100), "{label}");
+                started += 1;
+                if !sent {
+                    break;
+                }
+                assert!(started < 10_000, "{label}: the socket buffer never filled");
+            }
+            let reader = std::thread::spawn(move || {
+                (0..started).all(|_| b.recv().unwrap() == vec![7u8; 64 * 1024])
+            });
+            w.finish_send().unwrap();
+            assert!(reader.join().unwrap(), "{label}: a frame arrived damaged");
+        }
+    }
+
+    #[test]
+    fn closing_wakes_a_blocked_local_reader_and_hangs_up_on_the_peer() {
+        for (a, mut b) in pairs() {
+            let label = a.label().to_string();
+            let closer = a.closer();
+            let (_w, mut r) = a.split();
+            let blocked = std::thread::spawn(move || r.recv().map(|_| ()));
+            std::thread::sleep(Duration::from_millis(20));
+            closer.close();
+            let err = blocked.join().unwrap().unwrap_err();
+            assert!(err.is_closed(), "{label}: {err:?}");
+            assert!(b.recv().unwrap_err().is_closed(), "{label}: peer");
+            closer.close(); // idempotent
+        }
+    }
+
+    #[test]
+    fn a_closer_does_not_keep_the_channel_open() {
+        for (a, mut b) in pairs() {
+            let closer = a.closer();
+            drop(a);
+            assert!(b.recv().unwrap_err().is_closed(), "{}", b.label());
+            closer.close();
+        }
+    }
+
+    #[test]
+    fn dropping_the_writer_half_is_a_hangup() {
+        for (a, mut b) in pairs() {
+            let (w, _r) = a.split();
+            drop(w);
+            assert!(b.recv().unwrap_err().is_closed(), "{}", b.label());
+        }
     }
 
     #[test]

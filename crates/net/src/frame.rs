@@ -11,10 +11,10 @@
 //! [`FrameEncoder::begin`], encodes calls directly behind it, patches the
 //! length in [`FrameEncoder::finish`], and the transport writes the whole
 //! image with one `write_all`. After the write the `Vec` goes back to a
-//! [`BufferPool`], so at steady state no wire-path allocation happens.
+//! [`BufferPool`](clam_xdr::BufferPool), so at steady state no wire-path
+//! allocation happens.
 
 use crate::error::{NetError, NetResult};
-use clam_xdr::BufferPool;
 use std::io::{IoSlice, Read, Write};
 
 /// Maximum accepted frame length. Large enough for any batched call
@@ -96,7 +96,8 @@ impl Frame {
     }
 
     /// Take back the wire image, e.g. to recycle it into a
-    /// [`BufferPool`] after the frame has been written or dispatched.
+    /// [`BufferPool`](clam_xdr::BufferPool) after the frame has been
+    /// written or dispatched.
     #[must_use]
     pub fn into_wire(self) -> Vec<u8> {
         self.wire
@@ -205,8 +206,9 @@ pub struct FrameEncoder {
 }
 
 impl FrameEncoder {
-    /// Start a frame in `buf` (typically from a [`BufferPool`]): clears it
-    /// and reserves the prefix.
+    /// Start a frame in `buf` (typically from a
+    /// [`BufferPool`](clam_xdr::BufferPool)): clears it and reserves the
+    /// prefix.
     #[must_use]
     pub fn begin(mut buf: Vec<u8>) -> FrameEncoder {
         buf.clear();
@@ -326,8 +328,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> NetResult<Frame> {
 }
 
 /// Read one frame from `r` into `buf` (typically acquired from a
-/// [`BufferPool`]), reusing its capacity. On error `buf` is lost — error
-/// paths may allocate, the steady state must not.
+/// [`BufferPool`](clam_xdr::BufferPool)), reusing its capacity. On error
+/// `buf` is lost — error paths may allocate, the steady state must not.
 ///
 /// # Errors
 ///
@@ -342,12 +344,6 @@ pub fn read_frame_into<R: Read>(r: &mut R, mut buf: Vec<u8>) -> NetResult<Frame>
     buf[..FRAME_PREFIX_LEN].copy_from_slice(&prefix);
     r.read_exact(&mut buf[FRAME_PREFIX_LEN..])?;
     Ok(Frame { wire: buf })
-}
-
-/// Read one frame, drawing the buffer from `pool` when one is attached.
-pub(crate) fn read_frame_pooled<R: Read>(r: &mut R, pool: Option<&BufferPool>) -> NetResult<Frame> {
-    let buf = pool.map_or_else(Vec::new, BufferPool::acquire);
-    read_frame_into(r, buf)
 }
 
 #[cfg(test)]

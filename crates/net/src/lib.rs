@@ -16,8 +16,9 @@
 //!   LAN).
 //! * [`listen`] / [`connect`] — uniform setup across all transports.
 //!
-//! A channel splits into an owned reader and writer so an I/O pump thread
-//! can block in `recv` while tasks send.
+//! A channel splits into an owned reader and writer, so a waiter can block
+//! in `recv` (or in [`MsgReader::recv_until`], which gives up at a
+//! deadline) while tasks send; a [`Closer`] wakes that waiter on teardown.
 //!
 //! # Example
 //!
@@ -48,7 +49,7 @@ mod tcp;
 mod unix;
 mod wan;
 
-pub use channel::{pair, Channel, MsgReader, MsgWriter};
+pub use channel::{pair, Channel, Closer, MsgReader, MsgWriter};
 pub use connector::{Connector, DirectConnector, FaultyConnector};
 pub use endpoint::Endpoint;
 pub use error::{NetError, NetResult};

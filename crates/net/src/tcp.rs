@@ -12,8 +12,7 @@ pub(crate) fn channel_from_stream(label: &str, stream: TcpStream) -> NetResult<C
     // An RPC round trip is a small write each way; Nagle would add 40 ms
     // class delays, drowning the measurement the benches exist to take.
     stream.set_nodelay(true)?;
-    let read_half = stream.try_clone()?;
-    Ok(Channel::from_stream(label, stream, read_half))
+    Channel::from_stream(label, stream)
 }
 
 struct TcpChannelListener {

@@ -10,8 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 pub(crate) fn channel_from_stream(label: &str, stream: UnixStream) -> NetResult<Channel> {
-    let read_half = stream.try_clone()?;
-    Ok(Channel::from_stream(label, stream, read_half))
+    Channel::from_stream(label, stream)
 }
 
 struct UnixChannelListener {

@@ -195,10 +195,10 @@ struct Outbound {
 
 /// The client end of one RPC channel.
 ///
-/// `Caller` is shared through an `Arc` by application stubs; its reply
-/// pump holds only the pending-reply table. Calls may be issued from
-/// tasks of the scheduler passed to [`Caller::new`] (the task blocks,
-/// others run) or from plain threads (the thread blocks).
+/// `Caller` is shared through an `Arc` by application stubs. Calls may be
+/// issued from tasks of the scheduler passed to [`Caller::new`] (the task
+/// blocks, others run) or from plain threads (the thread blocks); either
+/// way the caller reads its own reply when no other call is reading.
 pub struct Caller {
     out: Mutex<Outbound>,
     /// Outstanding sync calls, their deadlines and retry backoffs.
@@ -220,8 +220,8 @@ impl std::fmt::Debug for Caller {
 }
 
 impl Caller {
-    /// Create a caller writing to `writer`; wire a reply pump (see
-    /// [`Caller::spawn_reply_pump`]) to the matching reader.
+    /// Create a caller writing to `writer`; hand it the matching reader
+    /// with [`Caller::spawn_reply_pump`].
     ///
     /// The caller's [`BufferPool`] is attached to `writer`, so every sent
     /// frame's buffer comes straight back for the next batch.
@@ -301,7 +301,8 @@ impl Caller {
                     attempt += 1;
                     self.obs.retries.inc();
                     // Back off on a table entry no reply can match (its id
-                    // never goes on the wire): it expires through the sweeper.
+                    // never goes on the wire): it expires at its own
+                    // deadline, like any other request.
                     match self.replies.request(Some(backoff), |_| Ok(())) {
                         Ok(_) | Err(RpcError::DeadlineExceeded) => {}
                         Err(e) => return Err(e),
@@ -488,16 +489,12 @@ impl Caller {
         self.replies.outstanding()
     }
 
-    /// Spawn the reply pump ([`PendingReplies::spawn_reply_pump`]). On
-    /// `None` the OS refused the thread and every call fails with
-    /// [`RpcError::Disconnected`].
-    pub fn spawn_reply_pump(
-        &self,
-        reader: Box<dyn MsgReader>,
-    ) -> Option<std::thread::JoinHandle<()>> {
+    /// Hand the reply channel's reader to the pending-reply table
+    /// ([`PendingReplies::attach_reader`]): callers then read their own
+    /// replies, and no thread is started.
+    pub fn spawn_reply_pump(&self, reader: Box<dyn MsgReader>) {
         self.replies
-            .spawn_reply_pump(reader, &self.pool, ReplyKind::Reply)
-            .ok()
+            .attach_reader(reader, &self.pool, ReplyKind::Reply);
     }
 }
 

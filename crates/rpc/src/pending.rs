@@ -1,24 +1,30 @@
 //! The pending-reply table of a client's sync calls and of a server's
 //! sync upcalls — the same wait seen from the two ends (section 4.3).
-//! [`Event`]s have no timed wait, so one sweeper thread per table sleeps
-//! until the earliest armed deadline. Whoever removes an entry removes
-//! its deadline too, so armed deadlines never outnumber outstanding
-//! requests.
+//!
+//! The table's waiters read their replies themselves (Leader/Followers):
+//! one waiter at a time holds the reader and reads outside its
+//! scheduler's baton, until its own deadline, routing each reply to its
+//! entry; once its own reply is in, it hands the reader to another
+//! waiter. So a lone request is answered on the thread that waits for
+//! it. The others block on their [`Event`]s; [`Event`]s have no timed
+//! wait, so one sweeper thread per table, started by the first such
+//! follower with a deadline, sleeps until the earliest armed deadline.
+//! Whoever removes an entry removes its deadline too, so armed deadlines
+//! never outnumber outstanding requests.
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::message::{Message, Reply};
-use clam_net::{MsgReader, NetError};
+use clam_net::{Closer, MsgReader, NetError};
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which reply message a reply pump accepts; any other message is a
-/// protocol violation that drops the link.
+/// Which reply message the table's reader accepts; any other message is
+/// a protocol violation that drops the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyKind {
     /// [`Message::Reply`], read by a client.
@@ -39,16 +45,92 @@ impl Wait {
         *self.slot.lock() = Some(outcome);
         self.event.signal();
     }
+
+    fn is_done(&self) -> bool {
+        self.slot.lock().is_some()
+    }
 }
 
-#[derive(Debug, Default)]
+/// The reply channel's read half and what decoding its frames needs.
+struct Link {
+    reader: Box<dyn MsgReader>,
+    pool: BufferPool,
+    kind: ReplyKind,
+}
+
+impl Link {
+    /// Read until `wait` is done, routing every reply through `inner`.
+    /// `false` means the link is dead: EOF, a read error, or a message
+    /// other than a reply of the link's kind.
+    fn lead(&mut self, inner: &Inner, id: u64, wait: &Wait) -> bool {
+        while !wait.is_done() {
+            let frame = match wait.deadline {
+                Some(at) => self.reader.recv_until(at),
+                None => self.reader.recv().map(Some),
+            };
+            let frame = match frame {
+                Ok(Some(frame)) => frame,
+                Ok(None) => {
+                    inner.expire(id);
+                    continue;
+                }
+                Err(_) => return false,
+            };
+            let reply = match (Message::from_frame(&frame), self.kind) {
+                (Ok(Message::Reply(reply)), ReplyKind::Reply)
+                | (Ok(Message::UpcallReply(reply)), ReplyKind::UpcallReply) => reply,
+                _ => return false,
+            };
+            self.pool.recycle(frame.into_wire());
+            inner.complete(reply);
+        }
+        true
+    }
+}
+
+/// Where the reader is: the token of Leader/Followers.
+#[derive(Default)]
+enum Token {
+    /// No reader attached (or the table failed): waiters only wait.
+    #[default]
+    Detached,
+    /// Attached and free: the next waiter to look takes it.
+    Free(Box<Link>),
+    /// A waiter is reading.
+    Leading,
+}
+
+#[derive(Default)]
 struct State {
     next_id: u64,
     waits: HashMap<u64, Arc<Wait>>,
     deadlines: BTreeSet<(Instant, u64)>,
+    token: Token,
+    /// Closes the reply channel, waking a leader blocked mid-read.
+    closer: Option<Closer>,
     sweeper_started: bool,
     /// When the sweeper wakes next (`None`: only when notified).
     sweeper_wakes_at: Option<Instant>,
+}
+
+impl std::fmt::Debug for State {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("State")
+            .field("outstanding", &self.waits.len())
+            .field("armed", &self.deadlines.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl State {
+    /// If the reader is free, wake one waiter to take it.
+    fn pass_token(&self) {
+        if matches!(self.token, Token::Free(_)) {
+            if let Some(wait) = self.waits.values().next() {
+                wait.event.signal();
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -62,7 +144,7 @@ struct Inner {
 }
 
 /// The outstanding requests of one connection. Dropping the table fails
-/// it, which also ends its sweeper thread.
+/// it, which also closes its reply channel and ends its sweeper thread.
 #[derive(Debug)]
 pub struct PendingReplies(Arc<Inner>);
 
@@ -80,7 +162,8 @@ impl PendingReplies {
     }
 
     /// Register a request under a fresh id, hand the id to `send`, and
-    /// block (a task, not the processor) until the reply arrives.
+    /// block (a task, not the processor) until the reply arrives. While
+    /// no one else reads the reply channel, the caller reads it itself.
     ///
     /// # Errors
     ///
@@ -102,33 +185,20 @@ impl PendingReplies {
         if self.is_closed() {
             return Err(RpcError::Disconnected);
         }
-        if deadline.is_some() && !st.sweeper_started {
-            let inner = Arc::clone(&self.0);
-            std::thread::Builder::new()
-                .name("clam-deadline-sweeper".to_string())
-                .spawn(move || inner.sweep())
-                .map_err(|e| RpcError::Net(NetError::Io(e)))?;
-            st.sweeper_started = true;
-        }
         st.next_id += 1;
         let id = st.next_id;
         st.waits.insert(id, Arc::clone(&wait));
         if let Some(at) = deadline {
             st.deadlines.insert((at, id));
             self.0.armed_gauge.adjust(1);
-            if st.sweeper_wakes_at.map_or(true, |wake| at < wake) {
-                st.sweeper_wakes_at = Some(at);
-                self.0.sweeper_cv.notify_one();
-            }
         }
         drop(st);
         if let Err(e) = send(id) {
             self.0.take(id);
+            self.0.state.lock().pass_token();
             return Err(e);
         }
-        wait.event.wait();
-        let outcome = wait.slot.lock().take();
-        outcome.unwrap_or(Err(RpcError::Disconnected))
+        self.0.await_reply(id, &wait)
     }
 
     /// Route `reply` to its waiter. Returns `false` if no entry matches:
@@ -138,7 +208,8 @@ impl PendingReplies {
     }
 
     /// Close the table: every waiter and every later request fails with
-    /// [`RpcError::Disconnected`], and the sweeper exits.
+    /// [`RpcError::Disconnected`], the reply channel closes, and the
+    /// sweeper exits.
     pub fn fail_all(&self) {
         self.0.fail_all();
     }
@@ -161,36 +232,34 @@ impl PendingReplies {
         self.0.state.lock().deadlines.len()
     }
 
-    /// Spawn the reply pump: a thread that reads `reader`, recycles each
-    /// frame into `pool`, routes replies of `kind`, and fails the table on
-    /// EOF or any other message.
-    ///
-    /// # Errors
-    ///
-    /// The OS error if the thread cannot start (the table is then failed).
-    pub fn spawn_reply_pump(
+    /// Hand the table its reply channel's read half: from now on its
+    /// waiters read `reader` themselves, recycle each frame into `pool`,
+    /// route replies of `kind`, and fail the table on EOF or any other
+    /// message. A table takes one reader; a later one is dropped.
+    pub fn attach_reader(
         &self,
         mut reader: Box<dyn MsgReader>,
         pool: &BufferPool,
         kind: ReplyKind,
-    ) -> std::io::Result<JoinHandle<()>> {
+    ) {
         reader.attach_pool(pool);
-        let (inner, pool) = (Arc::clone(&self.0), pool.clone());
-        std::thread::Builder::new()
-            .name("clam-reply-pump".to_string())
-            .spawn(move || {
-                while let Ok(frame) = reader.recv() {
-                    let reply = match (Message::from_frame(&frame), kind) {
-                        (Ok(Message::Reply(reply)), ReplyKind::Reply)
-                        | (Ok(Message::UpcallReply(reply)), ReplyKind::UpcallReply) => reply,
-                        _ => break,
-                    };
-                    pool.recycle(frame.into_wire());
-                    inner.complete(reply);
-                }
-                inner.fail_all();
-            })
-            .inspect_err(|_| self.fail_all())
+        let closer = reader.closer();
+        let mut st = self.0.state.lock();
+        if self.is_closed() {
+            drop(st);
+            closer.close();
+            return;
+        }
+        if !matches!(st.token, Token::Detached) {
+            return;
+        }
+        st.token = Token::Free(Box::new(Link {
+            reader,
+            pool: pool.clone(),
+            kind,
+        }));
+        st.closer = Some(closer);
+        st.pass_token();
     }
 }
 
@@ -201,6 +270,71 @@ impl Drop for PendingReplies {
 }
 
 impl Inner {
+    /// Wait for entry `id`'s outcome, leading whenever the reader is
+    /// free and following otherwise.
+    fn await_reply(self: &Arc<Self>, id: u64, wait: &Wait) -> RpcResult<Opaque> {
+        loop {
+            if let Some(outcome) = wait.slot.lock().take() {
+                // A follower may have been handed the token just before
+                // its own outcome came in: pass it on.
+                self.state.lock().pass_token();
+                return outcome;
+            }
+            let mut st = self.state.lock();
+            match std::mem::replace(&mut st.token, Token::Leading) {
+                Token::Free(mut link) => {
+                    drop(st);
+                    if self.sched.outside(|| link.lead(self, id, wait)) {
+                        let mut st = self.state.lock();
+                        if !self.closed.load(Ordering::Acquire) {
+                            st.token = Token::Free(link);
+                            st.pass_token();
+                        }
+                    } else {
+                        self.fail_all();
+                    }
+                    // Either way the entry is done: `lead` returns once it is,
+                    // and `fail_all` finishes it.
+                    let outcome = wait.slot.lock().take();
+                    return outcome.unwrap_or(Err(RpcError::Disconnected));
+                }
+                other => {
+                    st.token = other;
+                    if let Some(at) = wait.deadline {
+                        if let Err(e) = self.arm_sweeper(&mut st, at) {
+                            drop(st);
+                            if self.take(id).is_some() {
+                                return Err(e);
+                            }
+                            continue;
+                        }
+                    }
+                    drop(st);
+                    wait.event.wait();
+                }
+            }
+        }
+    }
+
+    /// Make sure the sweeper will wake by `at` (a follower's deadline),
+    /// starting it on first use. A lone request reads its own reply
+    /// under its own deadline and never gets here.
+    fn arm_sweeper(self: &Arc<Self>, st: &mut State, at: Instant) -> RpcResult<()> {
+        if !st.sweeper_started {
+            let inner = Arc::clone(self);
+            std::thread::Builder::new()
+                .name("clam-deadline-sweeper".to_string())
+                .spawn(move || inner.sweep())
+                .map_err(|e| RpcError::Net(NetError::Io(e)))?;
+            st.sweeper_started = true;
+        }
+        if st.sweeper_wakes_at.map_or(true, |wake| at < wake) {
+            st.sweeper_wakes_at = Some(at);
+            self.sweeper_cv.notify_one();
+        }
+        Ok(())
+    }
+
     /// Remove an entry and its deadline; the caller owns its completion.
     fn take(&self, id: u64) -> Option<Arc<Wait>> {
         let mut st = self.state.lock();
@@ -210,6 +344,12 @@ impl Inner {
             self.armed_gauge.adjust(-1);
         }
         Some(wait)
+    }
+
+    fn expire(&self, id: u64) {
+        if let Some(wait) = self.take(id) {
+            wait.finish(Err(RpcError::DeadlineExceeded));
+        }
     }
 
     fn complete(&self, reply: Reply) -> bool {
@@ -232,7 +372,13 @@ impl Inner {
         for (_, wait) in st.waits.drain() {
             wait.finish(Err(RpcError::Disconnected));
         }
+        st.token = Token::Detached;
+        let closer = st.closer.take();
         self.sweeper_cv.notify_one();
+        drop(st);
+        if let Some(closer) = closer {
+            closer.close();
+        }
     }
 
     /// The sweeper thread: expire due entries, then sleep until the
@@ -427,6 +573,132 @@ mod tests {
         for timeout in [Some(Duration::from_secs(1)), None] {
             let out = t.request(timeout, |_| panic!("a closed table sends nothing"));
             assert!(matches!(out, Err(RpcError::Disconnected)));
+        }
+    }
+
+    fn reply_frame(request_id: u64, byte: u8) -> clam_net::Frame {
+        Message::Reply(ok_reply(request_id, byte))
+            .to_frame()
+            .unwrap()
+            .into()
+    }
+
+    /// A table reading the client end of a fresh in-memory pair; the
+    /// server end is returned.
+    fn linked() -> (Arc<PendingReplies>, clam_net::Channel) {
+        let (client, server) = clam_net::pair();
+        let t = table();
+        let (_w, r) = client.split();
+        t.attach_reader(r, &BufferPool::default(), ReplyKind::Reply);
+        (t, server)
+    }
+
+    fn sweeper_started(t: &PendingReplies) -> bool {
+        t.0.state.lock().sweeper_started
+    }
+
+    #[test]
+    fn a_lone_request_reads_its_own_reply_and_never_starts_the_sweeper() {
+        let (t, mut server) = linked();
+        for i in 0..100u8 {
+            let out = t.request(Some(Duration::from_secs(30)), |id| {
+                server.send(reply_frame(id, i)).map_err(RpcError::Net)
+            });
+            assert_eq!(out.unwrap().as_slice(), &[i]);
+        }
+        assert!(!sweeper_started(&t));
+        assert_eq!(Arc::strong_count(&t.0), 1, "no sweeper holds the table");
+        assert_eq!((t.outstanding(), t.armed()), (0, 0));
+    }
+
+    #[test]
+    fn a_leaders_own_deadline_ends_its_read() {
+        let (t, _server) = linked();
+        let start = Instant::now();
+        let err = silent(&t, Duration::from_millis(30)).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, RpcError::DeadlineExceeded), "got {err:?}");
+        assert!(elapsed >= Duration::from_millis(30), "early: {elapsed:?}");
+        assert!(elapsed < Duration::from_millis(60), "late: {elapsed:?}");
+        assert!(!sweeper_started(&t));
+    }
+
+    #[test]
+    fn followers_get_their_replies_from_whoever_reads() {
+        const WAITERS: usize = 8;
+        let (t, mut server) = linked();
+        let (ids, sent) = std::sync::mpsc::channel::<u64>();
+        let waiters: Vec<_> = (0..WAITERS)
+            .map(|_| {
+                let (t, ids) = (Arc::clone(&t), ids.clone());
+                std::thread::spawn(move || {
+                    let mut mine = 0;
+                    let out = t.request(Some(Duration::from_secs(30)), |id| {
+                        mine = id;
+                        ids.send(id).unwrap();
+                        Ok(())
+                    });
+                    #[allow(clippy::cast_possible_truncation)]
+                    let expect = mine as u8;
+                    assert_eq!(out.unwrap().as_slice(), &[expect]);
+                })
+            })
+            .collect();
+        // Answer only once every request is out, last first.
+        let mut all: Vec<u64> = (0..WAITERS).map(|_| sent.recv().unwrap()).collect();
+        all.reverse();
+        for id in all {
+            #[allow(clippy::cast_possible_truncation)]
+            server.send(reply_frame(id, id as u8)).unwrap();
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!((t.outstanding(), t.armed()), (0, 0));
+    }
+
+    #[test]
+    fn the_sweeper_expires_a_follower_and_teardown_wakes_the_reading_leader() {
+        let (t, _server) = linked();
+        let leader = silent_in_background(&t, Duration::from_secs(30));
+        while !matches!(t.0.state.lock().token, Token::Leading) {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        let err = silent(&t, Duration::from_millis(40)).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, RpcError::DeadlineExceeded), "got {err:?}");
+        assert!(elapsed >= Duration::from_millis(40), "early: {elapsed:?}");
+        assert!(elapsed < Duration::from_millis(80), "late: {elapsed:?}");
+        assert!(
+            sweeper_started(&t),
+            "a follower's deadline needs the sweeper"
+        );
+        let start = Instant::now();
+        t.fail_all();
+        assert!(matches!(
+            leader.join().unwrap(),
+            Err(RpcError::Disconnected)
+        ));
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_hangup_or_a_stray_message_fails_every_waiter() {
+        for stray in [false, true] {
+            let (t, mut server) = linked();
+            let waiter = silent_in_background(&t, Duration::from_secs(30));
+            if stray {
+                let upcall = Message::UpcallReply(ok_reply(1, 0));
+                server.send(upcall.to_frame().unwrap()).unwrap();
+            } else {
+                drop(server);
+            }
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Err(RpcError::Disconnected)
+            ));
+            assert!(t.is_closed());
         }
     }
 

@@ -7,7 +7,7 @@
 //!
 //! Signals may come from tasks of the same scheduler (the woken task
 //! becomes ready; the signaler keeps the processor, preserving
-//! non-preemption) or from foreign OS threads such as an I/O pump (the
+//! non-preemption) or from foreign OS threads such as a reader (the
 //! woken task is dispatched immediately if the scheduler is idle).
 //! Foreign threads may also *wait* on an event; they block on a condition
 //! variable rather than participating in task scheduling.

@@ -17,9 +17,10 @@
 //! rule); [`SchedulerStats`] exposes how often the pool was hit so the
 //! bench suite can measure the saving.
 //!
-//! Events may be signaled from *outside* the scheduler — e.g. by an I/O
-//! pump thread playing the role of the kernel — which is how the RPC and
-//! upcall layers wake tasks when messages arrive.
+//! Events may be signaled from *outside* the scheduler, and a task may
+//! step outside it for a blocking read ([`Scheduler::outside`]): the
+//! RPC and upcall layers read each reply and upcall on the thread of the
+//! task that waits for it, and wake the other waiters through events.
 //!
 //! # Example
 //!

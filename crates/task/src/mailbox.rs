@@ -1,9 +1,9 @@
 //! Mailboxes: where a serving task waits for requests.
 //!
-//! Section 4.4's server main task and client upcall task are one loop:
-//! "initially blocked, and is unblocked on receipt" of a request. An I/O
-//! pump thread pushes what it reads into a [`Mailbox`]; the serving task
-//! receives in order, and drains the queue once the pump closes it.
+//! Section 4.4's server main task is "initially blocked, and is unblocked
+//! on receipt" of a request. The server's read thread pushes what it
+//! reads into a [`Mailbox`]; the serving task receives in order, and
+//! drains the queue once the reader closes it.
 
 use crate::event::Event;
 use crate::scheduler::Scheduler;

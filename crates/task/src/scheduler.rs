@@ -99,6 +99,7 @@ struct SchedState {
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct WorkPacket {
+    sched: Arc<SchedInner>,
     id: TaskId,
     baton: Arc<Baton>,
     job: Job,
@@ -239,6 +240,7 @@ impl Scheduler {
         obs_spawned().inc();
 
         let packet = WorkPacket {
+            sched: Arc::clone(inner),
             id,
             baton,
             job: Box::new(f),
@@ -276,6 +278,34 @@ impl Scheduler {
         obs_ready_depth().adjust(1);
         Self::switch_away_locked(inner, st);
         my_baton.await_grant();
+    }
+
+    /// Run `f` — typically a blocking read — outside the scheduler: the
+    /// calling task gives up the processor while `f` runs, then rejoins.
+    /// If no task is running when `f` returns, the task takes the
+    /// processor straight back, with no thread switch; otherwise it
+    /// queues behind the ready tasks like a woken one. So at most one
+    /// task still runs at a time, and switches still happen only where a
+    /// task blocks. `f` runs as a foreign thread: an [`Event`](crate::Event)
+    /// it waits on blocks the thread, not a task. From a thread that is
+    /// not a task of this scheduler, this is just `f()`.
+    pub fn outside<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(me) = self.current_task() else {
+            return f();
+        };
+        let inner = &self.inner;
+        let mut st = inner.state.lock();
+        let e = st.tasks.get_mut(&me.0).expect("running task has an entry");
+        // Nothing wakes a task in this state: it is in no event's or
+        // join's waiter list.
+        e.state = TaskState::Blocked;
+        let baton = Arc::clone(&e.baton);
+        Self::switch_away_locked(inner, st);
+        CURRENT.with(|c| c.set(None));
+        // Rejoin even if `f` unwinds: the task's exit path expects to hold
+        // the processor.
+        let _rejoin = Rejoin { inner, me, baton };
+        f()
     }
 
     /// The id of the task executing on this thread under this scheduler,
@@ -351,18 +381,21 @@ impl Scheduler {
 
     fn spawn_worker(inner: &Arc<SchedInner>, first: WorkPacket) {
         inner.threads_created.fetch_add(1, Ordering::Relaxed);
-        let inner2 = Arc::clone(inner);
         let thread_name = format!("clam-task-{}", inner.name);
         std::thread::Builder::new()
             .name(thread_name)
-            .spawn(move || Self::worker_main(&inner2, first))
+            .spawn(move || Self::worker_main(first))
             .expect("failed to spawn task worker thread");
     }
 
-    fn worker_main(inner: &Arc<SchedInner>, first: WorkPacket) {
+    /// A pooled worker holds no reference to its scheduler while idle:
+    /// once every handle is gone the scheduler drops, its pool with it,
+    /// and the worker's `recv` fails, so the thread exits.
+    fn worker_main(first: WorkPacket) {
         let mut packet = first;
         loop {
-            Self::carry_task(inner, packet);
+            let inner = Arc::clone(&packet.sched);
+            Self::carry_task(packet);
             // Pool ourselves for reuse, unless shutting down.
             if inner.state.lock().shutdown {
                 return;
@@ -370,21 +403,27 @@ impl Scheduler {
             let (tx, rx): (Sender<WorkPacket>, Receiver<WorkPacket>) =
                 crossbeam_channel::bounded(1);
             inner.pool.lock().push(tx);
+            drop(inner);
             match rx.recv() {
                 Ok(next) => packet = next,
-                Err(_) => return, // pool cleared; exit
+                Err(_) => return, // pool cleared or dropped; exit
             }
         }
     }
 
-    fn carry_task(inner: &Arc<SchedInner>, packet: WorkPacket) {
-        let WorkPacket { id, baton, job } = packet;
+    fn carry_task(packet: WorkPacket) {
+        let WorkPacket {
+            sched,
+            id,
+            baton,
+            job,
+        } = packet;
         // Wait until the scheduler grants us the processor.
         baton.await_grant();
-        CURRENT.with(|c| c.set(Some((inner.uid, id.0))));
+        CURRENT.with(|c| c.set(Some((sched.uid, id.0))));
         let outcome = catch_panic(job).map_err(TaskError::Panicked);
         CURRENT.with(|c| c.set(None));
-        Self::finish_task(inner, id, outcome);
+        Self::finish_task(&sched, id, outcome);
     }
 
     // ------------------------------------------------------------------
@@ -508,6 +547,37 @@ impl Scheduler {
 
     pub(crate) fn inner(&self) -> &Arc<SchedInner> {
         &self.inner
+    }
+}
+
+/// Brings a task back from [`Scheduler::outside`] when dropped.
+struct Rejoin<'a> {
+    inner: &'a SchedInner,
+    me: TaskId,
+    baton: Arc<Baton>,
+}
+
+impl Drop for Rejoin<'_> {
+    fn drop(&mut self) {
+        let inner = self.inner;
+        CURRENT.with(|c| c.set(Some((inner.uid, self.me.0))));
+        let mut st = inner.state.lock();
+        if st.current.is_none() {
+            // Idle (so the ready queue is empty too): take the processor
+            // on this very thread.
+            st.current = Some(self.me);
+            if let Some(e) = st.tasks.get_mut(&self.me.0) {
+                e.state = TaskState::Running;
+            }
+            return;
+        }
+        if let Some(e) = st.tasks.get_mut(&self.me.0) {
+            e.state = TaskState::Ready;
+        }
+        st.ready.push_back(self.me);
+        obs_ready_depth().adjust(1);
+        drop(st);
+        self.baton.await_grant();
     }
 }
 

@@ -342,3 +342,120 @@ fn live_task_count_tracks_lifecycle() {
     h.join().unwrap();
     assert_eq!(sched.live_tasks(), 0);
 }
+
+/// Count running tasks around `body`, recording the most ever seen.
+fn counted(running: &AtomicU64, most: &AtomicU64, body: impl FnOnce()) {
+    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+    most.fetch_max(now, Ordering::SeqCst);
+    body();
+    running.fetch_sub(1, Ordering::SeqCst);
+}
+
+#[test]
+fn while_one_task_is_outside_the_others_run_one_at_a_time() {
+    let sched = Scheduler::new("outside");
+    let running = Arc::new(AtomicU64::new(0));
+    let most = Arc::new(AtomicU64::new(0));
+    let (release, blocked) = std::sync::mpsc::channel::<()>();
+    let outside = {
+        let (s, running, most) = (sched.clone(), Arc::clone(&running), Arc::clone(&most));
+        sched.spawn("reader", move || {
+            counted(&running, &most, || {});
+            // A blocking read, outside: the processor goes to the others.
+            s.outside(|| blocked.recv().unwrap());
+            counted(&running, &most, || {});
+        })
+    };
+    let others: Vec<_> = (0..4)
+        .map(|_| {
+            let (running, most) = (Arc::clone(&running), Arc::clone(&most));
+            sched.spawn("other", move || {
+                counted(&running, &most, || {
+                    std::thread::sleep(Duration::from_millis(5));
+                });
+            })
+        })
+        .collect();
+    // The four others all finish while the reader is still outside.
+    for h in others {
+        h.join().unwrap();
+    }
+    release.send(()).unwrap();
+    outside.join().unwrap();
+    assert_eq!(most.load(Ordering::SeqCst), 1, "two tasks ran at once");
+}
+
+#[test]
+fn a_task_back_from_outside_waits_for_the_running_task() {
+    let sched = Scheduler::new("outside-rejoin");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (started, wait_started) = std::sync::mpsc::channel::<()>();
+    let reader = {
+        let (s, log) = (sched.clone(), Arc::clone(&log));
+        sched.spawn("reader", move || {
+            s.outside(|| {
+                // Return while the other task holds the processor.
+                wait_started.recv().unwrap();
+                log.lock().unwrap().push("reader-returned");
+            });
+            log.lock().unwrap().push("reader-resumed");
+        })
+    };
+    let other = {
+        let log = Arc::clone(&log);
+        sched.spawn("other", move || {
+            log.lock().unwrap().push("other-start");
+            started.send(()).unwrap();
+            while !log.lock().unwrap().contains(&"reader-returned") {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            log.lock().unwrap().push("other-done");
+        })
+    };
+    reader.join().unwrap();
+    other.join().unwrap();
+    assert_eq!(
+        *log.lock().unwrap(),
+        [
+            "other-start",
+            "reader-returned",
+            "other-done",
+            "reader-resumed"
+        ]
+    );
+}
+
+#[test]
+fn outside_on_an_idle_scheduler_resumes_without_a_switch() {
+    let sched = Scheduler::new("outside-idle");
+    let switches = Arc::new(AtomicU64::new(u64::MAX));
+    let (s, sw) = (sched.clone(), Arc::clone(&switches));
+    sched
+        .spawn("alone", move || {
+            let before = s.stats().context_switches;
+            let v = s.outside(|| {
+                assert!(s.current_task().is_none(), "f runs as a foreign thread");
+                7
+            });
+            assert_eq!(v, 7);
+            assert!(s.current_task().is_some());
+            sw.store(s.stats().context_switches - before, Ordering::SeqCst);
+        })
+        .join()
+        .unwrap();
+    // The only task took the processor back itself: no baton grant.
+    assert_eq!(switches.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn a_panic_outside_is_reported_and_the_scheduler_survives() {
+    let sched = Scheduler::new("outside-panic");
+    let s = sched.clone();
+    let err = sched
+        .spawn("bad", move || s.outside(|| panic!("read failed")))
+        .join()
+        .unwrap_err();
+    assert!(matches!(err, TaskError::Panicked(_)), "got {err:?}");
+    sched.spawn("after", || {}).join().unwrap();
+}

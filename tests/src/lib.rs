@@ -19,6 +19,15 @@ pub fn unique_inproc(tag: &str) -> Endpoint {
     Endpoint::in_proc(format!("itest-{tag}-{n}-{}", std::process::id()))
 }
 
+/// A unique Unix-domain endpoint per call, in the temp directory.
+#[must_use]
+pub fn unique_unix(tag: &str) -> Endpoint {
+    let n = NAMES.fetch_add(1, Ordering::Relaxed);
+    Endpoint::unix(
+        std::env::temp_dir().join(format!("clam-itest-{tag}-{n}-{}.sock", std::process::id())),
+    )
+}
+
 /// Start a CLAM server with the windows module (v1.0) installed.
 ///
 /// # Panics

@@ -1,0 +1,104 @@
+//! Dropping a client and shutting down its server ends every thread the
+//! two started, and no connection runs a pump thread for its replies or
+//! upcalls: waiters read those themselves.
+//!
+//! The test counts the threads of this whole process, so it must stay
+//! alone in this file.
+
+use clam_core::{ClamClient, ClamServer, SessionCtl, UpcallTarget};
+use clam_integration::unique_unix;
+use clam_rpc::{CallContext, ProcId, RpcResult, RpcServer, Service, Target};
+use clam_xdr::Opaque;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
+
+const UPCALL_SERVICE_ID: u32 = 81;
+const CYCLES: usize = 20;
+
+/// Upcalls `proc(x)` from the serving task and returns its result.
+struct Bounce {
+    server: Weak<ClamServer>,
+}
+
+impl Service for Bounce {
+    fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args.as_slice())?;
+        let server = self.server.upgrade().expect("server alive");
+        let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
+        Ok(Opaque::from(clam_xdr::encode(&target.invoke(x)?)?))
+    }
+}
+
+/// Names of this process's threads that clam-rs started (`clam-*`; the
+/// kernel keeps 15 bytes of a name).
+fn clam_threads() -> Vec<String> {
+    let mut names = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let comm = task.expect("task entry").path().join("comm");
+        if let Ok(name) = std::fs::read_to_string(comm) {
+            let name = name.trim();
+            if name.starts_with("clam-") {
+                names.push(name.to_string());
+            }
+        }
+    }
+    names.sort();
+    names
+}
+
+/// One set-up: a unix server, a client, a sync call and a sync upcall;
+/// then drop the client and shut the server down.
+fn cycle(first: bool) {
+    let server = ClamServer::builder()
+        .listen(unique_unix("leak"))
+        .build()
+        .expect("server starts");
+    server.rpc().register_service(
+        UPCALL_SERVICE_ID,
+        Arc::new(Bounce {
+            server: Arc::downgrade(&server),
+        }),
+    );
+    let client = ClamClient::connect(&server.endpoints()[0]).expect("client connects");
+    client.session().ping().expect("sync call");
+    let proc = client.register_upcall(|x: u32| Ok(x + 1));
+    let args = Opaque::from(clam_xdr::encode(&(proc, 41u32)).unwrap());
+    let out = client
+        .caller()
+        .call(Target::Builtin(UPCALL_SERVICE_ID), 0, args)
+        .expect("sync upcall");
+    assert_eq!(clam_xdr::decode::<u32>(out.as_slice()).unwrap(), 42);
+    if first {
+        let live = clam_threads();
+        for pump in ["clam-reply-pump", "clam-upcall-pum", "clam-upcall-rep"] {
+            assert!(
+                !live.iter().any(|name| name.starts_with(pump)),
+                "a {pump}* thread runs: {live:?}"
+            );
+        }
+    }
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn connect_shutdown_cycles_leave_no_clam_threads_behind() {
+    let before = clam_threads();
+    for i in 0..CYCLES {
+        cycle(i == 0);
+    }
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        let now = clam_threads();
+        if now.len() == before.len() {
+            break;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "{} clam threads before {CYCLES} cycles, {} after: {now:?}",
+            before.len(),
+            now.len()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
