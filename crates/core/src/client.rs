@@ -232,7 +232,7 @@ impl ClamClient {
             .unwrap_or_else(|| Scheduler::new("clam-client"));
         let (rpc_writer, rpc_reader) = rpc_ch.split();
         let caller = Caller::new(&sched, rpc_writer, opts.caller);
-        caller.spawn_reply_pump(rpc_reader);
+        caller.attach_reader(rpc_reader);
 
         let (mut up_writer, mut up_reader) = upcall_ch.split();
         // One pool for the upcall channel: inbound upcall frames are

@@ -19,9 +19,9 @@ pub type CoreResult<T> = Result<T, CoreError>;
 pub enum CoreError {
     /// An RPC-layer failure (transport, bundling, remote status).
     Rpc(RpcError),
-    /// The runtime could not spawn an OS thread it needs.
+    /// The runtime could not start an OS thread or a task it needs.
     Spawn {
-        /// Name of the thread that failed to start.
+        /// Name of the thread or task that failed to start.
         thread: String,
         /// The OS error.
         source: std::io::Error,

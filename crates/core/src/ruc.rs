@@ -199,7 +199,7 @@ impl UpcallRouter {
     /// Hand the upcall channel's reader to the pending-reply table
     /// ([`PendingReplies::attach_reader`]): upcallers then read their own
     /// replies, and no thread is started.
-    pub fn spawn_reply_pump(&self, reader: Box<dyn MsgReader>) {
+    pub fn attach_reader(&self, reader: Box<dyn MsgReader>) {
         self.replies
             .attach_reader(reader, &self.pool, ReplyKind::UpcallReply);
     }
@@ -286,7 +286,7 @@ mod tests {
         let sched = Scheduler::new("ruc-test");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, max_active, None);
-        router.spawn_reply_pump(r);
+        router.attach_reader(r);
         let client = fake_client(client_end);
         (router, client, sched)
     }
@@ -314,7 +314,7 @@ mod tests {
         let sched = Scheduler::new("ruc-err");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 1, None);
-        router.spawn_reply_pump(r);
+        router.attach_reader(r);
         let t = std::thread::spawn(move || {
             let frame = client_end.recv().unwrap();
             let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
@@ -341,7 +341,7 @@ mod tests {
         let sched = Scheduler::new("ruc-disc");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 1, None);
-        router.spawn_reply_pump(r);
+        router.attach_reader(r);
         let t = std::thread::spawn(move || {
             let mut client_end = client_end;
             let _ = client_end.recv();
@@ -365,7 +365,7 @@ mod tests {
         let (w, r) = server_end.split();
         let timeout = Duration::from_millis(120);
         let router = UpcallRouter::new(&sched, w, 1, Some(timeout));
-        router.spawn_reply_pump(r);
+        router.attach_reader(r);
         // A client that accepts the upcall but never answers.
         let t = std::thread::spawn(move || {
             let mut chan = client_end;
@@ -402,7 +402,7 @@ mod tests {
         let sched = Scheduler::new("ruc-limit");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 1, None);
-        router.spawn_reply_pump(r);
+        router.attach_reader(r);
 
         // A slow fake client: observes both requests before replying, if
         // the router lets both through (it must not).
@@ -453,7 +453,7 @@ mod tests {
         let sched = Scheduler::new("ruc-relaxed");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 2, None);
-        router.spawn_reply_pump(r);
+        router.attach_reader(r);
 
         // Fake client that collects BOTH requests before replying to
         // either — deadlock unless two upcalls may be active at once.

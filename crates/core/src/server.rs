@@ -377,10 +377,18 @@ impl ClamServer {
             self.config.max_concurrent_upcalls,
             self.config.upcall_timeout,
         );
-        router.spawn_reply_pump(up_reader);
+        router.attach_reader(up_reader);
 
         let session = Session::new(&self.sched, conn, router, rpc_writer, rpc_reader.closer());
         self.sessions.insert(Arc::clone(&session));
+        // A session that cannot serve is torn down cleanly — the client
+        // observes a dropped connection — rather than left half open.
+        let abandon = |e: CoreError| {
+            session.mark_dead();
+            self.sessions.remove(conn);
+            self.rpc.invalidate_owner(conn);
+            Err(e)
+        };
 
         // The main RPC task: serializes this client's requests in strict
         // arrival order ("the main task handles RPC requests from
@@ -389,13 +397,18 @@ impl ClamServer {
         {
             let session = Arc::clone(&session);
             let rpc = Arc::clone(&self.rpc);
-            let _ = self
-                .sched
-                .try_spawn(&format!("rpc-main-{}", conn.0), move || {
-                    while let Some(frame) = session.inbox.recv() {
-                        session.serve(&rpc, frame);
-                    }
+            let name = format!("rpc-main-{}", conn.0);
+            let spawned = self.sched.try_spawn(&name, move || {
+                while let Some(frame) = session.inbox.recv() {
+                    session.serve(&rpc, frame);
+                }
+            });
+            if let Err(e) = spawned {
+                return abandon(CoreError::Spawn {
+                    thread: name,
+                    source: std::io::Error::other(e),
                 });
+            }
         }
 
         // Read thread (plays the kernel): frames go to the main task's
@@ -441,17 +454,29 @@ impl ClamServer {
                     sessions.remove(conn);
                     server.rpc.invalidate_owner(conn);
                 });
-            if spawned.is_err() {
-                // No read thread means the session can never serve; tear
-                // it down cleanly — the client observes a dropped
-                // connection — rather than aborting the accept thread.
-                session.mark_dead();
-                self.sessions.remove(conn);
-                self.rpc.invalidate_owner(conn);
+            match spawned {
+                Ok(_) => Ok(()),
+                Err(e) => abandon(CoreError::spawn(format!("clam-rpc-pump-{}", conn.0))(e)),
             }
-            spawned
-                .map(drop)
-                .map_err(CoreError::spawn(format!("clam-rpc-pump-{}", conn.0)))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clam_net::NetError;
+
+    #[test]
+    fn a_session_whose_main_task_cannot_start_is_torn_down() {
+        let server = ClamServer::builder().build().unwrap();
+        server.sched.shutdown();
+        let (mut rpc_client, rpc_ch) = clam_net::pair();
+        let (mut upcall_client, upcall_ch) = clam_net::pair();
+        let err = server.open_session(rpc_ch, upcall_ch).unwrap_err();
+        assert!(matches!(err, CoreError::Spawn { .. }), "got {err:?}");
+        assert!(server.sessions().is_empty());
+        assert!(matches!(rpc_client.recv(), Err(NetError::Closed)));
+        assert!(matches!(upcall_client.recv(), Err(NetError::Closed)));
     }
 }

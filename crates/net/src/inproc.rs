@@ -9,9 +9,9 @@ use crate::channel::{pair, Channel};
 use crate::endpoint::Endpoint;
 use crate::error::{NetError, NetResult};
 use crate::Listener;
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 /// Registry of live in-process listeners.
@@ -24,12 +24,13 @@ fn with_registry<R>(f: impl FnOnce(&mut HashMap<String, Sender<Channel>>) -> R) 
 
 struct InProcListener {
     name: String,
-    incoming: Receiver<Channel>,
+    /// Locked by `accept`, so concurrent accepts take turns.
+    incoming: Mutex<Receiver<Channel>>,
 }
 
 impl Listener for InProcListener {
     fn accept(&self) -> NetResult<Channel> {
-        self.incoming.recv().map_err(|_| NetError::Closed)
+        self.incoming.lock().recv().map_err(|_| NetError::Closed)
     }
 
     fn endpoint(&self) -> Endpoint {
@@ -46,7 +47,7 @@ impl Drop for InProcListener {
 }
 
 pub(crate) fn listen(name: &str) -> NetResult<Arc<dyn Listener>> {
-    let (tx, rx) = crossbeam_channel::unbounded();
+    let (tx, rx) = mpsc::channel();
     with_registry(|reg| {
         if reg.contains_key(name) {
             return Err(NetError::DuplicateInProcName(name.to_string()));
@@ -56,7 +57,7 @@ pub(crate) fn listen(name: &str) -> NetResult<Arc<dyn Listener>> {
     })?;
     Ok(Arc::new(InProcListener {
         name: name.to_string(),
-        incoming: rx,
+        incoming: Mutex::new(rx),
     }))
 }
 

@@ -221,7 +221,7 @@ impl std::fmt::Debug for Caller {
 
 impl Caller {
     /// Create a caller writing to `writer`; hand it the matching reader
-    /// with [`Caller::spawn_reply_pump`].
+    /// with [`Caller::attach_reader`].
     ///
     /// The caller's [`BufferPool`] is attached to `writer`, so every sent
     /// frame's buffer comes straight back for the next batch.
@@ -492,7 +492,7 @@ impl Caller {
     /// Hand the reply channel's reader to the pending-reply table
     /// ([`PendingReplies::attach_reader`]): callers then read their own
     /// replies, and no thread is started.
-    pub fn spawn_reply_pump(&self, reader: Box<dyn MsgReader>) {
+    pub fn attach_reader(&self, reader: Box<dyn MsgReader>) {
         self.replies
             .attach_reader(reader, &self.pool, ReplyKind::Reply);
     }
@@ -511,7 +511,7 @@ mod tests {
         let sched = Scheduler::new("caller-test");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.attach_reader(r);
         (caller, server)
     }
 
@@ -635,7 +635,7 @@ mod tests {
         let sched = Scheduler::new("err");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.attach_reader(r);
         let mut server = server;
         let srv = std::thread::spawn(move || {
             let frame = server.recv().unwrap();
@@ -664,7 +664,7 @@ mod tests {
         let sched = Scheduler::new("disc");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.attach_reader(r);
         let mut server = server;
         let t = std::thread::spawn(move || {
             let _ = server.recv(); // swallow the call, then hang up
@@ -702,7 +702,7 @@ mod tests {
         let sched = Scheduler::new("task-call");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.attach_reader(r);
         let srv = serve_echo(server);
 
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -755,7 +755,7 @@ mod tests {
                 ..CallerConfig::default()
             },
         );
-        caller.spawn_reply_pump(r);
+        caller.attach_reader(r);
         (caller, server)
     }
 
@@ -840,7 +840,7 @@ mod tests {
         let sched = Scheduler::new("flush-ack");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.attach_reader(r);
         let rpc = Arc::new(crate::RpcServer::new());
         let srv = {
             let rpc = Arc::clone(&rpc);

@@ -1,24 +1,24 @@
 //! The pending-reply table of a client's sync calls and of a server's
 //! sync upcalls — the same wait seen from the two ends (section 4.3).
 //!
-//! The table's waiters read their replies themselves (Leader/Followers):
-//! one waiter at a time holds the reader and reads outside its
-//! scheduler's baton, until its own deadline, routing each reply to its
+//! The table's waiters read their replies themselves (Leader/Followers),
+//! outside their scheduler's baton: one waiter at a time holds the
+//! reader and reads until its own deadline, routing each reply to its
 //! entry; once its own reply is in, it hands the reader to another
 //! waiter. So a lone request is answered on the thread that waits for
-//! it. The others block on their [`Event`]s; [`Event`]s have no timed
-//! wait, so one sweeper thread per table, started by the first such
-//! follower with a deadline, sleeps until the earliest armed deadline.
-//! Whoever removes an entry removes its deadline too, so armed deadlines
-//! never outnumber outstanding requests.
+//! it. The others wait on their own condition variables, each until its
+//! own deadline. So every waiter times its own wait — the leader with
+//! its read timeout, a follower with its condition variable — and no
+//! thread keeps time for the table. Whoever removes an entry removes its
+//! deadline too, so armed deadlines never outnumber outstanding requests.
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::message::{Message, Reply};
-use clam_net::{Closer, MsgReader, NetError};
-use clam_task::{Event, Scheduler};
+use clam_net::{Closer, MsgReader};
+use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,9 +33,12 @@ pub enum ReplyKind {
     UpcallReply,
 }
 
+/// One outstanding request. Its outcome is only written under the
+/// table's lock, and `cv` (waited on with that lock) wakes this waiter
+/// alone: for its outcome, or to offer it the reader.
 #[derive(Debug)]
 struct Wait {
-    event: Event,
+    cv: Condvar,
     slot: Mutex<Option<RpcResult<Opaque>>>,
     deadline: Option<Instant>,
 }
@@ -43,7 +46,7 @@ struct Wait {
 impl Wait {
     fn finish(&self, outcome: RpcResult<Opaque>) {
         *self.slot.lock() = Some(outcome);
-        self.event.signal();
+        self.cv.notify_one();
     }
 
     fn is_done(&self) -> bool {
@@ -59,10 +62,10 @@ struct Link {
 }
 
 impl Link {
-    /// Read until `wait` is done, routing every reply through `inner`.
+    /// Read until `wait` is done, routing every reply through `table`.
     /// `false` means the link is dead: EOF, a read error, or a message
     /// other than a reply of the link's kind.
-    fn lead(&mut self, inner: &Inner, id: u64, wait: &Wait) -> bool {
+    fn lead(&mut self, table: &PendingReplies, id: u64, wait: &Wait) -> bool {
         while !wait.is_done() {
             let frame = match wait.deadline {
                 Some(at) => self.reader.recv_until(at),
@@ -71,7 +74,7 @@ impl Link {
             let frame = match frame {
                 Ok(Some(frame)) => frame,
                 Ok(None) => {
-                    inner.expire(id);
+                    table.finish(id, Err(RpcError::DeadlineExceeded));
                     continue;
                 }
                 Err(_) => return false,
@@ -82,7 +85,7 @@ impl Link {
                 _ => return false,
             };
             self.pool.recycle(frame.into_wire());
-            inner.complete(reply);
+            table.complete(reply);
         }
         true
     }
@@ -104,20 +107,18 @@ enum Token {
 struct State {
     next_id: u64,
     waits: HashMap<u64, Arc<Wait>>,
-    deadlines: BTreeSet<(Instant, u64)>,
+    /// Entries of `waits` that have a deadline.
+    armed: usize,
     token: Token,
     /// Closes the reply channel, waking a leader blocked mid-read.
     closer: Option<Closer>,
-    sweeper_started: bool,
-    /// When the sweeper wakes next (`None`: only when notified).
-    sweeper_wakes_at: Option<Instant>,
 }
 
 impl std::fmt::Debug for State {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("State")
             .field("outstanding", &self.waits.len())
-            .field("armed", &self.deadlines.len())
+            .field("armed", &self.armed)
             .finish_non_exhaustive()
     }
 }
@@ -127,38 +128,34 @@ impl State {
     fn pass_token(&self) {
         if matches!(self.token, Token::Free(_)) {
             if let Some(wait) = self.waits.values().next() {
-                wait.event.signal();
+                wait.cv.notify_one();
             }
         }
     }
 }
 
+/// The outstanding requests of one connection. Dropping the table fails
+/// it, which also closes its reply channel.
 #[derive(Debug)]
-struct Inner {
+pub struct PendingReplies {
     sched: Scheduler,
     state: Mutex<State>,
-    sweeper_cv: Condvar,
     /// Written under `state`'s lock, read without it on fast paths.
     closed: AtomicBool,
     armed_gauge: Arc<clam_obs::Gauge>,
 }
 
-/// The outstanding requests of one connection. Dropping the table fails
-/// it, which also closes its reply channel and ends its sweeper thread.
-#[derive(Debug)]
-pub struct PendingReplies(Arc<Inner>);
-
 impl PendingReplies {
-    /// An empty, open table whose waiters block on `sched`'s events.
+    /// An empty, open table whose waiters give up `sched`'s baton while
+    /// they wait.
     #[must_use]
     pub fn new(sched: &Scheduler) -> PendingReplies {
-        PendingReplies(Arc::new(Inner {
+        PendingReplies {
             sched: sched.clone(),
             state: Mutex::new(State::default()),
-            sweeper_cv: Condvar::new(),
             closed: AtomicBool::new(false),
             armed_gauge: clam_obs::gauge("rpc.deadlines_armed"),
-        }))
+        }
     }
 
     /// Register a request under a fresh id, hand the id to `send`, and
@@ -168,8 +165,7 @@ impl PendingReplies {
     /// # Errors
     ///
     /// The reply's status; `DeadlineExceeded` once `timeout` passes;
-    /// `Disconnected` on teardown; `send`'s error; [`RpcError::Net`] if
-    /// the sweeper thread cannot start.
+    /// `Disconnected` on teardown; `send`'s error.
     pub fn request(
         &self,
         timeout: Option<Duration>,
@@ -177,59 +173,78 @@ impl PendingReplies {
     ) -> RpcResult<Opaque> {
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let wait = Arc::new(Wait {
-            event: Event::new(&self.0.sched),
+            cv: Condvar::new(),
             slot: Mutex::new(None),
             deadline,
         });
-        let mut st = self.0.state.lock();
+        let mut st = self.state.lock();
         if self.is_closed() {
             return Err(RpcError::Disconnected);
         }
         st.next_id += 1;
         let id = st.next_id;
         st.waits.insert(id, Arc::clone(&wait));
-        if let Some(at) = deadline {
-            st.deadlines.insert((at, id));
-            self.0.armed_gauge.adjust(1);
+        if deadline.is_some() {
+            st.armed += 1;
+            self.armed_gauge.adjust(1);
         }
         drop(st);
         if let Err(e) = send(id) {
-            self.0.take(id);
-            self.0.state.lock().pass_token();
+            let mut st = self.state.lock();
+            self.remove(&mut st, id);
+            st.pass_token();
             return Err(e);
         }
-        self.0.await_reply(id, &wait)
+        self.sched.outside(|| self.await_reply(id, &wait))
     }
 
     /// Route `reply` to its waiter. Returns `false` if no entry matches:
     /// it expired, its send failed, or it never existed.
     pub fn complete(&self, reply: Reply) -> bool {
-        self.0.complete(reply)
+        self.finish(
+            reply.request_id,
+            if reply.status == StatusCode::Ok {
+                Ok(reply.results)
+            } else {
+                Err(RpcError::status(reply.status, reply.detail))
+            },
+        )
     }
 
     /// Close the table: every waiter and every later request fails with
-    /// [`RpcError::Disconnected`], the reply channel closes, and the
-    /// sweeper exits.
+    /// [`RpcError::Disconnected`], and the reply channel closes.
     pub fn fail_all(&self) {
-        self.0.fail_all();
+        let mut st = self.state.lock();
+        self.closed.store(true, Ordering::Release);
+        self.armed_gauge.adjust(-(st.armed as i64));
+        st.armed = 0;
+        for (_, wait) in st.waits.drain() {
+            wait.finish(Err(RpcError::Disconnected));
+        }
+        st.token = Token::Detached;
+        let closer = st.closer.take();
+        drop(st);
+        if let Some(closer) = closer {
+            closer.close();
+        }
     }
 
     /// True once the table has been failed.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.0.closed.load(Ordering::Acquire)
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Number of requests awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.0.state.lock().waits.len()
+        self.state.lock().waits.len()
     }
 
     /// Number of armed deadlines (at most [`outstanding`](Self::outstanding)).
     #[must_use]
     pub fn armed(&self) -> usize {
-        self.0.state.lock().deadlines.len()
+        self.state.lock().armed
     }
 
     /// Hand the table its reply channel's read half: from now on its
@@ -244,7 +259,7 @@ impl PendingReplies {
     ) {
         reader.attach_pool(pool);
         let closer = reader.closer();
-        let mut st = self.0.state.lock();
+        let mut st = self.state.lock();
         if self.is_closed() {
             drop(st);
             closer.close();
@@ -261,146 +276,77 @@ impl PendingReplies {
         st.closer = Some(closer);
         st.pass_token();
     }
-}
 
-impl Drop for PendingReplies {
-    fn drop(&mut self) {
-        self.0.fail_all();
-    }
-}
-
-impl Inner {
-    /// Wait for entry `id`'s outcome, leading whenever the reader is
-    /// free and following otherwise.
-    fn await_reply(self: &Arc<Self>, id: u64, wait: &Wait) -> RpcResult<Opaque> {
+    /// Wait, outside the baton, for entry `id`'s outcome: lead whenever
+    /// the reader is free, follow otherwise, and expire the entry at its
+    /// own deadline.
+    fn await_reply(&self, id: u64, wait: &Wait) -> RpcResult<Opaque> {
+        let mut st = self.state.lock();
         loop {
             if let Some(outcome) = wait.slot.lock().take() {
-                // A follower may have been handed the token just before
-                // its own outcome came in: pass it on.
-                self.state.lock().pass_token();
+                // The token may have been offered to this waiter just
+                // before its own outcome came in: pass it on.
+                st.pass_token();
                 return outcome;
             }
-            let mut st = self.state.lock();
+            if wait.deadline.is_some_and(|at| Instant::now() >= at) {
+                self.finish_locked(&mut st, id, Err(RpcError::DeadlineExceeded));
+                continue;
+            }
             match std::mem::replace(&mut st.token, Token::Leading) {
                 Token::Free(mut link) => {
                     drop(st);
-                    if self.sched.outside(|| link.lead(self, id, wait)) {
-                        let mut st = self.state.lock();
-                        if !self.closed.load(Ordering::Acquire) {
-                            st.token = Token::Free(link);
-                            st.pass_token();
-                        }
-                    } else {
+                    // `lead` returns once the entry is done, and
+                    // `fail_all` finishes it.
+                    if !link.lead(self, id, wait) {
                         self.fail_all();
                     }
-                    // Either way the entry is done: `lead` returns once it is,
-                    // and `fail_all` finishes it.
-                    let outcome = wait.slot.lock().take();
-                    return outcome.unwrap_or(Err(RpcError::Disconnected));
+                    st = self.state.lock();
+                    if !self.is_closed() {
+                        st.token = Token::Free(link);
+                    }
                 }
                 other => {
                     st.token = other;
-                    if let Some(at) = wait.deadline {
-                        if let Err(e) = self.arm_sweeper(&mut st, at) {
-                            drop(st);
-                            if self.take(id).is_some() {
-                                return Err(e);
-                            }
-                            continue;
+                    match wait.deadline {
+                        Some(at) => {
+                            wait.cv.wait_until(&mut st, at);
                         }
+                        None => wait.cv.wait(&mut st),
                     }
-                    drop(st);
-                    wait.event.wait();
                 }
             }
         }
     }
 
-    /// Make sure the sweeper will wake by `at` (a follower's deadline),
-    /// starting it on first use. A lone request reads its own reply
-    /// under its own deadline and never gets here.
-    fn arm_sweeper(self: &Arc<Self>, st: &mut State, at: Instant) -> RpcResult<()> {
-        if !st.sweeper_started {
-            let inner = Arc::clone(self);
-            std::thread::Builder::new()
-                .name("clam-deadline-sweeper".to_string())
-                .spawn(move || inner.sweep())
-                .map_err(|e| RpcError::Net(NetError::Io(e)))?;
-            st.sweeper_started = true;
-        }
-        if st.sweeper_wakes_at.map_or(true, |wake| at < wake) {
-            st.sweeper_wakes_at = Some(at);
-            self.sweeper_cv.notify_one();
-        }
-        Ok(())
-    }
-
     /// Remove an entry and its deadline; the caller owns its completion.
-    fn take(&self, id: u64) -> Option<Arc<Wait>> {
-        let mut st = self.state.lock();
+    fn remove(&self, st: &mut State, id: u64) -> Option<Arc<Wait>> {
         let wait = st.waits.remove(&id)?;
-        if let Some(at) = wait.deadline {
-            st.deadlines.remove(&(at, id));
+        if wait.deadline.is_some() {
+            st.armed -= 1;
             self.armed_gauge.adjust(-1);
         }
         Some(wait)
     }
 
-    fn expire(&self, id: u64) {
-        if let Some(wait) = self.take(id) {
-            wait.finish(Err(RpcError::DeadlineExceeded));
-        }
+    /// Remove entry `id` and wake its waiter with `outcome`. `false` if
+    /// no entry matches.
+    fn finish(&self, id: u64, outcome: RpcResult<Opaque>) -> bool {
+        self.finish_locked(&mut self.state.lock(), id, outcome)
     }
 
-    fn complete(&self, reply: Reply) -> bool {
-        let Some(wait) = self.take(reply.request_id) else {
+    fn finish_locked(&self, st: &mut State, id: u64, outcome: RpcResult<Opaque>) -> bool {
+        let Some(wait) = self.remove(st, id) else {
             return false;
         };
-        wait.finish(if reply.status == StatusCode::Ok {
-            Ok(reply.results)
-        } else {
-            Err(RpcError::status(reply.status, reply.detail))
-        });
+        wait.finish(outcome);
         true
     }
+}
 
-    fn fail_all(&self) {
-        let mut st = self.state.lock();
-        self.closed.store(true, Ordering::Release);
-        self.armed_gauge.adjust(-(st.deadlines.len() as i64));
-        st.deadlines.clear();
-        for (_, wait) in st.waits.drain() {
-            wait.finish(Err(RpcError::Disconnected));
-        }
-        st.token = Token::Detached;
-        let closer = st.closer.take();
-        self.sweeper_cv.notify_one();
-        drop(st);
-        if let Some(closer) = closer {
-            closer.close();
-        }
-    }
-
-    /// The sweeper thread: expire due entries, then sleep until the
-    /// earliest armed deadline (or until notified if none is armed).
-    fn sweep(&self) {
-        let mut st = self.state.lock();
-        while !self.closed.load(Ordering::Acquire) {
-            let now = Instant::now();
-            while let Some(&(_, id)) = st.deadlines.first().filter(|(at, _)| *at <= now) {
-                st.deadlines.pop_first();
-                self.armed_gauge.adjust(-1);
-                if let Some(wait) = st.waits.remove(&id) {
-                    wait.finish(Err(RpcError::DeadlineExceeded));
-                }
-            }
-            st.sweeper_wakes_at = st.deadlines.first().map(|&(at, _)| at);
-            if let Some(at) = st.sweeper_wakes_at {
-                self.sweeper_cv.wait_until(&mut st, at);
-            } else {
-                self.sweeper_cv.wait(&mut st);
-            }
-        }
+impl Drop for PendingReplies {
+    fn drop(&mut self) {
+        self.fail_all();
     }
 }
 
@@ -440,17 +386,8 @@ mod tests {
         h
     }
 
-    /// True once only the test holds the table's state: the sweeper
-    /// thread has exited.
-    fn sweeper_exits(inner: &Arc<Inner>) -> bool {
-        let give_up = Instant::now() + Duration::from_secs(2);
-        while Arc::strong_count(inner) > 1 {
-            if Instant::now() > give_up {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        true
+    fn is_leading(t: &PendingReplies) -> bool {
+        matches!(t.state.lock().token, Token::Leading)
     }
 
     #[test]
@@ -506,7 +443,7 @@ mod tests {
     fn short_deadline_armed_after_a_long_one_fires_on_time() {
         let t = table();
         let long = silent_in_background(&t, Duration::from_secs(30));
-        // Let the sweeper settle into its 30 s sleep first.
+        // Let the long waiter settle into its 30 s wait first.
         std::thread::sleep(Duration::from_millis(20));
         let start = Instant::now();
         let err = silent(&t, Duration::from_millis(20)).unwrap_err();
@@ -523,46 +460,52 @@ mod tests {
     }
 
     #[test]
-    fn sweeper_stays_parked_when_drained_and_serves_later_deadlines() {
+    fn a_drained_table_expires_later_deadlines_too() {
         let t = table();
-        for _ in 0..2 {
+        for _ in 0..3 {
+            let start = Instant::now();
             let err = silent(&t, Duration::from_millis(5)).unwrap_err();
             assert!(matches!(err, RpcError::DeadlineExceeded));
-            // Drained: the sweeper parks instead of exiting, so it still
-            // holds its reference to the table.
-            std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(Arc::strong_count(&t.0), 2, "table + sweeper");
+            assert!(start.elapsed() >= Duration::from_millis(5));
+            assert_eq!((t.outstanding(), t.armed()), (0, 0));
+            assert_eq!(Arc::strong_count(&t), 1, "no thread holds the table");
         }
     }
 
     #[test]
-    fn failing_the_table_ends_the_sweeper_without_firing() {
-        let t = table();
-        let waiter = silent_in_background(&t, Duration::from_secs(60));
+    fn failing_the_table_wakes_its_waiters_without_firing() {
+        let (t, _server) = linked();
+        let leader = silent_in_background(&t, Duration::from_secs(60));
+        while !is_leading(&t) {
+            std::thread::yield_now();
+        }
+        let follower = silent_in_background(&t, Duration::from_secs(60));
+        let start = Instant::now();
         t.fail_all();
-        assert!(matches!(
-            waiter.join().unwrap(),
-            Err(RpcError::Disconnected)
-        ));
+        for waiter in [leader, follower] {
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Err(RpcError::Disconnected)
+            ));
+        }
+        assert!(start.elapsed() < Duration::from_secs(1));
         assert_eq!((t.outstanding(), t.armed()), (0, 0));
-        let inner = Arc::clone(&t.0);
-        drop(t);
-        assert!(sweeper_exits(&inner), "sweeper outlived the failed table");
+        assert_eq!(Arc::strong_count(&t), 1, "no thread holds the table");
     }
 
     #[test]
-    fn dropping_the_table_ends_the_sweeper_without_firing() {
-        let t = table();
-        // Leave the sweeper asleep toward the 60 s deadline of a request
-        // that was answered.
+    fn dropping_the_table_fails_it_and_closes_the_reply_channel() {
+        let (t, mut server) = linked();
         let out = t.request(Some(Duration::from_secs(60)), |id| {
-            assert!(t.complete(ok_reply(id, 0)));
-            Ok(())
+            server.send(reply_frame(id, 0)).map_err(RpcError::Net)
         });
         assert!(out.is_ok());
-        let inner = Arc::clone(&t.0);
+        let t = Arc::into_inner(t).expect("no thread holds the table");
         drop(t);
-        assert!(sweeper_exits(&inner), "sweeper outlived the dropped table");
+        assert!(
+            server.send(reply_frame(1, 0)).is_err(),
+            "reply channel open"
+        );
     }
 
     #[test]
@@ -593,12 +536,8 @@ mod tests {
         (t, server)
     }
 
-    fn sweeper_started(t: &PendingReplies) -> bool {
-        t.0.state.lock().sweeper_started
-    }
-
     #[test]
-    fn a_lone_request_reads_its_own_reply_and_never_starts_the_sweeper() {
+    fn a_lone_request_reads_its_own_reply() {
         let (t, mut server) = linked();
         for i in 0..100u8 {
             let out = t.request(Some(Duration::from_secs(30)), |id| {
@@ -606,8 +545,7 @@ mod tests {
             });
             assert_eq!(out.unwrap().as_slice(), &[i]);
         }
-        assert!(!sweeper_started(&t));
-        assert_eq!(Arc::strong_count(&t.0), 1, "no sweeper holds the table");
+        assert_eq!(Arc::strong_count(&t), 1, "no thread holds the table");
         assert_eq!((t.outstanding(), t.armed()), (0, 0));
     }
 
@@ -620,48 +558,103 @@ mod tests {
         assert!(matches!(err, RpcError::DeadlineExceeded), "got {err:?}");
         assert!(elapsed >= Duration::from_millis(30), "early: {elapsed:?}");
         assert!(elapsed < Duration::from_millis(60), "late: {elapsed:?}");
-        assert!(!sweeper_started(&t));
+    }
+
+    /// Start `timeouts.len()` waiters, one per timeout, the first of them
+    /// alone until it leads; each sends its id and whether it expects a
+    /// reply (a timeout of 1 s or more) through the returned receiver.
+    fn waiters(
+        t: &Arc<PendingReplies>,
+        timeouts: &[Duration],
+    ) -> (
+        Vec<std::thread::JoinHandle<()>>,
+        std::sync::mpsc::Receiver<(u64, bool)>,
+    ) {
+        let (ids, sent) = std::sync::mpsc::channel();
+        let handles = timeouts
+            .iter()
+            .enumerate()
+            .map(|(i, &timeout)| {
+                let (bg, ids) = (Arc::clone(t), ids.clone());
+                let answered = timeout >= Duration::from_secs(1);
+                let h = std::thread::spawn(move || {
+                    let mut mine = 0;
+                    let out = bg.request(Some(timeout), |id| {
+                        mine = id;
+                        ids.send((id, answered)).unwrap();
+                        Ok(())
+                    });
+                    if answered {
+                        #[allow(clippy::cast_possible_truncation)]
+                        let expect = mine as u8;
+                        assert_eq!(out.unwrap().as_slice(), &[expect]);
+                    } else {
+                        assert!(matches!(out, Err(RpcError::DeadlineExceeded)));
+                    }
+                });
+                while i == 0 && !is_leading(t) {
+                    std::thread::yield_now();
+                }
+                h
+            })
+            .collect();
+        (handles, sent)
     }
 
     #[test]
     fn followers_get_their_replies_from_whoever_reads() {
         const WAITERS: usize = 8;
         let (t, mut server) = linked();
-        let (ids, sent) = std::sync::mpsc::channel::<u64>();
-        let waiters: Vec<_> = (0..WAITERS)
-            .map(|_| {
-                let (t, ids) = (Arc::clone(&t), ids.clone());
-                std::thread::spawn(move || {
-                    let mut mine = 0;
-                    let out = t.request(Some(Duration::from_secs(30)), |id| {
-                        mine = id;
-                        ids.send(id).unwrap();
-                        Ok(())
-                    });
-                    #[allow(clippy::cast_possible_truncation)]
-                    let expect = mine as u8;
-                    assert_eq!(out.unwrap().as_slice(), &[expect]);
-                })
-            })
-            .collect();
+        let (handles, sent) = waiters(&t, &[Duration::from_secs(30); WAITERS]);
         // Answer only once every request is out, last first.
-        let mut all: Vec<u64> = (0..WAITERS).map(|_| sent.recv().unwrap()).collect();
+        let mut all: Vec<(u64, bool)> = (0..WAITERS).map(|_| sent.recv().unwrap()).collect();
         all.reverse();
-        for id in all {
+        for (id, _) in all {
             #[allow(clippy::cast_possible_truncation)]
             server.send(reply_frame(id, id as u8)).unwrap();
         }
-        for w in waiters {
-            w.join().unwrap();
+        for h in handles {
+            h.join().unwrap();
         }
         assert_eq!((t.outstanding(), t.armed()), (0, 0));
     }
 
     #[test]
-    fn the_sweeper_expires_a_follower_and_teardown_wakes_the_reading_leader() {
+    fn followers_get_their_replies_after_the_leader_and_others_expire() {
+        const WAITERS: usize = 8;
+        let (t, mut server) = linked();
+        // The first waiter leads and expires, as does every other one:
+        // each must pass the reader on as it leaves.
+        let timeouts: Vec<Duration> = (0..WAITERS)
+            .map(|i| Duration::from_millis(if i % 2 == 0 { 100 } else { 30_000 }))
+            .collect();
+        let (handles, sent) = waiters(&t, &timeouts);
+        let all: Vec<(u64, bool)> = (0..WAITERS).map(|_| sent.recv().unwrap()).collect();
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while t.outstanding() > WAITERS / 2 {
+            assert!(Instant::now() < give_up, "short deadlines did not fire");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let start = Instant::now();
+        for &(id, answered) in all.iter().rev() {
+            if answered {
+                #[allow(clippy::cast_possible_truncation)]
+                server.send(reply_frame(id, id as u8)).unwrap();
+            }
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "reader lost: {elapsed:?}");
+        assert_eq!((t.outstanding(), t.armed()), (0, 0));
+    }
+
+    #[test]
+    fn a_follower_times_its_own_wait_and_teardown_wakes_the_reading_leader() {
         let (t, _server) = linked();
         let leader = silent_in_background(&t, Duration::from_secs(30));
-        while !matches!(t.0.state.lock().token, Token::Leading) {
+        while !is_leading(&t) {
             std::thread::yield_now();
         }
         let start = Instant::now();
@@ -670,10 +663,7 @@ mod tests {
         assert!(matches!(err, RpcError::DeadlineExceeded), "got {err:?}");
         assert!(elapsed >= Duration::from_millis(40), "early: {elapsed:?}");
         assert!(elapsed < Duration::from_millis(80), "late: {elapsed:?}");
-        assert!(
-            sweeper_started(&t),
-            "a follower's deadline needs the sweeper"
-        );
+        assert!(is_leading(&t), "the leader reads on");
         let start = Instant::now();
         t.fail_all();
         assert!(matches!(

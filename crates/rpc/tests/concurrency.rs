@@ -43,7 +43,7 @@ fn rig(reverse: bool) -> (Arc<Caller>, Scheduler, std::thread::JoinHandle<()>) {
     let sched = Scheduler::new("conc");
     let (w, r) = client.split();
     let caller = Caller::new(&sched, w, CallerConfig::default());
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
     let handle = serve(server, reverse);
     (caller, sched, handle)
 }
@@ -120,7 +120,7 @@ fn async_and_sync_interleave_without_loss() {
     let sched = Scheduler::new("mix");
     let (w, r) = client.split();
     let caller = Caller::new(&sched, w, CallerConfig::default());
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
 
     let received = Arc::new(Mutex::new(0u64));
     let rcv = Arc::clone(&received);

@@ -40,7 +40,7 @@ fn ten_thousand_sync_calls_leave_no_deadline_armed() {
     let sched = Scheduler::new("deadline-bound");
     let (w, r) = client.split();
     let caller = Caller::new(&sched, w, CallerConfig::default());
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
     let echo = serve_echo(server);
 
     for i in 0..10_000u32 {

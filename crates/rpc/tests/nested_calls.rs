@@ -67,7 +67,7 @@ fn calls_in_nested_scope_use_nested_frames_and_flush_first() {
     let sched = Scheduler::new("nested-frames");
     let (w, r) = client_ch.split();
     let caller = Caller::new(&sched, w, CallerConfig::default());
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
 
     // Queue two oneways, then make a sync call from nested context.
     caller
@@ -115,7 +115,7 @@ fn calls_outside_nested_scope_stay_plain() {
     let sched = Scheduler::new("plain-frames");
     let (w, r) = client_ch.split();
     let caller = Caller::new(&sched, w, CallerConfig::default());
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
     let srv = std::thread::spawn(move || {
         let f = server_ch.recv().unwrap();
         assert!(!Message::frame_is_nested(&f));

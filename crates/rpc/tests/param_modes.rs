@@ -109,7 +109,7 @@ fn hand_stubbed_call_works_end_to_end() {
     let sched = Scheduler::new("param-modes");
     let (w, r) = client_ch.split();
     let caller = Caller::new(&sched, w, CallerConfig::default());
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
 
     // The server: doubles config into every buffer byte and reports.
     let srv = std::thread::spawn(move || {

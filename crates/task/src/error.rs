@@ -69,6 +69,9 @@ pub enum TaskError {
     NotATask,
     /// A task attempted to join itself, which would deadlock.
     JoinSelf,
+    /// No worker thread could be started for the task; the OS error is
+    /// attached as text.
+    Spawn(String),
 }
 
 impl fmt::Display for TaskError {
@@ -78,6 +81,7 @@ impl fmt::Display for TaskError {
             TaskError::ShutDown => write!(f, "scheduler is shut down"),
             TaskError::NotATask => write!(f, "operation requires task context"),
             TaskError::JoinSelf => write!(f, "task attempted to join itself"),
+            TaskError::Spawn(e) => write!(f, "cannot start a task worker thread: {e}"),
         }
     }
 }

@@ -10,11 +10,11 @@
 
 use crate::error::{catch_panic, TaskError, TaskResult};
 use crate::task::{Completion, JoinHandle, TaskId, TaskState};
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, OnceLock};
 
 /// Unique id per scheduler instance, for the thread-local current-task
@@ -112,7 +112,7 @@ pub struct SchedInner {
     state: Mutex<SchedState>,
     idle_cv: Condvar,
     /// Idle worker threads, each reachable through its job channel.
-    pool: Mutex<Vec<Sender<WorkPacket>>>,
+    pool: Mutex<Vec<SyncSender<WorkPacket>>>,
     next_task: AtomicU64,
     // Statistics for the task-reuse ablation.
     tasks_spawned: AtomicU64,
@@ -196,59 +196,59 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler has been shut down; use
-    /// [`try_spawn`](Scheduler::try_spawn) to handle that case.
+    /// Panics if the scheduler has been shut down or no worker thread
+    /// can start; use [`try_spawn`](Scheduler::try_spawn) to handle that.
     pub fn spawn(&self, name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle {
-        self.try_spawn(name, f)
-            .expect("spawn on a shut-down scheduler")
+        self.try_spawn(name, f).expect("spawn a task")
     }
 
-    /// Spawn a task, reporting shutdown instead of panicking.
+    /// Spawn a task, reporting failure instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns [`TaskError::ShutDown`] after [`Scheduler::shutdown`].
+    /// Returns [`TaskError::ShutDown`] after [`Scheduler::shutdown`], and
+    /// [`TaskError::Spawn`] if no worker thread could be started for the
+    /// task; either way the task never exists.
     pub fn try_spawn(
         &self,
         name: &str,
         f: impl FnOnce() + Send + 'static,
     ) -> TaskResult<JoinHandle> {
         let inner = &self.inner;
+        if inner.state.lock().shutdown {
+            return Err(TaskError::ShutDown);
+        }
         let id = TaskId(inner.next_task.fetch_add(1, Ordering::Relaxed));
         let baton = Baton::new();
         let completion = Completion::new();
-
-        {
-            let mut st = inner.state.lock();
-            if st.shutdown {
-                return Err(TaskError::ShutDown);
-            }
-            st.tasks.insert(
-                id.0,
-                TaskEntry {
-                    name: name.to_string(),
-                    state: TaskState::Ready,
-                    baton: Arc::clone(&baton),
-                    completion: Arc::clone(&completion),
-                    join_waiters: Vec::new(),
-                },
-            );
-            st.ready.push_back(id);
-            obs_ready_depth().adjust(1);
-        }
+        // The worker parks on the baton until the task is granted the
+        // processor, so the task becomes ready only once its worker exists.
+        Self::dispatch_to_worker(
+            inner,
+            WorkPacket {
+                sched: Arc::clone(inner),
+                id,
+                baton: Arc::clone(&baton),
+                job: Box::new(f),
+            },
+        )?;
         inner.tasks_spawned.fetch_add(1, Ordering::Relaxed);
         obs_spawned().inc();
 
-        let packet = WorkPacket {
-            sched: Arc::clone(inner),
-            id,
-            baton,
-            job: Box::new(f),
-        };
-        Self::dispatch_to_worker(inner, packet);
-
-        // If the scheduler was idle, hand the baton over immediately.
         let mut st = inner.state.lock();
+        st.tasks.insert(
+            id.0,
+            TaskEntry {
+                name: name.to_string(),
+                state: TaskState::Ready,
+                baton,
+                completion: Arc::clone(&completion),
+                join_waiters: Vec::new(),
+            },
+        );
+        st.ready.push_back(id);
+        obs_ready_depth().adjust(1);
+        // If the scheduler was idle, hand the baton over immediately.
         Self::try_dispatch_locked(inner, &mut st);
         drop(st);
 
@@ -364,28 +364,29 @@ impl Scheduler {
     // Worker pool.
     // ------------------------------------------------------------------
 
-    fn dispatch_to_worker(inner: &Arc<SchedInner>, packet: WorkPacket) {
+    fn dispatch_to_worker(inner: &Arc<SchedInner>, packet: WorkPacket) -> TaskResult<()> {
         let reused = inner.pool.lock().pop();
         match reused {
             Some(tx) => {
                 inner.workers_reused.fetch_add(1, Ordering::Relaxed);
-                if let Err(send_err) = tx.send(packet) {
+                match tx.send(packet) {
+                    Ok(()) => Ok(()),
                     // The worker died between pooling and reuse; fall back
                     // to a fresh thread.
-                    Self::spawn_worker(inner, send_err.0);
+                    Err(send_err) => Self::spawn_worker(inner, send_err.0),
                 }
             }
             None => Self::spawn_worker(inner, packet),
         }
     }
 
-    fn spawn_worker(inner: &Arc<SchedInner>, first: WorkPacket) {
-        inner.threads_created.fetch_add(1, Ordering::Relaxed);
-        let thread_name = format!("clam-task-{}", inner.name);
+    fn spawn_worker(inner: &Arc<SchedInner>, first: WorkPacket) -> TaskResult<()> {
         std::thread::Builder::new()
-            .name(thread_name)
+            .name(format!("clam-task-{}", inner.name))
             .spawn(move || Self::worker_main(first))
-            .expect("failed to spawn task worker thread");
+            .map_err(|e| TaskError::Spawn(e.to_string()))?;
+        inner.threads_created.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// A pooled worker holds no reference to its scheduler while idle:
@@ -400,8 +401,7 @@ impl Scheduler {
             if inner.state.lock().shutdown {
                 return;
             }
-            let (tx, rx): (Sender<WorkPacket>, Receiver<WorkPacket>) =
-                crossbeam_channel::bounded(1);
+            let (tx, rx) = mpsc::sync_channel(1);
             inner.pool.lock().push(tx);
             drop(inner);
             match rx.recv() {

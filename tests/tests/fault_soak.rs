@@ -40,7 +40,7 @@ fn timed_caller(channel: clam_net::Channel, timeout: Duration) -> Arc<Caller> {
             ..CallerConfig::default()
         },
     );
-    caller.spawn_reply_pump(reader);
+    caller.attach_reader(reader);
     caller
 }
 

@@ -146,7 +146,7 @@ fn black_hole_call_deadline(endpoint: Endpoint) {
             ..CallerConfig::default()
         },
     );
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
 
     let start = Instant::now();
     let outcome = caller.call(Target::Builtin(1), 0, Opaque::from(vec![1]));
@@ -234,7 +234,7 @@ where
             ..CallerConfig::default()
         },
     );
-    caller.spawn_reply_pump(r);
+    caller.attach_reader(r);
 
     let start = Instant::now();
     let outcome = caller.call(Target::Builtin(1), 0, Opaque::from(vec![1]));

@@ -1,6 +1,7 @@
 //! Dropping a client and shutting down its server ends every thread the
 //! two started, and no connection runs a pump thread for its replies or
-//! upcalls: waiters read those themselves.
+//! upcalls, nor a thread that times their deadlines: waiters read those
+//! replies and time their waits themselves.
 //!
 //! The test counts the threads of this whole process, so it must stay
 //! alone in this file.
@@ -9,10 +10,11 @@ use clam_core::{ClamClient, ClamServer, SessionCtl, UpcallTarget};
 use clam_integration::unique_unix;
 use clam_rpc::{CallContext, ProcId, RpcResult, RpcServer, Service, Target};
 use clam_xdr::Opaque;
-use std::sync::{Arc, Weak};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 const UPCALL_SERVICE_ID: u32 = 81;
+const GATE_SERVICE_ID: u32 = 82;
 const CYCLES: usize = 20;
 
 /// Upcalls `proc(x)` from the serving task and returns its result.
@@ -26,6 +28,52 @@ impl Service for Bounce {
         let server = self.server.upgrade().expect("server alive");
         let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
         Ok(Opaque::from(clam_xdr::encode(&target.invoke(x)?)?))
+    }
+}
+
+/// Answers once the test opens the gate, so that two calls overlap.
+struct Gate(Mutex<mpsc::Receiver<()>>);
+
+impl Service for Gate {
+    fn dispatch(&self, _rpc: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+        self.0
+            .lock()
+            .expect("gate lock")
+            .recv()
+            .expect("gate opens");
+        Ok(Opaque::from(Vec::new()))
+    }
+}
+
+/// Two sync calls from two threads, both outstanding at once, so one of
+/// them waits as a follower (under the default call deadline) while the
+/// other reads.
+fn overlapping_calls(client: &Arc<ClamClient>, open: &mpsc::Sender<()>) {
+    let calls: Vec<_> = (0..2)
+        .map(|_| {
+            let client = Arc::clone(client);
+            std::thread::spawn(move || {
+                client
+                    .caller()
+                    .call(
+                        Target::Builtin(GATE_SERVICE_ID),
+                        0,
+                        Opaque::from(Vec::new()),
+                    )
+                    .expect("gated call");
+            })
+        })
+        .collect();
+    while client.caller().outstanding() < 2 {
+        std::thread::yield_now();
+    }
+    // Let the follower settle into its wait before the replies come.
+    std::thread::sleep(Duration::from_millis(20));
+    for _ in &calls {
+        open.send(()).expect("gate");
+    }
+    for call in calls {
+        call.join().expect("gated call");
     }
 }
 
@@ -46,8 +94,9 @@ fn clam_threads() -> Vec<String> {
     names
 }
 
-/// One set-up: a unix server, a client, a sync call and a sync upcall;
-/// then drop the client and shut the server down.
+/// One set-up: a unix server, a client, a sync call and a sync upcall
+/// (and, the first time, two overlapping sync calls); then drop the
+/// client and shut the server down.
 fn cycle(first: bool) {
     let server = ClamServer::builder()
         .listen(unique_unix("leak"))
@@ -59,6 +108,10 @@ fn cycle(first: bool) {
             server: Arc::downgrade(&server),
         }),
     );
+    let (open, gate) = mpsc::channel();
+    server
+        .rpc()
+        .register_service(GATE_SERVICE_ID, Arc::new(Gate(Mutex::new(gate))));
     let client = ClamClient::connect(&server.endpoints()[0]).expect("client connects");
     client.session().ping().expect("sync call");
     let proc = client.register_upcall(|x: u32| Ok(x + 1));
@@ -69,8 +122,14 @@ fn cycle(first: bool) {
         .expect("sync upcall");
     assert_eq!(clam_xdr::decode::<u32>(out.as_slice()).unwrap(), 42);
     if first {
+        overlapping_calls(&client, &open);
         let live = clam_threads();
-        for pump in ["clam-reply-pump", "clam-upcall-pum", "clam-upcall-rep"] {
+        for pump in [
+            "clam-reply-pump",
+            "clam-upcall-pum",
+            "clam-upcall-rep",
+            "clam-deadline-s",
+        ] {
             assert!(
                 !live.iter().any(|name| name.starts_with(pump)),
                 "a {pump}* thread runs: {live:?}"
