@@ -1,11 +1,12 @@
 //! Bench-regression smoke guard.
 //!
-//! Re-runs the `batching/batched/512` workload (the gate metric of the
-//! zero-copy wire-path PR, recorded in `BENCH_batching.json`) a handful
-//! of times and fails if the measured median exceeds the checked-in
-//! baseline by more than a guard factor, or if the measured p99 exceeds
-//! the baseline p99 by more than its own (looser) factor — tails catch a
-//! different class of regression (a stall, a lock convoy) than medians.
+//! Re-runs the `batching/batched/512` workload (one
+//! [`BenchRig::batched_round`], the batched series of Ablation A,
+//! recorded in `BENCH_batching.json`) a handful of times and fails if
+//! the measured median exceeds the checked-in baseline by more than a
+//! guard factor, or if the measured p99 exceeds the baseline p99 by more
+//! than its own (looser) factor — tails catch a different class of
+//! regression (a stall, a lock convoy) than medians.
 //! This is not a benchmark — it is a tripwire for order-of-magnitude
 //! regressions (an accidental per-frame allocation, a lost batch path)
 //! cheap enough for every CI run. Build with `--release`; a debug build
@@ -20,10 +21,8 @@
 //!      `GUARD_P99_FACTOR` — allowed p99 slowdown over baseline (default 3.0).
 //!      `GUARD_OUT` — where to write the measured-values report.
 
-use clam_bench::{BenchRig, Echo, ECHO_SERVICE_ID};
+use clam_bench::BenchRig;
 use clam_net::Endpoint;
-use clam_rpc::Target;
-use clam_xdr::Opaque;
 use std::time::Instant;
 
 const BATCH: u32 = 512;
@@ -56,20 +55,6 @@ fn baseline_after_field(json: &str, field: &str) -> Option<f64> {
     None
 }
 
-/// One batched/512 round: N async calls, one flush, one sync barrier —
-/// the exact loop of `benches/batching.rs`.
-fn run_batch(rig: &BenchRig) {
-    let caller = rig.client.caller();
-    let target = Target::Builtin(ECHO_SERVICE_ID);
-    for i in 0..BATCH {
-        caller
-            .call_async(target, 1, Opaque::from(clam_xdr::encode(&(i,)).unwrap()))
-            .expect("async call");
-    }
-    caller.flush().expect("flush");
-    rig.echo.echo(0).expect("barrier");
-}
-
 /// Measured (median_ns, p99_ns) over [`ITERS`] rounds. A round is only a
 /// few hundred microseconds, so 101 of them stay cheap; with 101 samples
 /// the p99 index lands on the second-worst round, which tolerates a
@@ -79,11 +64,11 @@ fn measure() -> (f64, f64) {
     let rig = BenchRig::new(Endpoint::unix(
         std::env::temp_dir().join(format!("clam-bench-guard-{}.sock", std::process::id())),
     ));
-    run_batch(&rig); // warm up: first batch pays connection setup
+    rig.batched_round(BATCH); // warm up: first batch pays connection setup
     let mut samples: Vec<u128> = (0..ITERS)
         .map(|_| {
             let start = Instant::now();
-            run_batch(&rig);
+            rig.batched_round(BATCH);
             start.elapsed().as_nanos()
         })
         .collect();

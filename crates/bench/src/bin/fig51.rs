@@ -6,15 +6,10 @@
 //! Run with: `cargo run --release -p clam-bench --bin fig51`
 
 use clam_bench::{
-    loaded_proc_pair, local_upcall_target, row_endpoints, static_procedure, time_per_call,
+    loaded_proc_pair, local_upcall_target, row_endpoints, static_procedure, time_per_call, us,
     BenchRig, PAPER_US,
 };
 use std::hint::black_box;
-use std::time::Duration;
-
-fn us(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
-}
 
 fn main() {
     // Generous local iteration counts; remote counts sized so the WAN

@@ -1,5 +1,6 @@
-//! Shared measurement rig for the Figure 5.1 reproduction and the
-//! ablation benches.
+//! Shared measurement rig for the Figure 5.1 reproduction (`fig51`), the
+//! design-choice ablations (`ablations`) and the regression guard
+//! (`bench_guard`).
 //!
 //! Figure 5.1 of the paper measures nine call configurations on Microvax
 //! workstations under 4.3BSD. This crate regenerates every row:
@@ -25,6 +26,7 @@ use clam_core::{ClamClient, ClamServer, ServerConfig, UpcallTarget};
 use clam_load::{ClassSpec, SimpleModule, Version};
 use clam_net::Endpoint;
 use clam_rpc::{current_conn, ProcId, RpcError, RpcResult, StatusCode, Target};
+use clam_xdr::Opaque;
 use std::hint::black_box;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -128,6 +130,10 @@ clam_rpc::remote_interface! {
         /// Perform `n` synchronous upcalls to `proc`; returns elapsed
         /// nanoseconds measured server-side.
         fn run_upcalls(proc: ProcId, n: u32) -> u64 = 2;
+        /// Perform `per_task` synchronous upcalls to `proc` from each of
+        /// `tasks` concurrent server tasks; returns elapsed nanoseconds
+        /// measured server-side.
+        fn fan_out(proc: ProcId, tasks: u32, per_task: u32) -> u64 = 3;
     }
 }
 
@@ -138,24 +144,55 @@ struct EchoImpl {
     server: Weak<ClamServer>,
 }
 
-impl Echo for EchoImpl {
-    fn echo(&self, x: u32) -> RpcResult<u32> {
-        Ok(x.wrapping_add(1))
-    }
-
-    fn run_upcalls(&self, proc: ProcId, n: u32) -> RpcResult<u64> {
+impl EchoImpl {
+    /// The server and the calling client's procedure `proc`.
+    fn target(&self, proc: ProcId) -> RpcResult<(Arc<ClamServer>, UpcallTarget<u32, u32>)> {
         let server = self
             .server
             .upgrade()
             .ok_or_else(|| RpcError::status(StatusCode::AppError, "server gone"))?;
         let conn = current_conn()
             .ok_or_else(|| RpcError::status(StatusCode::AppError, "no connection"))?;
-        let target: UpcallTarget<u32, u32> = server.upcall_target(conn, proc)?;
+        let target = server.upcall_target(conn, proc)?;
+        Ok((server, target))
+    }
+}
+
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl Echo for EchoImpl {
+    fn echo(&self, x: u32) -> RpcResult<u32> {
+        Ok(x.wrapping_add(1))
+    }
+
+    fn run_upcalls(&self, proc: ProcId, n: u32) -> RpcResult<u64> {
+        let (_, target) = self.target(proc)?;
         let start = Instant::now();
         for i in 0..n {
             let _ = target.invoke(i)?;
         }
-        Ok(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
+        Ok(nanos_since(start))
+    }
+
+    fn fan_out(&self, proc: ProcId, tasks: u32, per_task: u32) -> RpcResult<u64> {
+        let (server, target) = self.target(proc)?;
+        let start = Instant::now();
+        let handles: Vec<_> = (0..tasks)
+            .map(|_| {
+                let target = target.clone();
+                server.spawn_task("fan-out", move || {
+                    for i in 0..per_task {
+                        let _ = target.invoke(i);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            let _ = h.join();
+        }
+        Ok(nanos_since(start))
     }
 }
 
@@ -179,8 +216,18 @@ impl BenchRig {
     /// Panics on setup failure (bench context).
     #[must_use]
     pub fn new(endpoint: Endpoint) -> BenchRig {
+        BenchRig::with_config(endpoint, ServerConfig::default())
+    }
+
+    /// Stand up a rig over `endpoint` with a server configured by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on setup failure (bench context).
+    #[must_use]
+    pub fn with_config(endpoint: Endpoint, config: ServerConfig) -> BenchRig {
         let server = ClamServer::builder()
-            .config(ServerConfig::default())
+            .config(config)
             .listen(endpoint)
             .build()
             .expect("server starts");
@@ -231,6 +278,23 @@ impl BenchRig {
             .expect("run_upcalls");
         Duration::from_nanos(nanos) / iters.max(1)
     }
+
+    /// One batched round (section 3.4): `n` async echo calls, one flush,
+    /// one sync barrier call.
+    ///
+    /// # Panics
+    ///
+    /// Panics on transport failure (bench context).
+    pub fn batched_round(&self, n: u32) {
+        let caller = self.client.caller();
+        let target = Target::Builtin(ECHO_SERVICE_ID);
+        for i in 0..n {
+            let args = Opaque::from(clam_xdr::encode(&(i,)).expect("encode"));
+            caller.call_async(target, 1, args).expect("async call");
+        }
+        caller.flush().expect("flush");
+        self.echo.echo(0).expect("barrier");
+    }
 }
 
 /// Time `iters` runs of `f`, returning the mean per-call duration.
@@ -240,6 +304,31 @@ pub fn time_per_call(iters: u32, mut f: impl FnMut()) -> Duration {
         f();
     }
     start.elapsed() / iters.max(1)
+}
+
+/// `d` in microseconds.
+#[must_use]
+pub fn us(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// The median of `samples` timings of each of `runs`, one run returning
+/// one timing. Each round times every run once, in turn, so a noisy
+/// spell on the host hits all the runs being compared alike.
+pub fn medians<const N: usize>(
+    samples: usize,
+    mut runs: [&mut dyn FnMut() -> Duration; N],
+) -> [Duration; N] {
+    let mut times = [(); N].map(|()| Vec::with_capacity(samples));
+    for _ in 0..samples.max(1) {
+        for (run, times) in runs.iter_mut().zip(&mut times) {
+            times.push(run());
+        }
+    }
+    times.map(|mut times| {
+        times.sort_unstable();
+        times[times.len() / 2]
+    })
 }
 
 /// Endpoints for rows 4–9. The WAN endpoint uses the default one-way
@@ -286,6 +375,25 @@ mod tests {
         let upcall = rig.measure_remote_upcall(10);
         assert!(call > Duration::ZERO);
         assert!(upcall > Duration::ZERO);
+        rig.batched_round(8);
+        assert!(rig.echo.fan_out(rig.bounce_proc, 2, 4).unwrap() > 0);
+    }
+
+    #[test]
+    fn medians_take_the_middle_sample_of_each_run() {
+        let mut a = [5u64, 1, 4, 2, 3].into_iter();
+        let mut b = [30u64, 10, 20].into_iter();
+        let [ma, mb] = medians(
+            3,
+            [
+                &mut || Duration::from_micros(a.next().unwrap()),
+                &mut || Duration::from_micros(b.next().unwrap()),
+            ],
+        );
+        assert_eq!(
+            (ma, mb),
+            (Duration::from_micros(4), Duration::from_micros(20))
+        );
     }
 
     #[test]

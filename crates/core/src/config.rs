@@ -10,11 +10,11 @@ pub struct ServerConfig {
     ///
     /// The paper's first implementation allows exactly one ("this
     /// limitation … may be relaxed in future designs", section 4.4);
-    /// values above 1 implement the relaxation, measured by the
-    /// `upcall_limit` ablation bench.
+    /// values above 1 implement the relaxation, measured by Ablation C
+    /// of the `ablations` bin.
     pub max_concurrent_upcalls: usize,
-    /// Batching configuration for server-originated callers (unused by
-    /// the upcall path itself; reserved for server-to-server calls).
+    /// Batching configuration for server-originated callers: a cluster
+    /// node's server-to-server links use it (the upcall path does not).
     pub caller: CallerConfig,
     /// Deadline for synchronous upcalls into clients: a client that
     /// accepts an upcall but never replies fails the server task's wait

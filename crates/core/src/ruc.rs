@@ -13,10 +13,11 @@
 
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::Counter;
-use clam_rpc::{Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, UpcallMsg};
+use clam_rpc::{
+    Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, TaskWriter, UpcallMsg,
+};
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
-use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -35,8 +36,7 @@ fn obs_remote_upcalls() -> &'static Arc<Counter> {
 /// blocks until the slot frees (with `max_concurrent_upcalls > 1`, until
 /// *a* slot frees).
 pub struct UpcallRouter {
-    sched: Scheduler,
-    writer: Mutex<Box<dyn MsgWriter>>,
+    writer: TaskWriter,
     /// Outstanding synchronous upcalls and their deadlines.
     replies: PendingReplies,
     permits: Event,
@@ -78,8 +78,7 @@ impl UpcallRouter {
         let pool = BufferPool::default();
         writer.attach_pool(&pool);
         Arc::new(UpcallRouter {
-            sched: sched.clone(),
-            writer: Mutex::new(writer),
+            writer: TaskWriter::new(sched, writer),
             replies: PendingReplies::new(sched),
             permits,
             max_active,
@@ -135,20 +134,10 @@ impl UpcallRouter {
     }
 
     /// Send an upcall. The client's upcall queue is the transport's
-    /// buffer; while it has room the send runs in place, holding the
-    /// baton like any other step of the task. Only a send that must wait
-    /// — for room in the buffer, or for another sender that is waiting
-    /// for it — goes outside the baton, so it does not stop the server's
-    /// other tasks.
+    /// buffer; a send that must wait for room waits outside the baton
+    /// ([`TaskWriter::send`]).
     fn send(&self, msg: &Message) -> RpcResult<()> {
-        let frame = msg.to_frame_in(&self.pool)?;
-        if let Some(mut writer) = self.writer.try_lock() {
-            if !writer.start_send(frame)? {
-                self.sched.outside(|| writer.finish_send())?;
-            }
-        } else {
-            self.sched.outside(|| self.writer.lock().send(frame))?;
-        }
+        self.writer.send(msg.to_frame_in(&self.pool)?)?;
         Ok(())
     }
 
@@ -254,6 +243,7 @@ mod tests {
     use super::*;
     use clam_net::pair;
     use clam_rpc::{Reply, StatusCode};
+    use parking_lot::Mutex;
 
     /// A fake client: answers every sync upcall by echoing args with a
     /// marker byte appended.

@@ -6,7 +6,9 @@
 
 use crate::ruc::UpcallRouter;
 use clam_net::{Closer, Frame, MsgWriter};
-use clam_rpc::{current_conn, ConnId, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
+use clam_rpc::{
+    current_conn, ConnId, ProcId, RpcError, RpcResult, RpcServer, StatusCode, TaskWriter,
+};
 use clam_task::{Mailbox, Scheduler};
 use clam_xdr::BufferPool;
 use parking_lot::{Mutex, RwLock};
@@ -34,7 +36,7 @@ clam_xdr::bundle_struct! {
 pub struct Session {
     conn: ConnId,
     router: Arc<UpcallRouter>,
-    rpc_writer: Mutex<Box<dyn MsgWriter>>,
+    rpc_writer: TaskWriter,
     /// Closes the RPC channel, waking the server's reader on it.
     rpc_closer: Closer,
     /// Inbound RPC frames for the main task, in arrival order; closed
@@ -68,7 +70,7 @@ impl Session {
         Arc::new(Session {
             conn,
             router,
-            rpc_writer: Mutex::new(rpc_writer),
+            rpc_writer: TaskWriter::new(sched, rpc_writer),
             rpc_closer,
             inbox: Mailbox::new(sched),
             error_proc: Mutex::new(None),

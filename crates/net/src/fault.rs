@@ -22,7 +22,6 @@
 use crate::channel::{Channel, MsgWriter};
 use crate::error::{NetError, NetResult};
 use crate::frame::{encode_frame, Frame};
-use crate::wan::WanConfig;
 use clam_xdr::BufferPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -83,13 +82,6 @@ impl FaultPlan {
             seed,
             ..FaultPlan::default()
         }
-    }
-
-    /// Derive a plan from a [`WanConfig`]: the fault RNG shares the WAN
-    /// seed, so one number reproduces both jitter and faults.
-    #[must_use]
-    pub fn seeded_from(config: &WanConfig) -> FaultPlan {
-        FaultPlan::seeded(config.seed)
     }
 
     /// Drop every frame (the classic black hole).
@@ -547,16 +539,6 @@ impl FaultyChannel {
     pub fn wrap(channel: Channel, plan: FaultPlan) -> (Channel, FaultHandle) {
         let label = format!("faulty-{}", channel.label());
         let (writer, reader) = channel.split();
-        let (writer, handle) = Self::wrap_writer(writer, plan);
-        (Channel::from_halves(label, writer, reader), handle)
-    }
-
-    /// Wrap just a writer half (for callers that already split).
-    #[must_use]
-    pub fn wrap_writer(
-        writer: Box<dyn MsgWriter>,
-        plan: FaultPlan,
-    ) -> (Box<dyn MsgWriter>, FaultHandle) {
         let state = Arc::new(FaultState::default());
         let handle = FaultHandle {
             state: Arc::clone(&state),
@@ -569,7 +551,7 @@ impl FaultyChannel {
             obs: FaultObs::new(),
             pool: None,
         });
-        (writer, handle)
+        (Channel::from_halves(label, writer, reader), handle)
     }
 }
 
@@ -688,13 +670,6 @@ mod tests {
         assert!(a.send(b"dead").unwrap_err().is_closed());
         assert_eq!(b.recv().unwrap(), b"ok");
         assert!(b.recv().unwrap_err().is_closed());
-    }
-
-    #[test]
-    fn plan_derives_seed_from_wan_config() {
-        let wan = WanConfig::default().with_seed(77);
-        let plan = FaultPlan::seeded_from(&wan);
-        assert_eq!(plan.seed, 77);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The paper's Figure 5.1 measures "process on different machines
 //! (TCP/IP connection)" between two Microvaxes on a LAN. We have one
 //! machine, so per the reproduction's substitution rule we wrap loopback
-//! TCP in a delivery-latency model. Each received frame is held until
-//! `arrival + one_way_latency (+ jitter)` before it is handed to the
-//! caller; with both peers wrapped, a round trip pays two one-way
-//! latencies, exactly like a real network path.
+//! TCP in a delivery-latency model. Each received frame is held for
+//! `one_way_latency` after it arrives before it is handed to the caller;
+//! with both peers wrapped, a round trip pays two one-way latencies,
+//! exactly like a real network path.
 //!
 //! The default latency is tuned to the paper's *proportions*: its
 //! cross-machine round trip exceeded same-machine TCP by roughly 0.9 ms
@@ -18,8 +18,6 @@ use crate::error::NetResult;
 use crate::frame::Frame;
 use crate::{tcp, Listener};
 use clam_xdr::BufferPool;
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,54 +26,20 @@ use std::time::{Duration, Instant};
 pub struct WanConfig {
     /// Delay added to each delivered frame.
     pub one_way_latency: Duration,
-    /// Upper bound of uniform random extra delay per frame (0 disables).
-    pub max_jitter: Duration,
-    /// Seed for the jitter generator. `0` (the default) draws fresh
-    /// entropy per channel; any other value makes the jitter stream — and
-    /// anything else derived from this config, such as a fault plan —
-    /// fully deterministic.
-    pub seed: u64,
 }
 
 impl Default for WanConfig {
     /// ~450 µs each way: the 1988-Ethernet gap implied by Figure 5.1.
     fn default() -> Self {
-        WanConfig {
-            one_way_latency: Duration::from_micros(450),
-            max_jitter: Duration::ZERO,
-            seed: 0,
-        }
+        WanConfig::with_latency(Duration::from_micros(450))
     }
 }
 
 impl WanConfig {
-    /// A latency model with the given one-way delay and no jitter.
+    /// A latency model with the given one-way delay.
     #[must_use]
     pub fn with_latency(one_way_latency: Duration) -> Self {
-        WanConfig {
-            one_way_latency,
-            max_jitter: Duration::ZERO,
-            seed: 0,
-        }
-    }
-
-    /// Pin the jitter generator to `seed` (deterministic delivery times).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The generator this config prescribes: seeded if [`WanConfig::seed`]
-    /// is nonzero, fresh entropy otherwise. Fault-injection plans layered
-    /// over a WAN channel derive their RNG from the same seed.
-    #[must_use]
-    pub fn rng(&self) -> SmallRng {
-        if self.seed != 0 {
-            SmallRng::seed_from_u64(self.seed)
-        } else {
-            SmallRng::seed_from_u64(rand::thread_rng().next_u64())
-        }
+        WanConfig { one_way_latency }
     }
 }
 
@@ -84,23 +48,12 @@ impl WanConfig {
 struct DelayedReader {
     inner: Box<dyn MsgReader>,
     config: WanConfig,
-    rng: SmallRng,
 }
 
 impl DelayedReader {
     /// Hold a frame that just arrived until its delivery time.
-    fn deliver(&mut self, frame: Frame) -> Frame {
-        let arrived = Instant::now();
-        let mut hold = self.config.one_way_latency;
-        if !self.config.max_jitter.is_zero() {
-            let extra = self.rng.gen_range(0..=self.config.max_jitter.as_micros());
-            hold += Duration::from_micros(extra as u64);
-        }
-        let deliver_at = arrived + hold;
-        let now = Instant::now();
-        if deliver_at > now {
-            std::thread::sleep(deliver_at - now);
-        }
+    fn deliver(&self, frame: Frame) -> Frame {
+        std::thread::sleep(self.config.one_way_latency);
         frame
     }
 }
@@ -135,7 +88,6 @@ fn wrap(channel: Channel, config: WanConfig) -> Channel {
         writer,
         Box::new(DelayedReader {
             inner: reader,
-            rng: config.rng(),
             config,
         }),
     )
@@ -220,17 +172,5 @@ mod tests {
     fn default_latency_matches_figure_5_1_gap() {
         let d = WanConfig::default();
         assert_eq!(d.one_way_latency, Duration::from_micros(450));
-        assert_eq!(d.seed, 0, "default is unseeded (fresh entropy)");
-    }
-
-    #[test]
-    fn seeded_configs_yield_identical_jitter_streams() {
-        let a = WanConfig::with_latency(Duration::ZERO).with_seed(7);
-        let b = WanConfig::with_latency(Duration::ZERO).with_seed(7);
-        let mut ra = a.rng();
-        let mut rb = b.rng();
-        let sa: Vec<u64> = (0..16).map(|_| ra.next_u64()).collect();
-        let sb: Vec<u64> = (0..16).map(|_| rb.next_u64()).collect();
-        assert_eq!(sa, sb, "same seed must reproduce the same stream");
     }
 }

@@ -4,8 +4,9 @@
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::{Handle, ObjectTable};
 use crate::message::{Call, Message, Reply, Target};
-use clam_net::{Frame, MsgWriter};
+use clam_net::{Frame, MsgWriter, NetResult};
 use clam_obs::EventKind;
+use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::any::Any;
@@ -57,6 +58,55 @@ struct SyncPoint;
 impl Service for SyncPoint {
     fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
         Ok(Opaque::new())
+    }
+}
+
+/// A channel's writer half, shared by the tasks of one scheduler: the
+/// server's reply path and its upcall path both send through one.
+///
+/// The peer's receive queue is the transport's buffer. While it has room
+/// a send runs in place, holding the baton like any other step of the
+/// task. Only a send that must wait — for room in the buffer, or for
+/// another sender that is waiting for it — goes outside the baton, so a
+/// peer that stops reading stalls its own senders, not the scheduler's
+/// other tasks.
+pub struct TaskWriter {
+    sched: Scheduler,
+    writer: Mutex<Box<dyn MsgWriter>>,
+}
+
+impl std::fmt::Debug for TaskWriter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TaskWriter")
+            .field("sched", &self.sched.name())
+            .finish_non_exhaustive()
+    }
+}
+
+impl TaskWriter {
+    /// Share `writer` among the tasks of `sched`.
+    #[must_use]
+    pub fn new(sched: &Scheduler, writer: Box<dyn MsgWriter>) -> TaskWriter {
+        TaskWriter {
+            sched: sched.clone(),
+            writer: Mutex::new(writer),
+        }
+    }
+
+    /// Send one frame, waiting outside the baton if the buffer is full.
+    ///
+    /// # Errors
+    ///
+    /// As [`MsgWriter::send`].
+    pub fn send(&self, frame: Frame) -> NetResult<()> {
+        if let Some(mut writer) = self.writer.try_lock() {
+            if !writer.start_send(frame)? {
+                self.sched.outside(|| writer.finish_send())?;
+            }
+            Ok(())
+        } else {
+            self.sched.outside(|| self.writer.lock().send(frame))
+        }
     }
 }
 
@@ -423,8 +473,10 @@ impl RpcServer {
 
     /// Serve one request frame, the body of every serving loop: dispatch
     /// its calls in order, recycle it into `pool`, and send the replies
-    /// through `writer`. A reply that cannot be sent ends this frame's
-    /// replies only; a dead peer shows up at the connection's reader.
+    /// through `writer` ([`TaskWriter::send`]: a peer that does not read
+    /// its replies stalls this task only). A reply that cannot be sent
+    /// ends this frame's replies only; a dead peer shows up at the
+    /// connection's reader.
     ///
     /// # Errors
     ///
@@ -435,7 +487,7 @@ impl RpcServer {
         conn: ConnId,
         frame: Frame,
         pool: &BufferPool,
-        writer: &Mutex<Box<dyn MsgWriter>>,
+        writer: &TaskWriter,
     ) -> RpcResult<()> {
         let replies = self.process_frame(conn, &frame);
         pool.recycle(frame.into_wire());
@@ -443,7 +495,7 @@ impl RpcServer {
             let Ok(out) = Message::Reply(reply).to_frame_in(pool) else {
                 break;
             };
-            if writer.lock().send(out).is_err() {
+            if writer.send(out).is_err() {
                 break;
             }
         }
@@ -461,7 +513,9 @@ impl RpcServer {
         let pool = BufferPool::default();
         channel.attach_pool(&pool);
         let (writer, mut reader) = channel.split();
-        let writer = Mutex::new(writer);
+        // This loop is a plain thread, not a task: its scheduler never
+        // holds a baton, and a send that must wait just waits.
+        let writer = TaskWriter::new(&Scheduler::new("serve-channel"), writer);
         while let Ok(frame) = reader.recv() {
             if self.serve_frame(conn, frame, &pool, &writer).is_err() {
                 return; // protocol violation: drop the link

@@ -86,7 +86,7 @@ impl InputDriver {
 
 /// Build the mouse script for a sweep gesture: press at `from`, drag via
 /// `steps` intermediate points, release at `to`. Shared by examples,
-/// tests, and the placement benches.
+/// tests, and the sweep-placement ablation.
 #[must_use]
 pub fn sweep_script(from: Point, to: Point, steps: u32) -> Vec<InputEvent> {
     use crate::events::MouseButton;

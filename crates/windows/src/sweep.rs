@@ -13,8 +13,8 @@
 //! locally (rubber-banding on the screen) and emits exactly one upward
 //! event at the end — the asynchrony-limiting pattern the paper
 //! advertises. Where the layer lives (server or client) decides how many
-//! events cross address spaces; the `sweep_placement` bench measures the
-//! difference.
+//! events cross address spaces; Ablation B of the `ablations` bin
+//! measures the difference.
 
 use crate::events::{InputEvent, MouseButton};
 use crate::geometry::{Point, Rect};

@@ -2,11 +2,11 @@
 //!
 //! Vendors the subset `clam-rs` uses: [`thread_rng`] with
 //! [`RngCore::next_u64`] (handle tags, nonces), [`Rng::gen_range`]
-//! (WAN jitter), and the seedable [`rngs::SmallRng`] (deterministic WAN
-//! jitter and fault-injection plans). The generator is SplitMix64 seeded
-//! per thread from `RandomState` entropy — statistical quality is ample
-//! for tags and jitter; nothing here is cryptographic (neither was
-//! `rand`'s default).
+//! (fault delays and truncation points), and the seedable
+//! [`rngs::SmallRng`] (deterministic fault-injection plans). The
+//! generator is SplitMix64 seeded per thread from `RandomState` entropy —
+//! statistical quality is ample for tags and fault draws; nothing here is
+//! cryptographic (neither was `rand`'s default).
 
 use std::cell::Cell;
 use std::hash::{BuildHasher, Hasher};
