@@ -58,36 +58,27 @@ pub use node::{ClusterConfig, ClusterNode};
 pub use shard::{ShardImpl, ShardSvc, ShardSvcProxy, ShardSvcSkeleton, SHARD_SERVICE_ID};
 
 use clam_obs::{Counter, Gauge};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-pub(crate) fn obs_forward_hops() -> Arc<Counter> {
-    clam_obs::counter("cluster.forward_hops")
+/// Define `fn $f() -> &'static $ty` for the clam-obs metric `$name`,
+/// resolved once: counting on the hot paths must not allocate or take the
+/// registry's lock.
+macro_rules! obs_handles {
+    ($(fn $f:ident() -> $ty:ident = $make:ident($name:literal);)*) => {$(
+        pub(crate) fn $f() -> &'static $ty {
+            static H: OnceLock<Arc<$ty>> = OnceLock::new();
+            H.get_or_init(|| clam_obs::$make($name))
+        }
+    )*};
 }
 
-pub(crate) fn obs_placement_hit() -> Arc<Counter> {
-    clam_obs::counter("cluster.placement_cache.hit")
-}
-
-pub(crate) fn obs_placement_miss() -> Arc<Counter> {
-    clam_obs::counter("cluster.placement_cache.miss")
-}
-
-pub(crate) fn obs_redirects() -> Arc<Counter> {
-    clam_obs::counter("cluster.redirects")
-}
-
-pub(crate) fn obs_links() -> Arc<Gauge> {
-    clam_obs::gauge("cluster.links")
-}
-
-pub(crate) fn obs_shard_forwarded() -> Arc<Counter> {
-    clam_obs::counter("cluster.shard.forwarded")
-}
-
-pub(crate) fn obs_events_relayed() -> Arc<Counter> {
-    clam_obs::counter("cluster.events.relayed")
-}
-
-pub(crate) fn obs_events_delivered() -> Arc<Counter> {
-    clam_obs::counter("cluster.events.delivered")
+obs_handles! {
+    fn obs_forward_hops() -> Counter = counter("cluster.forward_hops");
+    fn obs_placement_hit() -> Counter = counter("cluster.placement_cache.hit");
+    fn obs_placement_miss() -> Counter = counter("cluster.placement_cache.miss");
+    fn obs_redirects() -> Counter = counter("cluster.redirects");
+    fn obs_links() -> Gauge = gauge("cluster.links");
+    fn obs_shard_forwarded() -> Counter = counter("cluster.shard.forwarded");
+    fn obs_events_relayed() -> Counter = counter("cluster.events.relayed");
+    fn obs_events_delivered() -> Counter = counter("cluster.events.delivered");
 }

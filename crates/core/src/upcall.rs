@@ -15,7 +15,7 @@
 
 use crate::ruc::RemoteUpcall;
 use clam_obs::{Counter, Histogram};
-use clam_rpc::{RpcError, RpcResult, StatusCode};
+use clam_rpc::RpcResult;
 use clam_xdr::{Bundle, Opaque};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
@@ -249,26 +249,6 @@ where
         Ok(Some(results))
     }
 
-    /// Like [`post`](UpcallRegistry::post), but keeps walking past
-    /// failures: every registrant in the snapshot is invoked and each
-    /// outcome is returned alongside its registration id. One crashed or
-    /// disconnected remote registrant therefore cannot starve the others
-    /// of the event. Returns `None` if no one is registered.
-    #[must_use]
-    pub fn post_collect(&self, args: &A) -> Option<Vec<(u64, RpcResult<R>)>> {
-        let targets: Vec<_> = self.targets.lock().clone();
-        if targets.is_empty() {
-            return None;
-        }
-        obs_fanout().observe(targets.len() as u64);
-        Some(
-            targets
-                .into_iter()
-                .map(|(id, target)| (id, target.invoke(args.clone())))
-                .collect(),
-        )
-    }
-
     /// Asynchronously upcall every registrant — "propagate the
     /// asynchrony" (section 2) without blocking the event pipeline.
     /// Returns the number of registrants notified, or `None` if no one
@@ -290,23 +270,6 @@ where
         }
         Ok(Some(count))
     }
-
-    /// Upcall the *first* registrant only (the common single-listener
-    /// pattern of the window examples).
-    ///
-    /// # Errors
-    ///
-    /// [`StatusCode::AppError`] if no one is registered, or the
-    /// registrant's error.
-    pub fn post_first(&self, args: A) -> RpcResult<R> {
-        let target = self
-            .targets
-            .lock()
-            .first()
-            .map(|(_, t)| t.clone())
-            .ok_or_else(|| RpcError::status(StatusCode::AppError, "no upcall registered"))?;
-        target.invoke(args)
-    }
 }
 
 impl<A, R> Clone for UpcallRegistry<A, R> {
@@ -321,6 +284,7 @@ impl<A, R> Clone for UpcallRegistry<A, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clam_rpc::{RpcError, StatusCode};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
@@ -344,7 +308,6 @@ mod tests {
     fn empty_registry_reports_no_interest() {
         let reg: UpcallRegistry<u32, ()> = UpcallRegistry::new();
         assert!(reg.post(&1).unwrap().is_none());
-        assert!(reg.post_first(1).is_err());
         assert!(reg.is_empty());
     }
 
@@ -398,43 +361,8 @@ mod tests {
         assert_eq!(reg.post(&()).unwrap().unwrap().len(), 2);
         assert_eq!(b_hits.load(Ordering::SeqCst), 1, "snapshot still delivered");
         assert_eq!(reg.len(), 1, "deregistration took effect for later posts");
-        assert_eq!(reg.post_collect(&()).unwrap().len(), 1);
+        assert_eq!(reg.post(&()).unwrap().unwrap().len(), 1);
         assert_eq!(b_hits.load(Ordering::SeqCst), 1, "later posts skip it");
-    }
-
-    #[test]
-    fn post_collect_reports_every_outcome_despite_a_dead_remote() {
-        use crate::ruc::{RemoteUpcall, UpcallRouter};
-        use clam_rpc::ProcId;
-        use clam_task::Scheduler;
-
-        // A remote registrant whose connection is already torn down:
-        // invoking it yields `Disconnected` without touching the wire.
-        let (server_ch, _client_ch) = clam_net::pair();
-        let sched = Scheduler::new("post-collect");
-        let (writer, _reader) = server_ch.split();
-        let router = UpcallRouter::new(&sched, writer, 1, None);
-        router.fail_all();
-        let dead = UpcallTarget::remote(RemoteUpcall::new(router, ProcId { id: 7 }));
-
-        let reg: UpcallRegistry<u32, u32> = UpcallRegistry::new();
-        let first = reg.register(UpcallTarget::local(|x| Ok(x + 1)));
-        let middle = reg.register(dead);
-        let last = reg.register(UpcallTarget::local(|x| Ok(x * 2)));
-
-        // `post` aborts at the dead registrant…
-        assert!(matches!(reg.post(&10), Err(RpcError::Disconnected)));
-
-        // …while `post_collect` aggregates: both live registrants ran
-        // and the failure is attributed to the dead one's id.
-        let outcomes = reg.post_collect(&10).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        assert_eq!(outcomes[0].0, first);
-        assert_eq!(outcomes[0].1.as_ref().unwrap(), &11);
-        assert_eq!(outcomes[1].0, middle);
-        assert!(matches!(outcomes[1].1, Err(RpcError::Disconnected)));
-        assert_eq!(outcomes[2].0, last);
-        assert_eq!(outcomes[2].1.as_ref().unwrap(), &20);
     }
 
     #[test]
@@ -450,19 +378,5 @@ mod tests {
         let snap = clam_obs::snapshot();
         let fanout = snap.histogram("core.upcall.fanout").unwrap();
         assert!(fanout.count >= 2);
-    }
-
-    #[test]
-    fn post_first_hits_only_the_first() {
-        let second = Arc::new(AtomicU32::new(0));
-        let reg: UpcallRegistry<u32, u32> = UpcallRegistry::new();
-        reg.register(UpcallTarget::local(Ok));
-        let s = Arc::clone(&second);
-        reg.register(UpcallTarget::local(move |x| {
-            s.fetch_add(1, Ordering::SeqCst);
-            Ok(x)
-        }));
-        assert_eq!(reg.post_first(9).unwrap(), 9);
-        assert_eq!(second.load(Ordering::SeqCst), 0);
     }
 }

@@ -255,15 +255,6 @@ impl DynamicLoader {
         Ok(())
     }
 
-    /// Is this module+version currently loaded?
-    #[must_use]
-    pub fn is_loaded(&self, name: &str, version: Version) -> bool {
-        self.state
-            .read()
-            .by_module
-            .contains_key(&(name.to_string(), version))
-    }
-
     /// Snapshot of all live classes.
     #[must_use]
     pub fn loaded_classes(&self) -> Vec<LoadedClass> {

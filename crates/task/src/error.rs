@@ -64,9 +64,6 @@ pub enum TaskError {
     Panicked(TaskPanic),
     /// The scheduler has been shut down and accepts no new tasks.
     ShutDown,
-    /// An operation that requires task context was called from a plain
-    /// thread.
-    NotATask,
     /// A task attempted to join itself, which would deadlock.
     JoinSelf,
     /// No worker thread could be started for the task; the OS error is
@@ -79,7 +76,6 @@ impl fmt::Display for TaskError {
         match self {
             TaskError::Panicked(p) => write!(f, "{p}"),
             TaskError::ShutDown => write!(f, "scheduler is shut down"),
-            TaskError::NotATask => write!(f, "operation requires task context"),
             TaskError::JoinSelf => write!(f, "task attempted to join itself"),
             TaskError::Spawn(e) => write!(f, "cannot start a task worker thread: {e}"),
         }

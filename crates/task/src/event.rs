@@ -13,9 +13,8 @@
 //! variable rather than participating in task scheduling.
 
 use crate::scheduler::{
-    block_current_task, current_task_of, wake_picked_task, SchedInner, Scheduler,
+    block_current_task, current_task_of, wake_picked_task, SchedInner, Scheduler, Slot,
 };
-use crate::task::TaskId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -24,11 +23,8 @@ use std::sync::Arc;
 struct EventState {
     /// Banked signals not yet consumed by a waiter.
     pending: u64,
-    /// Tasks blocked on this event, woken FIFO.
-    task_waiters: VecDeque<TaskId>,
-    /// Broadcast generation, so external waiters can observe broadcasts
-    /// without consuming a banked signal.
-    generation: u64,
+    /// Slots of the tasks blocked on this event, woken FIFO.
+    task_waiters: VecDeque<Arc<Slot>>,
 }
 
 /// A blocking/wakeup event (counting semantics).
@@ -50,7 +46,6 @@ impl Event {
             state: Mutex::new(EventState {
                 pending: 0,
                 task_waiters: VecDeque::new(),
-                generation: 0,
             }),
             external_cv: Condvar::new(),
         }
@@ -62,13 +57,14 @@ impl Event {
     /// From a task of the owning scheduler this blocks *the task* (other
     /// tasks run meanwhile); from any other thread it blocks the thread.
     pub fn wait(&self) {
-        match current_task_of(&self.sched) {
-            Some(me) => self.wait_as_task(me),
-            None => self.wait_external(),
+        if current_task_of(&self.sched).is_some() {
+            self.wait_as_task();
+        } else {
+            self.wait_external();
         }
     }
 
-    fn wait_as_task(&self, me: TaskId) {
+    fn wait_as_task(&self) {
         // Fast path: consume a banked signal without blocking.
         {
             let mut ev = self.state.lock();
@@ -81,13 +77,13 @@ impl Event {
         // path takes that lock before touching the event, so a signal
         // that slipped in since the fast-path check is visible here and
         // aborts the block.
-        block_current_task(&self.sched, me, || {
+        block_current_task(&self.sched, |me| {
             let mut ev = self.state.lock();
             if ev.pending > 0 {
                 ev.pending -= 1;
                 false // signal already arrived; do not block
             } else {
-                ev.task_waiters.push_back(me);
+                ev.task_waiters.push_back(Arc::clone(me));
                 true
             }
         });
@@ -95,13 +91,10 @@ impl Event {
 
     fn wait_external(&self) {
         let mut ev = self.state.lock();
-        let start_gen = ev.generation;
-        while ev.pending == 0 && ev.generation == start_gen {
+        while ev.pending == 0 {
             self.external_cv.wait(&mut ev);
         }
-        if ev.pending > 0 {
-            ev.pending -= 1;
-        }
+        ev.pending -= 1;
     }
 
     /// Signal the event: wake the oldest waiter, or bank the signal if no
@@ -109,24 +102,12 @@ impl Event {
     pub fn signal(&self) {
         wake_picked_task(&self.sched, || {
             let mut ev = self.state.lock();
-            if let Some(tid) = ev.task_waiters.pop_front() {
-                vec![tid]
-            } else {
+            let waiter = ev.task_waiters.pop_front();
+            if waiter.is_none() {
                 ev.pending += 1;
                 self.external_cv.notify_one();
-                Vec::new()
             }
-        });
-    }
-
-    /// Wake every current waiter (task or external) without banking
-    /// signals for future waiters.
-    pub fn broadcast(&self) {
-        wake_picked_task(&self.sched, || {
-            let mut ev = self.state.lock();
-            ev.generation += 1;
-            self.external_cv.notify_all();
-            ev.task_waiters.drain(..).collect()
+            waiter
         });
     }
 
@@ -134,11 +115,5 @@ impl Event {
     #[must_use]
     pub fn pending(&self) -> u64 {
         self.state.lock().pending
-    }
-
-    /// Number of tasks currently blocked on this event.
-    #[must_use]
-    pub fn waiter_count(&self) -> usize {
-        self.state.lock().task_waiters.len()
     }
 }

@@ -13,9 +13,13 @@
 //! exit. Under the hood every task is an OS thread gated by a baton, but
 //! application code observes exactly the paper's discipline: no preemption,
 //! no interleaving between tasks of one scheduler, real blocking semantics.
+//! Each worker thread parks on one slot of its own, whether it waits in
+//! the pool for a task or its task waits for the processor; the ready
+//! queue and the event waiter lists hold those slots, woken in FIFO order.
 //! Worker threads are pooled and reused across tasks (the paper's reuse
 //! rule); [`SchedulerStats`] exposes how often the pool was hit so the
-//! bench suite can measure the saving.
+//! bench suite can measure the saving. Pooled workers exit on
+//! [`Scheduler::shutdown`] or when the scheduler's last handle drops.
 //!
 //! Events may be signaled from *outside* the scheduler, and a task may
 //! step outside it for a blocking read ([`Scheduler::outside`]): the
@@ -54,4 +58,4 @@ pub use error::{catch_panic, TaskError, TaskPanic, TaskResult};
 pub use event::Event;
 pub use mailbox::Mailbox;
 pub use scheduler::{Scheduler, SchedulerStats};
-pub use task::{JoinHandle, TaskId, TaskState};
+pub use task::{JoinHandle, TaskId};

@@ -1,20 +1,21 @@
 //! The non-preemptive scheduler.
 //!
-//! Every task is carried by an OS worker thread, but a *baton* protocol
+//! Every task is carried by an OS worker thread, but a baton protocol
 //! guarantees that at most one task of a scheduler executes at a time and
 //! that switches happen only at yield, block, join, or exit — the paper's
-//! non-preemptive discipline. Worker threads return to an idle pool when
-//! their task finishes and are reused for later tasks (the paper: "Tasks
-//! are reused, instead of being newly created on each input event to
-//! reduce overhead").
+//! non-preemptive discipline. Each worker parks on its own [`Slot`] for its
+//! whole life: the ready queue and the event waiter lists hold slots, and
+//! granting the processor means waking one. Worker threads return to an
+//! idle pool when their task finishes and are reused for later tasks (the
+//! paper: "Tasks are reused, instead of being newly created on each input
+//! event to reduce overhead").
 
 use crate::error::{catch_panic, TaskError, TaskResult};
-use crate::task::{Completion, JoinHandle, TaskId, TaskState};
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use crate::task::{Completion, JoinHandle, TaskId};
+use parking_lot::{Condvar, Mutex};
+use std::cell::{Cell, OnceCell};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, OnceLock};
 
 /// Unique id per scheduler instance, for the thread-local current-task
@@ -25,6 +26,8 @@ thread_local! {
     /// (scheduler uid, task id) of the task currently carried by this
     /// thread, if any.
     static CURRENT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+    /// This worker thread's slot; unset on threads that are not workers.
+    static SLOT: OnceCell<Arc<Slot>> = const { OnceCell::new() };
 }
 
 /// Global `task.context_switches` counter: every baton grant is one
@@ -48,61 +51,67 @@ fn obs_spawned() -> &'static clam_obs::Counter {
     C.get_or_init(|| clam_obs::counter("task.tasks_spawned"))
 }
 
-/// The per-task baton: a worker thread parks here until the scheduler
-/// hands it the (single) right to run.
-#[derive(Debug)]
-struct Baton {
-    runnable: Mutex<bool>,
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A task handed to a worker, held in its slot until it first runs.
+struct Task {
+    sched: Arc<SchedInner>,
+    id: TaskId,
+    job: Job,
+    completion: Arc<Completion>,
+}
+
+/// Where one worker thread parks, for its whole life: in the pool until
+/// it is handed a task, and in the ready queue or an event's waiter list
+/// until its task is granted the processor.
+pub(crate) struct Slot {
+    state: Mutex<SlotState>,
     cv: Condvar,
 }
 
-impl Baton {
-    fn new() -> Arc<Self> {
-        Arc::new(Baton {
-            runnable: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
+#[derive(Default)]
+struct SlotState {
+    granted: bool,
+    /// Released from the pool: the worker exits.
+    closed: bool,
+    task: Option<Task>,
+}
 
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Slot").finish_non_exhaustive()
+    }
+}
+
+impl Slot {
     fn grant(&self) {
-        let mut g = self.runnable.lock();
-        *g = true;
+        self.state.lock().granted = true;
         self.cv.notify_one();
     }
 
-    fn await_grant(&self) {
-        let mut g = self.runnable.lock();
-        while !*g {
-            self.cv.wait(&mut g);
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.cv.notify_one();
+    }
+
+    /// Park until the processor is granted, and take the task handed to
+    /// this worker if it has not started yet; `None` too once the slot is
+    /// closed.
+    fn park(&self) -> Option<Task> {
+        let mut s = self.state.lock();
+        while !s.granted && !s.closed {
+            self.cv.wait(&mut s);
         }
-        *g = false;
+        s.granted = false;
+        s.task.take()
     }
 }
 
-struct TaskEntry {
-    #[allow(dead_code)] // kept for debugging dumps
-    name: String,
-    state: TaskState,
-    baton: Arc<Baton>,
-    completion: Arc<Completion>,
-    /// Tasks blocked in `join` on this task.
-    join_waiters: Vec<TaskId>,
-}
-
 struct SchedState {
-    ready: VecDeque<TaskId>,
-    tasks: HashMap<u64, TaskEntry>,
-    current: Option<TaskId>,
+    ready: VecDeque<Arc<Slot>>,
+    running: bool,
+    live: usize,
     shutdown: bool,
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct WorkPacket {
-    sched: Arc<SchedInner>,
-    id: TaskId,
-    baton: Arc<Baton>,
-    job: Job,
 }
 
 /// Shared scheduler internals; `Scheduler` is a cheap handle around this.
@@ -111,11 +120,10 @@ pub struct SchedInner {
     name: String,
     state: Mutex<SchedState>,
     idle_cv: Condvar,
-    /// Idle worker threads, each reachable through its job channel.
-    pool: Mutex<Vec<SyncSender<WorkPacket>>>,
+    /// Slots of idle worker threads.
+    pool: Mutex<Vec<Arc<Slot>>>,
     next_task: AtomicU64,
     // Statistics for the task-reuse ablation.
-    tasks_spawned: AtomicU64,
     threads_created: AtomicU64,
     workers_reused: AtomicU64,
     context_switches: AtomicU64,
@@ -130,10 +138,18 @@ impl std::fmt::Debug for SchedInner {
     }
 }
 
+/// Pooled workers hold no reference to their scheduler, so once every
+/// handle is gone this releases them.
+impl Drop for SchedInner {
+    fn drop(&mut self) {
+        self.pool.get_mut().drain(..).for_each(|slot| slot.close());
+    }
+}
+
 /// Point-in-time scheduler statistics.
 ///
-/// `threads_created + workers_reused == tasks_spawned` once all spawns have
-/// been carried; the reuse ratio is what the paper's task-reuse rule buys.
+/// `threads_created + workers_reused == tasks_spawned`; the reuse ratio is
+/// what the paper's task-reuse rule buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerStats {
     /// Tasks handed to the scheduler so far.
@@ -144,7 +160,7 @@ pub struct SchedulerStats {
     pub workers_reused: u64,
     /// Tasks alive (ready, running, or blocked) right now.
     pub live_tasks: usize,
-    /// Baton grants so far — each is one non-preemptive processor
+    /// Processor grants so far — each is one non-preemptive
     /// handover (dispatch after spawn, yield, unblock, or task exit).
     pub context_switches: u64,
     /// Tasks sitting in the ready queue right now.
@@ -169,14 +185,13 @@ impl Scheduler {
                 name: name.to_string(),
                 state: Mutex::new(SchedState {
                     ready: VecDeque::new(),
-                    tasks: HashMap::new(),
-                    current: None,
+                    running: false,
+                    live: 0,
                     shutdown: false,
                 }),
                 idle_cv: Condvar::new(),
                 pool: Mutex::new(Vec::new()),
                 next_task: AtomicU64::new(1),
-                tasks_spawned: AtomicU64::new(0),
                 threads_created: AtomicU64::new(0),
                 workers_reused: AtomicU64::new(0),
                 context_switches: AtomicU64::new(0),
@@ -202,7 +217,8 @@ impl Scheduler {
         self.try_spawn(name, f).expect("spawn a task")
     }
 
-    /// Spawn a task, reporting failure instead of panicking.
+    /// Spawn a task, reporting failure instead of panicking. `_name` is
+    /// for the caller's readability only; the scheduler does not keep it.
     ///
     /// # Errors
     ///
@@ -211,7 +227,7 @@ impl Scheduler {
     /// task; either way the task never exists.
     pub fn try_spawn(
         &self,
-        name: &str,
+        _name: &str,
         f: impl FnOnce() + Send + 'static,
     ) -> TaskResult<JoinHandle> {
         let inner = &self.inner;
@@ -219,39 +235,23 @@ impl Scheduler {
             return Err(TaskError::ShutDown);
         }
         let id = TaskId(inner.next_task.fetch_add(1, Ordering::Relaxed));
-        let baton = Baton::new();
         let completion = Completion::new();
-        // The worker parks on the baton until the task is granted the
+        // The worker parks on its slot until the task is granted the
         // processor, so the task becomes ready only once its worker exists.
-        Self::dispatch_to_worker(
+        let slot = Self::worker_for(
             inner,
-            WorkPacket {
+            Task {
                 sched: Arc::clone(inner),
                 id,
-                baton: Arc::clone(&baton),
                 job: Box::new(f),
+                completion: Arc::clone(&completion),
             },
         )?;
-        inner.tasks_spawned.fetch_add(1, Ordering::Relaxed);
         obs_spawned().inc();
-
         let mut st = inner.state.lock();
-        st.tasks.insert(
-            id.0,
-            TaskEntry {
-                name: name.to_string(),
-                state: TaskState::Ready,
-                baton,
-                completion: Arc::clone(&completion),
-                join_waiters: Vec::new(),
-            },
-        );
-        st.ready.push_back(id);
-        obs_ready_depth().adjust(1);
-        // If the scheduler was idle, hand the baton over immediately.
-        Self::try_dispatch_locked(inner, &mut st);
+        st.live += 1;
+        make_ready_locked(inner, &mut st, slot);
         drop(st);
-
         Ok(JoinHandle {
             id,
             sched: Arc::clone(inner),
@@ -262,22 +262,18 @@ impl Scheduler {
     /// Give up the processor; the task re-enters the ready queue behind
     /// any other ready tasks. Calling from a non-task thread is a no-op.
     pub fn yield_now(&self) {
-        let Some(me) = self.current_task() else {
+        if self.current_task().is_none() {
             return;
-        };
-        let inner = &self.inner;
-        let mut st = inner.state.lock();
-        let my_baton = match st.tasks.get_mut(&me.0) {
-            Some(e) => {
-                e.state = TaskState::Ready;
-                Arc::clone(&e.baton)
-            }
-            None => return,
-        };
-        st.ready.push_back(me);
-        obs_ready_depth().adjust(1);
-        Self::switch_away_locked(inner, st);
-        my_baton.await_grant();
+        }
+        let inner = &*self.inner;
+        SLOT.with(|slot| {
+            let slot = slot.get().expect("a task runs on a worker thread");
+            let mut st = inner.state.lock();
+            make_ready_locked(inner, &mut st, Arc::clone(slot));
+            grant_next_locked(inner, &mut st);
+            drop(st);
+            slot.park();
+        });
     }
 
     /// Run `f` — typically a blocking read — outside the scheduler: the
@@ -290,38 +286,20 @@ impl Scheduler {
     /// it waits on blocks the thread, not a task. From a thread that is
     /// not a task of this scheduler, this is just `f()`.
     pub fn outside<R>(&self, f: impl FnOnce() -> R) -> R {
-        let Some(me) = self.current_task() else {
-            return f();
-        };
-        let inner = &self.inner;
-        let mut st = inner.state.lock();
-        let e = st.tasks.get_mut(&me.0).expect("running task has an entry");
-        // Nothing wakes a task in this state: it is in no event's or
-        // join's waiter list.
-        e.state = TaskState::Blocked;
-        let baton = Arc::clone(&e.baton);
-        Self::switch_away_locked(inner, st);
-        CURRENT.with(|c| c.set(None));
-        // Rejoin even if `f` unwinds: the task's exit path expects to hold
-        // the processor.
-        let _rejoin = Rejoin { inner, me, baton };
-        f()
+        outside(&self.inner, f)
     }
 
     /// The id of the task executing on this thread under this scheduler,
     /// if any.
     #[must_use]
     pub fn current_task(&self) -> Option<TaskId> {
-        CURRENT.with(|c| match c.get() {
-            Some((uid, tid)) if uid == self.inner.uid => Some(TaskId(tid)),
-            _ => None,
-        })
+        current_task_of(&self.inner)
     }
 
     /// Number of live (ready, running, or blocked) tasks.
     #[must_use]
     pub fn live_tasks(&self) -> usize {
-        self.inner.state.lock().tasks.len()
+        self.inner.state.lock().live
     }
 
     /// Scheduler statistics (for the task-reuse ablation bench).
@@ -330,12 +308,14 @@ impl Scheduler {
         let inner = &self.inner;
         let (live_tasks, ready_depth) = {
             let st = inner.state.lock();
-            (st.tasks.len(), st.ready.len())
+            (st.live, st.ready.len())
         };
+        let threads_created = inner.threads_created.load(Ordering::Relaxed);
+        let workers_reused = inner.workers_reused.load(Ordering::Relaxed);
         SchedulerStats {
-            tasks_spawned: inner.tasks_spawned.load(Ordering::Relaxed),
-            threads_created: inner.threads_created.load(Ordering::Relaxed),
-            workers_reused: inner.workers_reused.load(Ordering::Relaxed),
+            tasks_spawned: threads_created + workers_reused,
+            threads_created,
+            workers_reused,
             live_tasks,
             context_switches: inner.context_switches.load(Ordering::Relaxed),
             ready_depth,
@@ -347,7 +327,7 @@ impl Scheduler {
     pub fn wait_idle(&self) {
         let inner = &self.inner;
         let mut st = inner.state.lock();
-        while st.current.is_some() || !st.ready.is_empty() {
+        while st.running || !st.ready.is_empty() {
             inner.idle_cv.wait(&mut st);
         }
     }
@@ -357,192 +337,76 @@ impl Scheduler {
     pub fn shutdown(&self) {
         let inner = &self.inner;
         inner.state.lock().shutdown = true;
-        inner.pool.lock().clear();
+        inner.pool.lock().drain(..).for_each(|slot| slot.close());
     }
 
     // ------------------------------------------------------------------
     // Worker pool.
     // ------------------------------------------------------------------
 
-    fn dispatch_to_worker(inner: &Arc<SchedInner>, packet: WorkPacket) -> TaskResult<()> {
-        let reused = inner.pool.lock().pop();
-        match reused {
-            Some(tx) => {
-                inner.workers_reused.fetch_add(1, Ordering::Relaxed);
-                match tx.send(packet) {
-                    Ok(()) => Ok(()),
-                    // The worker died between pooling and reuse; fall back
-                    // to a fresh thread.
-                    Err(send_err) => Self::spawn_worker(inner, send_err.0),
-                }
-            }
-            None => Self::spawn_worker(inner, packet),
+    /// Hand `task` to an idle pooled worker, or to a new worker thread.
+    fn worker_for(inner: &SchedInner, task: Task) -> TaskResult<Arc<Slot>> {
+        let pooled = inner.pool.lock().pop();
+        if let Some(slot) = pooled {
+            slot.state.lock().task = Some(task);
+            inner.workers_reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(slot);
         }
-    }
-
-    fn spawn_worker(inner: &Arc<SchedInner>, first: WorkPacket) -> TaskResult<()> {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                task: Some(task),
+                ..SlotState::default()
+            }),
+            cv: Condvar::new(),
+        });
+        let worker = Arc::clone(&slot);
         std::thread::Builder::new()
             .name(format!("clam-task-{}", inner.name))
-            .spawn(move || Self::worker_main(first))
+            .spawn(move || Self::worker_main(worker))
             .map_err(|e| TaskError::Spawn(e.to_string()))?;
         inner.threads_created.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(slot)
     }
 
-    /// A pooled worker holds no reference to its scheduler while idle:
-    /// once every handle is gone the scheduler drops, its pool with it,
-    /// and the worker's `recv` fails, so the thread exits.
-    fn worker_main(first: WorkPacket) {
-        let mut packet = first;
-        loop {
-            let inner = Arc::clone(&packet.sched);
-            Self::carry_task(packet);
-            // Pool ourselves for reuse, unless shutting down.
+    /// Carry tasks until the slot is closed. Between tasks the worker
+    /// waits in the pool holding no reference to its scheduler.
+    fn worker_main(slot: Arc<Slot>) {
+        SLOT.with(|s| {
+            s.get_or_init(|| Arc::clone(&slot));
+        });
+        while let Some(task) = slot.park() {
+            let inner = Self::carry_task(task);
+            // Pool ourselves for reuse, unless shutting down. `shutdown`
+            // sets its flag before it empties the pool, so checking under
+            // the pool lock cannot miss it.
+            let mut pool = inner.pool.lock();
             if inner.state.lock().shutdown {
                 return;
             }
-            let (tx, rx) = mpsc::sync_channel(1);
-            inner.pool.lock().push(tx);
-            drop(inner);
-            match rx.recv() {
-                Ok(next) => packet = next,
-                Err(_) => return, // pool cleared or dropped; exit
-            }
+            pool.push(Arc::clone(&slot));
         }
     }
 
-    fn carry_task(packet: WorkPacket) {
-        let WorkPacket {
+    /// Run a task that has been granted the processor, then finish it and
+    /// hand the processor on. Returns the task's scheduler.
+    fn carry_task(task: Task) -> Arc<SchedInner> {
+        let Task {
             sched,
             id,
-            baton,
             job,
-        } = packet;
-        // Wait until the scheduler grants us the processor.
-        baton.await_grant();
+            completion,
+        } = task;
         CURRENT.with(|c| c.set(Some((sched.uid, id.0))));
         let outcome = catch_panic(job).map_err(TaskError::Panicked);
         CURRENT.with(|c| c.set(None));
-        Self::finish_task(&sched, id, outcome);
-    }
-
-    // ------------------------------------------------------------------
-    // Core switching machinery.
-    // ------------------------------------------------------------------
-
-    /// Pick the next ready task and grant it the processor; the caller has
-    /// already recorded the disposition of the task that is giving up the
-    /// processor. Consumes the state guard.
-    fn switch_away_locked(inner: &SchedInner, mut st: MutexGuard<'_, SchedState>) {
-        if let Some(next) = st.ready.pop_front() {
-            obs_ready_depth().adjust(-1);
-            inner.context_switches.fetch_add(1, Ordering::Relaxed);
-            obs_switches().inc();
-            st.current = Some(next);
-            let baton = {
-                let e = st
-                    .tasks
-                    .get_mut(&next.0)
-                    .expect("ready queue references a live task");
-                e.state = TaskState::Running;
-                Arc::clone(&e.baton)
-            };
-            drop(st);
-            baton.grant();
-        } else {
-            st.current = None;
-            inner.idle_cv.notify_all();
-            drop(st);
-        }
-    }
-
-    /// If nothing is running, start the next ready task.
-    fn try_dispatch_locked(inner: &SchedInner, st: &mut SchedState) {
-        if st.current.is_none() {
-            if let Some(next) = st.ready.pop_front() {
-                obs_ready_depth().adjust(-1);
-                inner.context_switches.fetch_add(1, Ordering::Relaxed);
-                obs_switches().inc();
-                st.current = Some(next);
-                let e = st
-                    .tasks
-                    .get_mut(&next.0)
-                    .expect("ready queue references a live task");
-                e.state = TaskState::Running;
-                e.baton.grant();
-            }
-        }
-    }
-
-    /// Block the running task `me`. Called with the state lock held;
-    /// consumes the guard, parks the calling thread, returns when the task
-    /// is rescheduled.
-    fn block_current_locked(inner: &SchedInner, mut st: MutexGuard<'_, SchedState>, me: TaskId) {
-        debug_assert_eq!(st.current, Some(me), "only the running task may block");
-        let my_baton = {
-            let e = st.tasks.get_mut(&me.0).expect("blocking task has an entry");
-            e.state = TaskState::Blocked;
-            Arc::clone(&e.baton)
-        };
-        Self::switch_away_locked(inner, st);
-        my_baton.await_grant();
-    }
-
-    /// Move a blocked task to the ready queue and dispatch if idle.
-    fn make_ready_locked(inner: &SchedInner, st: &mut SchedState, id: TaskId) {
-        if let Some(e) = st.tasks.get_mut(&id.0) {
-            if e.state == TaskState::Blocked {
-                e.state = TaskState::Ready;
-                st.ready.push_back(id);
-                obs_ready_depth().adjust(1);
-                Self::try_dispatch_locked(inner, st);
-            }
-        }
-    }
-
-    fn finish_task(inner: &SchedInner, me: TaskId, outcome: TaskResult<()>) {
-        let mut st = inner.state.lock();
-        let entry = st.tasks.remove(&me.0).expect("finishing task has an entry");
-        debug_assert_eq!(st.current, Some(me));
-        // Wake tasks joined on us.
-        for waiter in &entry.join_waiters {
-            Self::make_ready_locked(inner, &mut st, *waiter);
-        }
-        entry.completion.complete(outcome);
-        Self::switch_away_locked(inner, st);
-    }
-
-    // ------------------------------------------------------------------
-    // Join support (called from JoinHandle).
-    // ------------------------------------------------------------------
-
-    pub(crate) fn join_inner(
-        inner: &Arc<SchedInner>,
-        target: TaskId,
-        completion: &Arc<Completion>,
-    ) -> TaskResult<()> {
-        let caller = CURRENT.with(Cell::get);
-        match caller {
-            Some((uid, tid)) if uid == inner.uid => {
-                let me = TaskId(tid);
-                if me == target {
-                    return Err(TaskError::JoinSelf);
-                }
-                let mut st = inner.state.lock();
-                // Completion is recorded under the state lock, so this
-                // check cannot race with task exit.
-                if completion.is_done() {
-                    return completion.outcome().unwrap_or(Ok(()));
-                }
-                match st.tasks.get_mut(&target.0) {
-                    Some(e) => e.join_waiters.push(me),
-                    None => return completion.outcome().unwrap_or(Ok(())),
-                }
-                Self::block_current_locked(inner, st, me);
-                completion.outcome().unwrap_or(Ok(()))
-            }
-            _ => completion.wait_external(),
-        }
+        let mut st = sched.state.lock();
+        st.live -= 1;
+        // Completed under the state lock, so a joiner never sees the task
+        // done and still live.
+        completion.complete(outcome);
+        grant_next_locked(&sched, &mut st);
+        drop(st);
+        sched
     }
 
     pub(crate) fn inner(&self) -> &Arc<SchedInner> {
@@ -550,42 +414,34 @@ impl Scheduler {
     }
 }
 
-/// Brings a task back from [`Scheduler::outside`] when dropped.
-struct Rejoin<'a> {
-    inner: &'a SchedInner,
-    me: TaskId,
-    baton: Arc<Baton>,
-}
+// ----------------------------------------------------------------------
+// Core switching machinery. Lock order everywhere: the pool, then the
+// scheduler state, then an event's own mutex, then a slot's.
+// ----------------------------------------------------------------------
 
-impl Drop for Rejoin<'_> {
-    fn drop(&mut self) {
-        let inner = self.inner;
-        CURRENT.with(|c| c.set(Some((inner.uid, self.me.0))));
-        let mut st = inner.state.lock();
-        if st.current.is_none() {
-            // Idle (so the ready queue is empty too): take the processor
-            // on this very thread.
-            st.current = Some(self.me);
-            if let Some(e) = st.tasks.get_mut(&self.me.0) {
-                e.state = TaskState::Running;
-            }
-            return;
-        }
-        if let Some(e) = st.tasks.get_mut(&self.me.0) {
-            e.state = TaskState::Ready;
-        }
-        st.ready.push_back(self.me);
-        obs_ready_depth().adjust(1);
-        drop(st);
-        self.baton.await_grant();
+/// Hand the processor to the next ready task, or mark the scheduler idle;
+/// the caller has already disposed of the task giving the processor up.
+fn grant_next_locked(inner: &SchedInner, st: &mut SchedState) {
+    if let Some(next) = st.ready.pop_front() {
+        obs_ready_depth().adjust(-1);
+        inner.context_switches.fetch_add(1, Ordering::Relaxed);
+        obs_switches().inc();
+        st.running = true;
+        next.grant();
+    } else {
+        st.running = false;
+        inner.idle_cv.notify_all();
     }
 }
 
-// ----------------------------------------------------------------------
-// Hooks used by the event module. Lock order everywhere: scheduler state
-// first, then the event's own mutex; these hooks enforce that by taking
-// the state lock before running the caller's closure.
-// ----------------------------------------------------------------------
+/// Queue `slot`'s task behind the ready tasks, and dispatch if idle.
+fn make_ready_locked(inner: &SchedInner, st: &mut SchedState, slot: Arc<Slot>) {
+    st.ready.push_back(slot);
+    obs_ready_depth().adjust(1);
+    if !st.running {
+        grant_next_locked(inner, st);
+    }
+}
 
 /// Identify the calling task under `inner`, if any.
 pub(crate) fn current_task_of(inner: &SchedInner) -> Option<TaskId> {
@@ -595,24 +451,73 @@ pub(crate) fn current_task_of(inner: &SchedInner) -> Option<TaskId> {
     })
 }
 
-/// Block the calling task. `prepare` runs under the scheduler state lock
-/// (typically: register the task in an event's waiter list) before the
-/// processor is handed away; if it returns `false` — e.g. a signal was
-/// banked between the caller's fast-path check and now — the task does not
-/// block. The call returns when the task is woken (or immediately when
-/// `prepare` aborts).
-pub(crate) fn block_current_task<F: FnOnce() -> bool>(inner: &SchedInner, me: TaskId, prepare: F) {
-    let st = inner.state.lock();
-    if prepare() {
-        Scheduler::block_current_locked(inner, st, me);
+/// [`Scheduler::outside`] for any holder of the scheduler's internals.
+pub(crate) fn outside<R>(inner: &SchedInner, f: impl FnOnce() -> R) -> R {
+    let Some(me) = current_task_of(inner) else {
+        return f();
+    };
+    // Nothing wakes the task while it is outside: its slot is in no
+    // event's waiter list.
+    grant_next_locked(inner, &mut inner.state.lock());
+    CURRENT.with(|c| c.set(None));
+    // Rejoin even if `f` unwinds: the task's exit path expects to hold
+    // the processor.
+    let _rejoin = Rejoin { inner, me };
+    f()
+}
+
+/// Brings a task back from [`outside`] when dropped.
+struct Rejoin<'a> {
+    inner: &'a SchedInner,
+    me: TaskId,
+}
+
+impl Drop for Rejoin<'_> {
+    fn drop(&mut self) {
+        let inner = self.inner;
+        CURRENT.with(|c| c.set(Some((inner.uid, self.me.0))));
+        let mut st = inner.state.lock();
+        if !st.running {
+            // Idle (so the ready queue is empty too): take the processor
+            // on this very thread.
+            st.running = true;
+            return;
+        }
+        SLOT.with(|slot| {
+            let slot = slot.get().expect("a task runs on a worker thread");
+            make_ready_locked(inner, &mut st, Arc::clone(slot));
+            drop(st);
+            slot.park();
+        });
     }
 }
 
-/// Run `pick` under the scheduler state lock; if it names a task, move
-/// that task to the ready queue (and dispatch if the scheduler is idle).
-pub(crate) fn wake_picked_task<F: FnOnce() -> Vec<TaskId>>(inner: &SchedInner, pick: F) {
+/// Block the calling task. `prepare` runs under the scheduler state lock
+/// with the task's slot (typically: put the slot in an event's waiter
+/// list) before the processor is handed away; if it returns `false` — e.g.
+/// a signal was banked between the caller's fast-path check and now — the
+/// task does not block. The call returns when the task is granted the
+/// processor again (or immediately when `prepare` aborts).
+pub(crate) fn block_current_task(inner: &SchedInner, prepare: impl FnOnce(&Arc<Slot>) -> bool) {
+    SLOT.with(|slot| {
+        let slot = slot.get().expect("a task runs on a worker thread");
+        let mut st = inner.state.lock();
+        if prepare(slot) {
+            grant_next_locked(inner, &mut st);
+            // Never park holding the state lock: the grant that wakes us
+            // takes it.
+            drop(st);
+            slot.park();
+        }
+    });
+}
+
+/// Run `pick` under the scheduler state lock; if it names a waiting
+/// task's slot, move that task to the ready queue (and dispatch if the
+/// scheduler is idle).
+pub(crate) fn wake_picked_task(inner: &SchedInner, pick: impl FnOnce() -> Option<Arc<Slot>>) {
     let mut st = inner.state.lock();
-    for id in pick() {
-        Scheduler::make_ready_locked(inner, &mut st, id);
+    if let Some(slot) = pick() {
+        make_ready_locked(inner, &mut st, slot);
     }
 }

@@ -1,7 +1,7 @@
-//! Task identity, state, and join handles.
+//! Task identity and join handles.
 
-use crate::error::TaskResult;
-use crate::scheduler::{SchedInner, Scheduler};
+use crate::error::{TaskError, TaskResult};
+use crate::scheduler::{current_task_of, outside, SchedInner};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::Arc;
@@ -10,81 +10,46 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) u64);
 
-impl TaskId {
-    /// The raw numeric id.
-    #[must_use]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "task#{}", self.0)
     }
 }
 
-/// Lifecycle state of a task, as in the paper's thread class: a task is
-/// runnable, running, voluntarily blocked, or finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskState {
-    /// In the ready queue, waiting for the processor.
-    Ready,
-    /// The (single) currently running task of its scheduler.
-    Running,
-    /// Voluntarily blocked on an event or join.
-    Blocked,
-    /// Completed (normally or by panic).
-    Finished,
-}
-
 /// Completion record shared between the scheduler and [`JoinHandle`]s.
 #[derive(Debug)]
 pub(crate) struct Completion {
-    state: Mutex<CompletionState>,
+    outcome: Mutex<Option<TaskResult<()>>>,
     cv: Condvar,
-}
-
-#[derive(Debug)]
-struct CompletionState {
-    done: bool,
-    outcome: Option<TaskResult<()>>,
 }
 
 impl Completion {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Completion {
-            state: Mutex::new(CompletionState {
-                done: false,
-                outcome: None,
-            }),
+            outcome: Mutex::new(None),
             cv: Condvar::new(),
         })
     }
 
-    /// Record completion and wake external joiners.
+    /// Record completion and wake the joiners.
     pub(crate) fn complete(&self, outcome: TaskResult<()>) {
-        let mut st = self.state.lock();
-        st.done = true;
-        st.outcome = Some(outcome);
+        *self.outcome.lock() = Some(outcome);
         self.cv.notify_all();
     }
 
     pub(crate) fn is_done(&self) -> bool {
-        self.state.lock().done
+        self.outcome.lock().is_some()
     }
 
-    /// Block the calling OS thread (external path) until completion.
-    pub(crate) fn wait_external(&self) -> TaskResult<()> {
-        let mut st = self.state.lock();
-        while !st.done {
-            self.cv.wait(&mut st);
+    /// Block the calling OS thread until completion.
+    fn wait(&self) -> TaskResult<()> {
+        let mut outcome = self.outcome.lock();
+        loop {
+            if let Some(o) = &*outcome {
+                return o.clone();
+            }
+            self.cv.wait(&mut outcome);
         }
-        st.outcome.clone().unwrap_or(Ok(()))
-    }
-
-    pub(crate) fn outcome(&self) -> Option<TaskResult<()>> {
-        self.state.lock().outcome.clone()
     }
 }
 
@@ -122,6 +87,14 @@ impl JoinHandle {
     /// [`TaskError::JoinSelf`](crate::TaskError::JoinSelf) when a task
     /// joins itself.
     pub fn join(self) -> TaskResult<()> {
-        Scheduler::join_inner(&self.sched, self.id, &self.completion)
+        let me = current_task_of(&self.sched);
+        if me == Some(self.id) {
+            return Err(TaskError::JoinSelf);
+        }
+        if me.is_some() && !self.completion.is_done() {
+            // Wait outside, so the scheduler's other tasks run meanwhile.
+            return outside(&self.sched, || self.completion.wait());
+        }
+        self.completion.wait()
     }
 }

@@ -141,31 +141,6 @@ fn external_thread_can_wait_on_event() {
 }
 
 #[test]
-fn broadcast_wakes_all_waiters() {
-    let sched = Scheduler::new("t");
-    let ev = Arc::new(Event::new(&sched));
-    let woken = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..4 {
-        let e = Arc::clone(&ev);
-        let w = Arc::clone(&woken);
-        handles.push(sched.spawn("w", move || {
-            e.wait();
-            w.fetch_add(1, Ordering::SeqCst);
-        }));
-    }
-    // Let all four park. wait_idle returns when no task is ready/running.
-    sched.wait_idle();
-    assert_eq!(ev.waiter_count(), 4);
-    ev.broadcast();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(woken.load(Ordering::SeqCst), 4);
-    assert_eq!(ev.pending(), 0, "broadcast banks nothing");
-}
-
-#[test]
 fn signals_are_fifo_per_waiter() {
     let sched = Scheduler::new("t");
     let ev = Arc::new(Event::new(&sched));
@@ -458,4 +433,39 @@ fn a_panic_outside_is_reported_and_the_scheduler_survives() {
         .unwrap_err();
     assert!(matches!(err, TaskError::Panicked(_)), "got {err:?}");
     sched.spawn("after", || {}).join().unwrap();
+}
+
+/// Names of this process's live threads, as the kernel keeps them (the
+/// first 15 bytes).
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|n| n.trim_end().to_string())
+        .collect()
+}
+
+#[test]
+fn dropping_the_last_handle_releases_idle_workers() {
+    // A five-character name keeps the thread name within the kernel's 15.
+    let comm = "clam-task-dropw";
+    let sched = Scheduler::new("dropw");
+    let handles: Vec<_> = (0..3).map(|_| sched.spawn("unit", || {})).collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert!(
+        thread_names().iter().any(|n| n == comm),
+        "the finished tasks' workers wait in the pool"
+    );
+    // No shutdown: dropping the scheduler's last handle must do.
+    drop(sched);
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    while thread_names().iter().any(|n| n == comm) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "idle workers outlived their scheduler"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

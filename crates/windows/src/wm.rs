@@ -92,12 +92,6 @@ impl RoutedEvent {
         }
         Ok(replies)
     }
-
-    /// Number of targets selected.
-    #[must_use]
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 /// The base window manager: windows in z-order, per-window registrations,

@@ -70,17 +70,6 @@ impl<'a> XdrStream<'a> {
         }
     }
 
-    /// Create a stream that encodes into a buffer acquired from `pool`.
-    ///
-    /// At steady state the acquired buffer already has capacity from its
-    /// previous trip over the wire, so encoding allocates nothing. Recycle
-    /// the buffer (via [`crate::BufferPool::recycle`]) once the frame built
-    /// from it has been sent.
-    #[must_use]
-    pub fn encoder_pooled(pool: &crate::BufferPool) -> XdrStream<'static> {
-        XdrStream::encoder_into(pool.acquire())
-    }
-
     /// Create a stream that decodes from `input`.
     #[must_use]
     pub fn decoder(input: &'a [u8]) -> XdrStream<'a> {
