@@ -10,8 +10,6 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::Shutdown;
 use std::sync::{Arc, Weak};
@@ -22,9 +20,8 @@ pub trait MsgWriter: Send {
     /// Send one message frame. Blocks until the frame is handed to the
     /// transport; the transports deliver reliably and in order.
     ///
-    /// Takes the frame by value: stream transports write its wire image
-    /// and recycle the buffer into an attached [`BufferPool`]; the
-    /// in-process transport moves it to the peer without copying.
+    /// Takes the frame by value: the transport writes its wire image and
+    /// recycles the buffer into an attached [`BufferPool`].
     ///
     /// # Errors
     ///
@@ -35,8 +32,9 @@ pub trait MsgWriter: Send {
     /// Send `frame` as far as the transport takes it without waiting for
     /// the peer to read: `Ok(true)` if it is all sent, `Ok(false)` if the
     /// rest waits for [`finish_send`](Self::finish_send). Default: a
-    /// whole [`send`](Self::send), for transports that never wait for
-    /// the peer.
+    /// whole [`send`](Self::send), for writers that never wait for the
+    /// peer themselves (test sinks, and wrappers whose inner writer waits
+    /// inside `send`).
     ///
     /// # Errors
     ///
@@ -155,9 +153,10 @@ impl Channel {
         }
     }
 
-    /// Assemble a channel over a connected socket (the Unix-domain and
-    /// TCP transports). Both halves share the one socket, which closes
-    /// when both are dropped.
+    /// Assemble a channel over a connected socket (every transport: a
+    /// Unix-domain socket pair in process, a Unix-domain or TCP
+    /// connection across processes). Both halves share the one socket,
+    /// which closes when both are dropped.
     ///
     /// # Errors
     ///
@@ -315,7 +314,7 @@ impl MsgReader for MeteredReader {
 }
 
 // ----------------------------------------------------------------------
-// Byte-stream halves shared by the Unix-domain and TCP transports.
+// Byte-stream halves shared by every transport.
 // ----------------------------------------------------------------------
 
 /// A connected stream socket both halves of a channel use through a
@@ -419,8 +418,8 @@ impl<S: Socket> MsgWriter for StreamWriter<S> {
 }
 
 impl<S: Socket> Drop for StreamWriter<S> {
-    /// A dropped writer is a hangup, as on the in-memory transport: the
-    /// peer's reader sees end of stream even while our reader lives on.
+    /// A dropped writer is a hangup: the peer's reader sees end of stream
+    /// even while our reader lives on.
     fn drop(&mut self) {
         let _ = self.socket.shutdown(Shutdown::Write);
     }
@@ -573,134 +572,28 @@ impl<S: Socket> MsgReader for StreamReader<S> {
     }
 }
 
-// ----------------------------------------------------------------------
-// In-memory halves shared by the in-process transport and `pair()`.
-// ----------------------------------------------------------------------
-
-/// One direction of an in-memory channel.
-#[derive(Default)]
-struct Pipe {
-    state: Mutex<PipeState>,
-    arrived: Condvar,
-}
-
-#[derive(Default)]
-struct PipeState {
-    frames: VecDeque<Frame>,
-    /// Either end dropped, or the channel was closed: sends fail, and the
-    /// reader drains what is queued, then sees `Closed`.
-    closed: bool,
-}
-
-impl Pipe {
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.arrived.notify_all();
-    }
-}
-
-struct QueueWriter {
-    pipe: Arc<Pipe>,
-}
-
-impl MsgWriter for QueueWriter {
-    fn send(&mut self, frame: Frame) -> NetResult<()> {
-        // The frame's buffer moves to the peer intact — the receiving side
-        // recycles it into *its* pool after dispatch, so in-process
-        // channels are copy-free end to end.
-        let mut st = self.pipe.state.lock();
-        if st.closed {
-            return Err(NetError::Closed);
-        }
-        st.frames.push_back(frame);
-        drop(st);
-        self.pipe.arrived.notify_one();
-        Ok(())
-    }
-}
-
-impl Drop for QueueWriter {
-    fn drop(&mut self) {
-        self.pipe.close();
-    }
-}
-
-struct QueueReader {
-    /// Frames from the peer.
-    inbound: Arc<Pipe>,
-    /// Frames to the peer, for [`Closer`] only: the writer owns it.
-    outbound: Weak<Pipe>,
-}
-
-impl QueueReader {
-    fn next(&mut self, deadline: Option<Instant>) -> NetResult<Option<Frame>> {
-        let mut st = self.inbound.state.lock();
-        loop {
-            if let Some(frame) = st.frames.pop_front() {
-                return Ok(Some(frame));
-            }
-            if st.closed {
-                return Err(NetError::Closed);
-            }
-            match deadline {
-                Some(at) if Instant::now() >= at => return Ok(None),
-                Some(at) => {
-                    self.inbound.arrived.wait_until(&mut st, at);
-                }
-                None => self.inbound.arrived.wait(&mut st),
-            }
-        }
-    }
-}
-
-impl MsgReader for QueueReader {
-    fn recv(&mut self) -> NetResult<Frame> {
-        self.next(None)?.ok_or(NetError::Closed)
-    }
-
-    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
-        self.next(Some(deadline))
-    }
-
-    fn closer(&self) -> Closer {
-        let pipes = [Arc::downgrade(&self.inbound), self.outbound.clone()];
-        Closer(Arc::new(move || {
-            for pipe in pipes.iter().filter_map(Weak::upgrade) {
-                pipe.close();
-            }
-        }))
-    }
-}
-
-impl Drop for QueueReader {
-    fn drop(&mut self) {
-        self.inbound.close();
-    }
-}
-
-/// Create a connected pair of in-memory channels (no listener needed).
+/// Create a connected pair of in-process channels (no listener needed):
+/// a Unix-domain socket pair, read and written like any other stream.
 ///
 /// The first element is conventionally the "client" end. Useful for tests
-/// and for the local-upcall fast path in benches.
+/// and benches.
+///
+/// # Panics
+///
+/// Panics if no socket pair can be made (the process is out of file
+/// descriptors); [`connect`](crate::connect) reports that as an error.
 #[must_use]
 pub fn pair() -> (Channel, Channel) {
-    let (to_right, to_left) = (Arc::new(Pipe::default()), Arc::new(Pipe::default()));
-    let end = |label, outbound: &Arc<Pipe>, inbound: &Arc<Pipe>| {
-        Channel::from_halves(
-            label,
-            Box::new(QueueWriter {
-                pipe: Arc::clone(outbound),
-            }),
-            Box::new(QueueReader {
-                inbound: Arc::clone(inbound),
-                outbound: Arc::downgrade(outbound),
-            }),
-        )
-    };
-    (
-        end("inmem-left", &to_right, &to_left),
-        end("inmem-right", &to_left, &to_right),
-    )
+    socket_pair().expect("cannot create a socket pair")
+}
+
+/// [`pair`], reporting a failure to make the sockets as an error.
+pub(crate) fn socket_pair() -> NetResult<(Channel, Channel)> {
+    let (left, right) = std::os::unix::net::UnixStream::pair()?;
+    Ok((
+        Channel::from_stream("inmem-left", left)?,
+        Channel::from_stream("inmem-right", right)?,
+    ))
 }
 
 #[cfg(test)]
@@ -737,21 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn inproc_send_moves_the_buffer_without_copying() {
-        let (mut a, mut b) = pair();
-        let frame = Frame::from_payload(b"moved").unwrap();
-        let wire_ptr = frame.wire().as_ptr();
-        a.send(frame).unwrap();
-        let got = b.recv().unwrap();
-        assert_eq!(got, b"moved");
-        assert_eq!(
-            got.wire().as_ptr(),
-            wire_ptr,
-            "the very same allocation must arrive at the peer"
-        );
-    }
-
-    #[test]
     fn channels_meter_frames_and_bytes_by_transport_kind() {
         let before = clam_obs::snapshot();
         let (mut a, mut b) = pair();
@@ -775,18 +653,13 @@ mod tests {
         assert_eq!(transport_kind(""), "other");
     }
 
-    /// A connected pair on each transport.
+    /// A connected pair on each kind of socket.
     fn pairs() -> Vec<(Channel, Channel)> {
-        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
         let tcp = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let c = std::net::TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
         let (d, _) = tcp.accept().unwrap();
         vec![
             pair(),
-            (
-                Channel::from_stream("unix-a", a).unwrap(),
-                Channel::from_stream("unix-b", b).unwrap(),
-            ),
             (
                 Channel::from_stream("tcp-a", c).unwrap(),
                 Channel::from_stream("tcp-b", d).unwrap(),
@@ -901,7 +774,7 @@ mod tests {
 
     #[test]
     fn start_send_stops_at_a_full_socket_buffer_and_finish_send_completes_it() {
-        for (a, mut b) in pairs().into_iter().skip(1) {
+        for (a, mut b) in pairs() {
             let label = a.label().to_string();
             let (mut w, _r) = a.split();
             let frame = || Frame::from(vec![7u8; 64 * 1024]);

@@ -13,7 +13,8 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Endpoint {
-    /// Both ends inside one process, connected by in-memory queues.
+    /// Both ends inside one process, connected by a Unix-domain socket
+    /// pair.
     InProc(String),
     /// A Unix-domain stream socket at this path.
     Unix(PathBuf),

@@ -10,12 +10,12 @@
 //! buffer: the batcher reserves the prefix up front with
 //! [`FrameEncoder::begin`], encodes calls directly behind it, patches the
 //! length in [`FrameEncoder::finish`], and the transport writes the whole
-//! image with one `write_all`. After the write the `Vec` goes back to a
+//! image as it is. After the write the `Vec` goes back to a
 //! [`BufferPool`](clam_xdr::BufferPool), so at steady state no wire-path
 //! allocation happens.
 
 use crate::error::{NetError, NetResult};
-use std::io::{IoSlice, Read, Write};
+use std::io::Read;
 
 /// Maximum accepted frame length. Large enough for any batched call
 /// message in this system, small enough to stop a corrupt length prefix
@@ -279,44 +279,9 @@ pub fn encode_frame(payload: &[u8]) -> NetResult<Frame> {
     Frame::from_payload(payload)
 }
 
-/// Write one frame to `w` from a borrowed payload and flush it.
-///
-/// Uses a scatter-gather (`write_vectored`) submission of prefix and
-/// payload so no combined copy is made. Transports that own a [`Frame`]
-/// skip even this and `write_all` the wire image directly.
-///
-/// # Errors
-///
-/// Returns [`NetError::FrameTooLarge`] for oversized payloads or the
-/// underlying I/O error (peer hangups normalize to [`NetError::Closed`]).
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> NetResult<()> {
-    check_payload_len(payload.len())?;
-    let len = u32::try_from(payload.len()).expect("MAX_FRAME_LEN fits in u32");
-    let prefix = len.to_be_bytes();
-    // Manual write_all_vectored: advance across the two slices until both
-    // are fully submitted (write_all_vectored is unstable).
-    let mut written = 0usize;
-    let total = prefix.len() + payload.len();
-    while written < total {
-        let bufs: [IoSlice<'_>; 2] = if written < prefix.len() {
-            [IoSlice::new(&prefix[written..]), IoSlice::new(payload)]
-        } else {
-            [
-                IoSlice::new(&payload[written - prefix.len()..]),
-                IoSlice::new(&[]),
-            ]
-        };
-        let n = w.write_vectored(&bufs)?;
-        if n == 0 {
-            return Err(NetError::Closed);
-        }
-        written += n;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Read one frame from `r` into a fresh buffer.
+/// Read one frame from a blocking byte stream `r` into a fresh buffer.
+/// Channels read with a reader of their own that survives timeouts
+/// mid-frame; this is for parsing a raw stream.
 ///
 /// # Errors
 ///
@@ -324,26 +289,14 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> NetResult<()> {
 /// [`NetError::FrameTooLarge`] for corrupt length prefixes, or the
 /// underlying I/O error.
 pub fn read_frame<R: Read>(r: &mut R) -> NetResult<Frame> {
-    read_frame_into(r, Vec::new())
-}
-
-/// Read one frame from `r` into `buf` (typically acquired from a
-/// [`BufferPool`](clam_xdr::BufferPool)), reusing its capacity. On error
-/// `buf` is lost — error paths may allocate, the steady state must not.
-///
-/// # Errors
-///
-/// Same conditions as [`read_frame`].
-pub fn read_frame_into<R: Read>(r: &mut R, mut buf: Vec<u8>) -> NetResult<Frame> {
     let mut prefix = [0u8; FRAME_PREFIX_LEN];
     r.read_exact(&mut prefix)?;
     let len = u32::from_be_bytes(prefix) as usize;
     check_payload_len(len)?;
-    buf.clear();
-    buf.resize(FRAME_PREFIX_LEN + len, 0);
-    buf[..FRAME_PREFIX_LEN].copy_from_slice(&prefix);
-    r.read_exact(&mut buf[FRAME_PREFIX_LEN..])?;
-    Ok(Frame { wire: buf })
+    let mut wire = vec![0; FRAME_PREFIX_LEN + len];
+    wire[..FRAME_PREFIX_LEN].copy_from_slice(&prefix);
+    r.read_exact(&mut wire[FRAME_PREFIX_LEN..])?;
+    Ok(Frame { wire })
 }
 
 #[cfg(test)]
@@ -352,17 +305,18 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn frames_round_trip_in_order() {
+    fn frames_round_trip_in_order() -> NetResult<()> {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"first").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, &[0xab; 1000]).unwrap();
+        for payload in [&b"first"[..], b"", &[0xab; 1000]] {
+            buf.extend(Frame::from_payload(payload)?.into_wire());
+        }
 
         let mut cur = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cur).unwrap(), b"first");
-        assert_eq!(read_frame(&mut cur).unwrap(), b"");
-        assert_eq!(read_frame(&mut cur).unwrap(), vec![0xab; 1000]);
+        assert_eq!(read_frame(&mut cur)?, b"first");
+        assert_eq!(read_frame(&mut cur)?, b"");
+        assert_eq!(read_frame(&mut cur)?, vec![0xab; 1000]);
         assert!(read_frame(&mut cur).unwrap_err().is_closed());
+        Ok(())
     }
 
     #[test]
@@ -372,12 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn truncated_payload_is_closed() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&100u32.to_be_bytes());
-        buf.extend_from_slice(b"short");
+    fn truncated_payload_is_closed() -> NetResult<()> {
+        let mut buf = Frame::from_payload(&[0x5a; 100])?.into_wire();
+        buf.truncate(FRAME_PREFIX_LEN + 5);
         let mut cur = Cursor::new(buf);
         assert!(read_frame(&mut cur).unwrap_err().is_closed());
+        Ok(())
     }
 
     #[test]
@@ -393,43 +347,18 @@ mod tests {
 
     #[test]
     fn oversized_write_is_rejected_without_touching_the_stream() {
-        struct NoWrite;
-        impl Write for NoWrite {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                panic!("must not write");
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+        // An oversized payload never becomes a frame, so no writer sees it.
         let huge = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(matches!(
-            write_frame(&mut NoWrite, &huge).unwrap_err(),
+            Frame::from_payload(&huge).unwrap_err(),
             NetError::FrameTooLarge { .. }
         ));
-    }
-
-    #[test]
-    fn write_frame_survives_partial_vectored_writes() {
-        // A writer that accepts one byte at a time forces the IoSlice
-        // advance loop through every offset.
-        struct OneByte(Vec<u8>);
-        impl Write for OneByte {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                if data.is_empty() {
-                    return Ok(0);
-                }
-                self.0.push(data[0]);
-                Ok(1)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut w = OneByte(Vec::new());
-        write_frame(&mut w, b"dribble").unwrap();
-        let mut cur = Cursor::new(w.0);
-        assert_eq!(read_frame(&mut cur).unwrap(), b"dribble");
+        let mut enc = FrameEncoder::begin(Vec::new());
+        enc.write(&huge);
+        assert!(matches!(
+            enc.finish().unwrap_err(),
+            NetError::FrameTooLarge { .. }
+        ));
     }
 
     #[test]
@@ -476,15 +405,5 @@ mod tests {
     fn from_wire_rejects_inconsistent_prefix() {
         assert!(Frame::from_wire(vec![0, 0]).is_err());
         assert!(Frame::from_wire(vec![0, 0, 0, 9, 1, 2]).is_err());
-    }
-
-    #[test]
-    fn read_frame_into_reuses_the_buffer() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, b"pooled").unwrap();
-        let buf = Vec::with_capacity(4096);
-        let frame = read_frame_into(&mut Cursor::new(stream), buf).unwrap();
-        assert_eq!(frame, b"pooled");
-        assert_eq!(frame.into_wire().capacity(), 4096);
     }
 }

@@ -3,9 +3,10 @@
 //! This is the placement the paper gets by dynamically loading a layer
 //! into the server — communication without crossing address spaces. A
 //! process-global registry maps listener names to pending-connection
-//! queues.
+//! queues; each connection is a Unix-domain socket pair, so in-process
+//! channels read and write through the same stream code as the others.
 
-use crate::channel::{pair, Channel};
+use crate::channel::{socket_pair, Channel};
 use crate::endpoint::Endpoint;
 use crate::error::{NetError, NetResult};
 use crate::Listener;
@@ -64,7 +65,7 @@ pub(crate) fn listen(name: &str) -> NetResult<Arc<dyn Listener>> {
 pub(crate) fn connect(name: &str) -> NetResult<Channel> {
     let tx = with_registry(|reg| reg.get(name).cloned())
         .ok_or_else(|| NetError::UnknownInProcName(name.to_string()))?;
-    let (client_end, server_end) = pair();
+    let (client_end, server_end) = socket_pair()?;
     tx.send(server_end).map_err(|_| NetError::Closed)?;
     Ok(client_end)
 }

@@ -6,10 +6,12 @@
 //! crate provides that substrate:
 //!
 //! * [`Channel`] — a duplex, message-framed connection. Frames are
-//!   length-prefixed byte vectors; the stream transports guarantee order.
+//!   length-prefixed byte vectors over a stream socket, which guarantees
+//!   order; every transport reads and writes through the same code.
 //! * [`Endpoint`] — where to listen/connect: [`Endpoint::InProc`] (both
 //!   ends in one process, the paper's "dynamically loaded into the
-//!   server" placement), [`Endpoint::Unix`], [`Endpoint::Tcp`], and
+//!   server" placement, over a Unix-domain socket pair),
+//!   [`Endpoint::Unix`], [`Endpoint::Tcp`], and
 //!   [`Endpoint::Wan`] — TCP plus a configurable one-way delivery latency
 //!   that stands in for the paper's "different machines" rows of
 //!   Figure 5.1 (we have one machine; the paper had two Microvaxes on a
@@ -54,10 +56,7 @@ pub use connector::{Connector, DirectConnector, FaultyConnector};
 pub use endpoint::Endpoint;
 pub use error::{NetError, NetResult};
 pub use fault::{FaultHandle, FaultPlan, FaultStats, FaultyChannel, FrameFate};
-pub use frame::{
-    encode_frame, read_frame, read_frame_into, write_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN,
-    MAX_FRAME_LEN,
-};
+pub use frame::{encode_frame, read_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 pub use wan::WanConfig;
 
 // Re-exported so transport users can build one pool and attach it to

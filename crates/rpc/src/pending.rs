@@ -526,7 +526,7 @@ mod tests {
             .into()
     }
 
-    /// A table reading the client end of a fresh in-memory pair; the
+    /// A table reading the client end of a fresh in-process pair; the
     /// server end is returned.
     fn linked() -> (Arc<PendingReplies>, clam_net::Channel) {
         let (client, server) = clam_net::pair();

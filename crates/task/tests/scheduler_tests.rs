@@ -48,20 +48,27 @@ fn tasks_do_not_interleave_without_yield() {
 fn yield_alternates_between_tasks() {
     let sched = Scheduler::new("t");
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut handles = Vec::new();
-    for tag in [0u8, 1] {
-        let log = Arc::clone(&log);
-        let s = sched.clone();
-        handles.push(sched.spawn("worker", move || {
-            for _ in 0..3 {
-                log.lock().unwrap().push(tag);
-                s.yield_now();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    // Spawned from a task, which keeps the processor until it joins, both
+    // workers are ready before either runs; spawned from this thread, the
+    // first could yield three times before the second's thread started.
+    let (s, l) = (sched.clone(), Arc::clone(&log));
+    let spawner = sched.spawn("spawner", move || {
+        let mut handles = Vec::new();
+        for tag in [0u8, 1] {
+            let log = Arc::clone(&l);
+            let s2 = s.clone();
+            handles.push(s.spawn("worker", move || {
+                for _ in 0..3 {
+                    log.lock().unwrap().push(tag);
+                    s2.yield_now();
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
+    spawner.join().unwrap();
     let log = log.lock().unwrap();
     assert_eq!(*log, vec![0, 1, 0, 1, 0, 1]);
 }

@@ -1,13 +1,15 @@
 //! Dropping a client and shutting down its server ends every thread the
-//! two started, and no connection runs a pump thread for its replies or
-//! upcalls, nor a thread that times their deadlines: waiters read those
-//! replies and time their waits themselves.
+//! two started and closes every socket they opened, in process as over a
+//! Unix-domain socket; no connection runs a pump thread for its replies
+//! or upcalls, nor a thread that times their deadlines: waiters read
+//! those replies and time their waits themselves.
 //!
-//! The test counts the threads of this whole process, so it must stay
-//! alone in this file.
+//! The test counts the threads and file descriptors of this whole
+//! process, so it must stay alone in this file.
 
 use clam_core::{ClamClient, ClamServer, SessionCtl, UpcallTarget};
-use clam_integration::unique_unix;
+use clam_integration::{unique_inproc, unique_unix};
+use clam_net::Endpoint;
 use clam_rpc::{CallContext, ProcId, RpcResult, RpcServer, Service, Target};
 use clam_xdr::Opaque;
 use std::sync::{mpsc, Arc, Mutex, Weak};
@@ -94,12 +96,17 @@ fn clam_threads() -> Vec<String> {
     names
 }
 
-/// One set-up: a unix server, a client, a sync call and a sync upcall
-/// (and, the first time, two overlapping sync calls); then drop the
-/// client and shut the server down.
-fn cycle(first: bool) {
+/// This process's open file descriptors.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+}
+
+/// One set-up: a server on `endpoint`, a client, a sync call and a sync
+/// upcall (and, the first time, two overlapping sync calls); then drop
+/// the client and shut the server down.
+fn cycle(endpoint: Endpoint, first: bool) {
     let server = ClamServer::builder()
-        .listen(unique_unix("leak"))
+        .listen(endpoint)
         .build()
         .expect("server starts");
     server.rpc().register_service(
@@ -143,18 +150,26 @@ fn cycle(first: bool) {
 #[test]
 fn connect_shutdown_cycles_leave_no_clam_threads_behind() {
     let before = clam_threads();
+    let fds_before = open_fds();
     for i in 0..CYCLES {
-        cycle(i == 0);
+        let endpoint = if i % 2 == 0 {
+            unique_unix("leak")
+        } else {
+            unique_inproc("leak")
+        };
+        cycle(endpoint, i == 0);
     }
     let give_up = Instant::now() + Duration::from_secs(10);
     loop {
         let now = clam_threads();
-        if now.len() == before.len() {
+        let fds = open_fds();
+        if now.len() == before.len() && fds == fds_before {
             break;
         }
         assert!(
             Instant::now() < give_up,
-            "{} clam threads before {CYCLES} cycles, {} after: {now:?}",
+            "{} clam threads and {fds_before} fds before {CYCLES} cycles, \
+             {} threads and {fds} fds after: {now:?}",
             before.len(),
             now.len()
         );
