@@ -18,8 +18,8 @@ use clam_load::LoaderProxy;
 use clam_net::{Connector, DirectConnector, Endpoint};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
-    Caller, CallerConfig, Message, ProcId, Reply, RpcError, RpcResult, StatusCode, Target,
-    UpcallMsg,
+    Caller, CallerConfig, Message, MessageView, ProcId, Reply, RpcError, RpcResult, StatusCode,
+    Target, UpcallMsg,
 };
 use clam_task::Scheduler;
 use clam_xdr::{Bundle, Opaque};
@@ -260,11 +260,23 @@ impl ClamClient {
             let sched = client.sched.clone();
             client.sched.spawn("upcall-handler", move || {
                 while let Ok(frame) = sched.outside(|| up_reader.recv()) {
-                    let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+                    let Ok(MessageView::Upcall(view)) = MessageView::parse(&frame) else {
                         return;
+                    };
+                    // The arguments move from the frame to a pooled buffer,
+                    // so the frame goes back to the pool before the handler
+                    // runs.
+                    let mut args = upcall_pool.acquire();
+                    args.extend_from_slice(view.args);
+                    let up = UpcallMsg {
+                        proc_id: view.proc_id,
+                        request_id: view.request_id,
+                        args: Opaque::from(args),
+                        trace: view.trace,
                     };
                     upcall_pool.recycle(frame.into_wire());
                     let reply = Self::run_upcall(&procs, &up);
+                    upcall_pool.recycle(up.args.into_inner());
                     handled.fetch_add(1, Ordering::Relaxed);
                     if up.request_id != 0 {
                         let Ok(frame) = Message::UpcallReply(reply).to_frame_in(&upcall_pool)

@@ -20,14 +20,53 @@ use crate::session::{
 use crate::upcall::UpcallTarget;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::{DynamicLoader, LoaderImpl, Module};
-use clam_net::{Channel, Endpoint, Listener};
+use clam_net::{Channel, Endpoint, Listener, NetError};
 use clam_rpc::{ConnId, Message, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
 use clam_task::Scheduler;
 use clam_xdr::Bundle;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::Duration;
+
+/// Accept errors a `clam-accept` thread survived (`core.accept_errors`).
+fn obs_accept_errors() -> &'static Arc<clam_obs::Counter> {
+    static C: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| clam_obs::counter("core.accept_errors"))
+}
+
+/// How long a `clam-accept` thread waits after a failed accept before it
+/// tries again: long enough that an error that persists (out of file
+/// descriptors) does not spin the thread, short enough that admission
+/// resumes soon after it clears.
+const ACCEPT_RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The body of a `clam-accept` thread: admit each connection `listener`
+/// accepts until the server is dropped or shuts down, or the listener
+/// closes. A failed accept (a connection aborted before it was accepted,
+/// no file descriptor left) is counted and retried after
+/// [`ACCEPT_RETRY_BACKOFF`], so it never ends admission.
+fn accept_loop(listener: &dyn Listener, server: &Weak<ClamServer>) {
+    loop {
+        let accepted = listener.accept();
+        let Some(server) = server.upgrade() else {
+            return;
+        };
+        if server.is_shutting_down() {
+            return; // woken by `shutdown`
+        }
+        match accepted {
+            Ok(channel) => server.admit(channel),
+            Err(NetError::Closed) => return,
+            Err(_) => {
+                obs_accept_errors().inc();
+                drop(server);
+                std::thread::sleep(ACCEPT_RETRY_BACKOFF);
+            }
+        }
+    }
+}
 
 /// Builder for a [`ClamServer`].
 #[derive(Default)]
@@ -180,15 +219,7 @@ impl ClamServer {
             let weak = Arc::downgrade(&server);
             std::thread::Builder::new()
                 .name("clam-accept".to_string())
-                .spawn(move || {
-                    while let Ok(channel) = listener.accept() {
-                        let Some(server) = weak.upgrade() else { break };
-                        if server.is_shutting_down() {
-                            break; // woken by `shutdown`
-                        }
-                        server.admit(channel);
-                    }
-                })
+                .spawn(move || accept_loop(&*listener, &weak))
                 // Surface the failure instead of aborting: the caller gets
                 // its error, already-started accept threads find their
                 // weak server reference dead and exit.
@@ -478,5 +509,79 @@ mod tests {
         assert!(server.sessions().is_empty());
         assert!(matches!(rpc_client.recv(), Err(NetError::Closed)));
         assert!(matches!(upcall_client.recv(), Err(NetError::Closed)));
+    }
+
+    /// A listener that fails its first accepts, then hands out one
+    /// channel, then blocks until released and reports itself closed.
+    struct ScriptedListener {
+        failures: Mutex<u32>,
+        channel: Mutex<Option<Channel>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+        accepts: AtomicU64,
+    }
+
+    impl Listener for ScriptedListener {
+        fn accept(&self) -> clam_net::NetResult<Channel> {
+            self.accepts.fetch_add(1, Ordering::SeqCst);
+            let mut failures = self.failures.lock();
+            if *failures > 0 {
+                *failures -= 1;
+                return Err(NetError::Io(std::io::ErrorKind::ConnectionAborted.into()));
+            }
+            drop(failures);
+            if let Some(channel) = self.channel.lock().take() {
+                return Ok(channel);
+            }
+            let _ = self.release.lock().recv();
+            Err(NetError::Closed)
+        }
+
+        fn endpoint(&self) -> Endpoint {
+            Endpoint::InProc("scripted".to_string())
+        }
+    }
+
+    #[test]
+    fn the_accept_loop_survives_accept_errors() {
+        let server = ClamServer::builder().build().unwrap();
+        let (mut client, accepted) = clam_net::pair();
+        let hello = Hello {
+            role: ChannelRole::Rpc,
+            nonce: 0x5eed,
+        };
+        client
+            .send(clam_net::encode_frame(&clam_xdr::encode(&hello).unwrap()).unwrap())
+            .unwrap();
+        let (release, released) = std::sync::mpsc::channel();
+        let listener = Arc::new(ScriptedListener {
+            failures: Mutex::new(2),
+            channel: Mutex::new(Some(accepted)),
+            release: Mutex::new(released),
+            accepts: AtomicU64::new(0),
+        });
+        let errors_before = obs_accept_errors().get();
+        let weak = Arc::downgrade(&server);
+        let thread = {
+            let listener = Arc::clone(&listener);
+            std::thread::spawn(move || accept_loop(&*listener, &weak))
+        };
+
+        // The third accept yields the channel, and its Hello makes it a
+        // half-open client.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !server.pending_pairs.lock().contains_key(&hello.nonce) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the channel was never admitted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(obs_accept_errors().get() - errors_before, 2);
+
+        // A fourth accept is under way; shutdown ends the loop.
+        server.shutdown();
+        release.send(()).unwrap();
+        thread.join().unwrap();
+        assert_eq!(listener.accepts.load(Ordering::SeqCst), 4);
     }
 }

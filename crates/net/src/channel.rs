@@ -442,15 +442,22 @@ fn timed_out(e: &io::Error) -> bool {
     )
 }
 
+/// How far a reader's frame buffer may grow past the bytes read into it.
+const READ_STEP: usize = 64 * 1024;
+
 struct StreamReader<S> {
     stream: BufReader<Shared<S>>,
-    /// The wire image of the frame being read: sized to the length
-    /// prefix until that is in, then to the whole frame; empty between
-    /// frames. A timed read that gives up mid-frame leaves it here, and
-    /// the next read goes on where that one stopped.
+    /// The wire image of the frame being read. It grows with the bytes
+    /// that arrive, at most [`READ_STEP`] past them, so a peer that
+    /// announces a large frame and sends little of it pins little memory.
+    /// A timed read that gives up mid-frame leaves it here, and the next
+    /// read goes on where that one stopped.
     partial: Vec<u8>,
     /// Bytes of `partial` read so far.
     filled: usize,
+    /// Wire length of the frame being read: the length prefix's until
+    /// that is in, then the whole frame's; 0 between frames.
+    frame_len: usize,
     /// The socket's read timeout as last set (`None`: reads block). It is
     /// re-armed only when a wait would overshoot its deadline or wake too
     /// often, not per call.
@@ -464,6 +471,7 @@ impl<S: Socket> StreamReader<S> {
             stream: BufReader::new(Shared(socket)),
             partial: Vec::new(),
             filled: 0,
+            frame_len: 0,
             timeout: None,
             pool: None,
         }
@@ -472,12 +480,12 @@ impl<S: Socket> StreamReader<S> {
     /// Read until a frame is complete, or give up at `deadline` with
     /// `Ok(None)`, keeping what was read of the frame.
     fn read(&mut self, deadline: Option<Instant>) -> NetResult<Option<Frame>> {
-        if self.partial.is_empty() {
+        if self.frame_len == 0 {
             self.partial = self
                 .pool
                 .as_ref()
                 .map_or_else(Vec::new, BufferPool::acquire);
-            self.partial.resize(FRAME_PREFIX_LEN, 0);
+            self.frame_len = FRAME_PREFIX_LEN;
         }
         if self.filled < FRAME_PREFIX_LEN {
             if !self.fill(deadline)? {
@@ -493,18 +501,23 @@ impl<S: Socket> StreamReader<S> {
                     max: MAX_FRAME_LEN,
                 });
             }
-            self.partial.resize(FRAME_PREFIX_LEN + len, 0);
+            self.frame_len = FRAME_PREFIX_LEN + len;
         }
         if !self.fill(deadline)? {
             return Ok(None);
         }
         self.filled = 0;
+        self.frame_len = 0;
         Frame::from_wire(std::mem::take(&mut self.partial)).map(Some)
     }
 
-    /// Read until `partial` is full (`true`) or `deadline` passes.
+    /// Read until `frame_len` bytes are in (`true`) or `deadline` passes.
     fn fill(&mut self, deadline: Option<Instant>) -> NetResult<bool> {
-        while self.filled < self.partial.len() {
+        while self.filled < self.frame_len {
+            if self.filled == self.partial.len() {
+                let step = (self.frame_len - self.filled).min(READ_STEP);
+                self.partial.resize(self.filled + step, 0);
+            }
             if self.stream.buffer().is_empty() && !self.arm(deadline)? {
                 return Ok(false);
             }
@@ -752,6 +765,23 @@ mod tests {
                 assert_eq!(reader.recv().unwrap(), b"next");
                 drop(writer.join().unwrap());
             }
+        }
+    }
+
+    #[test]
+    fn a_frame_buffer_grows_with_the_bytes_that_arrive() {
+        for (raw, mut reader) in raw_readers() {
+            let prefix = u32::try_from(MAX_FRAME_LEN).unwrap().to_be_bytes();
+            write_all(&*raw, &prefix);
+            write_all(&*raw, &[7u8; 100]);
+            let got = reader.recv_until(Instant::now() + Duration::from_millis(50));
+            assert!(matches!(got, Ok(None)), "{got:?}");
+            assert_eq!(reader.filled, FRAME_PREFIX_LEN + 100);
+            assert!(
+                reader.partial.capacity() <= 128 * 1024,
+                "a 104-byte partial frame holds {} bytes",
+                reader.partial.capacity()
+            );
         }
     }
 

@@ -14,7 +14,7 @@
 //! special synchronization procedure.
 
 use crate::error::{RpcError, RpcResult};
-use crate::message::{BatchEncoder, Call, Target};
+use crate::message::{BatchEncoder, CallView, Target};
 use crate::pending::{PendingReplies, ReplyKind};
 use crate::server::SYNC_SERVICE_ID;
 use clam_net::{MsgReader, MsgWriter};
@@ -269,7 +269,7 @@ impl Caller {
     /// drops while waiting, [`RpcError::DeadlineExceeded`] on timeout, or
     /// [`RpcError::Status`] for remote failures.
     pub fn call(&self, target: Target, method: u32, args: Opaque) -> RpcResult<Opaque> {
-        self.call_once(target, method, args, self.config.call_timeout)
+        self.call_once(target, method, args.as_slice(), self.config.call_timeout)
     }
 
     /// Synchronous call with per-call options: a deadline override and —
@@ -294,7 +294,7 @@ impl Caller {
         let mut backoff = options.backoff;
         let mut attempt = 0u32;
         loop {
-            match self.call_once(target, method, args.clone(), deadline) {
+            match self.call_once(target, method, args.as_slice(), deadline) {
                 Err(RpcError::DeadlineExceeded)
                     if options.idempotent && attempt < options.max_retries =>
                 {
@@ -318,7 +318,7 @@ impl Caller {
         &self,
         target: Target,
         method: u32,
-        args: Opaque,
+        args: &[u8],
         deadline: Option<Duration>,
     ) -> RpcResult<Opaque> {
         // Open a child span for this call: the caller's current context
@@ -330,7 +330,7 @@ impl Caller {
         clam_obs::journal().record(EventKind::CallStart, trace, parent.span, method);
         let started = Instant::now();
         let outcome = self.replies.request(deadline, |request_id| {
-            let call = Call {
+            let call = CallView {
                 request_id,
                 target,
                 method,
@@ -346,11 +346,11 @@ impl Caller {
                 out.calls_sent += 1;
                 out.batches_sent += 1;
                 let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
-                enc.push(call)?;
+                enc.push_view(&call)?;
                 out.writer.send(enc.finish()?)?;
                 Ok(())
             } else {
-                self.append_locked(&mut out, call)?;
+                self.append_locked(&mut out, &call)?;
                 self.flush_locked(&mut out, &self.obs.flush_sync)
             }
         });
@@ -389,11 +389,11 @@ impl Caller {
         // and 24 trace bytes in the batch.
         self.append_locked(
             &mut out,
-            Call {
+            &CallView {
                 request_id: 0,
                 target,
                 method,
-                args,
+                args: args.as_slice(),
                 trace: clam_obs::current(),
             },
         )?;
@@ -446,13 +446,13 @@ impl Caller {
             .map(|_| ())
     }
 
-    /// Encode `call` onto the in-progress wire batch, starting one in a
+    /// Write `call` onto the in-progress wire batch, starting one in a
     /// pooled buffer if none is open.
-    fn append_locked(&self, out: &mut Outbound, call: Call) -> RpcResult<()> {
+    fn append_locked(&self, out: &mut Outbound, call: &CallView<'_>) -> RpcResult<()> {
         let batch = out
             .batch
             .get_or_insert_with(|| BatchEncoder::begin(self.pool.acquire()));
-        batch.push(call)?;
+        batch.push_view(call)?;
         Ok(())
     }
 

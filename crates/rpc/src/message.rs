@@ -8,8 +8,8 @@
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::Handle;
 use clam_net::{Frame, FrameEncoder, MAX_FRAME_LEN};
-use clam_obs::TraceContext;
-use clam_xdr::{BufferPool, Bundle, Opaque, XdrError, XdrResult, XdrStream};
+use clam_obs::{SpanId, TraceContext, TraceId};
+use clam_xdr::{padded_len, BufferPool, Bundle, Opaque, XdrError, XdrResult, XdrStream, XDR_UNIT};
 
 /// Protocol wire version, packed into the high bits of every frame's
 /// leading kind word (`(WIRE_VERSION << 8) | kind`). Version 2 added
@@ -261,21 +261,38 @@ impl Message {
         clam_xdr::decode(frame)
     }
 
-    /// Encode to a finished wire [`Frame`] in a buffer from `pool`.
+    /// Encode to a finished wire [`Frame`] in a buffer from `pool`,
+    /// byte-identical to [`to_frame`](Message::to_frame).
     ///
-    /// The length prefix is reserved up front and the message encoded
-    /// directly behind it, so this is one in-place encode: no scratch
-    /// `Vec`, no re-framing copy, and — with a warm pool — no allocation.
+    /// The length prefix is reserved up front and the message written
+    /// behind it by the in-place writers, straight from `self`: no clone
+    /// of the message, no scratch `Vec`, no re-framing copy, and — with a
+    /// warm pool — no allocation.
     ///
     /// # Errors
     ///
     /// Propagates bundling errors; an over-[`MAX_FRAME_LEN`] message
     /// reports [`XdrError::LengthTooLarge`].
     pub fn to_frame_in(&self, pool: &BufferPool) -> XdrResult<Frame> {
-        let enc = FrameEncoder::begin(pool.acquire());
-        let mut stream = XdrStream::encoder_into(enc.into_buf());
-        self.encode_onto(&mut stream)?;
-        finish_frame(FrameEncoder::resume(stream.into_bytes()))
+        let (calls, mut enc) = match self {
+            Message::CallBatch(calls) => (calls, BatchEncoder::begin(pool.acquire())),
+            Message::NestedCallBatch(calls) => (calls, BatchEncoder::begin_nested(pool.acquire())),
+            Message::Reply(reply) => return reply_frame_in(pool, MSG_REPLY, reply),
+            Message::UpcallReply(reply) => return reply_frame_in(pool, MSG_UPCALL_REPLY, reply),
+            Message::Upcall(upcall) => {
+                check_opaque(upcall.args.len())?;
+                return frame_in(pool, MSG_UPCALL, |writer| {
+                    writer.u64(upcall.proc_id);
+                    writer.u64(upcall.request_id);
+                    writer.opaque(upcall.args.as_slice());
+                    writer.trace(upcall.trace);
+                });
+            }
+        };
+        for call in calls {
+            enc.push_view(&call.view())?;
+        }
+        enc.finish()
     }
 }
 
@@ -287,12 +304,395 @@ fn finish_frame(enc: FrameEncoder) -> XdrResult<Frame> {
     })
 }
 
+/// Write one message of `kind` into a frame buffer from `pool`: the kind
+/// word, then `body`.
+fn frame_in(pool: &BufferPool, kind: u32, body: impl FnOnce(&mut Writer<'_>)) -> XdrResult<Frame> {
+    let mut buf = FrameEncoder::begin(pool.acquire()).into_buf();
+    let mut writer = Writer(&mut buf);
+    writer.u32(packed_kind(kind));
+    body(&mut writer);
+    finish_frame(FrameEncoder::resume(buf))
+}
+
+fn reply_frame_in(pool: &BufferPool, kind: u32, reply: &Reply) -> XdrResult<Frame> {
+    check_opaque(reply.detail.len())?;
+    check_opaque(reply.results.len())?;
+    frame_in(pool, kind, |writer| {
+        writer.u64(reply.request_id);
+        writer.u32(reply.status.discriminant());
+        writer.opaque(reply.detail.as_bytes());
+        writer.opaque(reply.results.as_slice());
+    })
+}
+
+// ----------------------------------------------------------------------
+// The in-place codec: views that borrow their bytes from a frame.
+//
+// The writers (`BatchEncoder::push_view`, `Message::to_frame_in`) put
+// each message's fixed header and its body bytes straight into a frame
+// buffer; the reader (`MessageView::parse`) checks a whole frame once,
+// then hands out views whose `args`/`results` are slices of the frame.
+// Both produce and accept exactly the bytes of the owned reference codec
+// (`Message::to_frame`/`from_frame`, through the `Bundle` impls above),
+// with the same opaque cap both ways.
+// ----------------------------------------------------------------------
+
+/// The opaque cap: [`XdrStream::max_len`]'s default, which the reference
+/// codec applies.
+const MAX_OPAQUE_LEN: usize = clam_xdr::DEFAULT_MAX_LEN;
+
+fn check_opaque(len: usize) -> XdrResult<()> {
+    if len > MAX_OPAQUE_LEN {
+        return Err(XdrError::LengthTooLarge {
+            len,
+            max: MAX_OPAQUE_LEN,
+        });
+    }
+    Ok(())
+}
+
+/// The write half of the in-place codec: appends XDR items to a frame
+/// buffer. Opaque lengths are checked ([`check_opaque`]) before a message
+/// is written, so a write never fails halfway.
+struct Writer<'b>(&'b mut Vec<u8>);
+
+impl Writer<'_> {
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn opaque(&mut self, bytes: &[u8]) {
+        // Checked against MAX_OPAQUE_LEN, so it fits a u32.
+        self.u32(bytes.len() as u32);
+        self.0.extend_from_slice(bytes);
+        self.0
+            .extend_from_slice(&[0; XDR_UNIT][..padded_len(bytes.len()) - bytes.len()]);
+    }
+
+    fn target(&mut self, target: Target) {
+        match target {
+            Target::Builtin(id) => {
+                self.u32(0);
+                self.u32(id);
+            }
+            Target::Object(h) => {
+                self.u32(1);
+                self.u64(h.object_id);
+                self.u64(h.tag);
+                self.u64(h.home);
+            }
+        }
+    }
+
+    fn trace(&mut self, trace: TraceContext) {
+        self.u64((trace.trace.0 >> 64) as u64);
+        self.u64(trace.trace.0 as u64);
+        self.u64(trace.span.0);
+    }
+}
+
+/// The read half of the in-place codec: a cursor over a frame payload
+/// that reads XDR items without copying them out, with the reference
+/// decoder's checks.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> XdrResult<&'a [u8]> {
+        let remaining = self.bytes.len() - self.pos;
+        if remaining < n {
+            return Err(XdrError::UnexpectedEof {
+                needed: n,
+                remaining,
+            });
+        }
+        let taken = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(taken)
+    }
+
+    fn array<const N: usize>(&mut self) -> XdrResult<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u32(&mut self) -> XdrResult<u32> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> XdrResult<u64> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    fn opaque(&mut self) -> XdrResult<&'a [u8]> {
+        let len = self.u32()? as usize;
+        check_opaque(len)?;
+        let bytes = self.take(len)?;
+        if self.take(padded_len(len) - len)?.iter().any(|&b| b != 0) {
+            return Err(XdrError::NonZeroPadding);
+        }
+        Ok(bytes)
+    }
+
+    fn target(&mut self) -> XdrResult<Target> {
+        match self.u32()? {
+            0 => Ok(Target::Builtin(self.u32()?)),
+            1 => Ok(Target::Object(Handle {
+                object_id: self.u64()?,
+                tag: self.u64()?,
+                home: self.u64()?,
+            })),
+            other => Err(XdrError::InvalidDiscriminant {
+                type_name: "Target",
+                value: other,
+            }),
+        }
+    }
+
+    fn trace(&mut self) -> XdrResult<TraceContext> {
+        let hi = self.u64()?;
+        let lo = self.u64()?;
+        Ok(TraceContext {
+            trace: TraceId(u128::from(hi) << 64 | u128::from(lo)),
+            span: SpanId(self.u64()?),
+        })
+    }
+}
+
+/// A [`Call`] in place: its fixed header by value and its argument bytes
+/// borrowed — from the received frame when read, from the issuer when
+/// written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallView<'a> {
+    /// Nonzero for calls expecting a reply; 0 for batched async calls.
+    pub request_id: u64,
+    /// What the call is aimed at.
+    pub target: Target,
+    /// Method number within the target's interface.
+    pub method: u32,
+    /// Bundled argument bytes.
+    pub args: &'a [u8],
+    /// Causal trace context (see [`Call::trace`]).
+    pub trace: TraceContext,
+}
+
+impl<'a> CallView<'a> {
+    fn read(reader: &mut Reader<'a>) -> XdrResult<CallView<'a>> {
+        Ok(CallView {
+            request_id: reader.u64()?,
+            target: reader.target()?,
+            method: reader.u32()?,
+            args: reader.opaque()?,
+            trace: reader.trace()?,
+        })
+    }
+
+    /// Append this call to `buf`, or nothing if its arguments are too
+    /// long.
+    fn write(&self, buf: &mut Vec<u8>) -> XdrResult<()> {
+        check_opaque(self.args.len())?;
+        let mut writer = Writer(buf);
+        writer.u64(self.request_id);
+        writer.target(self.target);
+        writer.u32(self.method);
+        writer.opaque(self.args);
+        writer.trace(self.trace);
+        Ok(())
+    }
+}
+
+impl Call {
+    /// This call as a view.
+    #[must_use]
+    pub fn view(&self) -> CallView<'_> {
+        CallView {
+            request_id: self.request_id,
+            target: self.target,
+            method: self.method,
+            args: self.args.as_slice(),
+            trace: self.trace,
+        }
+    }
+}
+
+/// A [`Reply`] in place: `detail` and `results` borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyView<'a> {
+    /// Matches the call's `request_id`.
+    pub request_id: u64,
+    /// Verdict.
+    pub status: StatusCode,
+    /// Human-readable detail for non-`Ok` statuses.
+    pub detail: &'a str,
+    /// Bundled results (empty unless `Ok`).
+    pub results: &'a [u8],
+}
+
+impl<'a> ReplyView<'a> {
+    fn read(reader: &mut Reader<'a>) -> XdrResult<ReplyView<'a>> {
+        Ok(ReplyView {
+            request_id: reader.u64()?,
+            status: StatusCode::from_discriminant(reader.u32()?)?,
+            detail: std::str::from_utf8(reader.opaque()?).map_err(|_| XdrError::InvalidUtf8)?,
+            results: reader.opaque()?,
+        })
+    }
+
+    /// The call's outcome: its results, or its status as an error.
+    ///
+    /// # Errors
+    ///
+    /// The reply's non-`Ok` status, as [`RpcError::Status`].
+    pub fn outcome(&self) -> RpcResult<Opaque> {
+        if self.status == StatusCode::Ok {
+            Ok(Opaque::from(self.results))
+        } else {
+            Err(RpcError::status(self.status, self.detail))
+        }
+    }
+}
+
+/// An [`UpcallMsg`] in place: `args` borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UpcallView<'a> {
+    /// The client-side registered procedure to invoke.
+    pub proc_id: u64,
+    /// Nonzero if the server task will block for a reply.
+    pub request_id: u64,
+    /// Bundled argument bytes.
+    pub args: &'a [u8],
+    /// Causal trace context (see [`UpcallMsg::trace`]).
+    pub trace: TraceContext,
+}
+
+impl<'a> UpcallView<'a> {
+    fn read(reader: &mut Reader<'a>) -> XdrResult<UpcallView<'a>> {
+        Ok(UpcallView {
+            proc_id: reader.u64()?,
+            request_id: reader.u64()?,
+            args: reader.opaque()?,
+            trace: reader.trace()?,
+        })
+    }
+}
+
+/// The calls of a checked batch frame, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallBatchView<'a> {
+    calls: u32,
+    /// The calls' wire bytes, every one of them already read once.
+    body: &'a [u8],
+}
+
+impl<'a> CallBatchView<'a> {
+    /// Read the count and every call behind it, so that no call of a
+    /// malformed batch is handed out.
+    fn read(reader: &mut Reader<'a>) -> XdrResult<CallBatchView<'a>> {
+        let calls = reader.u32()?;
+        if calls as usize > MAX_OPAQUE_LEN {
+            return Err(XdrError::LengthTooLarge {
+                len: calls as usize,
+                max: MAX_OPAQUE_LEN,
+            });
+        }
+        let start = reader.pos;
+        for _ in 0..calls {
+            CallView::read(reader)?;
+        }
+        Ok(CallBatchView {
+            calls,
+            body: &reader.bytes[start..reader.pos],
+        })
+    }
+
+    /// The calls, in order, borrowed from the frame.
+    pub fn iter(&self) -> impl Iterator<Item = CallView<'a>> {
+        let mut reader = Reader {
+            bytes: self.body,
+            pos: 0,
+        };
+        // Every call was read once when the batch was checked, so none
+        // of these reads fails.
+        (0..self.calls).map_while(move |_| CallView::read(&mut reader).ok())
+    }
+}
+
+/// A checked frame, read in place: [`Message`] with every body borrowed
+/// from the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MessageView<'a> {
+    /// See [`Message::CallBatch`].
+    CallBatch(CallBatchView<'a>),
+    /// See [`Message::NestedCallBatch`].
+    NestedCallBatch(CallBatchView<'a>),
+    /// See [`Message::Reply`].
+    Reply(ReplyView<'a>),
+    /// See [`Message::Upcall`].
+    Upcall(UpcallView<'a>),
+    /// See [`Message::UpcallReply`].
+    UpcallReply(ReplyView<'a>),
+}
+
+impl<'a> MessageView<'a> {
+    /// Check a whole frame payload and view it in place. Accepts exactly
+    /// the frames [`Message::from_frame`] accepts, with equal fields.
+    ///
+    /// # Errors
+    ///
+    /// As [`Message::from_frame`]: the wire version, the kind, every
+    /// field of every call, and trailing bytes are all checked here.
+    pub fn parse(frame: &'a [u8]) -> XdrResult<MessageView<'a>> {
+        let mut reader = Reader {
+            bytes: frame,
+            pos: 0,
+        };
+        let word = reader.u32()?;
+        let version = word >> 8;
+        if version != WIRE_VERSION {
+            return Err(XdrError::InvalidDiscriminant {
+                type_name: "Message wire version",
+                value: version,
+            });
+        }
+        let view = match word & 0xff {
+            MSG_CALL_BATCH => MessageView::CallBatch(CallBatchView::read(&mut reader)?),
+            MSG_NESTED_CALL_BATCH => {
+                MessageView::NestedCallBatch(CallBatchView::read(&mut reader)?)
+            }
+            MSG_REPLY => MessageView::Reply(ReplyView::read(&mut reader)?),
+            MSG_UPCALL => MessageView::Upcall(UpcallView::read(&mut reader)?),
+            MSG_UPCALL_REPLY => MessageView::UpcallReply(ReplyView::read(&mut reader)?),
+            other => {
+                return Err(XdrError::InvalidDiscriminant {
+                    type_name: "Message",
+                    value: other,
+                })
+            }
+        };
+        let trailing = frame.len() - reader.pos;
+        if trailing != 0 {
+            return Err(XdrError::Custom(format!(
+                "{trailing} trailing bytes after decode"
+            )));
+        }
+        Ok(view)
+    }
+}
+
 /// Incrementally encodes a [`Message::CallBatch`] (or
 /// [`Message::NestedCallBatch`]) wire frame call by call.
 ///
 /// The wire image is `[length prefix][kind][count][call…]`; the prefix and
 /// a zero `count` are reserved when the encoder begins, each
-/// [`push`](BatchEncoder::push) bundles one call directly onto the end,
+/// [`push_view`](BatchEncoder::push_view) writes one call directly onto
+/// the end,
 /// and [`finish`](BatchEncoder::finish) patches `count` and the prefix.
 /// The result is byte-identical to `Message::CallBatch(calls).to_frame()`
 /// framed — without ever materializing the `Vec<Call>` or copying the
@@ -332,27 +732,26 @@ impl BatchEncoder {
         }
     }
 
-    /// Bundle one call onto the end of the batch.
+    /// Write one call onto the end of the batch.
     ///
     /// # Errors
     ///
-    /// Propagates bundling errors; the partial bytes of a failed call are
-    /// rolled back so the batch stays well-formed.
+    /// As [`push_view`](BatchEncoder::push_view).
     pub fn push(&mut self, call: Call) -> XdrResult<()> {
-        let rollback = self.buf.len();
-        let mut stream = XdrStream::encoder_into(std::mem::take(&mut self.buf));
-        let result = Call::bundle(&mut stream, &mut Some(call));
-        self.buf = stream.into_bytes();
-        match result {
-            Ok(()) => {
-                self.calls += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.buf.truncate(rollback);
-                Err(e)
-            }
-        }
+        self.push_view(&call.view())
+    }
+
+    /// Write one call's header and argument bytes straight onto the end
+    /// of the batch.
+    ///
+    /// # Errors
+    ///
+    /// An over-long argument payload, checked before anything is written,
+    /// so the batch stays well-formed.
+    pub fn push_view(&mut self, call: &CallView<'_>) -> XdrResult<()> {
+        call.write(&mut self.buf)?;
+        self.calls += 1;
+        Ok(())
     }
 
     /// Calls pushed so far.

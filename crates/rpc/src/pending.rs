@@ -13,7 +13,7 @@
 //! deadline too, so armed deadlines never outnumber outstanding requests.
 
 use crate::error::{RpcError, RpcResult, StatusCode};
-use crate::message::{Message, Reply};
+use crate::message::{MessageView, Reply};
 use clam_net::{Closer, MsgReader};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
@@ -27,9 +27,10 @@ use std::time::{Duration, Instant};
 /// a protocol violation that drops the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyKind {
-    /// [`Message::Reply`], read by a client.
+    /// [`Message::Reply`](crate::Message::Reply), read by a client.
     Reply,
-    /// [`Message::UpcallReply`], read by a server.
+    /// [`Message::UpcallReply`](crate::Message::UpcallReply), read by a
+    /// server.
     UpcallReply,
 }
 
@@ -79,13 +80,15 @@ impl Link {
                 }
                 Err(_) => return false,
             };
-            let reply = match (Message::from_frame(&frame), self.kind) {
-                (Ok(Message::Reply(reply)), ReplyKind::Reply)
-                | (Ok(Message::UpcallReply(reply)), ReplyKind::UpcallReply) => reply,
+            let (request_id, outcome) = match (MessageView::parse(&frame), self.kind) {
+                (Ok(MessageView::Reply(reply)), ReplyKind::Reply)
+                | (Ok(MessageView::UpcallReply(reply)), ReplyKind::UpcallReply) => {
+                    (reply.request_id, reply.outcome())
+                }
                 _ => return false,
             };
             self.pool.recycle(frame.into_wire());
-            table.complete(reply);
+            table.finish(request_id, outcome);
         }
         true
     }
@@ -353,6 +356,7 @@ impl Drop for PendingReplies {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
 
     fn table() -> Arc<PendingReplies> {
         Arc::new(PendingReplies::new(&Scheduler::new("pending-test")))

@@ -3,9 +3,9 @@
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::{Handle, ObjectTable};
-use crate::message::{Call, Message, Reply, Target};
+use crate::message::{Call, CallBatchView, Message, MessageView, Reply, Target};
 use clam_net::{Frame, MsgWriter, NetResult};
-use clam_obs::EventKind;
+use clam_obs::{EventKind, TraceContext};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -197,6 +197,17 @@ impl DedupWindow {
     }
 }
 
+/// Check a whole request frame: a call batch (ordinary or nested) every
+/// call of which reads, or an error before any call runs.
+fn call_batch(frame: &[u8]) -> RpcResult<CallBatchView<'_>> {
+    match MessageView::parse(frame)? {
+        MessageView::CallBatch(batch) | MessageView::NestedCallBatch(batch) => Ok(batch),
+        other => Err(RpcError::Protocol(format!(
+            "unexpected message on rpc channel: {other:?}"
+        ))),
+    }
+}
+
 /// The server half of the RPC runtime: routes calls to builtin services
 /// or to objects through the handle table, catching faults in the served
 /// code (the paper's server "can protect itself from user bugs by
@@ -353,22 +364,42 @@ impl RpcServer {
     ///
     /// [`TraceContext`]: clam_obs::TraceContext
     pub fn dispatch_call(&self, conn: ConnId, call: Call) -> Option<Reply> {
-        let _scope = clam_obs::enter(call.trace);
-        if !call.trace.is_none() {
+        let ctx = CallContext {
+            conn,
+            method: call.method,
+            args: call.args,
+            request_id: call.request_id,
+        };
+        self.dispatch(&ctx, call.target, call.trace)
+            .map(|result| Reply::from_outcome(ctx.request_id, result))
+    }
+
+    /// The per-call work of every dispatch path: the trace scope, the
+    /// journal record, duplicate suppression, routing and the
+    /// stale-handle count. `None` for an async call (its outcome has
+    /// nowhere to go) and for a suppressed duplicate.
+    fn dispatch(
+        &self,
+        ctx: &CallContext,
+        target: Target,
+        trace: TraceContext,
+    ) -> Option<RpcResult<Opaque>> {
+        let _scope = clam_obs::enter(trace);
+        if !trace.is_none() {
             clam_obs::journal().record(
                 EventKind::ServerDispatch,
-                call.trace,
+                trace,
                 clam_obs::SpanId::NONE,
-                call.method,
+                ctx.method,
             );
         }
-        if call.request_id != 0
+        if ctx.request_id != 0
             && self
                 .dedup
                 .lock()
-                .entry(conn)
+                .entry(ctx.conn)
                 .or_default()
-                .is_duplicate(call.request_id)
+                .is_duplicate(ctx.request_id)
         {
             // A re-delivered frame: the call already executed and its
             // reply already went out. Executing again would break
@@ -376,24 +407,15 @@ impl RpcServer {
             obs_duplicates_dropped().inc();
             return None;
         }
-        let ctx = CallContext {
-            conn,
-            method: call.method,
-            args: call.args,
-            request_id: call.request_id,
-        };
-        let result = self.route(&ctx, call.target);
+        let result = self.route(ctx, target);
         if let Err(e) = &result {
             if e.status_code() == Some(StatusCode::StaleHandle) {
                 obs_stale_rejections().inc();
             }
         }
-        if call.request_id == 0 {
-            // Async call: errors have nowhere to go; the paper's model
-            // accepts this (async calls are fire-and-forget).
-            return None;
-        }
-        Some(Reply::from_outcome(call.request_id, result))
+        // Async call: errors have nowhere to go; the paper's model
+        // accepts this (async calls are fire-and-forget).
+        (ctx.request_id != 0).then_some(result)
     }
 
     fn route(&self, ctx: &CallContext, target: Target) -> RpcResult<Opaque> {
@@ -452,31 +474,34 @@ impl RpcServer {
         })
     }
 
-    /// Process one inbound frame: decode, dispatch each call in order,
+    /// Process one inbound frame: check it, dispatch each call in order,
     /// and return the replies to send back (in order).
     ///
     /// # Errors
     ///
     /// Returns [`RpcError::Protocol`] for frames that are not call
-    /// batches and bundling errors for undecodable frames.
+    /// batches and bundling errors for undecodable frames. Either way no
+    /// call of the frame runs.
     pub fn process_frame(&self, conn: ConnId, frame: &[u8]) -> RpcResult<Vec<Reply>> {
-        match Message::from_frame(frame)? {
-            Message::CallBatch(calls) | Message::NestedCallBatch(calls) => Ok(calls
-                .into_iter()
-                .filter_map(|call| self.dispatch_call(conn, call))
-                .collect()),
-            other => Err(RpcError::Protocol(format!(
-                "unexpected message on rpc channel: {other:?}"
-            ))),
-        }
+        let mut replies = Vec::new();
+        self.dispatch_batch(
+            conn,
+            call_batch(frame)?,
+            Vec::new(),
+            |request_id, outcome| {
+                replies.push(Reply::from_outcome(request_id, outcome));
+            },
+        );
+        Ok(replies)
     }
 
     /// Serve one request frame, the body of every serving loop: dispatch
-    /// its calls in order, recycle it into `pool`, and send the replies
-    /// through `writer` ([`TaskWriter::send`]: a peer that does not read
-    /// its replies stalls this task only). A reply that cannot be sent
-    /// ends this frame's replies only; a dead peer shows up at the
-    /// connection's reader.
+    /// its calls in order straight out of the frame, send each reply
+    /// through `writer` as its call completes ([`TaskWriter::send`]: a
+    /// peer that does not read its replies stalls this task only), and
+    /// recycle the frame into `pool`. The calls share one argument
+    /// buffer from `pool`. A reply that cannot be sent ends this frame's
+    /// replies only; a dead peer shows up at the connection's reader.
     ///
     /// # Errors
     ///
@@ -489,17 +514,46 @@ impl RpcServer {
         pool: &BufferPool,
         writer: &TaskWriter,
     ) -> RpcResult<()> {
-        let replies = self.process_frame(conn, &frame);
+        let served = call_batch(&frame).map(|batch| {
+            let mut sending = true;
+            let args = self.dispatch_batch(conn, batch, pool.acquire(), |request_id, outcome| {
+                sending = sending
+                    && Message::Reply(Reply::from_outcome(request_id, outcome))
+                        .to_frame_in(pool)
+                        .is_ok_and(|out| writer.send(out).is_ok());
+            });
+            pool.recycle(args);
+        });
         pool.recycle(frame.into_wire());
-        for reply in replies? {
-            let Ok(out) = Message::Reply(reply).to_frame_in(pool) else {
-                break;
-            };
-            if writer.send(out).is_err() {
-                break;
+        served
+    }
+
+    /// Dispatch the calls of a checked batch in order, straight from its
+    /// frame, handing each reply's request id and outcome to `reply`.
+    /// One [`CallContext`] serves every call; each call's argument bytes
+    /// are copied into its buffer, `args`, which is returned for reuse.
+    fn dispatch_batch(
+        &self,
+        conn: ConnId,
+        batch: CallBatchView<'_>,
+        args: Vec<u8>,
+        mut reply: impl FnMut(u64, RpcResult<Opaque>),
+    ) -> Vec<u8> {
+        let mut ctx = CallContext {
+            conn,
+            method: 0,
+            args: Opaque::from(args),
+            request_id: 0,
+        };
+        for call in batch.iter() {
+            ctx.method = call.method;
+            ctx.request_id = call.request_id;
+            ctx.args.refill(call.args);
+            if let Some(outcome) = self.dispatch(&ctx, call.target, call.trace) {
+                reply(call.request_id, outcome);
             }
         }
-        Ok(())
+        ctx.args.into_inner()
     }
 
     /// Serve one connection on the calling thread until it closes or
@@ -801,5 +855,76 @@ mod tests {
             server.process_frame(ConnId(1), &msg.to_frame().unwrap()),
             Err(RpcError::Protocol(_))
         ));
+    }
+
+    struct CountingService(std::sync::atomic::AtomicU32);
+    impl Service for CountingService {
+        fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(Opaque::new())
+        }
+    }
+
+    #[test]
+    fn a_batch_with_a_malformed_last_call_runs_none_of_its_calls() {
+        let server = RpcServer::new();
+        let counting = Arc::new(CountingService(std::sync::atomic::AtomicU32::new(0)));
+        server.register_service(1, Arc::clone(&counting) as Arc<dyn Service>);
+        let last = call(Target::Builtin(1), 0, Opaque::from(vec![9]), 12);
+        let good = Message::CallBatch(vec![
+            call(Target::Builtin(1), 0, Opaque::from(vec![1]), 11),
+            call(Target::Builtin(1), 0, Opaque::new(), 0),
+            last.clone(),
+        ])
+        .to_frame()
+        .unwrap();
+        // The last call's wire image: request id (8 bytes), target kind
+        // and id (4 + 4), method (4), args length (4), one arg byte and
+        // three padding bytes, trace (24).
+        let at = good.len() - clam_xdr::encode(&last).unwrap().len();
+        let corrupt = |offset: usize, word: u32| {
+            let mut frame = good.clone();
+            frame[at + offset..at + offset + 4].copy_from_slice(&word.to_be_bytes());
+            frame
+        };
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(&[0; 4]);
+        let cases = [
+            ("unknown target", corrupt(8, 2)),
+            ("nonzero padding", corrupt(24, 0x0900_0100)),
+            ("args past the end", corrupt(20, 1 << 20)),
+            ("trailing bytes", trailing),
+        ];
+
+        let pool = BufferPool::default();
+        let (client, channel) = clam_net::pair();
+        let (_client_writer, mut client_reader) = client.split();
+        let (writer, _reader) = channel.split();
+        let writer = TaskWriter::new(&Scheduler::new("malformed-batch"), writer);
+        for (name, frame) in cases {
+            assert!(
+                server.process_frame(ConnId(1), &frame).is_err(),
+                "{name}: accepted"
+            );
+            let frame = Frame::from_payload(&frame).unwrap();
+            assert!(
+                server
+                    .serve_frame(ConnId(1), frame, &pool, &writer)
+                    .is_err(),
+                "{name}: served"
+            );
+            assert_eq!(counting.0.load(Ordering::SeqCst), 0, "{name}: a call ran");
+        }
+        let quiet = std::time::Instant::now() + std::time::Duration::from_millis(20);
+        assert!(
+            matches!(client_reader.recv_until(quiet), Ok(None)),
+            "a reply went out"
+        );
+
+        // The intact batch runs all three calls and answers the two sync
+        // ones.
+        let replies = server.process_frame(ConnId(1), &good).unwrap();
+        assert_eq!(replies.len(), 2);
+        assert_eq!(counting.0.load(Ordering::SeqCst), 3);
     }
 }

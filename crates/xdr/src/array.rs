@@ -126,6 +126,14 @@ impl Opaque {
         self.0.is_empty()
     }
 
+    /// Replace the payload with a copy of `bytes`, reusing this
+    /// payload's capacity: a buffer refilled call after call stops
+    /// allocating once it has grown to the largest payload.
+    pub fn refill(&mut self, bytes: &[u8]) {
+        self.0.clear();
+        self.0.extend_from_slice(bytes);
+    }
+
     /// Extract the underlying byte vector.
     #[must_use]
     pub fn into_inner(self) -> Vec<u8> {
@@ -266,6 +274,16 @@ mod tests {
         assert_eq!(o.as_slice(), &[1, 2, 3, 4, 5]);
         assert_eq!(o.len(), 5);
         assert!(!o.is_empty());
+    }
+
+    #[test]
+    fn refill_replaces_the_bytes_and_keeps_the_capacity() {
+        let mut o = Opaque::from(Vec::with_capacity(64));
+        o.refill(&[1, 2, 3]);
+        assert_eq!(o.as_slice(), &[1, 2, 3]);
+        o.refill(&[9]);
+        assert_eq!(o.as_slice(), &[9]);
+        assert!(o.into_inner().capacity() >= 64);
     }
 
     #[test]

@@ -22,9 +22,9 @@ pub enum Direction {
     Decode,
 }
 
-/// Default cap on variable-length items, to stop a corrupt or malicious
-/// length prefix from forcing a huge allocation.
-const DEFAULT_MAX_LEN: usize = 16 * 1024 * 1024;
+/// Default cap on variable-length items ([`XdrStream::max_len`]), to stop
+/// a corrupt or malicious length prefix from forcing a huge allocation.
+pub const DEFAULT_MAX_LEN: usize = 16 * 1024 * 1024;
 
 /// A machine-independent data stream, either encoding or decoding.
 ///
