@@ -267,7 +267,7 @@ fn render_forest(events: &[Event]) -> String {
                     node.label = format!("upcall proc={}", ev.code);
                 }
             }
-            EventKind::FaultInjected | EventKind::DeadlineFired => {}
+            EventKind::FaultInjected | EventKind::DeadlineFired | EventKind::AcceptError => {}
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Most failures in `clam-core` are RPC failures and travel as
 //! [`RpcError`]; this module adds the runtime's own failure modes —
-//! today, failing to spawn an OS thread the runtime needs (accept
-//! loops, read pumps). Those used to abort the process via `expect`;
-//! a loaded server hitting its thread limit now gets an error it can
-//! handle instead of a crash.
+//! today, failing to spawn an OS thread or a task the runtime needs
+//! (accept loops, session tasks). Those used to abort the process via
+//! `expect`; a loaded server hitting its thread limit now gets an error
+//! it can handle instead of a crash.
 
 use clam_rpc::{RpcError, StatusCode};
 use std::fmt;

@@ -20,12 +20,14 @@ use crate::session::{
 use crate::upcall::UpcallTarget;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::{DynamicLoader, LoaderImpl, Module};
-use clam_net::{Channel, Endpoint, Listener, NetError};
+use clam_net::{Channel, Endpoint, Frame, Listener, MsgReader, NetError};
 use clam_rpc::{ConnId, Message, ProcId, RpcError, RpcResult, RpcServer, StatusCode};
-use clam_task::Scheduler;
+use clam_task::{JoinHandle, Scheduler, TaskResult};
 use clam_xdr::Bundle;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -45,8 +47,10 @@ const ACCEPT_RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// The body of a `clam-accept` thread: admit each connection `listener`
 /// accepts until the server is dropped or shuts down, or the listener
 /// closes. A failed accept (a connection aborted before it was accepted,
-/// no file descriptor left) is counted and retried after
-/// [`ACCEPT_RETRY_BACKOFF`], so it never ends admission.
+/// no file descriptor left) is counted, journalled as an
+/// [`AcceptError`](clam_obs::EventKind::AcceptError) with its OS error
+/// code (0 if it has none), and retried after [`ACCEPT_RETRY_BACKOFF`],
+/// so it never ends admission.
 fn accept_loop(listener: &dyn Listener, server: &Weak<ClamServer>) {
     loop {
         let accepted = listener.accept();
@@ -59,8 +63,14 @@ fn accept_loop(listener: &dyn Listener, server: &Weak<ClamServer>) {
         match accepted {
             Ok(channel) => server.admit(channel),
             Err(NetError::Closed) => return,
-            Err(_) => {
+            Err(e) => {
                 obs_accept_errors().inc();
+                let code = match e {
+                    NetError::Io(e) => e.raw_os_error().and_then(|c| u32::try_from(c).ok()),
+                    _ => None,
+                };
+                let (kind, ctx) = (clam_obs::EventKind::AcceptError, clam_obs::current());
+                clam_obs::journal().record(kind, ctx, clam_obs::SpanId::NONE, code.unwrap_or(0));
                 drop(server);
                 std::thread::sleep(ACCEPT_RETRY_BACKOFF);
             }
@@ -411,85 +421,102 @@ impl ClamServer {
         router.attach_reader(up_reader);
 
         let session = Session::new(&self.sched, conn, router, rpc_writer, rpc_reader.closer());
+        rpc_reader.attach_pool(session.buffer_pool());
         self.sessions.insert(Arc::clone(&session));
         // A session that cannot serve is torn down cleanly — the client
         // observes a dropped connection — rather than left half open.
-        let abandon = |e: CoreError| {
-            session.mark_dead();
-            self.sessions.remove(conn);
-            self.rpc.invalidate_owner(conn);
-            Err(e)
-        };
+        if let Err(e) = self.spawn_reader(&session, rpc_reader) {
+            self.end_session(&session);
+            return Err(CoreError::spawn("rpc-reader")(std::io::Error::other(e)));
+        }
+        Ok(())
+    }
 
-        // The main RPC task: serializes this client's requests in strict
-        // arrival order ("the main task handles RPC requests from
-        // clients", section 4.4) — this is what makes batched calls
-        // execute in the order they were sent (section 3.4).
-        {
-            let session = Arc::clone(&session);
-            let rpc = Arc::clone(&self.rpc);
-            let name = format!("rpc-main-{}", conn.0);
-            let spawned = self.sched.try_spawn(&name, move || {
-                while let Some(frame) = session.inbox.recv() {
-                    session.serve(&rpc, frame);
+    /// Start a task that reads `session`'s RPC channel with `reader`
+    /// ([`run_session`](Self::run_session)).
+    fn spawn_reader(
+        self: &Arc<Self>,
+        session: &Arc<Session>,
+        reader: Box<dyn MsgReader>,
+    ) -> TaskResult<JoinHandle> {
+        let (server, session) = (Arc::clone(self), Arc::clone(session));
+        self.sched
+            .try_spawn("rpc-reader", move || server.run_session(&session, reader))
+    }
+
+    /// The body of a session's tasks: the main task "handles RPC requests
+    /// from clients" and is "unblocked on receipt" (section 4.4). The task
+    /// holding `reader` reads outside the baton and serves each ordinary
+    /// frame in place, in strict arrival order — this is what makes
+    /// batched calls execute in the order they were sent (section 3.4).
+    /// Frames the client marked *nested* (calls from inside an upcall
+    /// handler whose upcall is still outstanding) are served at once by
+    /// auxiliary tasks, since the serving task may be the blocked upcaller.
+    ///
+    /// While the task serves, its reader is parked. Just before the task
+    /// blocks, it lends the reader to a follower task running this same
+    /// loop (Leader/Followers), which reads on and queues ordinary frames
+    /// for it. A task that drains its queue and finds its reader lent
+    /// ends: the follower serves the next ordinary frame itself.
+    fn run_session(self: &Arc<Self>, session: &Arc<Session>, reader: Box<dyn MsgReader>) {
+        let parked = Rc::new(Cell::new(Some(reader)));
+        let lend: Rc<dyn Fn()> = {
+            let (server, session, parked) =
+                (Arc::clone(self), Arc::clone(session), Rc::clone(&parked));
+            Rc::new(move || {
+                let Some(reader) = parked.take() else { return };
+                if server.spawn_reader(&session, reader).is_err() {
+                    server.end_session(&session); // the reader went with the task
                 }
-            });
-            if let Err(e) = spawned {
-                return abandon(CoreError::Spawn {
-                    thread: name,
-                    source: std::io::Error::other(e),
-                });
-            }
+            })
+        };
+        while let Some(reader) = parked.take() {
+            let read = || self.read_turn(session, reader, &parked);
+            let Some(frame) = self.sched.outside(read) else {
+                return;
+            };
+            clam_task::on_block(Rc::clone(&lend), || session.serve_turn(&self.rpc, frame));
         }
+    }
 
-        // Read thread (plays the kernel): frames go to the main task's
-        // inbox in strict order — except frames the client marked as
-        // *nested* (calls made from inside an upcall handler whose
-        // triggering upcall is still outstanding, section 4.4: the
-        // client task "informs the server, usually by making an RPC").
-        // The main task may be the blocked upcaller, so nested frames
-        // are serviced immediately in an auxiliary task; everything else
-        // keeps the paper's batched-call ordering.
-        {
-            let pump_session = Arc::clone(&session);
-            let sessions = Arc::clone(&self.sessions);
-            let server = Arc::clone(self);
-            let spawned = std::thread::Builder::new()
-                .name(format!("clam-rpc-pump-{}", conn.0))
-                .spawn(move || {
-                    let session = pump_session;
-                    rpc_reader.attach_pool(session.buffer_pool());
-                    while let Ok(frame) = rpc_reader.recv() {
-                        if !session.is_alive() {
-                            break; // server shut the session down
-                        }
-                        if Message::frame_is_nested(&frame) {
-                            let session = Arc::clone(&session);
-                            let rpc = Arc::clone(&server.rpc);
-                            let spawned = server
-                                .sched
-                                .try_spawn("rpc-nested", move || session.serve(&rpc, frame));
-                            if spawned.is_err() {
-                                break; // scheduler shut down
-                            }
-                        } else {
-                            session.inbox.push(frame);
-                        }
-                    }
-                    // Peer death: wake blocked upcall waiters with an
-                    // error (mark_dead → router.fail_all), drop the
-                    // session, and bump the tags of every object this
-                    // client created so its capabilities — wherever they
-                    // leaked — fail with StaleHandle from now on.
-                    session.mark_dead();
-                    sessions.remove(conn);
-                    server.rpc.invalidate_owner(conn);
-                });
-            match spawned {
-                Ok(_) => Ok(()),
-                Err(e) => abandon(CoreError::spawn(format!("clam-rpc-pump-{}", conn.0))(e)),
+    /// Read with `reader` until an ordinary frame arrives that no task is
+    /// serving; park the reader and return the frame. `None` once the
+    /// channel is dead, after the session has been ended.
+    fn read_turn(
+        &self,
+        session: &Arc<Session>,
+        mut reader: Box<dyn MsgReader>,
+        parked: &Cell<Option<Box<dyn MsgReader>>>,
+    ) -> Option<Frame> {
+        while let Ok(frame) = reader.recv() {
+            if !session.is_alive() {
+                break; // server shut the session down
+            }
+            if Message::frame_is_nested(&frame) {
+                let (session, rpc) = (Arc::clone(session), Arc::clone(&self.rpc));
+                let spawned = self
+                    .sched
+                    .try_spawn("rpc-nested", move || session.serve(&rpc, frame));
+                if spawned.is_err() {
+                    break; // scheduler shut down
+                }
+            } else if let Some(frame) = session.take_turn(frame) {
+                parked.set(Some(reader));
+                return Some(frame);
             }
         }
+        self.end_session(session);
+        None
+    }
+
+    /// Peer death: wake blocked upcall waiters with an error (mark_dead →
+    /// router.fail_all), drop the session, and bump the tags of every
+    /// object this client created so its capabilities — wherever they
+    /// leaked — fail with StaleHandle from now on.
+    fn end_session(&self, session: &Session) {
+        session.mark_dead();
+        self.sessions.remove(session.conn());
+        self.rpc.invalidate_owner(session.conn());
     }
 }
 
@@ -541,8 +568,13 @@ mod tests {
         }
     }
 
+    /// Held by each test that runs an accept loop into failures: they
+    /// count the one process-wide `core.accept_errors`.
+    static ACCEPT_LOOP_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn the_accept_loop_survives_accept_errors() {
+        let _serial = ACCEPT_LOOP_TESTS.lock();
         let server = ClamServer::builder().build().unwrap();
         let (mut client, accepted) = clam_net::pair();
         let hello = Hello {
@@ -583,5 +615,46 @@ mod tests {
         release.send(()).unwrap();
         thread.join().unwrap();
         assert_eq!(listener.accepts.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn each_failed_accept_is_journalled() {
+        let _serial = ACCEPT_LOOP_TESTS.lock();
+        let server = ClamServer::builder().build().unwrap();
+        let (release, released) = std::sync::mpsc::channel();
+        // Two failed accepts, then one that blocks until released.
+        let listener = Arc::new(ScriptedListener {
+            failures: Mutex::new(2),
+            channel: Mutex::new(None),
+            release: Mutex::new(released),
+            accepts: AtomicU64::new(0),
+        });
+        // The loop's own trace tells its records from other tests'.
+        let ctx = clam_obs::TraceContext::new_root();
+        let weak = Arc::downgrade(&server);
+        let thread = {
+            let listener = Arc::clone(&listener);
+            std::thread::spawn(move || {
+                let _scope = clam_obs::enter(ctx);
+                accept_loop(&*listener, &weak);
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while listener.accepts.load(Ordering::SeqCst) < 3 {
+            assert!(std::time::Instant::now() < deadline, "the loop stopped");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown();
+        release.send(()).unwrap();
+        thread.join().unwrap();
+
+        let codes: Vec<u32> = clam_obs::journal()
+            .events()
+            .iter()
+            .filter(|e| e.kind == clam_obs::EventKind::AcceptError && e.trace == ctx.trace)
+            .map(|e| e.code)
+            .collect();
+        // The scripted error carries no OS error number.
+        assert_eq!(codes, [0, 0]);
     }
 }

@@ -9,10 +9,11 @@ use clam_net::{Closer, Frame, MsgWriter};
 use clam_rpc::{
     current_conn, ConnId, ProcId, RpcError, RpcResult, RpcServer, StatusCode, TaskWriter,
 };
-use clam_task::{Mailbox, Scheduler};
+use clam_task::Scheduler;
 use clam_xdr::BufferPool;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Builtin service id of the session-control service.
@@ -37,11 +38,13 @@ pub struct Session {
     conn: ConnId,
     router: Arc<UpcallRouter>,
     rpc_writer: TaskWriter,
-    /// Closes the RPC channel, waking the server's reader on it.
+    /// Closes the RPC channel, waking the task that reads it.
     rpc_closer: Closer,
-    /// Inbound RPC frames for the main task, in arrival order; closed
-    /// when the session dies.
-    pub(crate) inbox: Mailbox<Frame>,
+    /// `Some` while a task serves ordinary RPC frames: the frames read
+    /// meanwhile, for it to serve next in arrival order.
+    turns: Mutex<Option<VecDeque<Frame>>>,
+    /// Cleared when the session dies.
+    alive: AtomicBool,
     error_proc: Mutex<Option<ProcId>>,
     /// Wire buffers for this session's RPC channel: inbound call frames
     /// and outbound replies cycle through here instead of the allocator.
@@ -72,14 +75,15 @@ impl Session {
             router,
             rpc_writer: TaskWriter::new(sched, rpc_writer),
             rpc_closer,
-            inbox: Mailbox::new(sched),
+            turns: Mutex::default(),
+            alive: AtomicBool::new(true),
             error_proc: Mutex::new(None),
             pool,
         })
     }
 
-    /// The session's wire-buffer pool. The server's read thread attaches
-    /// this to the RPC reader and recycles frames after dispatch.
+    /// The session's wire-buffer pool: the RPC channel's reader draws
+    /// inbound frames from it, and serving recycles them after dispatch.
     #[must_use]
     pub fn buffer_pool(&self) -> &BufferPool {
         &self.pool
@@ -100,7 +104,7 @@ impl Session {
     /// Is the client still connected?
     #[must_use]
     pub fn is_alive(&self) -> bool {
-        !self.inbox.is_closed()
+        self.alive.load(Ordering::Acquire)
     }
 
     /// The client's registered error-handler procedure, if any.
@@ -113,13 +117,38 @@ impl Session {
         *self.error_proc.lock() = proc;
     }
 
-    /// Mark the session dead: the main task drains its inbox and exits,
-    /// blocked upcall waiters fail, and both channels close, so the
-    /// server's reader and the client's see the hangup.
+    /// Mark the session dead: blocked upcall waiters fail, and both
+    /// channels close, so the session's reader and the client's see the
+    /// hangup.
     pub(crate) fn mark_dead(&self) {
-        self.inbox.close();
+        self.alive.store(false, Ordering::Release);
         self.router.fail_all();
         self.rpc_closer.close();
+    }
+
+    /// Hand over an ordinary frame: queued if a task is serving, else
+    /// handed back for the caller to serve with [`serve_turn`](Self::serve_turn).
+    pub(crate) fn take_turn(&self, frame: Frame) -> Option<Frame> {
+        let mut turns = self.turns.lock();
+        if let Some(queue) = &mut *turns {
+            queue.push_back(frame);
+            return None;
+        }
+        *turns = Some(VecDeque::new());
+        Some(frame)
+    }
+
+    /// Serve `frame`, then the frames queued meanwhile, in arrival order.
+    pub(crate) fn serve_turn(&self, rpc: &RpcServer, mut frame: Frame) {
+        loop {
+            self.serve(rpc, frame);
+            let mut turns = self.turns.lock();
+            let Some(next) = turns.as_mut().and_then(VecDeque::pop_front) else {
+                *turns = None;
+                return;
+            };
+            frame = next;
+        }
     }
 
     /// Serve one inbound RPC frame through `rpc` and send its replies

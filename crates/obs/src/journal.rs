@@ -38,6 +38,9 @@ pub enum EventKind {
     FaultInjected,
     /// A call or upcall deadline expired before its reply.
     DeadlineFired,
+    /// A server's listener failed to accept a connection (`code` = the
+    /// OS error number, 0 if it has none).
+    AcceptError,
 }
 
 impl EventKind {
@@ -53,6 +56,7 @@ impl EventKind {
             EventKind::UpcallExit => "UpcallExit",
             EventKind::FaultInjected => "FaultInjected",
             EventKind::DeadlineFired => "DeadlineFired",
+            EventKind::AcceptError => "AcceptError",
         }
     }
 
@@ -68,6 +72,7 @@ impl EventKind {
             "UpcallExit" => EventKind::UpcallExit,
             "FaultInjected" => EventKind::FaultInjected,
             "DeadlineFired" => EventKind::DeadlineFired,
+            "AcceptError" => EventKind::AcceptError,
             _ => return None,
         })
     }
@@ -319,6 +324,7 @@ mod tests {
             EventKind::UpcallExit,
             EventKind::FaultInjected,
             EventKind::DeadlineFired,
+            EventKind::AcceptError,
         ] {
             assert_eq!(EventKind::from_name(kind.name()), Some(kind));
         }

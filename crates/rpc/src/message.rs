@@ -236,7 +236,7 @@ impl Bundle for Message {
 
 impl Message {
     /// Cheap frame-header test: is this the payload of a
-    /// [`Message::NestedCallBatch`]? Lets a pump route nested frames
+    /// [`Message::NestedCallBatch`]? Lets a reader route nested frames
     /// without decoding the whole message.
     #[must_use]
     pub fn frame_is_nested(frame: &[u8]) -> bool {

@@ -13,7 +13,8 @@
 //! variable rather than participating in task scheduling.
 
 use crate::scheduler::{
-    block_current_task, current_task_of, wake_picked_task, SchedInner, Scheduler, Slot,
+    before_block, block_current_task, current_task_of, wake_picked_task, SchedInner, Scheduler,
+    Slot,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -73,6 +74,7 @@ impl Event {
                 return;
             }
         }
+        before_block();
         // Slow path: re-check under the scheduler state lock. The wake
         // path takes that lock before touching the event, so a signal
         // that slipped in since the fast-path check is visible here and

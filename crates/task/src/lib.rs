@@ -25,6 +25,9 @@
 //! step outside it for a blocking read ([`Scheduler::outside`]): the
 //! RPC and upcall layers read each reply and upcall on the thread of the
 //! task that waits for it, and wake the other waiters through events.
+//! A task that holds something other tasks need — the server's session
+//! task holds its RPC channel's reader while it serves — can have a hook
+//! run just before it blocks ([`on_block`]) and hand that on first.
 //!
 //! # Example
 //!
@@ -50,12 +53,10 @@
 
 mod error;
 mod event;
-mod mailbox;
 mod scheduler;
 mod task;
 
 pub use error::{catch_panic, TaskError, TaskPanic, TaskResult};
 pub use event::Event;
-pub use mailbox::Mailbox;
-pub use scheduler::{Scheduler, SchedulerStats};
+pub use scheduler::{on_block, Scheduler, SchedulerStats};
 pub use task::{JoinHandle, TaskId};

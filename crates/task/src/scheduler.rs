@@ -15,6 +15,7 @@ use crate::task::{Completion, JoinHandle, TaskId};
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, OnceCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -28,6 +29,9 @@ thread_local! {
     static CURRENT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
     /// This worker thread's slot; unset on threads that are not workers.
     static SLOT: OnceCell<Arc<Slot>> = const { OnceCell::new() };
+    /// What the task on this thread does just before it blocks; see
+    /// [`on_block`].
+    static ON_BLOCK: Cell<Option<Rc<dyn Fn()>>> = const { Cell::new(None) };
 }
 
 /// Global `task.context_switches` counter: every baton grant is one
@@ -451,11 +455,39 @@ pub(crate) fn current_task_of(inner: &SchedInner) -> Option<TaskId> {
     })
 }
 
+/// Run `f` with `hook` called each time the task on this thread is about
+/// to give up the processor by blocking: on entering
+/// [`Scheduler::outside`] (so also in a join, and in a wait for a reply
+/// or for room to write), and before an [`Event::wait`](crate::Event::wait)
+/// that cannot return at once. The hook runs while the task still holds
+/// the processor, and never within itself. The thread's previous hook is
+/// back when `f` returns or unwinds.
+pub fn on_block<R>(hook: Rc<dyn Fn()>, f: impl FnOnce() -> R) -> R {
+    /// Puts the previous hook back when dropped.
+    struct Restore(Option<Rc<dyn Fn()>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ON_BLOCK.set(self.0.take());
+        }
+    }
+    let _restore = Restore(ON_BLOCK.replace(Some(hook)));
+    f()
+}
+
+/// Run this thread's [`on_block`] hook, if it has one.
+pub(crate) fn before_block() {
+    if let Some(hook) = ON_BLOCK.take() {
+        hook();
+        ON_BLOCK.set(Some(hook));
+    }
+}
+
 /// [`Scheduler::outside`] for any holder of the scheduler's internals.
 pub(crate) fn outside<R>(inner: &SchedInner, f: impl FnOnce() -> R) -> R {
     let Some(me) = current_task_of(inner) else {
         return f();
     };
+    before_block();
     // Nothing wakes the task while it is outside: its slot is in no
     // event's waiter list.
     grant_next_locked(inner, &mut inner.state.lock());

@@ -1,6 +1,7 @@
 //! Behavioural tests for the non-preemptive task scheduler.
 
-use clam_task::{Event, Scheduler, TaskError};
+use clam_task::{on_block, Event, Scheduler, TaskError};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -475,4 +476,44 @@ fn dropping_the_last_handle_releases_idle_workers() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+#[test]
+fn the_block_hook_runs_only_where_its_task_blocks() {
+    let sched = Scheduler::new("t");
+    let s = sched.clone();
+    sched
+        .spawn("hooked", move || {
+            let event = Arc::new(Event::new(&s));
+            let calls = Arc::new(AtomicU64::new(0));
+            let hook: Rc<dyn Fn()> = {
+                let calls = Arc::clone(&calls);
+                Rc::new(move || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                })
+            };
+            let count = || calls.load(Ordering::SeqCst);
+            on_block(Rc::clone(&hook), || {
+                event.signal();
+                event.wait(); // a banked signal: no block
+                s.yield_now(); // ready again at once: no block
+                assert_eq!(count(), 0);
+                s.outside(|| ());
+                assert_eq!(count(), 1);
+                let ev = Arc::clone(&event);
+                s.spawn("signaler", move || ev.signal());
+                event.wait();
+                assert_eq!(count(), 2);
+            });
+            s.outside(|| ());
+            assert_eq!(count(), 2, "the hook is gone once `on_block` returns");
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                on_block(hook, || panic!("serving failed"));
+            }));
+            assert!(unwound.is_err());
+            s.outside(|| ());
+            assert_eq!(count(), 2, "the hook is gone after an unwind too");
+        })
+        .join()
+        .unwrap();
 }

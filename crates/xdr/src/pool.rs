@@ -55,8 +55,8 @@ struct PoolInner {
 /// A thread-safe pool of reusable `Vec<u8>` buffers.
 ///
 /// Cloning a `BufferPool` produces another handle to the *same* pool, so
-/// the handle can be attached to writers, readers, and pump threads that
-/// all feed one free list.
+/// the handle can be attached to writers, readers, and the tasks that
+/// serve what they read, all feeding one free list.
 #[derive(Clone)]
 pub struct BufferPool {
     inner: Arc<PoolInner>,

@@ -5,9 +5,13 @@
 //! by `std::sync` primitives. The semantic difference that matters — and
 //! that this shim preserves — is that locks do not poison: a panic while
 //! holding a guard leaves the lock usable, exactly as in `parking_lot`.
+//! The other is that a [`Condvar`] notify with no thread waiting costs no
+//! system call, as in `parking_lot` (std's futex condvar makes a
+//! `FUTEX_WAKE` on every notify).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A mutual-exclusion primitive with `parking_lot`'s non-poisoning API.
 pub struct Mutex<T: ?Sized> {
@@ -198,8 +202,21 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 
 /// A condition variable usable with [`MutexGuard`], `parking_lot` style:
 /// `wait` borrows the guard mutably instead of consuming it.
+///
+/// A notify reaches the std condvar only while a thread is inside
+/// `wait`/`wait_until`, so one that would wake nobody makes no system
+/// call. A waiter is counted before `wait` releases the mutex, so this
+/// loses no wake-up as long as each notifier changes the waiter's
+/// predicate under that mutex (as std's futex condvar also needs). Every
+/// notifier in this workspace does: a scheduler slot's grant and close,
+/// the idle transition, a task's completion, an event's banked signal,
+/// and a pending reply's outcome and reader offer (under the table lock).
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads inside `wait`/`wait_until`. `Relaxed` is enough: it is
+    /// changed under the waiter's mutex, which orders it against each
+    /// notifier's predicate change, and it publishes no other data.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -208,6 +225,7 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
@@ -215,10 +233,12 @@ impl Condvar {
     /// lock is re-acquired before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard taken during wait");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let inner = self
             .inner
             .wait(inner)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(inner);
     }
 
@@ -231,26 +251,35 @@ impl Condvar {
     ) -> WaitTimeoutResult {
         let timeout = deadline.saturating_duration_since(std::time::Instant::now());
         let inner = guard.inner.take().expect("guard taken during wait");
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let (inner, result) = self
             .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }
 
-    /// Wake one waiter. The return value (did anything wake) is a
-    /// best-effort `false` here; no caller in this workspace consults it.
+    /// Wake one waiter. Returns whether a thread was waiting; with none,
+    /// nothing is done.
     pub fn notify_one(&self) -> bool {
+        if self.waiters.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
         self.inner.notify_one();
-        false
+        true
     }
 
-    /// Wake all waiters. Returns 0 for the same reason as
-    /// [`notify_one`](Condvar::notify_one).
+    /// Wake all waiters. Returns how many threads were waiting (one woken
+    /// but not yet holding its mutex again counts too); with none,
+    /// nothing is done.
     pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
+        let waiters = self.waiters.load(Ordering::Relaxed);
+        if waiters > 0 {
+            self.inner.notify_all();
+        }
+        waiters
     }
 }
 
@@ -282,6 +311,7 @@ impl fmt::Debug for Condvar {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn mutex_locks_and_releases() {
@@ -331,6 +361,108 @@ mod tests {
         }
         drop(g);
         t.join().unwrap();
+    }
+
+    /// Park one thread in `wait` on `pair`, then run `notify` while it is
+    /// certainly parked; returns what `notify` returned once the thread
+    /// has woken.
+    fn notify_a_parked_waiter<R: Send + 'static>(
+        notify: impl FnOnce(&Condvar) -> R + Send + 'static,
+    ) -> R {
+        let pair = Arc::new((Mutex::new(0u8), Condvar::new()));
+        let (done, woke) = std::sync::mpsc::channel();
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (m, cv) = &*pair;
+                let mut g = m.lock();
+                *g = 1; // parked from here until it reads 2
+                while *g != 2 {
+                    cv.wait(&mut g);
+                }
+                done.send(()).unwrap();
+            })
+        };
+        let (m, cv) = &*pair;
+        loop {
+            let mut g = m.lock();
+            // The waiter holds the lock from setting 1 until `wait`
+            // releases it, so reading 1 here means it is inside `wait`.
+            if *g == 1 {
+                *g = 2;
+                let woken = notify(cv);
+                drop(g);
+                woke.recv_timeout(Duration::from_secs(10))
+                    .expect("the notify woke the parked waiter");
+                waiter.join().unwrap();
+                return woken;
+            }
+            drop(g);
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_notify_with_no_waiter_wakes_nobody() {
+        let cv = Condvar::new();
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+        // A waiter that has come and gone leaves no count behind.
+        let m = Mutex::new(());
+        let mut g = m.lock();
+        let _ = cv.wait_until(&mut g, Instant::now());
+        assert!(!cv.notify_one());
+        assert_eq!(cv.notify_all(), 0);
+    }
+
+    #[test]
+    fn a_notify_wakes_a_parked_waiter() {
+        assert!(notify_a_parked_waiter(Condvar::notify_one));
+        assert_eq!(notify_a_parked_waiter(Condvar::notify_all), 1);
+    }
+
+    /// Two threads hand a turn back and forth 100,000 times each, every
+    /// handoff a flag change under the mutex and one notify. One thread
+    /// waits with `wait`, the other with `wait_until`: a long deadline
+    /// that only a lost wake-up runs out, and every 64th handoff a short
+    /// one that may.
+    #[test]
+    fn handoffs_lose_no_wake_up() {
+        const HANDOFFS: u64 = 100_000;
+        let shared = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let (done, finished) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..2)
+            .map(|parity| {
+                let (shared, done) = (Arc::clone(&shared), done.clone());
+                std::thread::spawn(move || {
+                    let (turn, cv) = &*shared;
+                    for i in 0..HANDOFFS {
+                        let mut t = turn.lock();
+                        while *t % 2 != parity {
+                            if parity == 0 {
+                                cv.wait(&mut t);
+                                continue;
+                            }
+                            let short = i % 64 == 0;
+                            let wait = if short { 20 } else { 10_000_000 };
+                            let deadline = Instant::now() + Duration::from_micros(wait);
+                            let timed_out = cv.wait_until(&mut t, deadline).timed_out();
+                            assert!(short || !timed_out, "a wake-up was lost at handoff {i}");
+                        }
+                        *t += 1;
+                        cv.notify_one();
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            finished
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a wake-up was lost");
+        }
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(*shared.0.lock(), 2 * HANDOFFS);
     }
 
     #[test]
