@@ -242,7 +242,7 @@ impl RemoteUpcall {
 mod tests {
     use super::*;
     use clam_net::pair;
-    use clam_rpc::{Reply, StatusCode};
+    use clam_rpc::{MessageView, Reply, StatusCode};
     use parking_lot::Mutex;
 
     /// A fake client: answers every sync upcall by echoing args with a
@@ -251,12 +251,12 @@ mod tests {
         std::thread::spawn(move || {
             let mut served = 0;
             while let Ok(frame) = chan.recv() {
-                let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+                let Ok(MessageView::Upcall(up)) = MessageView::parse(&frame) else {
                     break;
                 };
                 served += 1;
                 if up.request_id != 0 {
-                    let mut results = up.args.into_inner();
+                    let mut results = up.args.to_vec();
                     results.push(0xEE);
                     let reply = Message::UpcallReply(Reply {
                         request_id: up.request_id,
@@ -307,7 +307,7 @@ mod tests {
         router.attach_reader(r);
         let t = std::thread::spawn(move || {
             let frame = client_end.recv().unwrap();
-            let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::Upcall(up)) = MessageView::parse(&frame) else {
                 panic!()
             };
             let reply = Message::UpcallReply(Reply {
@@ -402,7 +402,7 @@ mod tests {
             let mut chan = client_end;
             for _ in 0..2 {
                 let Ok(frame) = chan.recv() else { return };
-                let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+                let Ok(MessageView::Upcall(up)) = MessageView::parse(&frame) else {
                     return;
                 };
                 // Record how many upcalls were in flight when this one
@@ -452,7 +452,7 @@ mod tests {
             let mut reqs = Vec::new();
             for _ in 0..2 {
                 let frame = chan.recv().unwrap();
-                let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+                let Ok(MessageView::Upcall(up)) = MessageView::parse(&frame) else {
                     panic!()
                 };
                 reqs.push(up.request_id);

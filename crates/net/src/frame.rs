@@ -29,7 +29,7 @@ pub const FRAME_PREFIX_LEN: usize = 4;
 ///
 /// The first [`FRAME_PREFIX_LEN`] bytes are the big-endian payload length;
 /// the rest is the payload. `Frame` dereferences to the *payload*, so code
-/// that treats a received frame as bytes (`Message::from_frame(&frame)`,
+/// that treats a received frame as bytes (`MessageView::parse(&frame)`,
 /// `clam_xdr::decode(&frame)`) works unchanged, while transports write
 /// [`Frame::wire`] in a single call with no copy and no scratch buffer.
 #[derive(Clone)]

@@ -502,7 +502,7 @@ impl Caller {
 mod tests {
     use super::*;
     use crate::error::StatusCode;
-    use crate::message::{Message, Reply};
+    use crate::message::{Message, MessageView, Reply};
     use clam_net::pair;
     use clam_xdr::Opaque;
 
@@ -520,16 +520,16 @@ mod tests {
             let mut frames = 0u64;
             while let Ok(frame) = server.recv() {
                 frames += 1;
-                let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+                let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                     panic!("unexpected message");
                 };
-                for call in calls {
+                for call in calls.iter() {
                     if call.request_id != 0 {
                         let reply = Message::Reply(Reply {
                             request_id: call.request_id,
                             status: StatusCode::Ok,
                             detail: String::new(),
-                            results: call.args.clone(),
+                            results: Opaque::from(call.args),
                         });
                         server.send(reply.to_frame().unwrap()).unwrap();
                     }
@@ -639,11 +639,11 @@ mod tests {
         let mut server = server;
         let srv = std::thread::spawn(move || {
             let frame = server.recv().unwrap();
-            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                 panic!()
             };
             let reply = Message::Reply(Reply {
-                request_id: calls[0].request_id,
+                request_id: calls.iter().next().unwrap().request_id,
                 status: StatusCode::StaleHandle,
                 detail: "gone".to_string(),
                 results: Opaque::new(),
@@ -787,17 +787,18 @@ mod tests {
         let srv = std::thread::spawn(move || {
             let _ = server.recv().unwrap(); // attempt 1: black-holed
             let frame = server.recv().unwrap(); // attempt 2: served
-            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                 panic!("unexpected message");
             };
+            let call = calls.iter().next().unwrap();
             let reply = Message::Reply(Reply {
-                request_id: calls[0].request_id,
+                request_id: call.request_id,
                 status: StatusCode::Ok,
                 detail: String::new(),
-                results: calls[0].args.clone(),
+                results: Opaque::from(call.args),
             });
             server.send(reply.to_frame().unwrap()).unwrap();
-            calls[0].request_id
+            call.request_id
         });
         let out = caller
             .call_with(

@@ -527,7 +527,6 @@ mod tests {
         Message::Reply(ok_reply(request_id, byte))
             .to_frame()
             .unwrap()
-            .into()
     }
 
     /// A table reading the client end of a fresh in-process pair; the

@@ -870,18 +870,18 @@ mod tests {
         let server = RpcServer::new();
         let counting = Arc::new(CountingService(std::sync::atomic::AtomicU32::new(0)));
         server.register_service(1, Arc::clone(&counting) as Arc<dyn Service>);
-        let last = call(Target::Builtin(1), 0, Opaque::from(vec![9]), 12);
         let good = Message::CallBatch(vec![
             call(Target::Builtin(1), 0, Opaque::from(vec![1]), 11),
             call(Target::Builtin(1), 0, Opaque::new(), 0),
-            last.clone(),
+            call(Target::Builtin(1), 0, Opaque::from(vec![9]), 12),
         ])
         .to_frame()
-        .unwrap();
+        .unwrap()
+        .to_vec();
         // The last call's wire image: request id (8 bytes), target kind
         // and id (4 + 4), method (4), args length (4), one arg byte and
         // three padding bytes, trace (24).
-        let at = good.len() - clam_xdr::encode(&last).unwrap().len();
+        let at = good.len() - (8 + 4 + 4 + 4 + 4 + 4 + 24);
         let corrupt = |offset: usize, word: u32| {
             let mut frame = good.clone();
             frame[at + offset..at + offset + 4].copy_from_slice(&word.to_be_bytes());

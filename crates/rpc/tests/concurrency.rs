@@ -2,7 +2,7 @@
 //! out-of-order replies, interleaved batching.
 
 use clam_net::pair;
-use clam_rpc::{Caller, CallerConfig, Message, Reply, StatusCode, Target};
+use clam_rpc::{Caller, CallerConfig, Message, MessageView, Reply, StatusCode, Target};
 use clam_task::Scheduler;
 use clam_xdr::Opaque;
 use parking_lot::Mutex;
@@ -13,17 +13,17 @@ use std::sync::Arc;
 fn serve(mut chan: clam_net::Channel, reverse: bool) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         while let Ok(frame) = chan.recv() {
-            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                 return;
             };
             let mut replies: Vec<Reply> = calls
-                .into_iter()
+                .iter()
                 .filter(|c| c.request_id != 0)
                 .map(|c| Reply {
                     request_id: c.request_id,
                     status: StatusCode::Ok,
                     detail: String::new(),
-                    results: c.args,
+                    results: Opaque::from(c.args),
                 })
                 .collect();
             if reverse {
@@ -127,10 +127,10 @@ fn async_and_sync_interleave_without_loss() {
     let mut server = server;
     let srv = std::thread::spawn(move || {
         while let Ok(frame) = server.recv() {
-            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                 return;
             };
-            *rcv.lock() += calls.len() as u64;
+            *rcv.lock() += calls.iter().count() as u64;
             for c in calls.iter().filter(|c| c.request_id != 0) {
                 let reply = Reply {
                     request_id: c.request_id,

@@ -7,7 +7,7 @@
 //! The single test in this file reads the process-global
 //! `rpc.deadlines_armed` gauge, so it must stay alone here.
 
-use clam_rpc::{Caller, CallerConfig, Message, Reply, StatusCode, Target};
+use clam_rpc::{Caller, CallerConfig, Message, MessageView, Reply, StatusCode, Target};
 use clam_task::Scheduler;
 use clam_xdr::Opaque;
 
@@ -15,15 +15,15 @@ use clam_xdr::Opaque;
 fn serve_echo(mut server: clam_net::Channel) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         while let Ok(frame) = server.recv() {
-            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                 panic!("unexpected message");
             };
-            for call in calls.into_iter().filter(|c| c.request_id != 0) {
+            for call in calls.iter().filter(|c| c.request_id != 0) {
                 let reply = Message::Reply(Reply {
                     request_id: call.request_id,
                     status: StatusCode::Ok,
                     detail: String::new(),
-                    results: call.args,
+                    results: Opaque::from(call.args),
                 });
                 if server.send(reply.to_frame().unwrap()).is_err() {
                     return;

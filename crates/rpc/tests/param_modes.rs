@@ -8,7 +8,9 @@
 //! carries buffer+report. Each leg omits what doesn't travel.
 
 use clam_net::pair;
-use clam_rpc::{Caller, CallerConfig, Leg, Message, ParamMode, Reply, StatusCode, Target};
+use clam_rpc::{
+    Caller, CallerConfig, Leg, Message, MessageView, ParamMode, Reply, StatusCode, Target,
+};
 use clam_task::Scheduler;
 use clam_xdr::{Opaque, XdrStream};
 
@@ -35,8 +37,8 @@ fn bundle_request(config: u32, buffer: &[u8]) -> Opaque {
 }
 
 /// Server stub, request leg: unbundle the same way.
-fn unbundle_request(args: &Opaque) -> (u32, Vec<u8>) {
-    let mut stream = XdrStream::decoder(args.as_slice());
+fn unbundle_request(args: &[u8]) -> (u32, Vec<u8>) {
+    let mut stream = XdrStream::decoder(args);
     let mut config_slot: Option<u32> = None;
     CONFIG_MODE
         .bundle_if(Leg::Request, &mut stream, &mut config_slot)
@@ -114,11 +116,11 @@ fn hand_stubbed_call_works_end_to_end() {
     // The server: doubles config into every buffer byte and reports.
     let srv = std::thread::spawn(move || {
         let frame = server_ch.recv().unwrap();
-        let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+        let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
             panic!("bad frame")
         };
-        let call = &calls[0];
-        let (config, mut buffer) = unbundle_request(&call.args);
+        let call = calls.iter().next().unwrap();
+        let (config, mut buffer) = unbundle_request(call.args);
         for b in &mut buffer {
             *b = b.wrapping_mul(config as u8);
         }

@@ -1,9 +1,14 @@
 //! Property tests for the RPC wire protocol and the handle table.
+//!
+//! The shipped codec is held to `reference`, an independent encoder and
+//! decoder written from DESIGN §5's message layouts.
+
+mod reference;
 
 use clam_obs::{SpanId, TraceContext, TraceId};
 use clam_rpc::{
-    BatchEncoder, Call, CallView, Handle, Message, MessageView, ObjectTable, Reply, ReplyView,
-    StatusCode, Target, UpcallMsg, WIRE_VERSION,
+    BatchEncoder, Call, Handle, Message, MessageView, ObjectTable, Reply, StatusCode, Target,
+    UpcallMsg, WIRE_VERSION,
 };
 use clam_xdr::{BufferPool, Opaque};
 use proptest::prelude::*;
@@ -97,25 +102,29 @@ fn arb_message() -> impl Strategy<Value = Message> {
 }
 
 proptest! {
+    /// What the shipped writers put on the wire, the reference reads
+    /// back, and so does the in-place reader.
     #[test]
     fn every_message_round_trips(msg in arb_message()) {
         let frame = msg.to_frame().unwrap();
         prop_assert_eq!(frame.len() % 4, 0, "frames are xdr-aligned");
-        let back = Message::from_frame(&frame).unwrap();
-        prop_assert_eq!(back, msg);
+        prop_assert_eq!(reference::decode(&frame), Ok(msg.clone()));
+        prop_assert_eq!(reference::read_in_place(&frame), Some(msg));
     }
 
     #[test]
     fn corrupt_frames_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::from_frame(&bytes);
+        let _ = MessageView::parse(&bytes);
+        let _ = reference::decode(&bytes);
     }
 
     #[test]
     fn truncation_is_always_an_error(msg in arb_message(), cut in 1usize..16) {
         let frame = msg.to_frame().unwrap();
-        if cut <= frame.len() && frame.len() > cut {
+        if frame.len() > cut {
             let truncated = &frame[..frame.len() - cut];
-            prop_assert!(Message::from_frame(truncated).is_err());
+            prop_assert!(MessageView::parse(truncated).is_err());
+            prop_assert!(reference::decode(truncated).is_err());
         }
     }
 
@@ -147,7 +156,7 @@ proptest! {
     #[test]
     fn batch_order_is_preserved(calls in proptest::collection::vec(arb_call(), 0..16)) {
         let frame = Message::CallBatch(calls.clone()).to_frame().unwrap();
-        match Message::from_frame(&frame).unwrap() {
+        match reference::decode(&frame).unwrap() {
             Message::CallBatch(back) => prop_assert_eq!(back, calls),
             other => prop_assert!(false, "wrong variant {:?}", other),
         }
@@ -162,63 +171,24 @@ fn arb_any_message() -> impl Strategy<Value = Message> {
     ]
 }
 
-fn owned_call(view: CallView<'_>) -> Call {
-    Call {
-        request_id: view.request_id,
-        target: view.target,
-        method: view.method,
-        args: Opaque::from(view.args),
-        trace: view.trace,
-    }
-}
-
-fn owned_reply(view: ReplyView<'_>) -> Reply {
-    Reply {
-        request_id: view.request_id,
-        status: view.status,
-        detail: view.detail.to_string(),
-        results: Opaque::from(view.results),
-    }
-}
-
-/// What the in-place reader makes of `frame`, in owned form: `None` if it
-/// refuses the frame.
-fn read_in_place(frame: &[u8]) -> Option<Message> {
-    Some(match MessageView::parse(frame).ok()? {
-        MessageView::CallBatch(batch) => Message::CallBatch(batch.iter().map(owned_call).collect()),
-        MessageView::NestedCallBatch(batch) => {
-            Message::NestedCallBatch(batch.iter().map(owned_call).collect())
-        }
-        MessageView::Reply(reply) => Message::Reply(owned_reply(reply)),
-        MessageView::Upcall(upcall) => Message::Upcall(UpcallMsg {
-            proc_id: upcall.proc_id,
-            request_id: upcall.request_id,
-            args: Opaque::from(upcall.args),
-            trace: upcall.trace,
-        }),
-        MessageView::UpcallReply(reply) => Message::UpcallReply(owned_reply(reply)),
-    })
-}
-
-// The in-place codec against the owned reference codec
-// (`Message::to_frame`/`from_frame`): the writers must produce the same
-// bytes, and the reader must accept exactly the frames `from_frame`
-// accepts, with equal fields.
+// The shipped codec against the reference: the writers must produce the
+// same bytes, and the reader must accept exactly the frames the
+// reference accepts, with equal fields.
 proptest! {
     #[test]
     fn in_place_codec_round_trips_like_the_reference(msg in arb_any_message()) {
-        let frame = msg.to_frame().unwrap();
+        let frame = reference::encode(&msg).unwrap();
         let pool = BufferPool::default();
         let in_place = msg.to_frame_in(&pool).unwrap();
         prop_assert_eq!(in_place.payload(), frame.as_slice());
-        prop_assert_eq!(read_in_place(&frame), Some(msg));
+        prop_assert_eq!(reference::read_in_place(&frame), Some(msg));
     }
 
     #[test]
     fn in_place_reader_agrees_on_corrupt_frames(
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        prop_assert_eq!(read_in_place(&bytes), Message::from_frame(&bytes).ok());
+        prop_assert_eq!(reference::read_in_place(&bytes), reference::decode(&bytes).ok());
     }
 
     /// A random body behind a valid kind word reaches the field checks.
@@ -229,7 +199,7 @@ proptest! {
     ) {
         let mut frame = ((WIRE_VERSION << 8) | kind).to_be_bytes().to_vec();
         frame.extend_from_slice(&body);
-        prop_assert_eq!(read_in_place(&frame), Message::from_frame(&frame).ok());
+        prop_assert_eq!(reference::read_in_place(&frame), reference::decode(&frame).ok());
     }
 
     /// One damaged byte anywhere in a valid frame: a count, a
@@ -240,10 +210,10 @@ proptest! {
         at in any::<usize>(),
         xor in 1u8..=255,
     ) {
-        let mut frame = msg.to_frame().unwrap();
+        let mut frame = reference::encode(&msg).unwrap();
         let at = at % frame.len();
         frame[at] ^= xor;
-        prop_assert_eq!(read_in_place(&frame), Message::from_frame(&frame).ok());
+        prop_assert_eq!(reference::read_in_place(&frame), reference::decode(&frame).ok());
     }
 
     #[test]
@@ -251,14 +221,14 @@ proptest! {
         msg in arb_any_message(),
         cut in 1usize..16,
     ) {
-        let frame = msg.to_frame().unwrap();
+        let frame = reference::encode(&msg).unwrap();
         if frame.len() > cut {
             prop_assert!(MessageView::parse(&frame[..frame.len() - cut]).is_err());
         }
         let mut long = frame.clone();
         long.extend_from_slice(&[0; 4]);
         prop_assert!(MessageView::parse(&long).is_err());
-        prop_assert!(Message::from_frame(&long).is_err());
+        prop_assert!(reference::decode(&long).is_err());
     }
 
     #[test]
@@ -266,7 +236,7 @@ proptest! {
         calls in proptest::collection::vec(arb_call(), 0..16),
         nested in any::<bool>(),
     ) {
-        let (mut enc, reference) = if nested {
+        let (mut enc, msg) = if nested {
             (BatchEncoder::begin_nested(Vec::new()), Message::NestedCallBatch(calls.clone()))
         } else {
             (BatchEncoder::begin(Vec::new()), Message::CallBatch(calls.clone()))
@@ -275,14 +245,8 @@ proptest! {
             enc.push_view(&call.view()).unwrap();
         }
         let frame = enc.finish().unwrap();
-        let reference = reference.to_frame().unwrap();
-        prop_assert_eq!(frame.payload(), reference.as_slice());
-        match MessageView::parse(&frame).unwrap() {
-            MessageView::CallBatch(batch) | MessageView::NestedCallBatch(batch) => {
-                let back: Vec<Call> = batch.iter().map(owned_call).collect();
-                prop_assert_eq!(back, calls);
-            }
-            other => prop_assert!(false, "wrong variant {:?}", other),
-        }
+        let expect = reference::encode(&msg).unwrap();
+        prop_assert_eq!(frame.payload(), expect.as_slice());
+        prop_assert_eq!(reference::read_in_place(&frame), Some(msg));
     }
 }

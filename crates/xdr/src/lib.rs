@@ -41,7 +41,6 @@
 mod array;
 mod bundle;
 mod error;
-mod obs_bundle;
 mod opaque;
 mod pool;
 mod primitives;

@@ -10,8 +10,8 @@
 use clam_core::{ClamClient, ClamServer, RemoteUpcall};
 use clam_integration::unique_inproc;
 use clam_rpc::{
-    Call, CallContext, Handle, Message, ProcId, RpcError, RpcResult, RpcServer, Service,
-    StatusCode, Target,
+    Call, CallContext, Handle, Message, MessageView, ProcId, RpcError, RpcResult, RpcServer,
+    Service, StatusCode, Target,
 };
 use clam_xdr::Opaque;
 use parking_lot::Mutex;
@@ -110,7 +110,7 @@ fn client_death_unblocks_the_upcaller_and_stales_its_handles() {
 
     // The upcall reaches the client: the server task is now blocked.
     let frame = up_ch.recv().expect("upcall frame");
-    let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
+    let Ok(MessageView::Upcall(up)) = MessageView::parse(&frame) else {
         panic!("expected an upcall on the upcall channel");
     };
     assert_eq!(up.proc_id, UPCALL_PROC);

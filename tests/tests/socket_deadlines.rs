@@ -10,8 +10,8 @@ use clam_core::{ClamClient, ClamServer, ServerConfig, SessionCtl, UpcallTarget};
 use clam_integration::unique_unix;
 use clam_net::{Channel, Endpoint, Frame, FRAME_PREFIX_LEN};
 use clam_rpc::{
-    CallContext, Caller, CallerConfig, Message, ProcId, Reply, RpcError, RpcResult, RpcServer,
-    Service, StatusCode, Target,
+    CallContext, Caller, CallerConfig, Message, MessageView, ProcId, Reply, RpcError, RpcResult,
+    RpcServer, Service, StatusCode, Target,
 };
 use clam_task::Scheduler;
 use clam_xdr::Opaque;
@@ -121,15 +121,15 @@ fn black_hole_call_deadline(endpoint: Endpoint) {
     let server = std::thread::spawn(move || {
         let _ = server_end.recv().expect("the black-holed call");
         while let Ok(frame) = server_end.recv() {
-            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+            let Ok(MessageView::CallBatch(calls)) = MessageView::parse(&frame) else {
                 panic!("unexpected message");
             };
-            for call in calls.into_iter().filter(|c| c.request_id != 0) {
+            for call in calls.iter().filter(|c| c.request_id != 0) {
                 let reply = Message::Reply(Reply {
                     request_id: call.request_id,
                     status: StatusCode::Ok,
                     detail: String::new(),
-                    results: call.args,
+                    results: Opaque::from(call.args),
                 });
                 if server_end.send(reply.to_frame().unwrap()).is_err() {
                     return;
@@ -179,20 +179,20 @@ fn black_hole_call_deadline_over_tcp() {
 
 /// Answer `call`'s sync calls by echoing their arguments.
 fn echo_replies(call: &Frame) -> Vec<Frame> {
-    let Ok(Message::CallBatch(calls)) = Message::from_frame(call) else {
+    let Ok(MessageView::CallBatch(calls)) = MessageView::parse(call) else {
         panic!("unexpected message");
     };
     calls
-        .into_iter()
+        .iter()
         .filter(|c| c.request_id != 0)
         .map(|c| {
             let reply = Message::Reply(Reply {
                 request_id: c.request_id,
                 status: StatusCode::Ok,
                 detail: String::new(),
-                results: c.args,
+                results: Opaque::from(c.args),
             });
-            Frame::from(reply.to_frame().unwrap())
+            reply.to_frame().unwrap()
         })
         .collect()
 }
