@@ -281,13 +281,13 @@ fn task_reuse() -> (Duration, Duration) {
     println!("{:<26} {:>16.1}", "reused (warm pool)", us(reused));
     println!("{:<26} {:>16.1}", "fresh thread", us(fresh));
     println!("{:-<44}", "");
-    let stats = sched.stats();
+    let m = sched.metrics();
+    let pooled = m.counter("task.workers_reused");
     println!(
-        "pool: spawned={} threads_created={} reused={} ({}% reuse)",
-        stats.tasks_spawned,
-        stats.threads_created,
-        stats.workers_reused,
-        100 * stats.workers_reused / stats.tasks_spawned.max(1)
+        "pool: spawned={} threads_created={} reused={pooled} ({}% reuse)",
+        m.counter("task.tasks_spawned"),
+        m.counter("task.threads_created"),
+        100 * pooled / m.counter("task.tasks_spawned").max(1)
     );
     sched.shutdown();
     (reused, fresh)

@@ -156,8 +156,13 @@ pub struct ClamClient {
     own_scheduler: bool,
     caller: Arc<Caller>,
     procs: Arc<ProcRegistry>,
-    /// Upcalls handled so far (diagnostics and tests).
-    upcalls_handled: Arc<AtomicU64>,
+    counters: ClientCounters,
+}
+
+clam_obs::counters! {
+    struct ClientCounters {
+        upcalls_handled: "core.upcalls_handled",
+    }
 }
 
 impl std::fmt::Debug for ClamClient {
@@ -246,7 +251,7 @@ impl ClamClient {
             own_scheduler,
             caller,
             procs: Arc::new(ProcRegistry::new()),
-            upcalls_handled: Arc::new(AtomicU64::new(0)),
+            counters: ClientCounters::register(),
         });
 
         // The upcall-handler task: initially blocked, unblocked on
@@ -256,7 +261,7 @@ impl ClamClient {
         // transport's buffer.
         {
             let procs = Arc::clone(&client.procs);
-            let handled = Arc::clone(&client.upcalls_handled);
+            let handled = Arc::clone(&client.counters.upcalls_handled);
             let sched = client.sched.clone();
             client.sched.spawn("upcall-handler", move || {
                 while let Ok(frame) = sched.outside(|| up_reader.recv()) {
@@ -277,7 +282,7 @@ impl ClamClient {
                     upcall_pool.recycle(frame.into_wire());
                     let reply = Self::run_upcall(&procs, &up);
                     upcall_pool.recycle(up.args.into_inner());
-                    handled.fetch_add(1, Ordering::Relaxed);
+                    handled.inc();
                     if up.request_id != 0 {
                         let Ok(frame) = Message::UpcallReply(reply).to_frame_in(&upcall_pool)
                         else {
@@ -407,7 +412,13 @@ impl ClamClient {
     /// Number of upcalls this client has handled.
     #[must_use]
     pub fn upcalls_handled(&self) -> u64 {
-        self.upcalls_handled.load(Ordering::Relaxed)
+        self.counters.upcalls_handled.get()
+    }
+
+    /// This client's own `core.*` counts, keyed by catalogue name.
+    #[must_use]
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.counters.metrics()
     }
 }
 

@@ -29,14 +29,8 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
-
-/// Accept errors a `clam-accept` thread survived (`core.accept_errors`).
-fn obs_accept_errors() -> &'static Arc<clam_obs::Counter> {
-    static C: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("core.accept_errors"))
-}
 
 /// How long a `clam-accept` thread waits after a failed accept before it
 /// tries again: long enough that an error that persists (out of file
@@ -64,7 +58,7 @@ fn accept_loop(listener: &dyn Listener, server: &Weak<ClamServer>) {
             Ok(channel) => server.admit(channel),
             Err(NetError::Closed) => return,
             Err(e) => {
-                obs_accept_errors().inc();
+                server.counters.accept_errors.inc();
                 let code = match e {
                     NetError::Io(e) => e.raw_os_error().and_then(|c| u32::try_from(c).ok()),
                     _ => None,
@@ -146,6 +140,13 @@ pub struct ClamServer {
     pending_pairs: Mutex<HashMap<u64, (ChannelRole, Channel)>>,
     /// Owned to keep the listeners open until shutdown.
     listeners: Mutex<Vec<Arc<dyn Listener>>>,
+    counters: ServerCounters,
+}
+
+clam_obs::counters! {
+    struct ServerCounters {
+        accept_errors: "core.accept_errors",
+    }
 }
 
 impl std::fmt::Debug for ClamServer {
@@ -208,6 +209,7 @@ impl ClamServer {
             endpoints: resolved,
             pending_pairs: Mutex::new(HashMap::new()),
             listeners: Mutex::new(listeners.clone()),
+            counters: ServerCounters::register(),
         });
 
         // Error-reporting upcalls (section 4.3): when loaded code faults,
@@ -262,6 +264,12 @@ impl ClamServer {
     #[must_use]
     pub fn scheduler(&self) -> &Scheduler {
         &self.sched
+    }
+
+    /// This server's own `core.*` counts, keyed by catalogue name.
+    #[must_use]
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.counters.metrics()
     }
 
     /// Live client sessions.
@@ -568,13 +576,8 @@ mod tests {
         }
     }
 
-    /// Held by each test that runs an accept loop into failures: they
-    /// count the one process-wide `core.accept_errors`.
-    static ACCEPT_LOOP_TESTS: Mutex<()> = Mutex::new(());
-
     #[test]
     fn the_accept_loop_survives_accept_errors() {
-        let _serial = ACCEPT_LOOP_TESTS.lock();
         let server = ClamServer::builder().build().unwrap();
         let (mut client, accepted) = clam_net::pair();
         let hello = Hello {
@@ -591,7 +594,6 @@ mod tests {
             release: Mutex::new(released),
             accepts: AtomicU64::new(0),
         });
-        let errors_before = obs_accept_errors().get();
         let weak = Arc::downgrade(&server);
         let thread = {
             let listener = Arc::clone(&listener);
@@ -608,7 +610,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(obs_accept_errors().get() - errors_before, 2);
+        assert_eq!(server.metrics().counter("core.accept_errors"), 2);
 
         // A fourth accept is under way; shutdown ends the loop.
         server.shutdown();
@@ -619,7 +621,6 @@ mod tests {
 
     #[test]
     fn each_failed_accept_is_journalled() {
-        let _serial = ACCEPT_LOOP_TESTS.lock();
         let server = ClamServer::builder().build().unwrap();
         let (release, released) = std::sync::mpsc::channel();
         // Two failed accepts, then one that blocks until released.
@@ -656,5 +657,6 @@ mod tests {
             .collect();
         // The scripted error carries no OS error number.
         assert_eq!(codes, [0, 0]);
+        assert_eq!(server.metrics().counter("core.accept_errors"), 2);
     }
 }

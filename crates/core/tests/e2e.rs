@@ -301,11 +301,11 @@ fn batched_oneway_calls_cross_the_full_server() {
         source.fire_async(1).unwrap();
     }
     // Nothing sent yet (batched); a sync call flushes ahead of itself.
-    let (batches_before, _) = client.caller().send_stats();
+    let batches = || client.caller().metrics().counter("rpc.batches_sent");
+    let batches_before = batches();
     source.fire(0).unwrap();
-    let (batches_after, calls) = client.caller().send_stats();
-    assert!(batches_after > batches_before);
-    assert!(calls >= 11);
+    assert!(batches() > batches_before);
+    assert!(client.caller().metrics().counter("rpc.calls_sent") >= 11);
     assert_eq!(count.load(Ordering::SeqCst), 10, "all batched events ran");
 }
 

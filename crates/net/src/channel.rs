@@ -1,11 +1,11 @@
 //! The duplex message channel and its split reader/writer halves.
 //!
-//! Every channel assembled through [`Channel::from_halves`] is metered:
-//! frames and bytes in each direction feed the global `net.*` counters,
-//! keyed by the transport kind (the label's first `-`-separated segment:
-//! `inmem`, `unix`, `tcp`, `wan`, `faulty`). Layered channels — a WAN
-//! shaper or fault injector wrapping a TCP channel — meter at each layer,
-//! so the per-kind counters read as per-layer traffic.
+//! Every socket's channel is metered once, at its stream halves: frames
+//! and bytes in each direction feed the global `net.*` counters, keyed by
+//! the transport kind (the label's first `-`-separated segment: `inmem`,
+//! `unix`, `tcp`). A channel layered over another — a WAN shaper or fault
+//! injector — adds no count of its own, so each frame on the wire is
+//! counted once, under the transport that carries it.
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
@@ -135,21 +135,10 @@ impl Channel {
         writer: Box<dyn MsgWriter>,
         reader: Box<dyn MsgReader>,
     ) -> Channel {
-        let label = label.into();
-        let kind = transport_kind(&label);
         Channel {
-            writer: Box::new(MeteredWriter {
-                inner: writer,
-                frames: clam_obs::counter(&format!("net.frames_sent.{kind}")),
-                bytes: clam_obs::counter(&format!("net.bytes_sent.{kind}")),
-                frame_bytes: clam_obs::histogram("net.frame_bytes"),
-            }),
-            reader: Box::new(MeteredReader {
-                inner: reader,
-                frames: clam_obs::counter(&format!("net.frames_recv.{kind}")),
-                bytes: clam_obs::counter(&format!("net.bytes_recv.{kind}")),
-            }),
-            label,
+            writer,
+            reader,
+            label: label.into(),
         }
     }
 
@@ -164,14 +153,17 @@ impl Channel {
     pub(crate) fn from_stream<S: Socket>(label: &str, stream: S) -> NetResult<Channel> {
         stream.set_write_timeout(Some(WRITE_TICK))?;
         let socket = Arc::new(stream);
+        let kind = transport_kind(label);
         Ok(Channel::from_halves(
             label,
             Box::new(StreamWriter {
                 socket: Arc::clone(&socket),
                 unsent: None,
                 pool: None,
+                meter: Meter::new("sent", kind),
+                frame_bytes: clam_obs::histogram("net.frame_bytes"),
             }),
-            Box::new(StreamReader::new(socket)),
+            Box::new(StreamReader::new(socket, kind)),
         ))
     }
 
@@ -231,85 +223,23 @@ fn transport_kind(label: &str) -> &str {
     }
 }
 
-/// Counting wrapper installed around every writer half by
-/// [`Channel::from_halves`]. The counter handles are resolved once at
-/// channel construction; a send costs three relaxed atomic adds on top
-/// of the transport.
-struct MeteredWriter {
-    inner: Box<dyn MsgWriter>,
-    frames: Arc<clam_obs::Counter>,
-    bytes: Arc<clam_obs::Counter>,
-    frame_bytes: Arc<clam_obs::Histogram>,
-}
-
-impl MeteredWriter {
-    fn count(&self, wire_len: u64) {
-        self.frames.inc();
-        self.bytes.add(wire_len);
-        self.frame_bytes.observe(wire_len);
-    }
-}
-
-impl MsgWriter for MeteredWriter {
-    fn send(&mut self, frame: Frame) -> NetResult<()> {
-        let wire_len = frame.wire().len() as u64;
-        self.inner.send(frame)?;
-        self.count(wire_len);
-        Ok(())
-    }
-
-    /// Counts the frame once the transport has taken it, sent or not.
-    fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
-        let wire_len = frame.wire().len() as u64;
-        let sent = self.inner.start_send(frame)?;
-        self.count(wire_len);
-        Ok(sent)
-    }
-
-    fn finish_send(&mut self) -> NetResult<()> {
-        self.inner.finish_send()
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.inner.attach_pool(pool);
-    }
-}
-
-/// Counting wrapper around every reader half.
-struct MeteredReader {
-    inner: Box<dyn MsgReader>,
+/// `net.frames_{dir}.{kind}` and `net.bytes_{dir}.{kind}` of a stream half.
+struct Meter {
     frames: Arc<clam_obs::Counter>,
     bytes: Arc<clam_obs::Counter>,
 }
 
-impl MeteredReader {
-    fn count(&self, frame: &Frame) {
-        self.frames.inc();
-        self.bytes.add(frame.wire().len() as u64);
-    }
-}
-
-impl MsgReader for MeteredReader {
-    fn recv(&mut self) -> NetResult<Frame> {
-        let frame = self.inner.recv()?;
-        self.count(&frame);
-        Ok(frame)
-    }
-
-    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
-        let frame = self.inner.recv_until(deadline)?;
-        if let Some(frame) = &frame {
-            self.count(frame);
+impl Meter {
+    fn new(direction: &str, kind: &str) -> Meter {
+        Meter {
+            frames: clam_obs::counter(&format!("net.frames_{direction}.{kind}")),
+            bytes: clam_obs::counter(&format!("net.bytes_{direction}.{kind}")),
         }
-        Ok(frame)
     }
 
-    fn closer(&self) -> Closer {
-        self.inner.closer()
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.inner.attach_pool(pool);
+    fn count(&self, wire_len: usize) {
+        self.frames.inc();
+        self.bytes.add(wire_len as u64);
     }
 }
 
@@ -361,6 +291,8 @@ struct StreamWriter<S: Socket> {
     /// how many of its bytes are on the wire.
     unsent: Option<(Frame, usize)>,
     pool: Option<BufferPool>,
+    meter: Meter,
+    frame_bytes: Arc<clam_obs::Histogram>,
 }
 
 impl<S: Socket> StreamWriter<S> {
@@ -399,11 +331,16 @@ impl<S: Socket> MsgWriter for StreamWriter<S> {
         Ok(())
     }
 
+    /// Counts the frame once the socket has taken it, sent or not.
     fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
         self.finish_send()?;
+        let wire_len = frame.wire().len();
         // The frame already is its wire image: written as is, no copy.
         self.unsent = Some((frame, 0));
-        self.write_some()
+        let sent = self.write_some()?;
+        self.meter.count(wire_len);
+        self.frame_bytes.observe(wire_len as u64);
+        Ok(sent)
     }
 
     fn finish_send(&mut self) -> NetResult<()> {
@@ -463,10 +400,11 @@ struct StreamReader<S> {
     /// often, not per call.
     timeout: Option<Duration>,
     pool: Option<BufferPool>,
+    meter: Meter,
 }
 
 impl<S: Socket> StreamReader<S> {
-    fn new(socket: Arc<S>) -> StreamReader<S> {
+    fn new(socket: Arc<S>, kind: &str) -> StreamReader<S> {
         StreamReader {
             stream: BufReader::new(Shared(socket)),
             partial: Vec::new(),
@@ -474,6 +412,7 @@ impl<S: Socket> StreamReader<S> {
             frame_len: 0,
             timeout: None,
             pool: None,
+            meter: Meter::new("recv", kind),
         }
     }
 
@@ -506,6 +445,7 @@ impl<S: Socket> StreamReader<S> {
         if !self.fill(deadline)? {
             return Ok(None);
         }
+        self.meter.count(self.frame_len);
         self.filled = 0;
         self.frame_len = 0;
         Frame::from_wire(std::mem::take(&mut self.partial)).map(Some)
@@ -658,6 +598,45 @@ mod tests {
         assert!(hist.count >= 1);
     }
 
+    /// `net.frames_sent.{kind}` and `net.frames_recv.{kind}` in `snap`.
+    fn frames(snap: &clam_obs::MetricsSnapshot, kind: &str) -> [u64; 2] {
+        ["sent", "recv"].map(|dir| snap.counter(&format!("net.frames_{dir}.{kind}")))
+    }
+
+    #[test]
+    fn a_wrapped_channel_meters_each_frame_once() {
+        use crate::{Endpoint, FaultPlan, FaultyChannel, WanConfig};
+        let before = clam_obs::snapshot();
+        let (a, b) = pair();
+        let (mut a, _) = FaultyChannel::wrap(a, FaultPlan::seeded(1));
+        let (mut b, _) = FaultyChannel::wrap(b, FaultPlan::seeded(2));
+        for i in 0..5u8 {
+            a.send(&[i][..]).unwrap();
+        }
+        for i in 0..5u8 {
+            assert_eq!(b.recv().unwrap(), [i]);
+        }
+        let wan = Endpoint::Wan {
+            addr: "127.0.0.1:0".to_string(),
+            config: WanConfig::with_latency(Duration::ZERO),
+        };
+        let listener = crate::listen(&wan).unwrap();
+        let mut client = crate::connect(&listener.endpoint()).unwrap();
+        let mut server = listener.accept().unwrap();
+        client.send(b"req").unwrap();
+        assert_eq!(server.recv().unwrap(), b"req");
+        server.send(b"resp").unwrap();
+        assert_eq!(client.recv().unwrap(), b"resp");
+
+        // Exact: no channel counts under a wrapper's kind.
+        let delta = clam_obs::snapshot().delta(&before);
+        assert_eq!(frames(&delta, "faulty"), [0, 0]);
+        assert_eq!(frames(&delta, "wan"), [0, 0]);
+        // Lower bounds: sibling tests send on these transports too.
+        assert!(frames(&delta, "inmem").iter().all(|&n| n >= 5));
+        assert!(frames(&delta, "tcp").iter().all(|&n| n >= 2));
+    }
+
     #[test]
     fn transport_kind_takes_the_label_head() {
         assert_eq!(transport_kind("unix-client"), "unix");
@@ -706,7 +685,7 @@ mod tests {
         let tcp = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let c = std::net::TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
         let (d, _) = tcp.accept().unwrap();
-        let reader = |s: AnySocket| StreamReader::new(Arc::new(s));
+        let reader = |s: AnySocket| StreamReader::new(Arc::new(s), "test");
         vec![
             (Box::new(a), reader(Box::new(b))),
             (Box::new(c), reader(Box::new(d))),

@@ -124,7 +124,9 @@ mod tests {
         let (mut tx, _rx) = client.split();
         tx.send(Frame::from(b"lost")).unwrap();
         // The frame was swallowed by the plan: the handle counted it…
-        assert_eq!(connector.handles()[0].stats().dropped, 1);
+        let counts = connector.handles()[0].metrics();
+        let dropped = ["net.fault.drop", "net.fault.partition"].map(|n| counts.counter(n));
+        assert_eq!(dropped, [1, 0]);
         // …and every further link gets its own handle.
         let _second = connector.connect(&listener.endpoint()).unwrap();
         assert_eq!(connector.links_opened(), 2);

@@ -25,7 +25,7 @@ use crate::frame::{encode_frame, Frame};
 use clam_xdr::BufferPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -196,22 +196,25 @@ impl FaultPlan {
         out
     }
 
-    /// Fold [`FaultPlan::planned_fates`] into the counters a
-    /// [`FaultHandle`] would report after sending the same sequence.
+    /// Fold [`FaultPlan::planned_fates`] into the reading
+    /// [`FaultHandle::metrics`] would give after sending the same
+    /// sequence.
     #[must_use]
-    pub fn planned_stats(&self, payload_lens: &[usize]) -> FaultStats {
-        let mut stats = FaultStats::default();
-        for fate in self.planned_fates(payload_lens) {
-            if fate.offered {
-                stats.offered += 1;
-            }
-            stats.delivered += fate.delivered_copies();
-            stats.dropped += u64::from(fate.dropped);
-            stats.delayed += u64::from(fate.delayed);
-            stats.duplicated += u64::from(fate.duplicated);
-            stats.truncated += u64::from(fate.truncated);
-        }
-        stats
+    pub fn planned_stats(&self, payload_lens: &[usize]) -> clam_obs::MetricsSnapshot {
+        let fates = self.planned_fates(payload_lens);
+        let delivered = fates.iter().map(FrameFate::delivered_copies).sum();
+        // The number of fates that are so.
+        let n = |so: fn(&FrameFate) -> bool| fates.iter().filter(|f| so(f)).count() as u64;
+        clam_obs::MetricsSnapshot::from_counters([
+            ("net.fault.offered", n(|f| f.offered)),
+            ("net.fault.drop", n(|f| f.dropped && !f.partitioned)),
+            ("net.fault.delay", n(|f| f.delayed)),
+            ("net.fault.duplicate", n(|f| f.duplicated)),
+            ("net.fault.truncate", n(|f| f.truncated)),
+            ("net.fault.partition", n(|f| f.partitioned)),
+            ("net.fault.disconnect", n(|f| f.offered && f.disconnected)),
+            ("net.fault.delivered", delivered),
+        ])
     }
 }
 
@@ -220,7 +223,7 @@ impl FaultPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FrameFate {
     /// The frame reached the fault layer (counted in
-    /// [`FaultStats::offered`]). False only once a disconnect has already
+    /// `net.fault.offered`). False only once a disconnect has already
     /// closed the writer.
     pub offered: bool,
     /// Silently discarded — by the random drop draw or by a partition.
@@ -302,37 +305,34 @@ fn draw_fate(rng: &mut SmallRng, plan: &FaultPlan, payload_len: usize) -> DrawnF
     }
 }
 
-#[derive(Debug, Default)]
+clam_obs::counters! {
+    /// One faulty link's counts.
+    #[derive(Debug)]
+    struct FaultCounters {
+        /// Frames handed to the faulty writer.
+        offered: "net.fault.offered",
+        /// Frames the random draw dropped (a partition's are `partition`).
+        drop: "net.fault.drop",
+        delay: "net.fault.delay",
+        duplicate: "net.fault.duplicate",
+        truncate: "net.fault.truncate",
+        partition: "net.fault.partition",
+        /// Scripted disconnects.
+        disconnect: "net.fault.disconnect",
+        /// Frames passed to the inner transport (duplicates count).
+        delivered: "net.fault.delivered",
+    }
+}
+
+#[derive(Debug)]
 struct FaultState {
-    offered: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    delayed: AtomicU64,
-    duplicated: AtomicU64,
-    truncated: AtomicU64,
+    counters: FaultCounters,
     partitioned: AtomicBool,
     disconnected: AtomicBool,
 }
 
-/// A point-in-time copy of a faulty channel's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultStats {
-    /// Frames handed to the faulty writer.
-    pub offered: u64,
-    /// Frames actually passed to the inner transport (duplicates count).
-    pub delivered: u64,
-    /// Frames silently discarded (drops and partition black-holes).
-    pub dropped: u64,
-    /// Frames held back before delivery.
-    pub delayed: u64,
-    /// Frames delivered twice.
-    pub duplicated: u64,
-    /// Frames delivered with a truncated payload.
-    pub truncated: u64,
-}
-
 /// Live control over a wrapped channel: force partitions and disconnects
-/// at test-chosen moments, and read the fault counters.
+/// at test-chosen moments, and read the link's fault counters.
 #[derive(Debug, Clone)]
 pub struct FaultHandle {
     state: Arc<FaultState>,
@@ -367,17 +367,11 @@ impl FaultHandle {
         self.state.disconnected.load(Ordering::Acquire)
     }
 
-    /// Snapshot of the fault counters.
+    /// This link's fault counts, keyed by catalogue name
+    /// (`net.fault.offered`, `.delivered`, and one per fault kind).
     #[must_use]
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            offered: self.state.offered.load(Ordering::Relaxed),
-            delivered: self.state.delivered.load(Ordering::Relaxed),
-            dropped: self.state.dropped.load(Ordering::Relaxed),
-            delayed: self.state.delayed.load(Ordering::Relaxed),
-            duplicated: self.state.duplicated.load(Ordering::Relaxed),
-            truncated: self.state.truncated.load(Ordering::Relaxed),
-        }
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.state.counters.metrics()
     }
 }
 
@@ -404,43 +398,17 @@ fn journal_fault(code: u32) {
     );
 }
 
-/// Process-global `net.fault.*` counter handles, resolved once per
-/// wrapped writer so the injection path stays a relaxed atomic add.
-struct FaultObs {
-    drop: Arc<clam_obs::Counter>,
-    delay: Arc<clam_obs::Counter>,
-    duplicate: Arc<clam_obs::Counter>,
-    truncate: Arc<clam_obs::Counter>,
-    partition: Arc<clam_obs::Counter>,
-    disconnect: Arc<clam_obs::Counter>,
-}
-
-impl FaultObs {
-    fn new() -> FaultObs {
-        FaultObs {
-            drop: clam_obs::counter("net.fault.drop"),
-            delay: clam_obs::counter("net.fault.delay"),
-            duplicate: clam_obs::counter("net.fault.duplicate"),
-            truncate: clam_obs::counter("net.fault.truncate"),
-            partition: clam_obs::counter("net.fault.partition"),
-            disconnect: clam_obs::counter("net.fault.disconnect"),
-        }
-    }
-}
-
 struct FaultyWriter {
     inner: Option<Box<dyn MsgWriter>>,
     plan: FaultPlan,
     rng: SmallRng,
     state: Arc<FaultState>,
-    obs: FaultObs,
     /// For recycling the buffers of dropped frames, like a real send.
     pool: Option<BufferPool>,
 }
 
 impl FaultyWriter {
     fn discard(&self, frame: Frame) {
-        self.state.dropped.fetch_add(1, Ordering::Relaxed);
         if let Some(pool) = &self.pool {
             pool.recycle(frame.into_wire());
         }
@@ -453,11 +421,13 @@ impl MsgWriter for FaultyWriter {
             self.inner = None; // drop the writer: the peer sees the hangup
             return Err(NetError::Closed);
         }
-        let n = self.state.offered.fetch_add(1, Ordering::Relaxed) + 1;
+        let c = &self.state.counters;
+        c.offered.inc();
+        let n = c.offered.get();
         if self.plan.disconnect_after.is_some_and(|limit| n > limit) {
             self.state.disconnected.store(true, Ordering::Release);
             self.inner = None;
-            self.obs.disconnect.inc();
+            c.disconnect.inc();
             journal_fault(FAULT_CODE_DISCONNECT);
             return Err(NetError::Closed);
         }
@@ -472,7 +442,7 @@ impl MsgWriter for FaultyWriter {
         }
         if self.state.partitioned.load(Ordering::Acquire) {
             self.discard(frame);
-            self.obs.partition.inc();
+            c.partition.inc();
             journal_fault(FAULT_CODE_PARTITION);
             return Ok(()); // black hole: the sender never learns
         }
@@ -484,19 +454,17 @@ impl MsgWriter for FaultyWriter {
 
         if fate.dropped {
             self.discard(frame);
-            self.obs.drop.inc();
+            c.drop.inc();
             journal_fault(FAULT_CODE_DROP);
             return Ok(());
         }
         if let Some(hold) = fate.hold {
-            self.state.delayed.fetch_add(1, Ordering::Relaxed);
-            self.obs.delay.inc();
+            c.delay.inc();
             journal_fault(FAULT_CODE_DELAY);
             std::thread::sleep(hold);
         }
         let frame = if let Some(keep) = fate.keep {
-            self.state.truncated.fetch_add(1, Ordering::Relaxed);
-            self.obs.truncate.inc();
+            c.truncate.inc();
             journal_fault(FAULT_CODE_TRUNCATE);
             encode_frame(&frame.payload()[..keep])?
         } else {
@@ -504,13 +472,12 @@ impl MsgWriter for FaultyWriter {
         };
         let inner = self.inner.as_mut().ok_or(NetError::Closed)?;
         if fate.duplicated {
-            self.state.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.state.delivered.fetch_add(1, Ordering::Relaxed);
-            self.obs.duplicate.inc();
+            c.duplicate.inc();
+            c.delivered.inc();
             journal_fault(FAULT_CODE_DUPLICATE);
             inner.send(encode_frame(frame.payload())?)?;
         }
-        self.state.delivered.fetch_add(1, Ordering::Relaxed);
+        c.delivered.inc();
         inner.send(frame)
     }
 
@@ -539,7 +506,11 @@ impl FaultyChannel {
     pub fn wrap(channel: Channel, plan: FaultPlan) -> (Channel, FaultHandle) {
         let label = format!("faulty-{}", channel.label());
         let (writer, reader) = channel.split();
-        let state = Arc::new(FaultState::default());
+        let state = Arc::new(FaultState {
+            counters: FaultCounters::register(),
+            partitioned: AtomicBool::new(false),
+            disconnected: AtomicBool::new(false),
+        });
         let handle = FaultHandle {
             state: Arc::clone(&state),
         };
@@ -548,7 +519,6 @@ impl FaultyChannel {
             rng: SmallRng::seed_from_u64(plan.seed),
             plan,
             state,
-            obs: FaultObs::new(),
             pool: None,
         });
         (Channel::from_halves(label, writer, reader), handle)
@@ -560,6 +530,11 @@ mod tests {
     use super::*;
     use crate::channel::pair;
 
+    /// The link's own count of `net.fault.{name}`.
+    fn count(handle: &FaultHandle, name: &str) -> u64 {
+        handle.metrics().counter(&format!("net.fault.{name}"))
+    }
+
     #[test]
     fn benign_plan_passes_frames_through() {
         let (a, mut b) = pair();
@@ -568,8 +543,8 @@ mod tests {
         a.send(b"two").unwrap();
         assert_eq!(b.recv().unwrap(), b"one");
         assert_eq!(b.recv().unwrap(), b"two");
-        let stats = handle.stats();
-        assert_eq!((stats.offered, stats.delivered, stats.dropped), (2, 2, 0));
+        let counts = ["offered", "delivered", "drop"].map(|n| count(&handle, n));
+        assert_eq!(counts, [2, 2, 0]);
         assert!(format!("{a:?}").contains("faulty-"));
     }
 
@@ -581,8 +556,8 @@ mod tests {
             a.send(b"gone").unwrap(); // sender sees success
         }
         // Nothing arrived: the peer would block, so check via stats.
-        let stats = handle.stats();
-        assert_eq!((stats.offered, stats.dropped, stats.delivered), (5, 5, 0));
+        let counts = ["offered", "drop", "delivered"].map(|n| count(&handle, n));
+        assert_eq!(counts, [5, 5, 0]);
         drop(a);
         assert!(b.recv().unwrap_err().is_closed());
     }
@@ -615,8 +590,8 @@ mod tests {
         a.send(b"twin").unwrap();
         assert_eq!(b.recv().unwrap(), b"twin");
         assert_eq!(b.recv().unwrap(), b"twin");
-        assert_eq!(handle.stats().duplicated, 1);
-        assert_eq!(handle.stats().delivered, 2);
+        assert_eq!(count(&handle, "duplicate"), 1);
+        assert_eq!(count(&handle, "delivered"), 2);
     }
 
     #[test]
@@ -627,7 +602,7 @@ mod tests {
         let got = b.recv().unwrap();
         assert!(got.payload().len() < b"a-long-enough-payload".len());
         assert!(b"a-long-enough-payload".starts_with(got.payload()));
-        assert_eq!(handle.stats().truncated, 1);
+        assert_eq!(count(&handle, "truncate"), 1);
     }
 
     #[test]
@@ -640,7 +615,8 @@ mod tests {
         assert!(handle.is_partitioned());
         assert_eq!(b.recv().unwrap(), b"1");
         assert_eq!(b.recv().unwrap(), b"2");
-        assert_eq!(handle.stats().dropped, 1);
+        let dropped = ["drop", "partition"].map(|n| count(&handle, n));
+        assert_eq!(dropped, [0, 1]);
         // One-sided: the reverse direction still works.
         b.send(b"back").unwrap();
         assert_eq!(a.recv().unwrap(), b"back");
@@ -691,7 +667,7 @@ mod tests {
             a.send(&p[..]).unwrap();
         }
         assert_eq!(
-            handle.stats(),
+            handle.metrics(),
             plan.planned_stats(&lens),
             "the pure replay must predict the live counters exactly"
         );
@@ -719,7 +695,9 @@ mod tests {
             fates[2].disconnected && !fates[2].offered,
             "sticky: not offered"
         );
-        assert_eq!(plan.planned_stats(&[4, 4, 4]).offered, 2);
+        let planned = plan.planned_stats(&[4, 4, 4]);
+        assert_eq!(planned.counter("net.fault.offered"), 2);
+        assert_eq!(planned.counter("net.fault.disconnect"), 1);
     }
 
     #[test]
@@ -735,12 +713,13 @@ mod tests {
         for _ in 0..5 {
             a.send(b"frame").unwrap();
         }
-        // Lower bounds only: the counters are process-global and sibling
-        // tests inject faults concurrently. Exactness per channel is
-        // proven by the planned_stats replay test above.
+        // Lower bounds only: the global counters sum every link, and
+        // sibling tests inject faults concurrently. The link's own
+        // counters are exact.
         let delta = clam_obs::snapshot().delta(&before);
         assert!(delta.counter("net.fault.duplicate") >= 3);
         assert!(delta.counter("net.fault.partition") >= 2);
-        assert_eq!(handle.stats().duplicated, 3);
+        assert_eq!(count(&handle, "duplicate"), 3);
+        assert_eq!(count(&handle, "partition"), 2);
     }
 }

@@ -55,7 +55,7 @@ pub use channel::{pair, Channel, Closer, MsgReader, MsgWriter};
 pub use connector::{Connector, DirectConnector, FaultyConnector};
 pub use endpoint::Endpoint;
 pub use error::{NetError, NetResult};
-pub use fault::{FaultHandle, FaultPlan, FaultStats, FaultyChannel, FrameFate};
+pub use fault::{FaultHandle, FaultPlan, FaultyChannel, FrameFate};
 pub use frame::{encode_frame, read_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 pub use wan::WanConfig;
 

@@ -15,7 +15,7 @@
 //!    counters, gauges, and fixed-bucket log2 histograms. Registration
 //!    may allocate; *recording never does* — an increment is one atomic
 //!    RMW, which is what lets the instrumented wire path keep its
-//!    zero-allocation steady state.
+//!    zero-allocation steady state; an owner's own ([`counters!`]) too.
 //! 3. **Event journal** ([`mod@journal`]): a bounded, preallocated ring of
 //!    fixed-size span events (call start/end, upcall enter/exit, fault
 //!    injected, deadline fired) with a JSON-lines dump for offline

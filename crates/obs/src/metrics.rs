@@ -4,13 +4,12 @@
 //! (allocating, done at construction time) and then recorded through
 //! with single atomic RMWs (never allocating) — the discipline that
 //! keeps the instrumented batched-call wire path at zero allocations
-//! per call. [`MetricsSnapshot::delta`] subtracts an earlier snapshot so
-//! tests can assert exactly what one workload recorded in the face of a
-//! process-global registry.
+//! per call. A snapshot sums each name's shared counter and the
+//! counters owners keep of their own ([`counters!`](crate::counters)).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of histogram buckets. Bucket `0` counts zero-valued samples;
@@ -206,9 +205,31 @@ impl HistogramSnapshot {
 }
 
 enum Metric {
-    Counter(Arc<Counter>),
+    Counter(CounterFamily),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+}
+
+/// A name's shared counter, which dropped instances fold into, and its live ones.
+#[derive(Default)]
+struct CounterFamily {
+    shared: Arc<Counter>,
+    instances: Vec<Arc<Counter>>,
+}
+
+impl CounterFamily {
+    /// Fold the instances only we still hold into `shared`; the total.
+    fn fold(&mut self) -> u64 {
+        let shared = &self.shared;
+        self.instances.retain(|c| {
+            Arc::strong_count(c) > 1 || {
+                fence(Ordering::Acquire); // the owner's last adds are in
+                shared.add(c.get());
+                false
+            }
+        });
+        shared.get() + self.instances.iter().map(|c| c.get()).sum::<u64>()
+    }
 }
 
 /// A named collection of metrics. Normally accessed through the
@@ -234,12 +255,25 @@ impl Registry {
     /// and a kind clash is a programming error.
     #[must_use]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
+        self.family(name, |f| Arc::clone(&f.shared))
+    }
+
+    /// A new counter of one owner's own, in `name`'s total also after it
+    /// is dropped (folded into the shared counter when `name` registers
+    /// or the registry is snapshotted). Panics as [`Registry::counter`].
+    pub fn instance(&self, name: &str) -> Arc<Counter> {
+        self.family(name, |f| {
+            f.fold();
+            f.instances.push(Arc::default());
+            Arc::clone(&f.instances[f.instances.len() - 1])
+        })
+    }
+
+    fn family<T>(&self, name: &str, get: impl FnOnce(&mut CounterFamily) -> T) -> T {
         let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
+        let new = || Metric::Counter(CounterFamily::default());
+        match m.entry(name.to_string()).or_insert_with(new) {
+            Metric::Counter(f) => get(f),
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
@@ -281,13 +315,13 @@ impl Registry {
     /// A consistent point-in-time copy of every registered metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         MetricsSnapshot {
             values: m
-                .iter()
+                .iter_mut()
                 .map(|(name, metric)| {
                     let v = match metric {
-                        Metric::Counter(c) => MetricValue::Counter(c.get()),
+                        Metric::Counter(f) => MetricValue::Counter(f.fold()),
                         Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                         Metric::Histogram(h) => MetricValue::Histogram(h.snap()),
                     };
@@ -316,6 +350,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// These counter values: an owner's reading, or a prediction of one.
+    pub fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        let counter = |(n, v): (&str, u64)| (n.to_string(), MetricValue::Counter(v));
+        let values = counters.into_iter().map(counter).collect();
+        MetricsSnapshot { values }
+    }
+
     /// Counter value, or 0 when absent.
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
@@ -421,6 +462,25 @@ pub fn counter(name: &str) -> Arc<Counter> {
     registry().counter(name)
 }
 
+/// Declare an owner's own counters: a struct of [`Registry::instance`]s
+/// with `register()` to make a set and `metrics()` to read it by name.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$m:meta])* struct $name:ident
+        { $($(#[$fm:meta])* $field:ident: $metric:literal),* $(,)? }) => {
+        $(#[$m])*
+        struct $name { $($(#[$fm])* $field: ::std::sync::Arc<$crate::Counter>,)* }
+        impl $name {
+            fn register() -> $name {
+                $name { $($field: $crate::registry().instance($metric),)* }
+            }
+            fn metrics(&self) -> $crate::MetricsSnapshot {
+                $crate::MetricsSnapshot::from_counters([$(($metric, self.$field.get())),*])
+            }
+        }
+    };
+}
+
 /// Get or create a gauge in the global registry.
 #[must_use]
 pub fn gauge(name: &str) -> Arc<Gauge> {
@@ -464,6 +524,68 @@ mod tests {
         r.counter("shared").inc();
         r.counter("shared").inc();
         assert_eq!(r.snapshot().counter("shared"), 2);
+    }
+
+    #[test]
+    fn instances_sum_into_the_snapshot_and_outlive_their_owner() {
+        let r = Registry::new();
+        r.counter("i.count").add(1);
+        let a = r.instance("i.count");
+        let b = r.instance("i.count");
+        a.add(10);
+        b.add(100);
+        assert_eq!((a.get(), b.get()), (10, 100), "each reads its own");
+        assert_eq!(r.snapshot().counter("i.count"), 111);
+        let before = r.snapshot();
+        drop(a);
+        b.inc();
+        assert_eq!(r.snapshot().counter("i.count"), 112, "a's count stays");
+        assert_eq!(r.snapshot().delta(&before).counter("i.count"), 1);
+    }
+
+    /// Instances the registry holds under `name`.
+    fn held(r: &Registry, name: &str) -> usize {
+        r.family(name, |f| f.instances.len())
+    }
+
+    #[test]
+    fn the_registry_holds_only_live_instances() {
+        let r = Registry::new();
+        let live: Vec<_> = (0..3).map(|_| r.instance("i.live")).collect();
+        for _ in 0..10_000 {
+            r.instance("i.live").add(2);
+            assert!(held(&r, "i.live") <= live.len() + 1);
+        }
+        live.iter().for_each(|c| c.inc());
+        assert_eq!(r.snapshot().counter("i.live"), 20_003);
+        assert_eq!(held(&r, "i.live"), live.len());
+    }
+
+    #[test]
+    fn snapshots_never_decrease_while_instances_come_and_go() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 2_000;
+        let r = Arc::new(Registry::new());
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let r = Arc::clone(&r);
+                std::thread::spawn(move || {
+                    for i in 0..ROUNDS {
+                        let c = r.instance("i.churn");
+                        c.add(i % 7 + 1);
+                    }
+                })
+            })
+            .collect();
+        let mut last = 0;
+        while workers.iter().any(|w| !w.is_finished()) {
+            let now = r.snapshot().counter("i.churn");
+            assert!(now >= last, "snapshot went from {last} to {now}");
+            last = now;
+        }
+        workers.into_iter().for_each(|w| w.join().unwrap());
+        let total: u64 = (0..ROUNDS).map(|i| i % 7 + 1).sum::<u64>() * THREADS;
+        assert_eq!(r.snapshot().counter("i.churn"), total);
     }
 
     #[test]

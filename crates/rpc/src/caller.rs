@@ -135,50 +135,23 @@ impl CallOptions {
     }
 }
 
-/// Process-global `rpc.*` metric handles, resolved once per caller so the
-/// batched async path — which must stay allocation-free at steady state —
-/// pays only relaxed atomic adds.
-struct CallerObs {
-    calls_async: Arc<clam_obs::Counter>,
-    flush_calls: Arc<clam_obs::Counter>,
-    flush_bytes: Arc<clam_obs::Counter>,
-    flush_sync: Arc<clam_obs::Counter>,
-    batch_calls: Arc<clam_obs::Histogram>,
-    retries: Arc<clam_obs::Counter>,
-    deadline_expired: Arc<clam_obs::Counter>,
-    /// Sync-call latency histograms by target: one per builtin service
-    /// id, `None` for object calls. Each is resolved in the global
-    /// registry on the caller's first call to that target.
-    latency: Mutex<HashMap<Option<u32>, Arc<clam_obs::Histogram>>>,
-}
-
-impl CallerObs {
-    fn new() -> CallerObs {
-        CallerObs {
-            calls_async: clam_obs::counter("rpc.calls_async"),
-            flush_calls: clam_obs::counter("rpc.flush.calls"),
-            flush_bytes: clam_obs::counter("rpc.flush.bytes"),
-            flush_sync: clam_obs::counter("rpc.flush.sync"),
-            batch_calls: clam_obs::histogram("rpc.batch_calls"),
-            retries: clam_obs::counter("rpc.retries"),
-            deadline_expired: clam_obs::counter("rpc.deadline_expired"),
-            latency: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Record one sync call's latency in `target`'s histogram
-    /// (`rpc.call_latency_us.builtin_{id}` or `.object`).
-    fn observe_latency(&self, target: Target, micros: u64) {
-        let key = match target {
-            Target::Builtin(id) => Some(id),
-            Target::Object(_) => None,
-        };
-        let mut latency = self.latency.lock();
-        let histogram = latency.entry(key).or_insert_with(|| match key {
-            Some(id) => clam_obs::histogram(&format!("rpc.call_latency_us.builtin_{id}")),
-            None => clam_obs::histogram("rpc.call_latency_us.object"),
-        });
-        histogram.observe(micros);
+clam_obs::counters! {
+    /// A caller's own `rpc.*` counts, registered once per caller so the
+    /// batched async path — which must stay allocation-free at steady
+    /// state — pays only relaxed atomic adds.
+    struct CallerCounters {
+        calls_async: "rpc.calls_async",
+        /// Flushes by reason: batch full by calls, by bytes, or a
+        /// synchronization point.
+        flush_calls: "rpc.flush.calls",
+        flush_bytes: "rpc.flush.bytes",
+        flush_sync: "rpc.flush.sync",
+        /// Frames of calls sent, and the calls they carried: what IPC
+        /// batching saved.
+        batches_sent: "rpc.batches_sent",
+        calls_sent: "rpc.calls_sent",
+        retries: "rpc.retries",
+        deadline_expired: "rpc.deadline_expired",
     }
 }
 
@@ -189,8 +162,6 @@ struct Outbound {
     /// flush only patches two headers and hands the buffer to the
     /// transport — no `Vec<Call>`, no re-encode, no copy.
     batch: Option<BatchEncoder>,
-    batches_sent: u64,
-    calls_sent: u64,
 }
 
 /// The client end of one RPC channel.
@@ -206,8 +177,12 @@ pub struct Caller {
     config: CallerConfig,
     /// Buffers cycle: acquire → encode batch → send → transport recycles.
     pool: BufferPool,
-    /// Pre-resolved metric handles (see [`CallerObs`]).
-    obs: CallerObs,
+    counters: CallerCounters,
+    batch_calls: Arc<clam_obs::Histogram>,
+    /// Sync-call latency histograms by target: one per builtin service
+    /// id, `None` for object calls. Each is resolved in the global
+    /// registry on the caller's first call to that target.
+    latency: Mutex<HashMap<Option<u32>, Arc<clam_obs::Histogram>>>,
 }
 
 impl std::fmt::Debug for Caller {
@@ -237,13 +212,13 @@ impl Caller {
             out: Mutex::new(Outbound {
                 writer,
                 batch: None,
-                batches_sent: 0,
-                calls_sent: 0,
             }),
             replies: PendingReplies::new(sched),
             config,
             pool,
-            obs: CallerObs::new(),
+            counters: CallerCounters::register(),
+            batch_calls: clam_obs::histogram("rpc.batch_calls"),
+            latency: Mutex::new(HashMap::new()),
         })
     }
 
@@ -299,7 +274,7 @@ impl Caller {
                     if options.idempotent && attempt < options.max_retries =>
                 {
                     attempt += 1;
-                    self.obs.retries.inc();
+                    self.counters.retries.inc();
                     // Back off on a table entry no reply can match (its id
                     // never goes on the wire): it expires at its own
                     // deadline, like any other request.
@@ -342,25 +317,24 @@ impl Caller {
                 // Flush whatever the application batched first (its own
                 // ordinary frame), then send the nested call alone in a
                 // NestedCallBatch so only IT jumps the server's queue.
-                self.flush_locked(&mut out, &self.obs.flush_sync)?;
-                out.calls_sent += 1;
-                out.batches_sent += 1;
+                self.flush_locked(&mut out, &self.counters.flush_sync)?;
+                self.counters.calls_sent.inc();
+                self.counters.batches_sent.inc();
                 let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
                 enc.push_view(&call)?;
                 out.writer.send(enc.finish()?)?;
                 Ok(())
             } else {
                 self.append_locked(&mut out, &call)?;
-                self.flush_locked(&mut out, &self.obs.flush_sync)
+                self.flush_locked(&mut out, &self.counters.flush_sync)
             }
         });
         if matches!(outcome, Err(RpcError::DeadlineExceeded)) {
-            self.obs.deadline_expired.inc();
+            self.counters.deadline_expired.inc();
             clam_obs::journal().record(EventKind::DeadlineFired, trace, parent.span, method);
         }
         #[allow(clippy::cast_possible_truncation)]
-        self.obs
-            .observe_latency(target, started.elapsed().as_micros() as u64);
+        self.observe_latency(target, started.elapsed().as_micros() as u64);
         clam_obs::journal().record(
             EventKind::CallEnd,
             trace,
@@ -381,7 +355,7 @@ impl Caller {
         if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
-        self.obs.calls_async.inc();
+        self.counters.calls_async.inc();
         let mut out = self.out.lock();
         // Async calls carry the caller's current context verbatim: no
         // child span, no journal entry — this path must stay
@@ -402,9 +376,9 @@ impl Caller {
         // further call issue.
         let reason = out.batch.as_ref().and_then(|b| {
             if b.calls() as usize >= self.config.flush_at_calls {
-                Some(&self.obs.flush_calls)
+                Some(&self.counters.flush_calls)
             } else if b.payload_len() >= self.config.flush_at_bytes {
-                Some(&self.obs.flush_bytes)
+                Some(&self.counters.flush_bytes)
             } else {
                 None
             }
@@ -422,7 +396,7 @@ impl Caller {
     ///
     /// Transport errors.
     pub fn flush(&self) -> RpcResult<()> {
-        self.flush_locked(&mut self.out.lock(), &self.obs.flush_sync)
+        self.flush_locked(&mut self.out.lock(), &self.counters.flush_sync)
     }
 
     /// Flush the current batch and wait — bounded by the configured
@@ -456,6 +430,21 @@ impl Caller {
         Ok(())
     }
 
+    /// Record one sync call's latency in `target`'s histogram
+    /// (`rpc.call_latency_us.builtin_{id}` or `.object`).
+    fn observe_latency(&self, target: Target, micros: u64) {
+        let key = match target {
+            Target::Builtin(id) => Some(id),
+            Target::Object(_) => None,
+        };
+        let mut latency = self.latency.lock();
+        let histogram = latency.entry(key).or_insert_with(|| match key {
+            Some(id) => clam_obs::histogram(&format!("rpc.call_latency_us.builtin_{id}")),
+            None => clam_obs::histogram("rpc.call_latency_us.object"),
+        });
+        histogram.observe(micros);
+    }
+
     /// `reason` is the `rpc.flush.*` counter naming why this flush fired
     /// (batch full by calls, by bytes, or a synchronization point); it is
     /// bumped only when a non-empty batch actually goes out.
@@ -467,20 +456,20 @@ impl Caller {
             self.pool.recycle(batch.abandon());
             return Ok(());
         }
-        out.calls_sent += u64::from(batch.calls());
-        out.batches_sent += 1;
-        self.obs.batch_calls.observe(u64::from(batch.calls()));
+        self.counters.calls_sent.add(u64::from(batch.calls()));
+        self.counters.batches_sent.inc();
+        self.batch_calls.observe(u64::from(batch.calls()));
         reason.inc();
         out.writer.send(batch.finish()?)?;
         Ok(())
     }
 
-    /// (batches sent, calls sent) so far — the batching ablation reads
-    /// this to verify how much IPC batching saved.
+    /// This caller's own counts so far, keyed by catalogue name;
+    /// `rpc.batches_sent` against `rpc.calls_sent` is what IPC batching
+    /// saved.
     #[must_use]
-    pub fn send_stats(&self) -> (u64, u64) {
-        let out = self.out.lock();
-        (out.batches_sent, out.calls_sent)
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.counters.metrics()
     }
 
     /// Number of calls awaiting replies.
@@ -505,6 +494,12 @@ mod tests {
     use crate::message::{Message, MessageView, Reply};
     use clam_net::pair;
     use clam_xdr::Opaque;
+
+    /// (batches sent, calls sent) by `caller` so far.
+    fn sent(caller: &Caller) -> (u64, u64) {
+        let m = caller.metrics();
+        (m.counter("rpc.batches_sent"), m.counter("rpc.calls_sent"))
+    }
 
     fn test_caller() -> (Arc<Caller>, clam_net::Channel) {
         let (client, server) = pair();
@@ -580,11 +575,10 @@ mod tests {
                 .call_async(Target::Builtin(1), 0, Opaque::from(vec![i]))
                 .unwrap();
         }
-        let (batches, calls) = caller.send_stats();
-        assert_eq!((batches, calls), (0, 0), "async calls are held back");
+        assert_eq!(sent(&caller), (0, 0), "async calls are held back");
         // The sync call flushes everything in one frame, in order.
         caller.call(Target::Builtin(1), 1, Opaque::new()).unwrap();
-        let (batches, calls) = caller.send_stats();
+        let (batches, calls) = sent(&caller);
         assert_eq!(batches, 1, "one frame carried all eleven calls");
         assert_eq!(calls, 11);
         drop(caller);
@@ -599,8 +593,7 @@ mod tests {
             .call_async(Target::Builtin(1), 0, Opaque::new())
             .unwrap();
         caller.flush().unwrap();
-        let (batches, calls) = caller.send_stats();
-        assert_eq!((batches, calls), (1, 1));
+        assert_eq!(sent(&caller), (1, 1));
         drop(caller);
         let _ = srv.join();
     }
@@ -624,8 +617,7 @@ mod tests {
                 .call_async(Target::Builtin(1), 0, Opaque::new())
                 .unwrap();
         }
-        let (batches, _) = caller.send_stats();
-        assert_eq!(batches, 1, "hit flush_at_calls");
+        assert_eq!(sent(&caller).0, 1, "hit flush_at_calls");
         drop(server);
     }
 
@@ -853,7 +845,7 @@ mod tests {
                 .unwrap();
         }
         caller.flush_acked().unwrap();
-        let (batches, calls) = caller.send_stats();
+        let (batches, calls) = sent(&caller);
         assert_eq!(calls, 6, "five async calls plus the sync point");
         assert_eq!(batches, 1, "everything rode one frame");
         drop(caller);

@@ -1007,7 +1007,7 @@ mod tests {
             assert_eq!(pooled, msg.to_frame().unwrap());
             pool.recycle(pooled.into_wire());
         }
-        assert_eq!(pool.stats().hits, 3);
+        assert_eq!(pool.metrics().counter("xdr.pool.hits"), 3);
     }
 
     #[test]

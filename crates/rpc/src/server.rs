@@ -474,27 +474,6 @@ impl RpcServer {
         })
     }
 
-    /// Process one inbound frame: check it, dispatch each call in order,
-    /// and return the replies to send back (in order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpcError::Protocol`] for frames that are not call
-    /// batches and bundling errors for undecodable frames. Either way no
-    /// call of the frame runs.
-    pub fn process_frame(&self, conn: ConnId, frame: &[u8]) -> RpcResult<Vec<Reply>> {
-        let mut replies = Vec::new();
-        self.dispatch_batch(
-            conn,
-            call_batch(frame)?,
-            Vec::new(),
-            |request_id, outcome| {
-                replies.push(Reply::from_outcome(request_id, outcome));
-            },
-        );
-        Ok(replies)
-    }
-
     /// Serve one request frame, the body of every serving loop: dispatch
     /// its calls in order straight out of the frame, send each reply
     /// through `writer` as its call completes ([`TaskWriter::send`]: a
@@ -505,8 +484,9 @@ impl RpcServer {
     ///
     /// # Errors
     ///
-    /// As [`process_frame`](RpcServer::process_frame): the frame is not a
-    /// call batch, and the connection should be dropped.
+    /// Returns [`RpcError::Protocol`] for frames that are not call
+    /// batches and bundling errors for undecodable frames. Either way no
+    /// call of the frame runs, and the connection should be dropped.
     pub fn serve_frame(
         &self,
         conn: ConnId,
@@ -515,45 +495,30 @@ impl RpcServer {
         writer: &TaskWriter,
     ) -> RpcResult<()> {
         let served = call_batch(&frame).map(|batch| {
+            // One context serves every call, each call's argument bytes
+            // copied into its one buffer from `pool`.
+            let mut ctx = CallContext {
+                conn,
+                method: 0,
+                args: Opaque::from(pool.acquire()),
+                request_id: 0,
+            };
             let mut sending = true;
-            let args = self.dispatch_batch(conn, batch, pool.acquire(), |request_id, outcome| {
-                sending = sending
-                    && Message::Reply(Reply::from_outcome(request_id, outcome))
-                        .to_frame_in(pool)
-                        .is_ok_and(|out| writer.send(out).is_ok());
-            });
-            pool.recycle(args);
+            for call in batch.iter() {
+                ctx.method = call.method;
+                ctx.request_id = call.request_id;
+                ctx.args.refill(call.args);
+                if let Some(outcome) = self.dispatch(&ctx, call.target, call.trace) {
+                    sending = sending
+                        && Message::Reply(Reply::from_outcome(call.request_id, outcome))
+                            .to_frame_in(pool)
+                            .is_ok_and(|out| writer.send(out).is_ok());
+                }
+            }
+            pool.recycle(ctx.args.into_inner());
         });
         pool.recycle(frame.into_wire());
         served
-    }
-
-    /// Dispatch the calls of a checked batch in order, straight from its
-    /// frame, handing each reply's request id and outcome to `reply`.
-    /// One [`CallContext`] serves every call; each call's argument bytes
-    /// are copied into its buffer, `args`, which is returned for reuse.
-    fn dispatch_batch(
-        &self,
-        conn: ConnId,
-        batch: CallBatchView<'_>,
-        args: Vec<u8>,
-        mut reply: impl FnMut(u64, RpcResult<Opaque>),
-    ) -> Vec<u8> {
-        let mut ctx = CallContext {
-            conn,
-            method: 0,
-            args: Opaque::from(args),
-            request_id: 0,
-        };
-        for call in batch.iter() {
-            ctx.method = call.method;
-            ctx.request_id = call.request_id;
-            ctx.args.refill(call.args);
-            if let Some(outcome) = self.dispatch(&ctx, call.target, call.trace) {
-                reply(call.request_id, outcome);
-            }
-        }
-        ctx.args.into_inner()
     }
 
     /// Serve one connection on the calling thread until it closes or
@@ -738,8 +703,29 @@ mod tests {
         assert_eq!(reply.status, StatusCode::Ok);
     }
 
+    /// Serve the frame with payload `frame` through
+    /// [`RpcServer::serve_frame`] over a socket pair, and read back the
+    /// request id and status of each reply it sent, in order.
+    fn serve(server: &RpcServer, frame: &[u8]) -> RpcResult<Vec<(u64, StatusCode)>> {
+        let (client, channel) = clam_net::pair();
+        let (writer, _reader) = channel.split();
+        let writer = TaskWriter::new(&Scheduler::new("serve"), writer);
+        let frame = Frame::from_payload(frame).unwrap();
+        let served = server.serve_frame(ConnId(1), frame, &BufferPool::default(), &writer);
+        drop(writer); // the hangup ends the replies
+        let (_, mut reader) = client.split();
+        let mut replies = Vec::new();
+        while let Ok(frame) = reader.recv() {
+            let Ok(MessageView::Reply(reply)) = MessageView::parse(&frame) else {
+                panic!("not a reply");
+            };
+            replies.push((reply.request_id, reply.status));
+        }
+        served.map(|()| replies)
+    }
+
     #[test]
-    fn process_frame_preserves_call_order() {
+    fn serve_frame_preserves_call_order() {
         let server = RpcServer::new();
         server.register_service(1, Arc::new(EchoService));
         let batch = Message::CallBatch(vec![
@@ -747,12 +733,10 @@ mod tests {
             call(Target::Builtin(1), 0, Opaque::from(vec![2]), 0), // async
             call(Target::Builtin(1), 0, Opaque::from(vec![3]), 12),
         ]);
-        let replies = server
-            .process_frame(ConnId(1), &batch.to_frame().unwrap())
-            .unwrap();
+        let replies = serve(&server, &batch.to_frame().unwrap()).unwrap();
         assert_eq!(replies.len(), 2);
-        assert_eq!(replies[0].request_id, 11);
-        assert_eq!(replies[1].request_id, 12);
+        assert_eq!(replies[0].0, 11);
+        assert_eq!(replies[1].0, 12);
     }
 
     #[test]
@@ -852,7 +836,7 @@ mod tests {
         let server = RpcServer::new();
         let msg = Message::Reply(Reply::default());
         assert!(matches!(
-            server.process_frame(ConnId(1), &msg.to_frame().unwrap()),
+            serve(&server, &msg.to_frame().unwrap()),
             Err(RpcError::Protocol(_))
         ));
     }
@@ -902,10 +886,7 @@ mod tests {
         let (writer, _reader) = channel.split();
         let writer = TaskWriter::new(&Scheduler::new("malformed-batch"), writer);
         for (name, frame) in cases {
-            assert!(
-                server.process_frame(ConnId(1), &frame).is_err(),
-                "{name}: accepted"
-            );
+            assert!(serve(&server, &frame).is_err(), "{name}: accepted");
             let frame = Frame::from_payload(&frame).unwrap();
             assert!(
                 server
@@ -923,7 +904,7 @@ mod tests {
 
         // The intact batch runs all three calls and answers the two sync
         // ones.
-        let replies = server.process_frame(ConnId(1), &good).unwrap();
+        let replies = serve(&server, &good).unwrap();
         assert_eq!(replies.len(), 2);
         assert_eq!(counting.0.load(Ordering::SeqCst), 3);
     }

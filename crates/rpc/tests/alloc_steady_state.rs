@@ -92,8 +92,11 @@ fn batched_async_calls_allocate_nothing_at_steady_state() {
     // seed the pool via the writer's recycle path.
     issue(64);
     caller.flush().expect("flush");
-    let stats = caller.buffer_pool().stats();
-    assert!(stats.recycled > 0, "warm-up must seed the pool: {stats:?}");
+    let stats = caller.buffer_pool().metrics();
+    assert!(
+        stats.counter("xdr.pool.recycled") > 0,
+        "warm-up must seed the pool: {stats:?}"
+    );
 
     // Measure: every batch buffer must now come from the pool, every
     // append must fit existing capacity — zero allocator traffic.
@@ -110,9 +113,9 @@ fn batched_async_calls_allocate_nothing_at_steady_state() {
     );
 
     // Sanity: the calls really did stream out as full batches.
-    let after = caller.buffer_pool().stats();
+    let after = caller.buffer_pool().metrics();
     assert!(
-        after.hits >= 32,
+        after.counter("xdr.pool.hits") >= 32,
         "steady-state batches should be pool hits: {after:?}"
     );
 }

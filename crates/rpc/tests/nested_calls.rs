@@ -5,10 +5,10 @@
 use clam_net::pair;
 use clam_rpc::{
     in_nested_context, nested_call_scope, Caller, CallerConfig, Message, MessageView, Reply,
-    StatusCode, Target,
+    StatusCode, Target, TaskWriter,
 };
 use clam_task::Scheduler;
-use clam_xdr::Opaque;
+use clam_xdr::{BufferPool, Opaque};
 
 #[test]
 fn nested_scope_is_thread_local_and_restores() {
@@ -58,11 +58,22 @@ fn nested_batches_round_trip_and_dispatch_like_plain_ones() {
 
     // The dispatch engine accepts them.
     let server = clam_rpc::RpcServer::new();
-    let replies = server
-        .process_frame(clam_rpc::ConnId(1), &msg.to_frame().unwrap())
+    let (client, channel) = pair();
+    let (writer, _reader) = channel.split();
+    let writer = TaskWriter::new(&Scheduler::new("nested-serve"), writer);
+    server
+        .serve_frame(clam_rpc::ConnId(1), frame, &BufferPool::default(), &writer)
         .unwrap();
-    assert_eq!(replies.len(), 1);
-    assert_eq!(replies[0].status, StatusCode::NoSuchService);
+    drop(writer); // the hangup ends the replies
+    let (_, mut reader) = client.split();
+    let mut replies = Vec::new();
+    while let Ok(frame) = reader.recv() {
+        let Ok(MessageView::Reply(reply)) = MessageView::parse(&frame) else {
+            panic!("expected a reply");
+        };
+        replies.push(reply.status);
+    }
+    assert_eq!(replies, [StatusCode::NoSuchService]);
 }
 
 #[test]

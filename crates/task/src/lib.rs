@@ -17,7 +17,7 @@
 //! the pool for a task or its task waits for the processor; the ready
 //! queue and the event waiter lists hold those slots, woken in FIFO order.
 //! Worker threads are pooled and reused across tasks (the paper's reuse
-//! rule); [`SchedulerStats`] exposes how often the pool was hit so the
+//! rule); [`Scheduler::metrics`] reads how often the pool was hit so the
 //! bench suite can measure the saving. Pooled workers exit on
 //! [`Scheduler::shutdown`] or when the scheduler's last handle drops.
 //!
@@ -58,5 +58,5 @@ mod task;
 
 pub use error::{catch_panic, TaskError, TaskPanic, TaskResult};
 pub use event::Event;
-pub use scheduler::{on_block, Scheduler, SchedulerStats};
+pub use scheduler::{on_block, Scheduler};
 pub use task::{JoinHandle, TaskId};

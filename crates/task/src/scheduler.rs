@@ -34,14 +34,6 @@ thread_local! {
     static ON_BLOCK: Cell<Option<Rc<dyn Fn()>>> = const { Cell::new(None) };
 }
 
-/// Global `task.context_switches` counter: every baton grant is one
-/// processor handover. Static so the locked switching paths (which do
-/// not carry `SchedInner`) can reach it without allocation.
-fn obs_switches() -> &'static clam_obs::Counter {
-    static C: OnceLock<std::sync::Arc<clam_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("task.context_switches"))
-}
-
 /// Global `task.ready_depth` gauge, adjusted by ±1 as tasks enter and
 /// leave ready queues (summed over all schedulers in the process).
 fn obs_ready_depth() -> &'static clam_obs::Gauge {
@@ -49,10 +41,17 @@ fn obs_ready_depth() -> &'static clam_obs::Gauge {
     G.get_or_init(|| clam_obs::gauge("task.ready_depth"))
 }
 
-/// Global `task.tasks_spawned` counter.
-fn obs_spawned() -> &'static clam_obs::Counter {
-    static C: OnceLock<std::sync::Arc<clam_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("task.tasks_spawned"))
+clam_obs::counters! {
+    /// Each spawn creates a worker thread or reuses a pooled one; the
+    /// reuse ratio is what the paper's task-reuse rule buys.
+    struct SchedCounters {
+        tasks_spawned: "task.tasks_spawned",
+        threads_created: "task.threads_created",
+        workers_reused: "task.workers_reused",
+        /// Processor grants, each one non-preemptive handover (dispatch
+        /// after spawn, yield, unblock, or task exit).
+        context_switches: "task.context_switches",
+    }
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -127,10 +126,7 @@ pub struct SchedInner {
     /// Slots of idle worker threads.
     pool: Mutex<Vec<Arc<Slot>>>,
     next_task: AtomicU64,
-    // Statistics for the task-reuse ablation.
-    threads_created: AtomicU64,
-    workers_reused: AtomicU64,
-    context_switches: AtomicU64,
+    counters: SchedCounters,
 }
 
 impl std::fmt::Debug for SchedInner {
@@ -148,27 +144,6 @@ impl Drop for SchedInner {
     fn drop(&mut self) {
         self.pool.get_mut().drain(..).for_each(|slot| slot.close());
     }
-}
-
-/// Point-in-time scheduler statistics.
-///
-/// `threads_created + workers_reused == tasks_spawned`; the reuse ratio is
-/// what the paper's task-reuse rule buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerStats {
-    /// Tasks handed to the scheduler so far.
-    pub tasks_spawned: u64,
-    /// OS worker threads created so far.
-    pub threads_created: u64,
-    /// Spawns satisfied from the idle worker pool.
-    pub workers_reused: u64,
-    /// Tasks alive (ready, running, or blocked) right now.
-    pub live_tasks: usize,
-    /// Processor grants so far — each is one non-preemptive
-    /// handover (dispatch after spawn, yield, unblock, or task exit).
-    pub context_switches: u64,
-    /// Tasks sitting in the ready queue right now.
-    pub ready_depth: usize,
 }
 
 /// A non-preemptive task scheduler (the paper's thread class).
@@ -196,9 +171,7 @@ impl Scheduler {
                 idle_cv: Condvar::new(),
                 pool: Mutex::new(Vec::new()),
                 next_task: AtomicU64::new(1),
-                threads_created: AtomicU64::new(0),
-                workers_reused: AtomicU64::new(0),
-                context_switches: AtomicU64::new(0),
+                counters: SchedCounters::register(),
             }),
         }
     }
@@ -251,7 +224,7 @@ impl Scheduler {
                 completion: Arc::clone(&completion),
             },
         )?;
-        obs_spawned().inc();
+        inner.counters.tasks_spawned.inc();
         let mut st = inner.state.lock();
         st.live += 1;
         make_ready_locked(inner, &mut st, slot);
@@ -306,24 +279,10 @@ impl Scheduler {
         self.inner.state.lock().live
     }
 
-    /// Scheduler statistics (for the task-reuse ablation bench).
+    /// The scheduler's own `task.*` counts, keyed by catalogue name.
     #[must_use]
-    pub fn stats(&self) -> SchedulerStats {
-        let inner = &self.inner;
-        let (live_tasks, ready_depth) = {
-            let st = inner.state.lock();
-            (st.live, st.ready.len())
-        };
-        let threads_created = inner.threads_created.load(Ordering::Relaxed);
-        let workers_reused = inner.workers_reused.load(Ordering::Relaxed);
-        SchedulerStats {
-            tasks_spawned: threads_created + workers_reused,
-            threads_created,
-            workers_reused,
-            live_tasks,
-            context_switches: inner.context_switches.load(Ordering::Relaxed),
-            ready_depth,
-        }
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.inner.counters.metrics()
     }
 
     /// Block the calling OS thread until no task is running or ready.
@@ -353,7 +312,7 @@ impl Scheduler {
         let pooled = inner.pool.lock().pop();
         if let Some(slot) = pooled {
             slot.state.lock().task = Some(task);
-            inner.workers_reused.fetch_add(1, Ordering::Relaxed);
+            inner.counters.workers_reused.inc();
             return Ok(slot);
         }
         let slot = Arc::new(Slot {
@@ -368,7 +327,7 @@ impl Scheduler {
             .name(format!("clam-task-{}", inner.name))
             .spawn(move || Self::worker_main(worker))
             .map_err(|e| TaskError::Spawn(e.to_string()))?;
-        inner.threads_created.fetch_add(1, Ordering::Relaxed);
+        inner.counters.threads_created.inc();
         Ok(slot)
     }
 
@@ -428,8 +387,7 @@ impl Scheduler {
 fn grant_next_locked(inner: &SchedInner, st: &mut SchedState) {
     if let Some(next) = st.ready.pop_front() {
         obs_ready_depth().adjust(-1);
-        inner.context_switches.fetch_add(1, Ordering::Relaxed);
-        obs_switches().inc();
+        inner.counters.context_switches.inc();
         st.running = true;
         next.grant();
     } else {

@@ -144,11 +144,12 @@ proptest! {
                 h.join().unwrap();
             }
         }
-        let stats = sched.stats();
-        prop_assert_eq!(stats.tasks_spawned, (batches * per_batch) as u64);
+        let m = sched.metrics();
+        let spawned = m.counter("task.tasks_spawned");
+        prop_assert_eq!(spawned, (batches * per_batch) as u64);
         prop_assert_eq!(
-            stats.threads_created + stats.workers_reused,
-            stats.tasks_spawned
+            m.counter("task.threads_created") + m.counter("task.workers_reused"),
+            spawned
         );
     }
 }

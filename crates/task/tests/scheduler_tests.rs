@@ -230,16 +230,16 @@ fn worker_threads_are_reused_across_tasks() {
     for _ in 0..10 {
         sched.spawn("serial", || {}).join().unwrap();
     }
-    let stats = sched.stats();
-    assert_eq!(stats.tasks_spawned, 10);
+    let m = sched.metrics();
+    let threads_created = m.counter("task.threads_created");
+    assert_eq!(m.counter("task.tasks_spawned"), 10);
     assert!(
-        stats.threads_created < 10,
-        "pool must be reused; created {} threads",
-        stats.threads_created
+        threads_created < 10,
+        "pool must be reused; created {threads_created} threads"
     );
     assert_eq!(
-        stats.threads_created + stats.workers_reused,
-        stats.tasks_spawned
+        threads_created + m.counter("task.workers_reused"),
+        m.counter("task.tasks_spawned")
     );
 }
 
@@ -416,14 +416,15 @@ fn outside_on_an_idle_scheduler_resumes_without_a_switch() {
     let (s, sw) = (sched.clone(), Arc::clone(&switches));
     sched
         .spawn("alone", move || {
-            let before = s.stats().context_switches;
+            let switches = || s.metrics().counter("task.context_switches");
+            let before = switches();
             let v = s.outside(|| {
                 assert!(s.current_task().is_none(), "f runs as a foreign thread");
                 7
             });
             assert_eq!(v, 7);
             assert!(s.current_task().is_some());
-            sw.store(s.stats().context_switches - before, Ordering::SeqCst);
+            sw.store(switches() - before, Ordering::SeqCst);
         })
         .join()
         .unwrap();

@@ -52,7 +52,7 @@ mod macros;
 pub use array::{bundle_seq_with, Opaque};
 pub use bundle::{decode, encode, encode_into, Bundle, Bundler};
 pub use error::{XdrError, XdrResult};
-pub use pool::{BufferPool, PoolStats, DEFAULT_MAX_BUFFERS, DEFAULT_TRIM_CAPACITY};
+pub use pool::{BufferPool, DEFAULT_MAX_BUFFERS, DEFAULT_TRIM_CAPACITY};
 pub use stream::{Direction, XdrStream, DEFAULT_MAX_LEN};
 
 /// Number of bytes in one XDR unit. Every encoded item occupies a multiple

@@ -11,8 +11,10 @@
 //! encoder, the framing layer, and the transports can all share one type
 //! without a dependency cycle. It uses `std::sync::Mutex` directly so this
 //! crate depends on nothing but `std` and `clam-obs`.
+//!
+//! Each pool counts in `xdr.pool.*` counters of its own
+//! ([`BufferPool::metrics`]), which the global snapshot sums.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default maximum number of idle buffers retained per pool.
@@ -22,34 +24,24 @@ pub const DEFAULT_MAX_BUFFERS: usize = 32;
 /// is trimmed back so one huge frame cannot pin its capacity forever.
 pub const DEFAULT_TRIM_CAPACITY: usize = 256 * 1024;
 
-/// Counters describing how a pool has been used (see [`BufferPool::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Acquisitions served from the free list (no allocation).
-    pub hits: u64,
-    /// Acquisitions that fell through to `Vec::new` (the buffer may still
-    /// defer its first allocation until bytes are written).
-    pub misses: u64,
-    /// Buffers returned via [`BufferPool::recycle`].
-    pub recycled: u64,
-    /// Recycled buffers dropped because the free list was full.
-    pub dropped: u64,
+clam_obs::counters! {
+    struct PoolCounters {
+        /// Acquisitions served from the free list (no allocation).
+        hits: "xdr.pool.hits",
+        /// Acquisitions that fell through to `Vec::new`.
+        misses: "xdr.pool.misses",
+        /// Buffers returned via [`BufferPool::recycle`].
+        recycled: "xdr.pool.recycled",
+        /// Recycled buffers dropped because the free list was full.
+        dropped: "xdr.pool.dropped",
+    }
 }
 
 struct PoolInner {
     free: Mutex<Vec<Vec<u8>>>,
     max_buffers: usize,
     trim_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycled: AtomicU64,
-    dropped: AtomicU64,
-    // Process-global mirrors of the per-pool counters (`xdr.pool.*`),
-    // resolved once here so the acquire/recycle hot path stays a pair of
-    // relaxed atomic adds.
-    obs_hits: Arc<clam_obs::Counter>,
-    obs_misses: Arc<clam_obs::Counter>,
-    obs_recycled: Arc<clam_obs::Counter>,
+    counters: PoolCounters,
 }
 
 /// A thread-safe pool of reusable `Vec<u8>` buffers.
@@ -72,13 +64,7 @@ impl BufferPool {
                 free: Mutex::new(Vec::with_capacity(max_buffers)),
                 max_buffers,
                 trim_capacity,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                obs_hits: clam_obs::counter("xdr.pool.hits"),
-                obs_misses: clam_obs::counter("xdr.pool.misses"),
-                obs_recycled: clam_obs::counter("xdr.pool.recycled"),
+                counters: PoolCounters::register(),
             }),
         }
     }
@@ -94,14 +80,12 @@ impl BufferPool {
         };
         match popped {
             Some(buf) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                self.inner.obs_hits.inc();
+                self.inner.counters.hits.inc();
                 debug_assert!(buf.is_empty(), "pooled buffers are stored cleared");
                 buf
             }
             None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                self.inner.obs_misses.inc();
+                self.inner.counters.misses.inc();
                 Vec::new()
             }
         }
@@ -111,8 +95,7 @@ impl BufferPool {
     /// above the high-water mark is trimmed; if the pool is already full
     /// the buffer is dropped.
     pub fn recycle(&self, mut buf: Vec<u8>) {
-        self.inner.recycled.fetch_add(1, Ordering::Relaxed);
-        self.inner.obs_recycled.inc();
+        self.inner.counters.recycled.inc();
         buf.clear();
         if buf.capacity() > self.inner.trim_capacity {
             buf.shrink_to(self.inner.trim_capacity);
@@ -122,7 +105,7 @@ impl BufferPool {
             free.push(buf);
         } else {
             drop(free);
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            self.inner.counters.dropped.inc();
         }
     }
 
@@ -136,15 +119,10 @@ impl BufferPool {
             .len()
     }
 
-    /// Usage counters since the pool was created.
+    /// This pool's own `xdr.pool.*` counts, keyed by catalogue name.
     #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            recycled: self.inner.recycled.load(Ordering::Relaxed),
-            dropped: self.inner.dropped.load(Ordering::Relaxed),
-        }
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.inner.counters.metrics()
     }
 }
 
@@ -160,7 +138,7 @@ impl std::fmt::Debug for BufferPool {
             .field("idle", &self.idle())
             .field("max_buffers", &self.inner.max_buffers)
             .field("trim_capacity", &self.inner.trim_capacity)
-            .field("stats", &self.stats())
+            .field("metrics", &self.metrics())
             .finish()
     }
 }
@@ -180,8 +158,11 @@ mod tests {
         let buf = pool.acquire();
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), cap, "capacity survives the round trip");
-        let stats = pool.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        let m = pool.metrics();
+        assert_eq!(
+            (m.counter("xdr.pool.hits"), m.counter("xdr.pool.misses")),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -200,7 +181,7 @@ mod tests {
             pool.recycle(Vec::with_capacity(8));
         }
         assert_eq!(pool.idle(), 2);
-        assert_eq!(pool.stats().dropped, 1);
+        assert_eq!(pool.metrics().counter("xdr.pool.dropped"), 1);
     }
 
     #[test]
@@ -229,7 +210,7 @@ mod tests {
             buf.extend_from_slice(&[7u8; 512]);
             pool.recycle(buf);
         }
-        assert_eq!(pool.stats().misses, 1);
-        assert_eq!(pool.stats().hits, 10);
+        assert_eq!(pool.metrics().counter("xdr.pool.misses"), 1);
+        assert_eq!(pool.metrics().counter("xdr.pool.hits"), 10);
     }
 }

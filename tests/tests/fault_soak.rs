@@ -68,9 +68,14 @@ fn black_holed_call_deadlines_within_twice_the_timeout() {
         "deadline must fire within 2x the timeout, took {elapsed:?}"
     );
 
-    let stats = fault.stats();
-    assert_eq!(stats.delivered, 0, "black hole leaked frames: {stats:?}");
-    assert!(stats.dropped >= 1, "nothing was even offered: {stats:?}");
+    let stats = fault.metrics();
+    let dropped = stats.counter("net.fault.drop") + stats.counter("net.fault.partition");
+    assert_eq!(
+        stats.counter("net.fault.delivered"),
+        0,
+        "black hole leaked frames: {stats:?}"
+    );
+    assert!(dropped >= 1, "nothing was even offered: {stats:?}");
 
     drop(caller); // closes the write half; the server loop ends
     srv.join().unwrap();
@@ -108,7 +113,7 @@ fn seeded_soak_idempotent_retry_survives_a_lossy_link() {
                 "fault soak failure\nseed: {seed}\ncall: {i}/{CALLS}\n\
                  error: {err:?}\nplan: {plan:?}\nstats: {:?}\n\
                  replay: FAULT_SOAK_SEED={seed} cargo test -p clam-integration --test fault_soak\n",
-                fault.stats()
+                fault.metrics()
             );
             let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
                 .join("..")
@@ -120,9 +125,9 @@ fn seeded_soak_idempotent_retry_survives_a_lossy_link() {
         }
     }
 
-    let stats = fault.stats();
+    let stats = fault.metrics();
     assert!(
-        stats.offered >= u64::from(CALLS),
+        stats.counter("net.fault.offered") >= u64::from(CALLS),
         "soak offered too few frames: {stats:?}"
     );
 
@@ -166,8 +171,7 @@ fn child_exact_fault_fates() {
         "partition",
         "disconnect",
     ];
-    let counter_of = |n: &str| clam_obs::counter(&format!("net.fault.{n}")).get();
-    let before: Vec<u64> = names.iter().map(|n| counter_of(n)).collect();
+    let before = clam_obs::snapshot();
 
     let (client, server) = pair();
     let (mut client, handle) = FaultyChannel::wrap(client, plan);
@@ -177,9 +181,9 @@ fn child_exact_fault_fates() {
     }
 
     assert_eq!(
-        handle.stats(),
+        handle.metrics(),
         plan.planned_stats(&lens),
-        "seed {seed}: per-channel stats diverge from the planned replay"
+        "seed {seed}: the link's counts diverge from the planned replay"
     );
 
     let planned = |f: fn(&FrameFate) -> bool| fates.iter().filter(|fate| f(fate)).count() as u64;
@@ -191,9 +195,10 @@ fn child_exact_fault_fates() {
         planned(|f| f.partitioned),
         planned(|f| f.disconnected && f.offered),
     ];
-    for ((name, before), expected) in names.iter().zip(before).zip(expected) {
+    let delta = clam_obs::snapshot().delta(&before);
+    for (name, expected) in names.iter().zip(expected) {
         assert_eq!(
-            counter_of(name) - before,
+            delta.counter(&format!("net.fault.{name}")),
             expected,
             "seed {seed}: net.fault.{name} diverges from the planned fates"
         );

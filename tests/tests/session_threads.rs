@@ -32,7 +32,7 @@ fn a_session_is_one_task_at_rest() {
     for client in &clients {
         client.session().ping().expect("ping");
     }
-    assert_eq!(server.scheduler().stats().live_tasks, CLIENTS);
+    assert_eq!(server.scheduler().live_tasks(), CLIENTS);
     let names = thread_names();
     assert!(
         !names.iter().any(|n| n.starts_with("clam-rpc-pump")),
@@ -41,11 +41,11 @@ fn a_session_is_one_task_at_rest() {
 
     drop(clients);
     let deadline = Instant::now() + Duration::from_secs(1);
-    while server.scheduler().stats().live_tasks > 0 {
+    while server.scheduler().live_tasks() > 0 {
         assert!(
             Instant::now() < deadline,
             "{} session tasks outlive their clients",
-            server.scheduler().stats().live_tasks
+            server.scheduler().live_tasks()
         );
         std::thread::sleep(Duration::from_millis(1));
     }
