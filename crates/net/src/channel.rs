@@ -12,6 +12,7 @@ use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
 use std::io::{self, BufReader, Read, Write};
 use std::net::Shutdown;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -249,7 +250,7 @@ impl Meter {
 
 /// A connected stream socket both halves of a channel use through a
 /// shared reference.
-pub(crate) trait Socket: Send + Sync + 'static {
+pub(crate) trait Socket: AsRawFd + Send + Sync + 'static {
     fn read(&self, buf: &mut [u8]) -> io::Result<usize>;
     fn write(&self, buf: &[u8]) -> io::Result<usize>;
     fn shutdown(&self, how: Shutdown) -> io::Result<()>;
@@ -382,6 +383,29 @@ fn timed_out(e: &io::Error) -> bool {
 /// How far a reader's frame buffer may grow past the bytes read into it.
 const READ_STEP: usize = 64 * 1024;
 
+/// How long a reader whose last wait was short probes the socket before
+/// it sleeps in a blocking read: about one sleep plus a cross-CPU wake-up
+/// on a 2-vCPU VM. At 6 µs the probes gave up just before an upcall's
+/// reply came; at 20 µs a batched caller's longer waits burned CPU.
+const SPIN_LIMIT: Duration = Duration::from_micros(12);
+
+const MSG_PEEK: i32 = 0x2;
+const MSG_DONTWAIT: i32 = 0x40;
+extern "C" {
+    fn recv(fd: RawFd, buf: *mut u8, len: usize, flags: i32) -> isize;
+}
+
+/// Whether `fd` has a byte to read, without taking it and without
+/// waiting: `Ok(0)` at end of stream, `WouldBlock` while it has none.
+fn peek(fd: RawFd) -> io::Result<usize> {
+    let mut byte = 0u8;
+    // SAFETY: `byte` is a writable buffer of the 1 byte asked for, alive
+    // for the whole call, and `recv` keeps no pointer to it. `MSG_DONTWAIT`
+    // leaves the `O_NONBLOCK` the writer half shares untouched.
+    let n = unsafe { recv(fd, &mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
+    usize::try_from(n).map_err(|_| io::Error::last_os_error())
+}
+
 struct StreamReader<S> {
     stream: BufReader<Shared<S>>,
     /// The wire image of the frame being read. It grows with the bytes
@@ -399,20 +423,30 @@ struct StreamReader<S> {
     /// re-armed only when a wait would overshoot its deadline or wake too
     /// often, not per call.
     timeout: Option<Duration>,
+    /// The last wait ended within [`SPIN_LIMIT`]: probe first. Clear when new.
+    spin: bool,
     pool: Option<BufferPool>,
     meter: Meter,
+    /// Waits that ended while probing (`net.recv_spun.{kind}`).
+    spun: Arc<clam_obs::Counter>,
+    /// Waits that went to a blocking read (`net.recv_slept.{kind}`).
+    slept: Arc<clam_obs::Counter>,
 }
 
 impl<S: Socket> StreamReader<S> {
     fn new(socket: Arc<S>, kind: &str) -> StreamReader<S> {
+        let instance = |name: &str| clam_obs::registry().instance(&format!("net.{name}.{kind}"));
         StreamReader {
             stream: BufReader::new(Shared(socket)),
             partial: Vec::new(),
             filled: 0,
             frame_len: 0,
             timeout: None,
+            spin: false,
             pool: None,
             meter: Meter::new("recv", kind),
+            spun: instance("recv_spun"),
+            slept: instance("recv_slept"),
         }
     }
 
@@ -458,10 +492,27 @@ impl<S: Socket> StreamReader<S> {
                 let step = (self.frame_len - self.filled).min(READ_STEP);
                 self.partial.resize(self.filled + step, 0);
             }
-            if self.stream.buffer().is_empty() && !self.arm(deadline)? {
-                return Ok(false);
+            let mut slept = None;
+            if self.stream.buffer().is_empty() {
+                let start = Instant::now();
+                if deadline.is_some_and(|at| at <= start) {
+                    return Ok(false);
+                }
+                if self.spin && self.probe(start, deadline) {
+                    self.spun.inc();
+                } else {
+                    if !self.arm(deadline)? {
+                        return Ok(false);
+                    }
+                    self.slept.inc();
+                    slept = Some(start);
+                }
             }
-            match self.stream.read(&mut self.partial[self.filled..]) {
+            let read = self.stream.read(&mut self.partial[self.filled..]);
+            if let Some(start) = slept {
+                self.spin = start.elapsed() <= SPIN_LIMIT;
+            }
+            match read {
                 Ok(0) => return Err(NetError::Closed),
                 Ok(n) => self.filled += n,
                 Err(e) if timed_out(&e) => {}
@@ -469,6 +520,27 @@ impl<S: Socket> StreamReader<S> {
             }
         }
         Ok(true)
+    }
+
+    /// Probe the socket, yielding the CPU between probes, until it has
+    /// bytes or reports end of stream (`true`), or until [`SPIN_LIMIT`]
+    /// after `start` or `deadline` passes, or a probe fails (`false`: the
+    /// blocking read waits, or reports the failure). A probing reader is on
+    /// no wait queue, so the peer's write wakes no thread.
+    fn probe(&self, start: Instant, deadline: Option<Instant>) -> bool {
+        let until = deadline.map_or(start + SPIN_LIMIT, |at| at.min(start + SPIN_LIMIT));
+        let fd = self.stream.get_ref().0.as_raw_fd();
+        loop {
+            match peek(fd).map_err(|e| e.kind()) {
+                Ok(_) => return true,
+                Err(io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {}
+                Err(_) => return false,
+            }
+            if Instant::now() >= until {
+                return false;
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Set the socket's read timeout for a wait until `deadline` (none:
@@ -677,19 +749,29 @@ mod tests {
         }
     }
 
+    impl AsRawFd for AnySocket {
+        fn as_raw_fd(&self) -> RawFd {
+            (**self).as_raw_fd()
+        }
+    }
+
     type AnySocket = Box<dyn Socket>;
 
     /// A raw socket and a reader on its peer, for each stream transport.
     fn raw_readers() -> Vec<(AnySocket, StreamReader<AnySocket>)> {
+        socket_pairs()
+            .into_iter()
+            .map(|(a, b)| (a, StreamReader::new(Arc::new(b), "test")))
+            .collect()
+    }
+
+    /// A connected pair of each kind of stream socket.
+    fn socket_pairs() -> Vec<(AnySocket, AnySocket)> {
         let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
         let tcp = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let c = std::net::TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
         let (d, _) = tcp.accept().unwrap();
-        let reader = |s: AnySocket| StreamReader::new(Arc::new(s), "test");
-        vec![
-            (Box::new(a), reader(Box::new(b))),
-            (Box::new(c), reader(Box::new(d))),
-        ]
+        vec![(Box::new(a), Box::new(b)), (Box::new(c), Box::new(d))]
     }
 
     fn write_all(socket: &dyn Socket, mut bytes: &[u8]) {
@@ -713,6 +795,94 @@ mod tests {
             let far = Instant::now() + Duration::from_secs(5);
             assert_eq!(b.reader.recv_until(far).unwrap().unwrap(), b"late");
             assert!(matches!(b.reader.recv_until(start), Ok(None)));
+
+            // After a prompt exchange the reader probes before it sleeps;
+            // a deadline inside the probing still ends the wait, no
+            // earlier than the deadline and with nothing lost.
+            a.send(b"prompt").unwrap();
+            assert_eq!(b.reader.recv().unwrap(), b"prompt");
+            let short = SPIN_LIMIT / 3;
+            let at = Instant::now();
+            let got = b.reader.recv_until(at + short);
+            assert!(matches!(got, Ok(None)), "{}: {got:?}", b.label());
+            assert!(at.elapsed() >= short, "{}: {:?}", b.label(), at.elapsed());
+            a.send(b"after").unwrap();
+            assert_eq!(b.reader.recv_until(far).unwrap().unwrap(), b"after");
+        }
+    }
+
+    /// The waits `reader` ended while probing and in a blocking read.
+    fn waits(reader: &StreamReader<AnySocket>) -> [u64; 2] {
+        [reader.spun.get(), reader.slept.get()]
+    }
+
+    /// Send a small frame from one end of `pair` to a peer thread that
+    /// sends it back after `delay`, `warm_up` and then `counted` times;
+    /// returns the waits (`[spun, slept]`) of the counted round trips.
+    fn round_trips(
+        pair: (AnySocket, AnySocket),
+        warm_up: u32,
+        counted: u32,
+        delay: Duration,
+    ) -> [u64; 2] {
+        let (ours, theirs) = (Arc::new(pair.0), Arc::new(pair.1));
+        let mut reader = StreamReader::new(Arc::clone(&ours), "test");
+        let mut peer = StreamReader::new(Arc::clone(&theirs), "test");
+        let echo = std::thread::spawn(move || {
+            while let Ok(frame) = peer.recv() {
+                std::thread::sleep(delay);
+                write_all(&**theirs, frame.wire());
+            }
+        });
+        let ping = Frame::from(b"ping");
+        let mut run = |n| {
+            let before = waits(&reader);
+            for _ in 0..n {
+                write_all(&**ours, ping.wire());
+                assert_eq!(reader.recv().unwrap(), b"ping");
+            }
+            let after = waits(&reader);
+            [after[0] - before[0], after[1] - before[1]]
+        };
+        run(warm_up);
+        let waited = run(counted);
+        ours.shutdown(Shutdown::Write).unwrap();
+        echo.join().unwrap();
+        waited
+    }
+
+    #[test]
+    fn a_prompt_peer_is_awaited_by_probing_not_sleeping() {
+        // A loopback tcp round trip takes close to SPIN_LIMIT, and a busy
+        // host can push it past for a while; a reader that misses sleeps
+        // until one of its waits is short again. So each transport has
+        // three fresh pairs to show that most waits end in the probe.
+        for kind in 0..2 {
+            let mut tries = Vec::new();
+            let probed = (0..3).any(|_| {
+                let pair = socket_pairs().swap_remove(kind);
+                let [spun, slept] = round_trips(pair, 200, 2_000, Duration::ZERO);
+                tries.push([spun, slept]);
+                slept * 2 < spun + slept
+            });
+            assert!(probed, "kind {kind}: [spun, slept] per try {tries:?}");
+        }
+    }
+
+    #[test]
+    fn a_slow_peer_is_awaited_by_sleeping() {
+        for pair in socket_pairs() {
+            let [spun, slept] = round_trips(pair, 0, 100, Duration::from_millis(2));
+            assert!(spun <= 1, "{spun} waits spun, {slept} slept");
+        }
+    }
+
+    #[test]
+    fn a_fresh_reader_does_not_probe() {
+        for (raw, mut reader) in raw_readers() {
+            write_all(&*raw, Frame::from(b"first").wire());
+            assert_eq!(reader.recv().unwrap(), b"first");
+            assert_eq!(waits(&reader), [0, 1]);
         }
     }
 

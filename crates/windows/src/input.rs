@@ -14,23 +14,25 @@
 use crate::events::InputEvent;
 use crate::geometry::Point;
 use clam_task::Scheduler;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+clam_obs::counters! {
+    struct InputCounters {
+        events_delivered: "wm.input_events_delivered",
+    }
+}
 
 /// A synthetic input source that pushes scripted events through a sink,
 /// one server task per event (the paper's input tasks).
 pub struct InputDriver {
     sched: Scheduler,
-    events_delivered: Arc<AtomicU64>,
+    counters: InputCounters,
 }
 
 impl std::fmt::Debug for InputDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InputDriver")
-            .field(
-                "events_delivered",
-                &self.events_delivered.load(Ordering::Relaxed),
-            )
+            .field("events_delivered", &self.events_delivered())
             .finish_non_exhaustive()
     }
 }
@@ -41,7 +43,7 @@ impl InputDriver {
     pub fn new(sched: &Scheduler) -> InputDriver {
         InputDriver {
             sched: sched.clone(),
-            events_delivered: Arc::new(AtomicU64::new(0)),
+            counters: InputCounters::register(),
         }
     }
 
@@ -51,10 +53,10 @@ impl InputDriver {
     where
         F: FnOnce(InputEvent) + Send + 'static,
     {
-        let counter = Arc::clone(&self.events_delivered);
+        let delivered = Arc::clone(&self.counters.events_delivered);
         self.sched.spawn("input-event", move || {
             sink(event);
-            counter.fetch_add(1, Ordering::Relaxed);
+            delivered.inc();
         })
     }
 
@@ -80,7 +82,13 @@ impl InputDriver {
     /// Events fully delivered so far.
     #[must_use]
     pub fn events_delivered(&self) -> u64 {
-        self.events_delivered.load(Ordering::Relaxed)
+        self.counters.events_delivered.get()
+    }
+
+    /// This driver's own `wm.*` counts, keyed by catalogue name.
+    #[must_use]
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.counters.metrics()
     }
 }
 
