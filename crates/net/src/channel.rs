@@ -10,7 +10,7 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::{Arc, Weak};
@@ -252,6 +252,8 @@ impl Meter {
 /// shared reference.
 pub(crate) trait Socket: AsRawFd + Send + Sync + 'static {
     fn read(&self, buf: &mut [u8]) -> io::Result<usize>;
+    /// [`read`](Socket::read) without waiting: `WouldBlock` if nothing is there.
+    fn read_now(&self, buf: &mut [u8]) -> io::Result<usize>;
     fn write(&self, buf: &[u8]) -> io::Result<usize>;
     fn shutdown(&self, how: Shutdown) -> io::Result<()>;
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
@@ -263,6 +265,13 @@ macro_rules! impl_socket {
         impl Socket for $t {
             fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
                 <&$t as Read>::read(&mut &*self, buf)
+            }
+            fn read_now(&self, buf: &mut [u8]) -> io::Result<usize> {
+                // SAFETY: `buf` is writable for the `buf.len()` bytes asked for
+                // and `recv` keeps no pointer to it. `MSG_DONTWAIT` leaves the
+                // `O_NONBLOCK` the writer half shares untouched.
+                let n = unsafe { recv(self.as_raw_fd(), buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
+                usize::try_from(n).map_err(|_| io::Error::last_os_error())
             }
             fn write(&self, buf: &[u8]) -> io::Result<usize> {
                 <&$t as Write>::write(&mut &*self, buf)
@@ -280,6 +289,11 @@ macro_rules! impl_socket {
     )*};
 }
 impl_socket!(std::os::unix::net::UnixStream, std::net::TcpStream);
+
+const MSG_DONTWAIT: i32 = 0x40;
+extern "C" {
+    fn recv(fd: RawFd, buf: *mut u8, len: usize, flags: i32) -> isize;
+}
 
 /// The socket's write timeout. The kernel rounds it up to one clock tick
 /// (1–4 ms), so a write into a full socket buffer gives up after at most
@@ -363,15 +377,6 @@ impl<S: Socket> Drop for StreamWriter<S> {
     }
 }
 
-/// The reader's handle on the shared socket.
-struct Shared<S>(Arc<S>);
-
-impl<S: Socket> Read for Shared<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read(buf)
-    }
-}
-
 /// A socket timeout, or a signal: the read or write may be retried.
 fn timed_out(e: &io::Error) -> bool {
     matches!(
@@ -383,31 +388,21 @@ fn timed_out(e: &io::Error) -> bool {
 /// How far a reader's frame buffer may grow past the bytes read into it.
 const READ_STEP: usize = 64 * 1024;
 
+/// The size of a reader's receive buffer: std's default for a buffered reader.
+const RECV_BUF: usize = 8 * 1024;
+
 /// How long a reader whose last wait was short probes the socket before
 /// it sleeps in a blocking read: about one sleep plus a cross-CPU wake-up
 /// on a 2-vCPU VM. At 6 µs the probes gave up just before an upcall's
 /// reply came; at 20 µs a batched caller's longer waits burned CPU.
 const SPIN_LIMIT: Duration = Duration::from_micros(12);
 
-const MSG_PEEK: i32 = 0x2;
-const MSG_DONTWAIT: i32 = 0x40;
-extern "C" {
-    fn recv(fd: RawFd, buf: *mut u8, len: usize, flags: i32) -> isize;
-}
-
-/// Whether `fd` has a byte to read, without taking it and without
-/// waiting: `Ok(0)` at end of stream, `WouldBlock` while it has none.
-fn peek(fd: RawFd) -> io::Result<usize> {
-    let mut byte = 0u8;
-    // SAFETY: `byte` is a writable buffer of the 1 byte asked for, alive
-    // for the whole call, and `recv` keeps no pointer to it. `MSG_DONTWAIT`
-    // leaves the `O_NONBLOCK` the writer half shares untouched.
-    let n = unsafe { recv(fd, &mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
-    usize::try_from(n).map_err(|_| io::Error::last_os_error())
-}
-
 struct StreamReader<S> {
-    stream: BufReader<Shared<S>>,
+    socket: Arc<S>,
+    /// Bytes received past the frame being read are `buf[pos..end]`.
+    buf: Box<[u8]>,
+    pos: usize,
+    end: usize,
     /// The wire image of the frame being read. It grows with the bytes
     /// that arrive, at most [`READ_STEP`] past them, so a peer that
     /// announces a large frame and sends little of it pins little memory.
@@ -437,7 +432,10 @@ impl<S: Socket> StreamReader<S> {
     fn new(socket: Arc<S>, kind: &str) -> StreamReader<S> {
         let instance = |name: &str| clam_obs::registry().instance(&format!("net.{name}.{kind}"));
         StreamReader {
-            stream: BufReader::new(Shared(socket)),
+            socket,
+            buf: vec![0; RECV_BUF].into_boxed_slice(),
+            pos: 0,
+            end: 0,
             partial: Vec::new(),
             filled: 0,
             frame_len: 0,
@@ -492,52 +490,70 @@ impl<S: Socket> StreamReader<S> {
                 let step = (self.frame_len - self.filled).min(READ_STEP);
                 self.partial.resize(self.filled + step, 0);
             }
-            let mut slept = None;
-            if self.stream.buffer().is_empty() {
+            if self.pos == self.end {
                 let start = Instant::now();
                 if deadline.is_some_and(|at| at <= start) {
                     return Ok(false);
                 }
-                if self.spin && self.probe(start, deadline) {
-                    self.spun.inc();
-                } else {
-                    if !self.arm(deadline)? {
-                        return Ok(false);
+                let read = match self.spin.then(|| self.probe(start, deadline)).flatten() {
+                    Some(n) => {
+                        self.spun.inc();
+                        Ok(n)
                     }
-                    self.slept.inc();
-                    slept = Some(start);
+                    None => {
+                        if !self.arm(deadline)? {
+                            return Ok(false);
+                        }
+                        self.slept.inc();
+                        let read = self.receive(S::read);
+                        self.spin = start.elapsed() <= SPIN_LIMIT;
+                        read
+                    }
+                };
+                match read {
+                    Ok(0) => return Err(NetError::Closed),
+                    Err(e) if !timed_out(&e) => return Err(e.into()),
+                    _ => {}
                 }
             }
-            let read = self.stream.read(&mut self.partial[self.filled..]);
-            if let Some(start) = slept {
-                self.spin = start.elapsed() <= SPIN_LIMIT;
-            }
-            match read {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(n) => self.filled += n,
-                Err(e) if timed_out(&e) => {}
-                Err(e) => return Err(e.into()),
-            }
+            let received = &self.buf[self.pos..self.end];
+            let n = received.len().min(self.partial.len() - self.filled);
+            self.partial[self.filled..][..n].copy_from_slice(&received[..n]);
+            (self.pos, self.filled) = (self.pos + n, self.filled + n);
         }
         Ok(true)
     }
 
-    /// Probe the socket, yielding the CPU between probes, until it has
-    /// bytes or reports end of stream (`true`), or until [`SPIN_LIMIT`]
-    /// after `start` or `deadline` passes, or a probe fails (`false`: the
-    /// blocking read waits, or reports the failure). A probing reader is on
-    /// no wait queue, so the peer's write wakes no thread.
-    fn probe(&self, start: Instant, deadline: Option<Instant>) -> bool {
+    /// One receive by `read` (the receive buffer must be empty): straight
+    /// into the frame buffer when its room is at least the receive
+    /// buffer's size, else into the receive buffer.
+    fn receive(&mut self, read: fn(&S, &mut [u8]) -> io::Result<usize>) -> io::Result<usize> {
+        let direct = self.partial.len() - self.filled >= RECV_BUF;
+        let n = if direct {
+            read(&self.socket, &mut self.partial[self.filled..])?
+        } else {
+            read(&self.socket, &mut self.buf)?
+        };
+        let (filled, end) = if direct { (n, 0) } else { (0, n) };
+        (self.filled, self.pos, self.end) = (self.filled + filled, 0, end);
+        Ok(n)
+    }
+
+    /// Receive without waiting, yielding the CPU between tries, until
+    /// bytes come (`Some`: how many, 0 at end of stream), or until
+    /// [`SPIN_LIMIT`] after `start` or `deadline` passes, or a try fails
+    /// (`None`: the blocking read waits, or reports the failure). A probing
+    /// reader is on no wait queue, so the peer's write wakes no thread.
+    fn probe(&mut self, start: Instant, deadline: Option<Instant>) -> Option<usize> {
         let until = deadline.map_or(start + SPIN_LIMIT, |at| at.min(start + SPIN_LIMIT));
-        let fd = self.stream.get_ref().0.as_raw_fd();
         loop {
-            match peek(fd).map_err(|e| e.kind()) {
-                Ok(_) => return true,
+            match self.receive(S::read_now).map_err(|e| e.kind()) {
+                Ok(n) => return Some(n),
                 Err(io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {}
-                Err(_) => return false,
+                Err(_) => return None,
             }
             if Instant::now() >= until {
-                return false;
+                return None;
             }
             std::thread::yield_now();
         }
@@ -566,7 +582,7 @@ impl<S: Socket> StreamReader<S> {
             }
         };
         if wanted != self.timeout {
-            self.stream.get_ref().0.set_read_timeout(wanted)?;
+            self.socket.set_read_timeout(wanted)?;
             self.timeout = wanted;
         }
         Ok(true)
@@ -583,7 +599,7 @@ impl<S: Socket> MsgReader for StreamReader<S> {
     }
 
     fn closer(&self) -> Closer {
-        let socket: Weak<S> = Arc::downgrade(&self.stream.get_ref().0);
+        let socket: Weak<S> = Arc::downgrade(&self.socket);
         Closer(Arc::new(move || {
             if let Some(socket) = socket.upgrade() {
                 // Wakes our own blocked reader too: it reads end of stream.
@@ -624,6 +640,7 @@ pub(crate) fn socket_pair() -> NetResult<(Channel, Channel)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn pair_is_duplex_and_ordered() {
@@ -734,6 +751,9 @@ mod tests {
     impl Socket for AnySocket {
         fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
             (**self).read(buf)
+        }
+        fn read_now(&self, buf: &mut [u8]) -> io::Result<usize> {
+            (**self).read_now(buf)
         }
         fn write(&self, buf: &[u8]) -> io::Result<usize> {
             (**self).write(buf)
@@ -931,6 +951,188 @@ mod tests {
                 "a 104-byte partial frame holds {} bytes",
                 reader.partial.capacity()
             );
+        }
+    }
+
+    #[test]
+    fn frames_that_arrive_together_cost_one_wait() {
+        let wire: Vec<u8> = [&b"one"[..], b"two", b"three"]
+            .into_iter()
+            .flat_map(|payload| Frame::from(payload).into_wire())
+            .collect();
+        for (raw, mut reader) in raw_readers() {
+            // A fresh reader sleeps for the first; then it probes.
+            for round in 0..2 {
+                write_all(&*raw, &wire);
+                let before = waits(&reader);
+                assert_eq!(reader.recv().unwrap(), b"one");
+                let first = waits(&reader);
+                assert_eq!(
+                    first[0] + first[1],
+                    before[0] + before[1] + 1,
+                    "round {round}"
+                );
+                assert_eq!(reader.recv().unwrap(), b"two");
+                assert_eq!(reader.recv().unwrap(), b"three");
+                assert_eq!(waits(&reader), first, "round {round}: a later frame waited");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_both_buffers_arrives_whole() {
+        let payload: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 251) as u8).collect();
+        assert!(payload.len() > RECV_BUF.max(READ_STEP));
+        let wire = Frame::from(&payload).into_wire();
+        for probing in [true, false] {
+            for (raw, mut reader) in raw_readers() {
+                reader.spin = probing;
+                // A probing reader finds the first bytes there; a sleeping
+                // one waits for them. The rest streams in behind.
+                let head = if probing { 4096 } else { 0 };
+                write_all(&*raw, &wire[..head]);
+                let rest = wire[head..].to_vec();
+                let writer = std::thread::spawn(move || {
+                    if !probing {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    write_all(&*raw, &rest);
+                    raw
+                });
+                let got = reader.recv().unwrap();
+                assert!(
+                    got == payload,
+                    "probing {probing}: the frame arrived damaged"
+                );
+                let [spun, slept] = waits(&reader);
+                assert!(
+                    if probing { spun > 0 } else { slept > 0 },
+                    "[{spun}, {slept}]"
+                );
+                drop(writer.join().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_written_in_two_parts_to_a_probing_reader_arrives_whole() {
+        let wire = Frame::from(b"in two parts").into_wire();
+        for (mut raw, mut reader) in raw_readers() {
+            // Inside the length prefix, at its end, and just past it.
+            for cut in 1..=8 {
+                reader.spin = true;
+                let wire = wire.clone();
+                let writer = std::thread::spawn(move || {
+                    write_all(&*raw, &wire[..cut]);
+                    std::thread::yield_now();
+                    write_all(&*raw, &wire[cut..]);
+                    raw
+                });
+                assert_eq!(reader.recv().unwrap(), b"in two parts", "cut {cut}");
+                raw = writer.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_that_closes_while_the_reader_probes_gives_closed_after_its_frames() {
+        for (raw, mut reader) in raw_readers() {
+            reader.spin = true;
+            write_all(&*raw, Frame::from(b"last but one").wire());
+            write_all(&*raw, Frame::from(b"last").wire());
+            raw.shutdown(Shutdown::Write).unwrap();
+            assert_eq!(reader.recv().unwrap(), b"last but one");
+            assert_eq!(reader.recv().unwrap(), b"last");
+            assert!(reader.recv().unwrap_err().is_closed());
+            assert_eq!(waits(&reader)[1], 0, "a wait slept");
+        }
+        // The same with the peer on a thread of its own, closing while
+        // the reader probes or sleeps, as the timing falls.
+        for (raw, mut reader) in raw_readers() {
+            reader.spin = true;
+            let peer = std::thread::spawn(move || {
+                for i in 0..50u8 {
+                    write_all(&*raw, Frame::from(&[i]).wire());
+                }
+            });
+            for i in 0..50u8 {
+                assert_eq!(reader.recv().unwrap(), [i]);
+            }
+            assert!(reader.recv().unwrap_err().is_closed());
+            peer.join().unwrap();
+        }
+    }
+
+    /// A socket that counts the receives, through either read method,
+    /// that return bytes or end of stream.
+    struct Counting {
+        inner: AnySocket,
+        received: Arc<AtomicU64>,
+    }
+
+    impl Counting {
+        fn count(&self, read: io::Result<usize>) -> io::Result<usize> {
+            if read.is_ok() {
+                self.received.fetch_add(1, Ordering::Relaxed);
+            }
+            read
+        }
+    }
+
+    impl Socket for Counting {
+        fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
+            self.count(self.inner.read(buf))
+        }
+        fn read_now(&self, buf: &mut [u8]) -> io::Result<usize> {
+            self.count(self.inner.read_now(buf))
+        }
+        fn write(&self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+            self.inner.shutdown(how)
+        }
+        fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            self.inner.set_read_timeout(timeout)
+        }
+        fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            self.inner.set_write_timeout(timeout)
+        }
+    }
+
+    impl AsRawFd for Counting {
+        fn as_raw_fd(&self) -> RawFd {
+            self.inner.as_raw_fd()
+        }
+    }
+
+    #[test]
+    fn a_probed_frame_costs_one_receive() {
+        // As in the echo test above, each transport has three fresh pairs
+        // to show that most waits end in the probe.
+        for kind in 0..2 {
+            let mut tries = Vec::new();
+            let probed = (0..3).any(|_| {
+                let (ours, theirs) = socket_pairs().swap_remove(kind);
+                let received = Arc::new(AtomicU64::new(0));
+                let ours: AnySocket = Box::new(Counting {
+                    inner: ours,
+                    received: Arc::clone(&received),
+                });
+                let [spun, slept] = round_trips((ours, theirs), 200, 2_000, Duration::ZERO);
+                // Every frame, warm-up included, in one receive on either
+                // path; `WouldBlock` probes are not counted.
+                let receives = received.load(Ordering::Relaxed);
+                assert_eq!(
+                    receives,
+                    2_200,
+                    "kind {kind}: [spun, slept] {:?}",
+                    [spun, slept]
+                );
+                tries.push([spun, slept]);
+                slept * 2 < spun + slept
+            });
+            assert!(probed, "kind {kind}: [spun, slept] per try {tries:?}");
         }
     }
 

@@ -61,11 +61,11 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket log2 histogram: 64 power-of-two buckets plus running
-/// count and sum. `observe` is three relaxed atomic adds.
+/// A fixed-bucket log2 histogram: 64 power-of-two buckets plus a running
+/// sum. `observe` is two relaxed atomic adds; the count is the buckets'
+/// sum, so a snapshot's count always agrees with its buckets.
 #[derive(Debug)]
 pub struct Histogram {
-    count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
@@ -95,7 +95,6 @@ fn bucket_upper(i: usize) -> u64 {
 impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -105,7 +104,6 @@ impl Default for Histogram {
 impl Histogram {
     /// Record one sample.
     pub fn observe(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
@@ -113,26 +111,19 @@ impl Histogram {
     /// Samples recorded so far.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     fn snap(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
+        let buckets = self.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+        HistogramSnapshot::new(self.sum.load(Ordering::Relaxed), buckets.collect())
     }
 }
 
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    /// Total samples.
+    /// Total samples: the sum of `buckets`.
     pub count: u64,
     /// Sum of all samples.
     pub sum: u64,
@@ -141,6 +132,16 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// A snapshot of `buckets` whose count is theirs.
+    fn new(sum: u64, buckets: Vec<u64>) -> HistogramSnapshot {
+        let count = buckets.iter().sum();
+        HistogramSnapshot {
+            count,
+            sum,
+            buckets,
+        }
+    }
+
     /// Mean sample value (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -191,16 +192,12 @@ impl HistogramSnapshot {
         } else {
             &zero
         };
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(before.iter())
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
+        let buckets = self
+            .buckets
+            .iter()
+            .zip(before)
+            .map(|(a, b)| a.saturating_sub(*b));
+        HistogramSnapshot::new(self.sum.saturating_sub(earlier.sum), buckets.collect())
     }
 }
 
@@ -615,6 +612,43 @@ mod tests {
         assert_eq!(hs.count, 6);
         assert_eq!(hs.sum, 1106);
         assert_eq!(hs.buckets.iter().sum::<u64>(), 6);
+    }
+
+    #[test]
+    fn a_histogram_snapshot_counts_what_its_buckets_hold() {
+        let r = Registry::new();
+        let h = r.histogram("race");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    h.observe(v % 1000);
+                    v += 1;
+                }
+            });
+            let observers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..20_000)
+                            .filter(|_| {
+                                let snap = r.snapshot();
+                                let hs = snap.histogram("race").expect("registered");
+                                hs.count != hs.buckets.iter().sum::<u64>()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            let torn: Vec<usize> = observers.into_iter().map(|o| o.join().unwrap()).collect();
+            done.store(true, Ordering::Relaxed);
+            assert_eq!(
+                torn,
+                [0, 0],
+                "snapshots whose count is not their buckets' sum"
+            );
+        });
+        assert_eq!(h.count(), r.snapshot().histogram("race").unwrap().count);
     }
 
     #[test]

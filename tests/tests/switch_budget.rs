@@ -1,10 +1,12 @@
 //! A tripwire on kernel context switches: after warm-up, a synchronous
-//! `echo` call over unix, and a call that makes one synchronous upcall,
-//! must each stay within a budget of switches, summed over every thread
-//! of this process (`/proc/self/task/*/status`). clam-obs counts baton
-//! grants (`task.switches_per_op`), not the kernel's switches; a thread
-//! put back on a request path (a reader thread handing each frame to the
-//! serving task) shows up here even where that count reads 0.
+//! `echo` call over unix, a call that makes one synchronous upcall, a
+//! batch of 64 async calls with its sync barrier, and a call that makes
+//! one async upcall must each stay within a budget of switches, summed
+//! over every thread of this process (`/proc/self/task/*/status`).
+//! clam-obs counts baton grants (`task.switches_per_op`), not the
+//! kernel's switches; a thread put back on a request path (a reader
+//! thread handing each frame to the serving task) shows up here even
+//! where that count reads 0.
 //!
 //! A thread that sleeps makes a voluntary switch. A reader that probes its
 //! socket and yields the CPU between probes makes an involuntary one each
@@ -26,7 +28,9 @@ use clam_core::{ClamClient, ClamServer, UpcallTarget};
 use clam_integration::unique_unix;
 use clam_rpc::{current_conn, ProcId, RpcError, RpcResult, StatusCode, Target};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 clam_rpc::remote_interface! {
     /// What the budget is measured on.
@@ -39,11 +43,27 @@ clam_rpc::remote_interface! {
         fn echo(x: u32) -> u32 = 1;
         /// Upcalls `proc(x)` once and returns what it returned.
         fn bounce(proc: ProcId, x: u32) -> u32 = 2;
+        /// Counts one note.
+        fn note(x: u32) = 3 oneway;
+        /// The notes counted so far: the batch's barrier.
+        fn noted() -> u32 = 4;
+        /// Upcalls `proc(x)` once without waiting for it, and returns `x + 1`.
+        fn pulse(proc: ProcId, x: u32) -> u32 = 5;
     }
 }
 
 struct ProbeImpl {
     server: Weak<ClamServer>,
+    notes: AtomicU32,
+}
+
+impl ProbeImpl {
+    fn to_caller(&self, proc: ProcId) -> RpcResult<UpcallTarget<u32, u32>> {
+        let gone = || RpcError::status(StatusCode::AppError, "no server or connection");
+        let server = self.server.upgrade().ok_or_else(gone)?;
+        let conn = current_conn().ok_or_else(gone)?;
+        server.upcall_target(conn, proc)
+    }
 }
 
 impl Probe for ProbeImpl {
@@ -52,17 +72,32 @@ impl Probe for ProbeImpl {
     }
 
     fn bounce(&self, proc: ProcId, x: u32) -> RpcResult<u32> {
-        let gone = || RpcError::status(StatusCode::AppError, "no server or connection");
-        let server = self.server.upgrade().ok_or_else(gone)?;
-        let conn = current_conn().ok_or_else(gone)?;
-        let target: UpcallTarget<u32, u32> = server.upcall_target(conn, proc)?;
-        target.invoke(x)
+        self.to_caller(proc)?.invoke(x)
+    }
+
+    fn note(&self, _x: u32) -> RpcResult<()> {
+        self.notes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn noted(&self) -> RpcResult<u32> {
+        Ok(self.notes.load(Ordering::Relaxed))
+    }
+
+    fn pulse(&self, proc: ProcId, x: u32) -> RpcResult<u32> {
+        self.to_caller(proc)?.invoke_async(x)?;
+        Ok(x.wrapping_add(1))
     }
 }
 
 const PROBE_SERVICE: u32 = 91;
 const WARM_UP: u32 = 2_000;
 const COUNTED: u32 = 10_000;
+/// Async calls per batch.
+const BATCH: u32 = 64;
+/// Batches warmed up and counted: each is 64 calls.
+const BATCH_WARM_UP: u32 = 200;
+const BATCH_COUNTED: u32 = 2_000;
 /// `optimised` in a release build, `unoptimised` in a debug one. Serving
 /// takes longer unoptimised, so a reader's probing more often runs out
 /// before the reply comes, and the thread sleeps instead.
@@ -81,6 +116,14 @@ const ECHO_BUDGET: f64 = by_build(2.5, 4.0);
 const ECHO_SLEEPS: f64 = by_build(0.5, 2.0);
 /// Voluntary + involuntary switches per call with one sync upcall.
 const UPCALL_BUDGET: f64 = 12.0;
+/// Voluntary + involuntary switches per batch of 64 async calls and its
+/// sync barrier: the barrier's round trip, whose reply the caller often
+/// sleeps for, as a batch's serving takes longer than a probe.
+const BATCH_BUDGET: f64 = 4.5;
+/// Voluntary + involuntary switches per call with one async upcall: the
+/// call's round trip and the client's upcall task, which serves the
+/// upcall while the caller waits for its reply.
+const ASYNC_UPCALL_BUDGET: f64 = by_build(4.0, 5.5);
 
 extern "C" {
     fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
@@ -163,11 +206,11 @@ impl std::fmt::Display for PerOp {
     }
 }
 
-/// Run `op` `WARM_UP` times, then `COUNTED` times between two snapshots.
-fn per_op(mut op: impl FnMut(u32)) -> PerOp {
-    (0..WARM_UP).for_each(&mut op);
+/// Run `op` `warm_up` times, then `counted` times between two snapshots.
+fn per_op(warm_up: u32, counted: u32, mut op: impl FnMut(u32)) -> PerOp {
+    (0..warm_up).for_each(&mut op);
     let before = switches();
-    (0..COUNTED).for_each(&mut op);
+    (warm_up..warm_up + counted).for_each(&mut op);
     let after = switches();
     let mut by_name: HashMap<String, [u64; 2]> = HashMap::new();
     for (tid, (name, count)) in after {
@@ -179,7 +222,7 @@ fn per_op(mut op: impl FnMut(u32)) -> PerOp {
     }
     let mut by_thread: Vec<(String, [f64; 2])> = by_name
         .into_iter()
-        .map(|(name, n)| (name, n.map(|n| n as f64 / f64::from(COUNTED))))
+        .map(|(name, n)| (name, n.map(|n| n as f64 / f64::from(counted))))
         .collect();
     by_thread.sort_by(|a, b| (b.1[0] + b.1[1]).total_cmp(&(a.1[0] + a.1[1])));
     let sum = |kind: usize| by_thread.iter().map(|(_, n)| n[kind]).sum();
@@ -201,16 +244,43 @@ fn sync_calls_stay_within_their_switch_budget() {
         PROBE_SERVICE,
         Arc::new(ProbeSkeleton::new(Arc::new(ProbeImpl {
             server: Arc::downgrade(&server),
+            notes: AtomicU32::new(0),
         }))),
     );
     let client = ClamClient::connect(&server.endpoints()[0]).expect("client connects");
     let proxy = ProbeProxy::new(Arc::clone(client.caller()), Target::Builtin(PROBE_SERVICE));
     let proc = client.register_upcall(|x: u32| Ok(x.wrapping_add(1)));
+    let pulses = Arc::new(AtomicU32::new(0));
+    let pulsed = Arc::clone(&pulses);
+    let async_proc = client.register_upcall(move |x: u32| {
+        pulsed.fetch_add(1, Ordering::Relaxed);
+        Ok(x)
+    });
 
-    let echo = per_op(|x| assert_eq!(proxy.echo(x).expect("echo"), x + 1));
-    let upcall = per_op(|x| assert_eq!(proxy.bounce(proc, x).expect("bounce"), x + 1));
+    let echo = per_op(WARM_UP, COUNTED, |x| {
+        assert_eq!(proxy.echo(x).expect("echo"), x + 1);
+    });
+    let upcall = per_op(WARM_UP, COUNTED, |x| {
+        assert_eq!(proxy.bounce(proc, x).expect("bounce"), x + 1);
+    });
+    let batch = per_op(BATCH_WARM_UP, BATCH_COUNTED, |round| {
+        for i in 0..BATCH {
+            proxy.note(i).expect("note");
+        }
+        assert_eq!(proxy.noted().expect("barrier"), (round + 1) * BATCH);
+    });
+    let async_upcall = per_op(WARM_UP, COUNTED, |x| {
+        assert_eq!(proxy.pulse(async_proc, x).expect("pulse"), x + 1);
+    });
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while pulses.load(Ordering::Relaxed) < WARM_UP + COUNTED {
+        assert!(Instant::now() < give_up, "async upcalls went missing");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     println!("switches per echo: {echo}");
     println!("switches per upcall call: {upcall}");
+    println!("switches per batch of {BATCH} and its barrier: {batch}");
+    println!("switches per async upcall call: {async_upcall}");
     assert!(
         echo.total() <= ECHO_BUDGET,
         "switches per echo call over budget {ECHO_BUDGET}: {echo}"
@@ -222,6 +292,14 @@ fn sync_calls_stay_within_their_switch_budget() {
     assert!(
         upcall.total() <= UPCALL_BUDGET,
         "switches per call with one upcall over budget {UPCALL_BUDGET}: {upcall}"
+    );
+    assert!(
+        batch.total() <= BATCH_BUDGET,
+        "switches per batch over budget {BATCH_BUDGET}: {batch}"
+    );
+    assert!(
+        async_upcall.total() <= ASYNC_UPCALL_BUDGET,
+        "switches per call with one async upcall over budget {ASYNC_UPCALL_BUDGET}: {async_upcall}"
     );
     drop(client);
     server.shutdown();
