@@ -458,8 +458,9 @@ impl ClamServer {
     /// frame in place, in strict arrival order — this is what makes
     /// batched calls execute in the order they were sent (section 3.4).
     /// Frames the client marked *nested* (calls from inside an upcall
-    /// handler whose upcall is still outstanding) are served at once by
-    /// auxiliary tasks, since the serving task may be the blocked upcaller.
+    /// handler whose upcall is still outstanding) skip that order: the
+    /// task holding the reader serves each at once, in place, since the
+    /// task serving the ordinary frames may be the blocked upcaller.
     ///
     /// While the task serves, its reader is parked. Just before the task
     /// blocks, it lends the reader to a follower task running this same
@@ -480,37 +481,41 @@ impl ClamServer {
         };
         while let Some(reader) = parked.take() {
             let read = || self.read_turn(session, reader, &parked);
-            let Some(frame) = self.sched.outside(read) else {
+            let Some((frame, nested)) = self.sched.outside(read) else {
                 return;
             };
-            clam_task::on_block(Rc::clone(&lend), || session.serve_turn(&self.rpc, frame));
+            let serve = if nested {
+                Session::serve
+            } else {
+                Session::serve_turn
+            };
+            clam_task::on_block(Rc::clone(&lend), || serve(session, &self.rpc, frame));
         }
     }
 
-    /// Read with `reader` until an ordinary frame arrives that no task is
-    /// serving; park the reader and return the frame. `None` once the
-    /// channel is dead, after the session has been ended.
+    /// Read with `reader` until a nested frame arrives, or an ordinary one
+    /// that no task is serving; park the reader and return the frame, and
+    /// whether it is nested. `None` once the channel is dead, after the
+    /// session has been ended.
     fn read_turn(
         &self,
         session: &Arc<Session>,
         mut reader: Box<dyn MsgReader>,
         parked: &Cell<Option<Box<dyn MsgReader>>>,
-    ) -> Option<Frame> {
+    ) -> Option<(Frame, bool)> {
         while let Ok(frame) = reader.recv() {
             if !session.is_alive() {
                 break; // server shut the session down
             }
-            if Message::frame_is_nested(&frame) {
-                let (session, rpc) = (Arc::clone(session), Arc::clone(&self.rpc));
-                let spawned = self
-                    .sched
-                    .try_spawn("rpc-nested", move || session.serve(&rpc, frame));
-                if spawned.is_err() {
-                    break; // scheduler shut down
-                }
-            } else if let Some(frame) = session.take_turn(frame) {
+            let nested = Message::frame_is_nested(&frame);
+            let frame = if nested {
+                Some(frame)
+            } else {
+                session.take_turn(frame)
+            };
+            if let Some(frame) = frame {
                 parked.set(Some(reader));
-                return Some(frame);
+                return Some((frame, nested));
             }
         }
         self.end_session(session);

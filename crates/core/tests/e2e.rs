@@ -269,7 +269,7 @@ fn upcalls_work_over_unix_and_tcp_and_wan() {
         Endpoint::tcp("127.0.0.1:0"),
         Endpoint::Wan {
             addr: "127.0.0.1:0".to_string(),
-            config: clam_net::WanConfig::with_latency(std::time::Duration::from_micros(200)),
+            latency: std::time::Duration::from_micros(200),
         },
     ];
     for endpoint in endpoints {

@@ -3,9 +3,9 @@
 //! Every socket's channel is metered once, at its stream halves: frames
 //! and bytes in each direction feed the global `net.*` counters, keyed by
 //! the transport kind (the label's first `-`-separated segment: `inmem`,
-//! `unix`, `tcp`). A channel layered over another — a WAN shaper or fault
-//! injector — adds no count of its own, so each frame on the wire is
-//! counted once, under the transport that carries it.
+//! `unix`, `tcp`). A channel layered over another — a fault injector, a
+//! WAN link among them — adds no count of its own, so each frame on the
+//! wire is counted once, under the transport that carries it.
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
@@ -694,7 +694,7 @@ mod tests {
 
     #[test]
     fn a_wrapped_channel_meters_each_frame_once() {
-        use crate::{Endpoint, FaultPlan, FaultyChannel, WanConfig};
+        use crate::{Endpoint, FaultPlan, FaultyChannel};
         let before = clam_obs::snapshot();
         let (a, b) = pair();
         let (mut a, _) = FaultyChannel::wrap(a, FaultPlan::seeded(1));
@@ -707,7 +707,7 @@ mod tests {
         }
         let wan = Endpoint::Wan {
             addr: "127.0.0.1:0".to_string(),
-            config: WanConfig::with_latency(Duration::ZERO),
+            latency: Duration::ZERO,
         };
         let listener = crate::listen(&wan).unwrap();
         let mut client = crate::connect(&listener.endpoint()).unwrap();
@@ -1155,21 +1155,46 @@ mod tests {
 
     #[test]
     fn start_send_stops_at_a_full_socket_buffer_and_finish_send_completes_it() {
-        for (a, mut b) in pairs() {
+        // Wrapped writers too: one end of a pair in a benign fault plan,
+        // and a WAN pair, whose ends both hold received frames.
+        let mut legs = pairs();
+        let (faulty, peer) = pair();
+        legs.push((
+            crate::FaultyChannel::wrap(faulty, crate::FaultPlan::seeded(1)).0,
+            peer,
+        ));
+        let wan = crate::listen(&crate::Endpoint::wan("127.0.0.1:0")).unwrap();
+        let client = crate::connect(&wan.endpoint()).unwrap();
+        legs.push((client, wan.accept().unwrap()));
+        for (a, mut b) in legs {
             let label = a.label().to_string();
             let (mut w, _r) = a.split();
             let frame = || Frame::from(vec![7u8; 64 * 1024]);
-            let mut started = 0;
-            loop {
-                let at = Instant::now();
-                let sent = w.start_send(frame()).unwrap();
-                assert!(at.elapsed() < Duration::from_millis(100), "{label}");
-                started += 1;
-                if !sent {
-                    break;
+            // On a thread, so that a writer that blocks in `start_send`
+            // fails the test instead of hanging it.
+            let (filled, fill) = std::sync::mpsc::channel();
+            let fill_label = label.clone();
+            let filler = std::thread::spawn(move || {
+                let mut started = 0;
+                loop {
+                    let at = Instant::now();
+                    let sent = w.start_send(frame()).unwrap();
+                    assert!(at.elapsed() < Duration::from_millis(100), "{fill_label}");
+                    started += 1;
+                    if !sent {
+                        break;
+                    }
+                    assert!(
+                        started < 10_000,
+                        "{fill_label}: the socket buffer never filled"
+                    );
                 }
-                assert!(started < 10_000, "{label}: the socket buffer never filled");
-            }
+                filled.send((w, started)).unwrap();
+            });
+            let (mut w, started) = fill
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("{label}: the fill loop failed or blocked: {e}"));
+            filler.join().unwrap();
             let reader = std::thread::spawn(move || {
                 (0..started).all(|_| b.recv().unwrap() == vec![7u8; 64 * 1024])
             });

@@ -1,8 +1,8 @@
 //! Endpoint addressing across all transports.
 
-use crate::wan::WanConfig;
 use std::fmt;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Where a server listens and clients connect.
 ///
@@ -24,8 +24,8 @@ pub enum Endpoint {
     Wan {
         /// The underlying TCP address.
         addr: String,
-        /// Latency model applied to every delivered frame.
-        config: WanConfig,
+        /// One-way latency added to every delivered frame.
+        latency: Duration,
     },
 }
 
@@ -48,13 +48,15 @@ impl Endpoint {
         Endpoint::Tcp(addr.into())
     }
 
-    /// Shorthand for a simulated-WAN endpoint with the default latency
-    /// model.
+    /// Shorthand for a simulated-WAN endpoint with the default latency:
+    /// ~450 µs each way, the 1988-Ethernet gap implied by Figure 5.1 (its
+    /// cross-machine round trip exceeded same-machine TCP by roughly
+    /// 0.9 ms, 12 400 µs vs 11 500 µs).
     #[must_use]
     pub fn wan(addr: impl Into<String>) -> Endpoint {
         Endpoint::Wan {
             addr: addr.into(),
-            config: WanConfig::default(),
+            latency: Duration::from_micros(450),
         }
     }
 
@@ -63,7 +65,7 @@ impl Endpoint {
     ///
     /// Cluster membership carries endpoints as strings on the wire; this
     /// is the inverse mapping. A `wan://` address parses with the default
-    /// latency model (the query suffix, if present, is ignored — the
+    /// latency (the query suffix, if present, is ignored — the
     /// latency is simulation config, not addressing).
     #[must_use]
     pub fn parse(s: &str) -> Option<Endpoint> {
@@ -101,9 +103,7 @@ impl fmt::Display for Endpoint {
             Endpoint::InProc(name) => write!(f, "inproc://{name}"),
             Endpoint::Unix(path) => write!(f, "unix://{}", path.display()),
             Endpoint::Tcp(addr) => write!(f, "tcp://{addr}"),
-            Endpoint::Wan { addr, config } => {
-                write!(f, "wan://{addr}?latency={:?}", config.one_way_latency)
-            }
+            Endpoint::Wan { addr, latency } => write!(f, "wan://{addr}?latency={latency:?}"),
         }
     }
 }

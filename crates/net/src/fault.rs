@@ -18,16 +18,22 @@
 //! keeps the framing valid, so stream transports stay parseable and the
 //! peer observes a well-framed-but-garbage message (the protocol-violation
 //! path), never a wedged length prefix.
+//!
+//! A plan's fixed [`latency`](FaultPlan::latency) is the one exception:
+//! it holds each frame the wrapped end *receives*, where reads wait,
+//! outside any scheduler's baton. A random delay's hold waits in
+//! [`MsgWriter::finish_send`], which a task's sender runs there too.
 
-use crate::channel::{Channel, MsgWriter};
+use crate::channel::{Channel, Closer, MsgReader, MsgWriter};
 use crate::error::{NetError, NetResult};
 use crate::frame::{encode_frame, Frame};
 use clam_xdr::BufferPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A deterministic, seedable schedule of transport faults.
 ///
@@ -56,6 +62,9 @@ pub struct FaultPlan {
     /// further sends fail with [`NetError::Closed`] and the inner writer
     /// is dropped, so the peer's reader observes the hangup.
     pub disconnect_after: Option<u64>,
+    /// Fixed hold of every frame the wrapped end receives: a network's
+    /// one-way latency. It draws nothing from the fault RNG.
+    pub latency: Duration,
 }
 
 impl Default for FaultPlan {
@@ -70,6 +79,7 @@ impl Default for FaultPlan {
             truncate: 0.0,
             partition_after: None,
             disconnect_after: None,
+            latency: Duration::ZERO,
         }
     }
 }
@@ -131,6 +141,13 @@ impl FaultPlan {
     #[must_use]
     pub fn disconnect_after(mut self, n: u64) -> FaultPlan {
         self.disconnect_after = Some(n);
+        self
+    }
+
+    /// Hold each received frame for `latency` before delivering it.
+    #[must_use]
+    pub fn with_latency(mut self, latency: Duration) -> FaultPlan {
+        self.latency = latency;
         self
     }
 
@@ -405,6 +422,10 @@ struct FaultyWriter {
     state: Arc<FaultState>,
     /// For recycling the buffers of dropped frames, like a real send.
     pool: Option<BufferPool>,
+    /// Copies drawn for delivery that the inner writer has not taken yet,
+    /// in order, and when a delayed frame's hold ends.
+    held: VecDeque<Frame>,
+    hold_until: Option<Instant>,
 }
 
 impl FaultyWriter {
@@ -417,6 +438,17 @@ impl FaultyWriter {
 
 impl MsgWriter for FaultyWriter {
     fn send(&mut self, frame: Frame) -> NetResult<()> {
+        if !self.start_send(frame)? {
+            self.finish_send()?;
+        }
+        Ok(())
+    }
+
+    /// Deals `frame` its fate. Returns `false` for a delayed frame, which
+    /// waits out its hold in [`finish_send`](MsgWriter::finish_send), and
+    /// when the inner writer stops at a full buffer.
+    fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
+        self.finish_send()?;
         if self.state.disconnected.load(Ordering::Acquire) {
             self.inner = None; // drop the writer: the peer sees the hangup
             return Err(NetError::Closed);
@@ -444,7 +476,7 @@ impl MsgWriter for FaultyWriter {
             self.discard(frame);
             c.partition.inc();
             journal_fault(FAULT_CODE_PARTITION);
-            return Ok(()); // black hole: the sender never learns
+            return Ok(true); // black hole: the sender never learns
         }
 
         // The randomized fate comes from the same routine
@@ -456,12 +488,12 @@ impl MsgWriter for FaultyWriter {
             self.discard(frame);
             c.drop.inc();
             journal_fault(FAULT_CODE_DROP);
-            return Ok(());
+            return Ok(true);
         }
         if let Some(hold) = fate.hold {
             c.delay.inc();
             journal_fault(FAULT_CODE_DELAY);
-            std::thread::sleep(hold);
+            self.hold_until = Some(Instant::now() + hold);
         }
         let frame = if let Some(keep) = fate.keep {
             c.truncate.inc();
@@ -470,15 +502,38 @@ impl MsgWriter for FaultyWriter {
         } else {
             frame
         };
-        let inner = self.inner.as_mut().ok_or(NetError::Closed)?;
         if fate.duplicated {
             c.duplicate.inc();
             c.delivered.inc();
             journal_fault(FAULT_CODE_DUPLICATE);
-            inner.send(encode_frame(frame.payload())?)?;
+            self.held.push_back(encode_frame(frame.payload())?);
         }
         c.delivered.inc();
-        inner.send(frame)
+        self.held.push_back(frame);
+        if self.hold_until.is_some() {
+            return Ok(false);
+        }
+        let inner = self.inner.as_mut().ok_or(NetError::Closed)?;
+        while let Some(frame) = self.held.pop_front() {
+            if !inner.start_send(frame)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn finish_send(&mut self) -> NetResult<()> {
+        if let Some(until) = self.hold_until.take() {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
+        let Some(inner) = &mut self.inner else {
+            return Ok(());
+        };
+        inner.finish_send()?;
+        while let Some(frame) = self.held.pop_front() {
+            inner.send(frame)?;
+        }
+        Ok(())
     }
 
     fn attach_pool(&mut self, pool: &BufferPool) {
@@ -489,7 +544,34 @@ impl MsgWriter for FaultyWriter {
     }
 }
 
-/// Wrapper that injects a [`FaultPlan`] into a channel's send direction.
+/// Holds each received frame for the plan's latency.
+struct FaultyReader(Box<dyn MsgReader>, Duration);
+
+impl MsgReader for FaultyReader {
+    fn recv(&mut self) -> NetResult<Frame> {
+        self.0.recv().inspect(|_| std::thread::sleep(self.1))
+    }
+
+    /// A frame that arrived in time is delivered even if its hold runs
+    /// past the deadline.
+    fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
+        Ok(self
+            .0
+            .recv_until(deadline)?
+            .inspect(|_| std::thread::sleep(self.1)))
+    }
+
+    fn closer(&self) -> Closer {
+        self.0.closer()
+    }
+
+    fn attach_pool(&mut self, pool: &BufferPool) {
+        self.0.attach_pool(pool);
+    }
+}
+
+/// Wrapper that injects a [`FaultPlan`] into a channel's send direction,
+/// and the plan's latency into its receive direction.
 ///
 /// Composable over every transport: the wrapped thing is a [`Channel`],
 /// so inproc, Unix, TCP, and WAN channels all take faults the same way,
@@ -498,7 +580,8 @@ pub struct FaultyChannel;
 
 impl FaultyChannel {
     /// Wrap `channel`, applying `plan` to everything it sends. Receives
-    /// pass through untouched (wrap the peer for the other direction).
+    /// pass through untouched (wrap the peer for the other direction),
+    /// apart from the plan's latency.
     ///
     /// Returns the wrapped channel and a [`FaultHandle`] for runtime
     /// control (forced partitions/disconnects) and fault counters.
@@ -520,7 +603,14 @@ impl FaultyChannel {
             plan,
             state,
             pool: None,
+            held: VecDeque::new(),
+            hold_until: None,
         });
+        let reader = if plan.latency.is_zero() {
+            reader
+        } else {
+            Box::new(FaultyReader(reader, plan.latency))
+        };
         (Channel::from_halves(label, writer, reader), handle)
     }
 }
@@ -721,5 +811,65 @@ mod tests {
         assert!(delta.counter("net.fault.partition") >= 2);
         assert_eq!(count(&handle, "duplicate"), 3);
         assert_eq!(count(&handle, "partition"), 2);
+    }
+
+    #[test]
+    fn a_latency_only_plan_injects_no_fault() {
+        let plan = FaultPlan::seeded(1).with_latency(Duration::from_millis(5));
+        let l = crate::listen(&crate::Endpoint::tcp("127.0.0.1:0")).unwrap();
+        let (mut c, client) = FaultyChannel::wrap(crate::connect(&l.endpoint()).unwrap(), plan);
+        let (mut s, server) = FaultyChannel::wrap(l.accept().unwrap(), plan);
+        let start = Instant::now();
+        c.send(b"req").unwrap();
+        assert_eq!(s.recv().unwrap(), b"req");
+        s.send(b"resp").unwrap();
+        assert_eq!(c.recv().unwrap(), b"resp");
+        assert!(start.elapsed() >= Duration::from_millis(10));
+        for handle in [client, server] {
+            let faults = [
+                "drop",
+                "delay",
+                "duplicate",
+                "truncate",
+                "partition",
+                "disconnect",
+            ];
+            assert_eq!(faults.map(|n| count(&handle, n)), [0; 6]);
+            assert_eq!(count(&handle, "offered"), 1);
+            assert_eq!(count(&handle, "delivered"), 1);
+        }
+    }
+
+    #[test]
+    fn a_latency_draws_nothing_from_the_fault_rng() {
+        let plan = FaultPlan::seeded(77)
+            .drop_frames(0.2)
+            .delay_frames(0.3, Duration::from_micros(40))
+            .duplicate_frames(0.2)
+            .truncate_frames(0.3);
+        let lens: Vec<usize> = (0..48).map(|i| i % 5).collect();
+        assert_eq!(
+            plan.planned_fates(&lens),
+            plan.with_latency(Duration::from_millis(3))
+                .planned_fates(&lens)
+        );
+    }
+
+    #[test]
+    fn a_delayed_frame_waits_in_finish_send_and_is_not_overtaken() {
+        let (a, mut b) = pair();
+        let plan = FaultPlan::seeded(4).delay_frames(1.0, Duration::from_millis(100));
+        let (a, handle) = FaultyChannel::wrap(a, plan);
+        let (mut w, _r) = a.split();
+        let at = Instant::now();
+        assert!(!w.start_send(Frame::from(b"first")).unwrap(), "held");
+        assert!(at.elapsed() < Duration::from_millis(20), "start_send slept");
+        // The next frame finishes the held one first, hold and all.
+        if !w.start_send(Frame::from(b"second")).unwrap() {
+            w.finish_send().unwrap();
+        }
+        assert_eq!(b.recv().unwrap(), b"first");
+        assert_eq!(b.recv().unwrap(), b"second");
+        assert_eq!(handle.metrics(), plan.planned_stats(&[5, 6]));
     }
 }

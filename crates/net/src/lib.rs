@@ -12,10 +12,10 @@
 //!   ends in one process, the paper's "dynamically loaded into the
 //!   server" placement, over a Unix-domain socket pair),
 //!   [`Endpoint::Unix`], [`Endpoint::Tcp`], and
-//!   [`Endpoint::Wan`] — TCP plus a configurable one-way delivery latency
-//!   that stands in for the paper's "different machines" rows of
-//!   Figure 5.1 (we have one machine; the paper had two Microvaxes on a
-//!   LAN).
+//!   [`Endpoint::Wan`] — TCP with each end in a latency-only
+//!   [`FaultyChannel`] ([`FaultPlan::latency`]), which stands in for the
+//!   paper's "different machines" rows of Figure 5.1 (we have one
+//!   machine; the paper had two Microvaxes on a LAN).
 //! * [`listen`] / [`connect`] — uniform setup across all transports.
 //!
 //! A channel splits into an owned reader and writer, so a waiter can block
@@ -49,7 +49,6 @@ mod frame;
 mod inproc;
 mod tcp;
 mod unix;
-mod wan;
 
 pub use channel::{pair, Channel, Closer, MsgReader, MsgWriter};
 pub use connector::{Connector, DirectConnector, FaultyConnector};
@@ -57,7 +56,6 @@ pub use endpoint::Endpoint;
 pub use error::{NetError, NetResult};
 pub use fault::{FaultHandle, FaultPlan, FaultyChannel, FrameFate};
 pub use frame::{encode_frame, read_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
-pub use wan::WanConfig;
 
 // Re-exported so transport users can build one pool and attach it to
 // writers, readers, and encoders without importing `clam-xdr` directly.
@@ -92,8 +90,8 @@ pub fn listen(endpoint: &Endpoint) -> NetResult<Arc<dyn Listener>> {
     match endpoint {
         Endpoint::InProc(name) => inproc::listen(name),
         Endpoint::Unix(path) => unix::listen(path),
-        Endpoint::Tcp(addr) => tcp::listen(addr),
-        Endpoint::Wan { addr, config } => wan::listen(addr, *config),
+        Endpoint::Tcp(addr) => tcp::listen(addr, None),
+        Endpoint::Wan { addr, latency } => tcp::listen(addr, Some(*latency)),
     }
 }
 
@@ -107,7 +105,7 @@ pub fn connect(endpoint: &Endpoint) -> NetResult<Channel> {
     match endpoint {
         Endpoint::InProc(name) => inproc::connect(name),
         Endpoint::Unix(path) => unix::connect(path),
-        Endpoint::Tcp(addr) => tcp::connect(addr),
-        Endpoint::Wan { addr, config } => wan::connect(addr, *config),
+        Endpoint::Tcp(addr) => tcp::connect(addr, None),
+        Endpoint::Wan { addr, latency } => tcp::connect(addr, Some(*latency)),
     }
 }

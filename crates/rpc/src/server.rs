@@ -908,4 +908,27 @@ mod tests {
         assert_eq!(replies.len(), 2);
         assert_eq!(counting.0.load(Ordering::SeqCst), 3);
     }
+
+    #[test]
+    fn a_fault_hold_waits_outside_the_baton() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let sched = Scheduler::new("fault-hold");
+        let (a, _peer) = clam_net::pair();
+        let hold = clam_net::FaultPlan::seeded(4).delay_frames(1.0, Duration::from_millis(100));
+        let (writer, _reader) = clam_net::FaultyChannel::wrap(a, hold).0.split();
+        let writer = TaskWriter::new(&sched, writer);
+        // Whether task b had run when task a's send returned.
+        let b_ran_first = Arc::new(AtomicBool::new(false));
+        let (spawner, first) = (sched.clone(), Arc::clone(&b_ran_first));
+        let task_a = sched.spawn("a", move || {
+            let b_ran = Arc::new(AtomicBool::new(false));
+            let ran = Arc::clone(&b_ran);
+            spawner.spawn("b", move || ran.store(true, Ordering::SeqCst));
+            writer.send(Frame::from(b"held")).unwrap();
+            first.store(b_ran.load(Ordering::SeqCst), Ordering::SeqCst);
+        });
+        task_a.join().unwrap();
+        assert!(b_ran_first.load(Ordering::SeqCst), "b waited out a's hold");
+    }
 }

@@ -1,8 +1,10 @@
 //! A tripwire on kernel context switches: after warm-up, a synchronous
 //! `echo` call over unix, a call that makes one synchronous upcall, a
-//! batch of 64 async calls with its sync barrier, and a call that makes
-//! one async upcall must each stay within a budget of switches, summed
-//! over every thread of this process (`/proc/self/task/*/status`).
+//! batch of 64 async calls with its sync barrier, a call that makes one
+//! async upcall, and a call whose one synchronous upcall's handler makes
+//! one nested call must each stay within a budget of switches, summed
+//! over every thread of this process (`/proc/self/task/*/status`). The
+//! nested call must also spawn no server task of its own.
 //! clam-obs counts baton grants (`task.switches_per_op`), not the
 //! kernel's switches; a thread put back on a request path (a reader
 //! thread handing each frame to the serving task) shows up here even
@@ -124,6 +126,14 @@ const BATCH_BUDGET: f64 = 4.5;
 /// call's round trip and the client's upcall task, which serves the
 /// upcall while the caller waits for its reply.
 const ASYNC_UPCALL_BUDGET: f64 = by_build(4.0, 5.5);
+/// Voluntary + involuntary switches per call with one sync upcall whose
+/// handler makes one nested call. 24 release runs on a 2-vCPU VM read
+/// 13.5–14.1 and six debug runs 14.0–14.3; the budget adds about a fifth.
+const NESTED_BUDGET: f64 = by_build(17.0, 18.0);
+/// Server tasks spawned per such call: the follower the serving task
+/// lends its reader to when it blocks for the upcall. The follower serves
+/// the nested call in place.
+const NESTED_SPAWNS: f64 = 1.05;
 
 extern "C" {
     fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
@@ -272,6 +282,14 @@ fn sync_calls_stay_within_their_switch_budget() {
     let async_upcall = per_op(WARM_UP, COUNTED, |x| {
         assert_eq!(proxy.pulse(async_proc, x).expect("pulse"), x + 1);
     });
+    let nested_proxy = proxy.clone();
+    let nesting_proc = client.register_upcall(move |x: u32| nested_proxy.echo(x));
+    let nest = |x| assert_eq!(proxy.bounce(nesting_proc, x).expect("nested"), x + 1);
+    (0..WARM_UP).for_each(nest);
+    let spawned = || server.scheduler().metrics().counter("task.tasks_spawned");
+    let spawned_before = spawned();
+    let nested = per_op(0, COUNTED, nest);
+    let nested_spawns = (spawned() - spawned_before) as f64 / f64::from(COUNTED);
     let give_up = Instant::now() + Duration::from_secs(10);
     while pulses.load(Ordering::Relaxed) < WARM_UP + COUNTED {
         assert!(Instant::now() < give_up, "async upcalls went missing");
@@ -281,6 +299,7 @@ fn sync_calls_stay_within_their_switch_budget() {
     println!("switches per upcall call: {upcall}");
     println!("switches per batch of {BATCH} and its barrier: {batch}");
     println!("switches per async upcall call: {async_upcall}");
+    println!("switches per nested call: {nested}; server tasks spawned: {nested_spawns:.2}");
     assert!(
         echo.total() <= ECHO_BUDGET,
         "switches per echo call over budget {ECHO_BUDGET}: {echo}"
@@ -300,6 +319,14 @@ fn sync_calls_stay_within_their_switch_budget() {
     assert!(
         async_upcall.total() <= ASYNC_UPCALL_BUDGET,
         "switches per call with one async upcall over budget {ASYNC_UPCALL_BUDGET}: {async_upcall}"
+    );
+    assert!(
+        nested.total() <= NESTED_BUDGET,
+        "switches per call with a nested call over budget {NESTED_BUDGET}: {nested}"
+    );
+    assert!(
+        nested_spawns <= NESTED_SPAWNS,
+        "server tasks spawned per call with a nested call over {NESTED_SPAWNS}: {nested_spawns:.2}"
     );
     drop(client);
     server.shutdown();

@@ -5,7 +5,7 @@
 
 use clam_core::ServerConfig;
 use clam_integration::{desktop_for, window_server};
-use clam_net::{Endpoint, WanConfig};
+use clam_net::Endpoint;
 use clam_windows::module::Desktop;
 use clam_windows::{InputEvent, MouseButton, Point, Rect};
 use parking_lot::Mutex;
@@ -67,7 +67,7 @@ fn tcp_placement() {
 fn simulated_wan_placement() {
     exercise(Endpoint::Wan {
         addr: "127.0.0.1:0".to_string(),
-        config: WanConfig::with_latency(Duration::from_micros(300)),
+        latency: Duration::from_micros(300),
     });
 }
 
@@ -78,7 +78,7 @@ fn wan_round_trips_are_visibly_slower_than_tcp() {
     let wan_server = window_server(
         Endpoint::Wan {
             addr: "127.0.0.1:0".to_string(),
-            config: WanConfig::with_latency(Duration::from_millis(3)),
+            latency: Duration::from_millis(3),
         },
         ServerConfig::default(),
     );
