@@ -114,7 +114,7 @@ impl ProcRegistry {
 /// How a [`ClamClient`] reaches its server and where its tasks run.
 ///
 /// The defaults reproduce [`ClamClient::connect`]: a private
-/// `"clam-client"` scheduler and direct transport connections.
+/// `"client"` scheduler and direct transport connections.
 pub struct ClientOptions {
     /// Batching/deadline configuration for the RPC caller.
     pub caller: CallerConfig,
@@ -232,9 +232,7 @@ impl ClamClient {
         })?)?;
 
         let own_scheduler = opts.scheduler.is_none();
-        let sched = opts
-            .scheduler
-            .unwrap_or_else(|| Scheduler::new("clam-client"));
+        let sched = opts.scheduler.unwrap_or_else(|| Scheduler::new("client"));
         let (rpc_writer, rpc_reader) = rpc_ch.split();
         let caller = Caller::new(&sched, rpc_writer, opts.caller);
         caller.attach_reader(rpc_reader);

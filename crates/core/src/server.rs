@@ -201,7 +201,7 @@ impl ClamServer {
         let server = Arc::new(ClamServer {
             rpc,
             loader_impl,
-            sched: Scheduler::new("clam-server"),
+            sched: Scheduler::new("server"),
             sessions,
             config,
             next_conn: AtomicU64::new(1),

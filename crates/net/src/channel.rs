@@ -10,6 +10,7 @@
 use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
+use std::ffi::{c_long, c_ulong};
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::fd::{AsRawFd, RawFd};
@@ -256,7 +257,6 @@ pub(crate) trait Socket: AsRawFd + Send + Sync + 'static {
     fn read_now(&self, buf: &mut [u8]) -> io::Result<usize>;
     fn write(&self, buf: &[u8]) -> io::Result<usize>;
     fn shutdown(&self, how: Shutdown) -> io::Result<()>;
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
     fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
@@ -279,9 +279,6 @@ macro_rules! impl_socket {
             fn shutdown(&self, how: Shutdown) -> io::Result<()> {
                 <$t>::shutdown(self, how)
             }
-            fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-                <$t>::set_read_timeout(self, timeout)
-            }
             fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
                 <$t>::set_write_timeout(self, timeout)
             }
@@ -291,8 +288,47 @@ macro_rules! impl_socket {
 impl_socket!(std::os::unix::net::UnixStream, std::net::TcpStream);
 
 const MSG_DONTWAIT: i32 = 0x40;
+const POLLIN: i16 = 0x1;
+
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 extern "C" {
     fn recv(fd: RawFd, buf: *mut u8, len: usize, flags: i32) -> isize;
+    fn ppoll(fds: *mut PollFd, nfds: c_ulong, timeout: *const Timespec, sigmask: *const u8) -> i32;
+}
+
+/// Wait until `socket` has bytes or end of stream to read (`true`) or
+/// `deadline` passes (`false`). `ppoll` sleeps to within the timer slack
+/// (50 µs), where a socket read timeout is rounded up to clock ticks
+/// (a 1 ms one took 8 ms on a 250 Hz kernel).
+fn readable_by(socket: &impl AsRawFd, deadline: Instant) -> io::Result<bool> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    let timeout = Timespec {
+        tv_sec: c_long::try_from(left.as_secs()).unwrap_or(c_long::MAX),
+        tv_nsec: c_long::from(left.subsec_nanos()),
+    };
+    let mut poll = PollFd {
+        fd: socket.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `poll` and `timeout` outlive the call, which keeps no pointer
+    // to them; a null signal mask leaves the thread's mask as it is.
+    match unsafe { ppoll(&mut poll, 1, &timeout, std::ptr::null()) } {
+        n if n < 0 => Err(io::Error::last_os_error()),
+        n => Ok(n > 0),
+    }
 }
 
 /// The socket's write timeout. The kernel rounds it up to one clock tick
@@ -391,11 +427,17 @@ const READ_STEP: usize = 64 * 1024;
 /// The size of a reader's receive buffer: std's default for a buffered reader.
 const RECV_BUF: usize = 8 * 1024;
 
-/// How long a reader whose last wait was short probes the socket before
-/// it sleeps in a blocking read: about one sleep plus a cross-CPU wake-up
-/// on a 2-vCPU VM. At 6 µs the probes gave up just before an upcall's
-/// reply came; at 20 µs a batched caller's longer waits burned CPU.
-const SPIN_LIMIT: Duration = Duration::from_micros(12);
+/// The longest wait a reader expects and still probes for, and the most
+/// it probes. It covers a loopback tcp round trip (9–13 µs on a 2-vCPU
+/// VM) and a batch's barrier, with room for a busy host, where a
+/// cross-CPU wake-up alone can pass 12 µs. A wait longer than this
+/// costs more CPU in probes than the sleep and wake-up it saves.
+const SPIN_CAP: Duration = Duration::from_micros(50);
+
+/// The least a probing reader probes: about one sleep plus a cross-CPU
+/// wake-up on a 2-vCPU VM. At 6 µs the probes gave up just before an
+/// upcall's reply came.
+const SPIN_MIN: Duration = Duration::from_micros(12);
 
 struct StreamReader<S> {
     socket: Arc<S>,
@@ -414,18 +456,19 @@ struct StreamReader<S> {
     /// Wire length of the frame being read: the length prefix's until
     /// that is in, then the whole frame's; 0 between frames.
     frame_len: usize,
-    /// The socket's read timeout as last set (`None`: reads block). It is
-    /// re-armed only when a wait would overshoot its deadline or wake too
-    /// often, not per call.
-    timeout: Option<Duration>,
-    /// The last wait ended within [`SPIN_LIMIT`]: probe first. Clear when new.
-    spin: bool,
+    /// How long this reader's recent waits for bytes took, probing or
+    /// sleeping: each wait averaged in with weight 1/2, held at most at
+    /// twice [`SPIN_CAP`], so that two short waits bring an idle reader
+    /// back to probing. `None` in a fresh reader, which does not probe.
+    wait: Option<Duration>,
     pool: Option<BufferPool>,
     meter: Meter,
     /// Waits that ended while probing (`net.recv_spun.{kind}`).
     spun: Arc<clam_obs::Counter>,
     /// Waits that went to a blocking read (`net.recv_slept.{kind}`).
     slept: Arc<clam_obs::Counter>,
+    /// Probes that found nothing (`net.recv_probes.{kind}`): the spin's CPU.
+    probes: Arc<clam_obs::Counter>,
 }
 
 impl<S: Socket> StreamReader<S> {
@@ -439,12 +482,12 @@ impl<S: Socket> StreamReader<S> {
             partial: Vec::new(),
             filled: 0,
             frame_len: 0,
-            timeout: None,
-            spin: false,
+            wait: None,
             pool: None,
             meter: Meter::new("recv", kind),
             spun: instance("recv_spun"),
             slept: instance("recv_slept"),
+            probes: instance("recv_probes"),
         }
     }
 
@@ -495,25 +538,37 @@ impl<S: Socket> StreamReader<S> {
                 if deadline.is_some_and(|at| at <= start) {
                     return Ok(false);
                 }
-                let read = match self.spin.then(|| self.probe(start, deadline)).flatten() {
+                // Probe for half again the expected wait, while that is short.
+                let probe_for = self
+                    .wait
+                    .filter(|&wait| wait < SPIN_CAP)
+                    .map(|wait| (wait * 3 / 2).clamp(SPIN_MIN, SPIN_CAP));
+                let read = match probe_for.and_then(|limit| self.probe(start + limit, deadline)) {
                     Some(n) => {
                         self.spun.inc();
                         Ok(n)
                     }
                     None => {
-                        if !self.arm(deadline)? {
-                            return Ok(false);
-                        }
                         self.slept.inc();
-                        let read = self.receive(S::read);
-                        self.spin = start.elapsed() <= SPIN_LIMIT;
-                        read
+                        match deadline {
+                            None => self.receive(S::read),
+                            Some(at) => match readable_by(&*self.socket, at) {
+                                Ok(true) => self.receive(S::read_now),
+                                Ok(false) => return Ok(false),
+                                Err(e) => Err(e),
+                            },
+                        }
                     }
                 };
                 match read {
                     Ok(0) => return Err(NetError::Closed),
+                    Ok(_) => {
+                        let waited = start.elapsed();
+                        let wait = self.wait.map_or(waited, |wait| (wait + waited) / 2);
+                        self.wait = Some(wait.min(SPIN_CAP * 2));
+                    }
                     Err(e) if !timed_out(&e) => return Err(e.into()),
-                    _ => {}
+                    Err(_) => {}
                 }
             }
             let received = &self.buf[self.pos..self.end];
@@ -540,16 +595,17 @@ impl<S: Socket> StreamReader<S> {
     }
 
     /// Receive without waiting, yielding the CPU between tries, until
-    /// bytes come (`Some`: how many, 0 at end of stream), or until
-    /// [`SPIN_LIMIT`] after `start` or `deadline` passes, or a try fails
-    /// (`None`: the blocking read waits, or reports the failure). A probing
-    /// reader is on no wait queue, so the peer's write wakes no thread.
-    fn probe(&mut self, start: Instant, deadline: Option<Instant>) -> Option<usize> {
-        let until = deadline.map_or(start + SPIN_LIMIT, |at| at.min(start + SPIN_LIMIT));
+    /// bytes come (`Some`: how many, 0 at end of stream), or until `until`
+    /// or `deadline` passes, or a try fails (`None`: the blocking read
+    /// waits, or reports the failure). A probing reader is on no wait
+    /// queue, so the peer's write wakes no thread.
+    fn probe(&mut self, until: Instant, deadline: Option<Instant>) -> Option<usize> {
+        let until = deadline.map_or(until, |at| at.min(until));
         loop {
             match self.receive(S::read_now).map_err(|e| e.kind()) {
                 Ok(n) => return Some(n),
-                Err(io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {}
+                Err(io::ErrorKind::WouldBlock) => self.probes.inc(),
+                Err(io::ErrorKind::Interrupted) => {}
                 Err(_) => return None,
             }
             if Instant::now() >= until {
@@ -557,35 +613,6 @@ impl<S: Socket> StreamReader<S> {
             }
             std::thread::yield_now();
         }
-    }
-
-    /// Set the socket's read timeout for a wait until `deadline` (none:
-    /// block); `false` if the deadline has passed.
-    fn arm(&mut self, deadline: Option<Instant>) -> NetResult<bool> {
-        let wanted = match deadline {
-            None => None,
-            Some(at) => {
-                let remaining = at.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Ok(false);
-                }
-                // Waking up to 1/16 late is within every deadline's slack
-                // (a deadline fires within twice its timeout); waking at
-                // less than half the time left only costs a loop.
-                let fits = self
-                    .timeout
-                    .is_some_and(|t| t >= remaining / 2 && t <= remaining + remaining / 16);
-                if fits {
-                    return Ok(true);
-                }
-                Some(remaining)
-            }
-        };
-        if wanted != self.timeout {
-            self.socket.set_read_timeout(wanted)?;
-            self.timeout = wanted;
-        }
-        Ok(true)
     }
 }
 
@@ -761,9 +788,6 @@ mod tests {
         fn shutdown(&self, how: Shutdown) -> io::Result<()> {
             (**self).shutdown(how)
         }
-        fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-            (**self).set_read_timeout(timeout)
-        }
         fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
             (**self).set_write_timeout(timeout)
         }
@@ -821,7 +845,7 @@ mod tests {
             // earlier than the deadline and with nothing lost.
             a.send(b"prompt").unwrap();
             assert_eq!(b.reader.recv().unwrap(), b"prompt");
-            let short = SPIN_LIMIT / 3;
+            let short = SPIN_MIN / 3;
             let at = Instant::now();
             let got = b.reader.recv_until(at + short);
             assert!(matches!(got, Ok(None)), "{}: {got:?}", b.label());
@@ -839,6 +863,8 @@ mod tests {
     /// Send a small frame from one end of `pair` to a peer thread that
     /// sends it back after `delay`, `warm_up` and then `counted` times;
     /// returns the waits (`[spun, slept]`) of the counted round trips.
+    /// A peer with a delay under a millisecond is busy for it, since a
+    /// sleep that short overshoots by the kernel's timer slack (50 µs).
     fn round_trips(
         pair: (AnySocket, AnySocket),
         warm_up: u32,
@@ -850,7 +876,14 @@ mod tests {
         let mut peer = StreamReader::new(Arc::clone(&theirs), "test");
         let echo = std::thread::spawn(move || {
             while let Ok(frame) = peer.recv() {
-                std::thread::sleep(delay);
+                if delay < Duration::from_millis(1) {
+                    let busy = Instant::now();
+                    while busy.elapsed() < delay {
+                        std::hint::spin_loop();
+                    }
+                } else {
+                    std::thread::sleep(delay);
+                }
                 write_all(&**theirs, frame.wire());
             }
         });
@@ -873,19 +906,20 @@ mod tests {
 
     #[test]
     fn a_prompt_peer_is_awaited_by_probing_not_sleeping() {
-        // A loopback tcp round trip takes close to SPIN_LIMIT, and a busy
-        // host can push it past for a while; a reader that misses sleeps
-        // until one of its waits is short again. So each transport has
-        // three fresh pairs to show that most waits end in the probe.
-        for kind in 0..2 {
-            let mut tries = Vec::new();
-            let probed = (0..3).any(|_| {
-                let pair = socket_pairs().swap_remove(kind);
-                let [spun, slept] = round_trips(pair, 200, 2_000, Duration::ZERO);
-                tries.push([spun, slept]);
-                slept * 2 < spun + slept
-            });
-            assert!(probed, "kind {kind}: [spun, slept] per try {tries:?}");
+        for (kind, pair) in socket_pairs().into_iter().enumerate() {
+            let [spun, slept] = round_trips(pair, 200, 2_000, Duration::ZERO);
+            assert!(slept * 2 < spun + slept, "kind {kind}: [{spun}, {slept}]");
+        }
+    }
+
+    #[test]
+    fn a_busy_peer_is_awaited_mostly_by_probing() {
+        // Each wait outlasts the least probe: the peer is busy for 20 µs
+        // before it answers. The reader probes for as long as it expects
+        // to wait, so the answer wakes no thread.
+        for (kind, pair) in socket_pairs().into_iter().enumerate() {
+            let [spun, slept] = round_trips(pair, 200, 2_000, Duration::from_micros(20));
+            assert!(slept * 4 < spun + slept, "kind {kind}: [{spun}, {slept}]");
         }
     }
 
@@ -986,7 +1020,7 @@ mod tests {
         let wire = Frame::from(&payload).into_wire();
         for probing in [true, false] {
             for (raw, mut reader) in raw_readers() {
-                reader.spin = probing;
+                reader.wait = probing.then_some(Duration::ZERO);
                 // A probing reader finds the first bytes there; a sleeping
                 // one waits for them. The rest streams in behind.
                 let head = if probing { 4096 } else { 0 };
@@ -1020,7 +1054,7 @@ mod tests {
         for (mut raw, mut reader) in raw_readers() {
             // Inside the length prefix, at its end, and just past it.
             for cut in 1..=8 {
-                reader.spin = true;
+                reader.wait = Some(Duration::ZERO);
                 let wire = wire.clone();
                 let writer = std::thread::spawn(move || {
                     write_all(&*raw, &wire[..cut]);
@@ -1037,7 +1071,7 @@ mod tests {
     #[test]
     fn a_peer_that_closes_while_the_reader_probes_gives_closed_after_its_frames() {
         for (raw, mut reader) in raw_readers() {
-            reader.spin = true;
+            reader.wait = Some(Duration::ZERO);
             write_all(&*raw, Frame::from(b"last but one").wire());
             write_all(&*raw, Frame::from(b"last").wire());
             raw.shutdown(Shutdown::Write).unwrap();
@@ -1049,7 +1083,7 @@ mod tests {
         // The same with the peer on a thread of its own, closing while
         // the reader probes or sleeps, as the timing falls.
         for (raw, mut reader) in raw_readers() {
-            reader.spin = true;
+            reader.wait = Some(Duration::ZERO);
             let peer = std::thread::spawn(move || {
                 for i in 0..50u8 {
                     write_all(&*raw, Frame::from(&[i]).wire());
@@ -1092,9 +1126,6 @@ mod tests {
         fn shutdown(&self, how: Shutdown) -> io::Result<()> {
             self.inner.shutdown(how)
         }
-        fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-            self.inner.set_read_timeout(timeout)
-        }
         fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
             self.inner.set_write_timeout(timeout)
         }
@@ -1136,20 +1167,122 @@ mod tests {
         }
     }
 
+    /// A socket that counts the probes that find nothing.
+    struct Probes {
+        inner: AnySocket,
+        failed: Arc<AtomicU64>,
+    }
+
+    impl Socket for Probes {
+        fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
+            self.inner.read(buf)
+        }
+        fn read_now(&self, buf: &mut [u8]) -> io::Result<usize> {
+            let read = self.inner.read_now(buf);
+            if read
+                .as_ref()
+                .is_err_and(|e| e.kind() == io::ErrorKind::WouldBlock)
+            {
+                self.failed.fetch_add(1, Ordering::Relaxed);
+            }
+            read
+        }
+        fn write(&self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+            self.inner.shutdown(how)
+        }
+        fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+            self.inner.set_write_timeout(timeout)
+        }
+    }
+
+    impl AsRawFd for Probes {
+        fn as_raw_fd(&self) -> RawFd {
+            self.inner.as_raw_fd()
+        }
+    }
+
+    #[test]
+    fn an_idle_reader_costs_nothing() {
+        let ping = Frame::from(b"ping");
+        for (kind, (ours, theirs)) in socket_pairs().into_iter().enumerate() {
+            let (failed, received) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+            let ours: AnySocket = Box::new(Counting {
+                inner: Box::new(Probes {
+                    inner: ours,
+                    failed: Arc::clone(&failed),
+                }),
+                received: Arc::clone(&received),
+            });
+            let mut reader = StreamReader::new(Arc::new(ours), "test");
+            // Frames that are there when asked for: the reader probes.
+            for _ in 0..100 {
+                write_all(&*theirs, ping.wire());
+                assert_eq!(reader.recv().unwrap(), b"ping");
+            }
+            assert!(reader.spun.get() >= 99, "kind {kind}: {:?}", waits(&reader));
+            // The peer falls silent twice, for 0.1 s and then for 1 s.
+            let peer = std::thread::spawn(move || {
+                for silence in [100, 1_000] {
+                    std::thread::sleep(Duration::from_millis(silence));
+                    write_all(&*theirs, Frame::from(b"late").wire());
+                }
+                theirs
+            });
+            assert_eq!(reader.recv().unwrap(), b"late");
+            let probed = failed.load(Ordering::Relaxed);
+            assert_eq!(reader.recv().unwrap(), b"late");
+            let idle = failed.load(Ordering::Relaxed) - probed;
+            assert!(idle <= 5, "kind {kind}: {idle} probes in an idle second");
+            assert_eq!(received.load(Ordering::Relaxed), 102, "kind {kind}");
+            // Two prompt waits after the silence, and the reader probes again.
+            let theirs = peer.join().unwrap();
+            let spun = reader.spun.get();
+            for _ in 0..3 {
+                write_all(&*theirs, ping.wire());
+                assert_eq!(reader.recv().unwrap(), b"ping");
+            }
+            assert_eq!(reader.spun.get(), spun + 1, "kind {kind}");
+            assert_eq!(reader.probes.get(), failed.load(Ordering::Relaxed));
+        }
+    }
+
     #[test]
     fn a_plain_receive_after_a_timed_one_waits_without_a_timeout() {
         for (raw, mut reader) in raw_readers() {
             let soon = Instant::now() + Duration::from_millis(5);
             assert!(matches!(reader.recv_until(soon), Ok(None)));
-            assert!(reader.timeout.is_some());
             let writer = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(30));
                 write_all(&*raw, Frame::from(b"idle wait").wire());
                 raw
             });
             assert_eq!(reader.recv().unwrap(), b"idle wait");
-            assert_eq!(reader.timeout, None, "the timeout was left armed");
             drop(writer.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_short_deadline_fires_on_time() {
+        // A socket read timeout would round 1 ms up to clock ticks: 8 ms
+        // on a 250 Hz kernel. The quickest of five tries bounds the
+        // overshoot without counting a busy host's stalls.
+        for (_raw, mut reader) in raw_readers() {
+            let took = (0..5)
+                .map(|_| {
+                    let at = Instant::now();
+                    assert!(matches!(
+                        reader.recv_until(at + Duration::from_millis(1)),
+                        Ok(None)
+                    ));
+                    at.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(took >= Duration::from_millis(1), "early: {took:?}");
+            assert!(took < Duration::from_millis(3), "late: {took:?}");
         }
     }
 

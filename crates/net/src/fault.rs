@@ -544,29 +544,64 @@ impl MsgWriter for FaultyWriter {
     }
 }
 
-/// Holds each received frame for the plan's latency.
-struct FaultyReader(Box<dyn MsgReader>, Duration);
+/// Holds each received frame until the plan's latency has passed since
+/// it arrived, so frames that arrive together are held once, together.
+struct FaultyReader {
+    inner: Box<dyn MsgReader>,
+    latency: Duration,
+    /// Frames received and not yet delivered, each with when it is due.
+    held: VecDeque<(Instant, Frame)>,
+    /// How the inner reader ended, to report after the held frames.
+    failed: Option<NetError>,
+}
+
+impl FaultyReader {
+    /// The next frame, once it is due; `None` if none arrived by
+    /// `deadline`. A frame that arrived in time is delivered even if its
+    /// hold runs past the deadline. While it is held, the frames behind
+    /// it are read and held too.
+    fn next(&mut self, deadline: Option<Instant>) -> NetResult<Option<Frame>> {
+        if self.held.is_empty() {
+            if let Some(e) = self.failed.take() {
+                return Err(e);
+            }
+            let frame = match deadline {
+                None => self.inner.recv()?,
+                Some(at) => match self.inner.recv_until(at)? {
+                    Some(frame) => frame,
+                    None => return Ok(None),
+                },
+            };
+            self.held.push_back((Instant::now() + self.latency, frame));
+        }
+        let due = self.held[0].0;
+        while self.failed.is_none() {
+            match self.inner.recv_until(due) {
+                Ok(Some(frame)) => self.held.push_back((Instant::now() + self.latency, frame)),
+                Ok(None) => break,
+                Err(e) => self.failed = Some(e),
+            }
+        }
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        Ok(self.held.pop_front().map(|(_, frame)| frame))
+    }
+}
 
 impl MsgReader for FaultyReader {
     fn recv(&mut self) -> NetResult<Frame> {
-        self.0.recv().inspect(|_| std::thread::sleep(self.1))
+        self.next(None)?.ok_or(NetError::Closed)
     }
 
-    /// A frame that arrived in time is delivered even if its hold runs
-    /// past the deadline.
     fn recv_until(&mut self, deadline: Instant) -> NetResult<Option<Frame>> {
-        Ok(self
-            .0
-            .recv_until(deadline)?
-            .inspect(|_| std::thread::sleep(self.1)))
+        self.next(Some(deadline))
     }
 
     fn closer(&self) -> Closer {
-        self.0.closer()
+        self.inner.closer()
     }
 
     fn attach_pool(&mut self, pool: &BufferPool) {
-        self.0.attach_pool(pool);
+        self.inner.attach_pool(pool);
     }
 }
 
@@ -609,7 +644,12 @@ impl FaultyChannel {
         let reader = if plan.latency.is_zero() {
             reader
         } else {
-            Box::new(FaultyReader(reader, plan.latency))
+            Box::new(FaultyReader {
+                inner: reader,
+                latency: plan.latency,
+                held: VecDeque::new(),
+                failed: None,
+            })
         };
         (Channel::from_halves(label, writer, reader), handle)
     }
@@ -838,6 +878,45 @@ mod tests {
             assert_eq!(count(&handle, "offered"), 1);
             assert_eq!(count(&handle, "delivered"), 1);
         }
+    }
+
+    #[test]
+    fn a_burst_is_held_once() {
+        let latency = Duration::from_millis(5);
+        let (mut a, b) = pair();
+        let (mut b, _) = FaultyChannel::wrap(b, FaultPlan::seeded(1).with_latency(latency));
+        let start = Instant::now();
+        for i in 0..10u8 {
+            a.send(&[i][..]).unwrap();
+        }
+        for i in 0..10u8 {
+            assert_eq!(b.recv().unwrap(), [i]);
+        }
+        let took = start.elapsed();
+        assert!(took >= latency && took < latency * 2, "{took:?}");
+    }
+
+    #[test]
+    fn a_held_frame_outlives_its_deadline_and_its_stream() {
+        let latency = Duration::from_millis(20);
+        let (mut a, b) = pair();
+        let (b, _) = FaultyChannel::wrap(b, FaultPlan::seeded(1).with_latency(latency));
+        let (_w, mut b) = b.split();
+        let start = Instant::now();
+        assert!(matches!(b.recv_until(start + latency / 4), Ok(None)));
+        assert!(start.elapsed() >= latency / 4);
+        // Arrived in time: delivered after its hold, past the deadline.
+        let sent = Instant::now();
+        a.send(b"one").unwrap();
+        a.send(b"two").unwrap();
+        let got = b.recv_until(sent + latency / 4).unwrap();
+        assert_eq!(got.unwrap(), b"one");
+        assert!(sent.elapsed() >= latency);
+        // The end of the stream comes after the frames held before it.
+        drop(a);
+        assert_eq!(b.recv().unwrap(), b"two");
+        assert!(b.recv().unwrap_err().is_closed());
+        assert!(sent.elapsed() < latency * 2, "{:?}", sent.elapsed());
     }
 
     #[test]

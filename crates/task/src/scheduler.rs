@@ -155,7 +155,8 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Create a new scheduler. `name` shows up in worker thread names.
+    /// Create a new scheduler. Its worker threads are named `clam-{name}`,
+    /// which the kernel cuts to 15 bytes: keep `name` short and distinct.
     #[must_use]
     pub fn new(name: &str) -> Scheduler {
         Scheduler {
@@ -324,7 +325,7 @@ impl Scheduler {
         });
         let worker = Arc::clone(&slot);
         std::thread::Builder::new()
-            .name(format!("clam-task-{}", inner.name))
+            .name(format!("clam-{}", inner.name))
             .spawn(move || Self::worker_main(worker))
             .map_err(|e| TaskError::Spawn(e.to_string()))?;
         inner.counters.threads_created.inc();

@@ -457,7 +457,7 @@ fn thread_names() -> Vec<String> {
 #[test]
 fn dropping_the_last_handle_releases_idle_workers() {
     // A five-character name keeps the thread name within the kernel's 15.
-    let comm = "clam-task-dropw";
+    let comm = "clam-dropw";
     let sched = Scheduler::new("dropw");
     let handles: Vec<_> = (0..3).map(|_| sched.spawn("unit", || {})).collect();
     for h in handles {

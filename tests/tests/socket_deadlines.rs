@@ -1,7 +1,7 @@
 //! Sync-call and upcall deadlines over the stream transports.
 //!
 //! A lone waiter reads its own reply under its own deadline, so on Unix
-//! and TCP the deadline is a socket read timeout. Each expiry must fall
+//! and TCP the deadline is the reader's own timed wait. Each expiry must fall
 //! within [T, 2T), and the link must keep working afterwards: the late
 //! reply (if any) is dropped and the next request gets its own reply —
 //! also when the deadline cuts a reply off partway.
