@@ -11,7 +11,7 @@ use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
 use std::ffi::{c_long, c_ulong};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::Shutdown;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::{Arc, Weak};
@@ -148,15 +148,10 @@ impl Channel {
     /// Unix-domain socket pair in process, a Unix-domain or TCP
     /// connection across processes). Both halves share the one socket,
     /// which closes when both are dropped.
-    ///
-    /// # Errors
-    ///
-    /// Setting the socket's write timeout can fail.
-    pub(crate) fn from_stream<S: Socket>(label: &str, stream: S) -> NetResult<Channel> {
-        stream.set_write_timeout(Some(WRITE_TICK))?;
+    pub(crate) fn from_stream<S: Socket>(label: &str, stream: S) -> Channel {
         let socket = Arc::new(stream);
         let kind = transport_kind(label);
-        Ok(Channel::from_halves(
+        Channel::from_halves(
             label,
             Box::new(StreamWriter {
                 socket: Arc::clone(&socket),
@@ -166,7 +161,7 @@ impl Channel {
                 frame_bytes: clam_obs::histogram("net.frame_bytes"),
             }),
             Box::new(StreamReader::new(socket, kind)),
-        ))
+        )
     }
 
     /// A human-readable transport label (for diagnostics).
@@ -255,9 +250,9 @@ pub(crate) trait Socket: AsRawFd + Send + Sync + 'static {
     fn read(&self, buf: &mut [u8]) -> io::Result<usize>;
     /// [`read`](Socket::read) without waiting: `WouldBlock` if nothing is there.
     fn read_now(&self, buf: &mut [u8]) -> io::Result<usize>;
-    fn write(&self, buf: &[u8]) -> io::Result<usize>;
+    /// Write without waiting: `WouldBlock` if the socket buffer is full.
+    fn write_now(&self, buf: &[u8]) -> io::Result<usize>;
     fn shutdown(&self, how: Shutdown) -> io::Result<()>;
-    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
 macro_rules! impl_socket {
@@ -273,14 +268,17 @@ macro_rules! impl_socket {
                 let n = unsafe { recv(self.as_raw_fd(), buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
                 usize::try_from(n).map_err(|_| io::Error::last_os_error())
             }
-            fn write(&self, buf: &[u8]) -> io::Result<usize> {
-                <&$t as Write>::write(&mut &*self, buf)
+            fn write_now(&self, buf: &[u8]) -> io::Result<usize> {
+                // SAFETY: `buf` is readable for the `buf.len()` bytes given
+                // and `send` keeps no pointer to it. `MSG_NOSIGNAL` turns a
+                // write to a closed peer into `EPIPE`, as in std's streams.
+                let n = unsafe {
+                    send(self.as_raw_fd(), buf.as_ptr(), buf.len(), MSG_DONTWAIT | MSG_NOSIGNAL)
+                };
+                usize::try_from(n).map_err(|_| io::Error::last_os_error())
             }
             fn shutdown(&self, how: Shutdown) -> io::Result<()> {
                 <$t>::shutdown(self, how)
-            }
-            fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-                <$t>::set_write_timeout(self, timeout)
             }
         }
     )*};
@@ -288,7 +286,9 @@ macro_rules! impl_socket {
 impl_socket!(std::os::unix::net::UnixStream, std::net::TcpStream);
 
 const MSG_DONTWAIT: i32 = 0x40;
+const MSG_NOSIGNAL: i32 = 0x4000;
 const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
 
 #[repr(C)]
 struct PollFd {
@@ -305,36 +305,40 @@ struct Timespec {
 
 extern "C" {
     fn recv(fd: RawFd, buf: *mut u8, len: usize, flags: i32) -> isize;
+    fn send(fd: RawFd, buf: *const u8, len: usize, flags: i32) -> isize;
     fn ppoll(fds: *mut PollFd, nfds: c_ulong, timeout: *const Timespec, sigmask: *const u8) -> i32;
 }
 
-/// Wait until `socket` has bytes or end of stream to read (`true`) or
-/// `deadline` passes (`false`). `ppoll` sleeps to within the timer slack
-/// (50 µs), where a socket read timeout is rounded up to clock ticks
-/// (a 1 ms one took 8 ms on a 250 Hz kernel).
-fn readable_by(socket: &impl AsRawFd, deadline: Instant) -> io::Result<bool> {
-    let left = deadline.saturating_duration_since(Instant::now());
-    let timeout = Timespec {
-        tv_sec: c_long::try_from(left.as_secs()).unwrap_or(c_long::MAX),
-        tv_nsec: c_long::from(left.subsec_nanos()),
-    };
+/// Wait until socket `fd` is ready for `events` (`POLLIN`: bytes or end of
+/// stream to read; `POLLOUT`: room to write), or a hangup or error that
+/// the next read or write reports (`true`), or until `deadline`, if any,
+/// passes (`false`). `ppoll` sleeps to within the timer slack (50 µs),
+/// where a socket timeout is rounded up to clock ticks (a 1 ms one took
+/// 8 ms on a 250 Hz kernel).
+fn ready_by(fd: RawFd, events: i16, deadline: Option<Instant>) -> io::Result<bool> {
+    let timeout = deadline.map(|at| {
+        let left = at.saturating_duration_since(Instant::now());
+        Timespec {
+            tv_sec: c_long::try_from(left.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: c_long::from(left.subsec_nanos()),
+        }
+    });
     let mut poll = PollFd {
-        fd: socket.as_raw_fd(),
-        events: POLLIN,
+        fd,
+        events,
         revents: 0,
     };
-    // SAFETY: `poll` and `timeout` outlive the call, which keeps no pointer
-    // to them; a null signal mask leaves the thread's mask as it is.
-    match unsafe { ppoll(&mut poll, 1, &timeout, std::ptr::null()) } {
+    let timeout = timeout
+        .as_ref()
+        .map_or(std::ptr::null(), std::ptr::from_ref);
+    // SAFETY: `poll` and the timeout, if any, outlive the call, which keeps
+    // no pointer to them; a null timeout waits without one, and a null
+    // signal mask leaves the thread's mask as it is.
+    match unsafe { ppoll(&mut poll, 1, timeout, std::ptr::null()) } {
         n if n < 0 => Err(io::Error::last_os_error()),
         n => Ok(n > 0),
     }
 }
-
-/// The socket's write timeout. The kernel rounds it up to one clock tick
-/// (1–4 ms), so a write into a full socket buffer gives up after at most
-/// a tick instead of waiting for the peer to read.
-const WRITE_TICK: Duration = Duration::from_micros(1);
 
 struct StreamWriter<S: Socket> {
     socket: Arc<S>,
@@ -348,13 +352,13 @@ struct StreamWriter<S: Socket> {
 
 impl<S: Socket> StreamWriter<S> {
     /// Write the unsent frame until it is all sent (`true`) or the socket
-    /// buffer stays full for a tick (`false`).
+    /// buffer is full (`false`).
     fn write_some(&mut self) -> NetResult<bool> {
         let Some((frame, sent)) = &mut self.unsent else {
             return Ok(true);
         };
         while *sent < frame.wire().len() {
-            match self.socket.write(&frame.wire()[*sent..]) {
+            match self.socket.write_now(&frame.wire()[*sent..]) {
                 Ok(0) => {
                     self.unsent = None;
                     return Err(NetError::Closed);
@@ -395,8 +399,12 @@ impl<S: Socket> MsgWriter for StreamWriter<S> {
     }
 
     fn finish_send(&mut self) -> NetResult<()> {
-        // Each round that finds no room has waited a tick for some.
-        while !self.write_some()? {}
+        while !self.write_some()? {
+            match ready_by(self.socket.as_raw_fd(), POLLOUT, None) {
+                Err(e) if !timed_out(&e) => return Err(e.into()),
+                _ => {}
+            }
+        }
         Ok(())
     }
 
@@ -413,7 +421,7 @@ impl<S: Socket> Drop for StreamWriter<S> {
     }
 }
 
-/// A socket timeout, or a signal: the read or write may be retried.
+/// A read or write that would have waited, or a signal: it may be retried.
 fn timed_out(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -552,7 +560,7 @@ impl<S: Socket> StreamReader<S> {
                         self.slept.inc();
                         match deadline {
                             None => self.receive(S::read),
-                            Some(at) => match readable_by(&*self.socket, at) {
+                            Some(at) => match ready_by(self.socket.as_raw_fd(), POLLIN, Some(at)) {
                                 Ok(true) => self.receive(S::read_now),
                                 Ok(false) => return Ok(false),
                                 Err(e) => Err(e),
@@ -659,8 +667,8 @@ pub fn pair() -> (Channel, Channel) {
 pub(crate) fn socket_pair() -> NetResult<(Channel, Channel)> {
     let (left, right) = std::os::unix::net::UnixStream::pair()?;
     Ok((
-        Channel::from_stream("inmem-left", left)?,
-        Channel::from_stream("inmem-right", right)?,
+        Channel::from_stream("inmem-left", left),
+        Channel::from_stream("inmem-right", right),
     ))
 }
 
@@ -769,8 +777,8 @@ mod tests {
         vec![
             pair(),
             (
-                Channel::from_stream("tcp-a", c).unwrap(),
-                Channel::from_stream("tcp-b", d).unwrap(),
+                Channel::from_stream("tcp-a", c),
+                Channel::from_stream("tcp-b", d),
             ),
         ]
     }
@@ -782,14 +790,11 @@ mod tests {
         fn read_now(&self, buf: &mut [u8]) -> io::Result<usize> {
             (**self).read_now(buf)
         }
-        fn write(&self, buf: &[u8]) -> io::Result<usize> {
-            (**self).write(buf)
+        fn write_now(&self, buf: &[u8]) -> io::Result<usize> {
+            (**self).write_now(buf)
         }
         fn shutdown(&self, how: Shutdown) -> io::Result<()> {
             (**self).shutdown(how)
-        }
-        fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-            (**self).set_write_timeout(timeout)
         }
     }
 
@@ -820,9 +825,11 @@ mod tests {
 
     fn write_all(socket: &dyn Socket, mut bytes: &[u8]) {
         while !bytes.is_empty() {
-            match socket.write(bytes) {
+            match socket.write_now(bytes) {
                 Ok(n) => bytes = &bytes[n..],
-                Err(e) if timed_out(&e) => {}
+                Err(e) if timed_out(&e) => {
+                    ready_by(socket.as_raw_fd(), POLLOUT, None).unwrap();
+                }
                 Err(e) => panic!("{e}"),
             }
         }
@@ -1120,14 +1127,11 @@ mod tests {
         fn read_now(&self, buf: &mut [u8]) -> io::Result<usize> {
             self.count(self.inner.read_now(buf))
         }
-        fn write(&self, buf: &[u8]) -> io::Result<usize> {
-            self.inner.write(buf)
+        fn write_now(&self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write_now(buf)
         }
         fn shutdown(&self, how: Shutdown) -> io::Result<()> {
             self.inner.shutdown(how)
-        }
-        fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-            self.inner.set_write_timeout(timeout)
         }
     }
 
@@ -1187,14 +1191,11 @@ mod tests {
             }
             read
         }
-        fn write(&self, buf: &[u8]) -> io::Result<usize> {
-            self.inner.write(buf)
+        fn write_now(&self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write_now(buf)
         }
         fn shutdown(&self, how: Shutdown) -> io::Result<()> {
             self.inner.shutdown(how)
-        }
-        fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-            self.inner.set_write_timeout(timeout)
         }
     }
 
@@ -1333,6 +1334,30 @@ mod tests {
             });
             w.finish_send().unwrap();
             assert!(reader.join().unwrap(), "{label}: a frame arrived damaged");
+        }
+    }
+
+    #[test]
+    fn start_send_into_a_full_socket_buffer_returns_at_once() {
+        // A socket write timeout is rounded up to clock ticks: the write
+        // that found the buffer full took 8-16 ms with a 1 µs one.
+        for kind in 0..2 {
+            let mut took: Vec<Duration> = (0..10)
+                .map(|_| {
+                    let (a, _b) = pairs().swap_remove(kind);
+                    let (mut w, _r) = a.split();
+                    (0..10_000)
+                        .find_map(|_| {
+                            let frame = Frame::from(vec![7u8; 64 * 1024]);
+                            let at = Instant::now();
+                            let sent = w.start_send(frame).unwrap();
+                            (!sent).then(|| at.elapsed())
+                        })
+                        .expect("the socket buffer never filled")
+                })
+                .collect();
+            took.sort();
+            assert!(took[5] < Duration::from_millis(1), "kind {kind}: {took:?}");
         }
     }
 

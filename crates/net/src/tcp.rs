@@ -20,7 +20,7 @@ fn channel(label: &str, stream: TcpStream, latency: Option<Duration>) -> NetResu
     // An RPC round trip is a small write each way; Nagle would add 40 ms
     // class delays, drowning the measurement the benches exist to take.
     stream.set_nodelay(true)?;
-    let channel = Channel::from_stream(label, stream)?;
+    let channel = Channel::from_stream(label, stream);
     Ok(match latency {
         Some(latency) => FaultyChannel::wrap(channel, FaultPlan::default().with_latency(latency)).0,
         None => channel,

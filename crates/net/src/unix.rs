@@ -9,10 +9,6 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-pub(crate) fn channel_from_stream(label: &str, stream: UnixStream) -> NetResult<Channel> {
-    Channel::from_stream(label, stream)
-}
-
 struct UnixChannelListener {
     listener: UnixListener,
     path: PathBuf,
@@ -21,7 +17,7 @@ struct UnixChannelListener {
 impl Listener for UnixChannelListener {
     fn accept(&self) -> NetResult<Channel> {
         let (stream, _) = self.listener.accept()?;
-        channel_from_stream("unix-server", stream)
+        Ok(Channel::from_stream("unix-server", stream))
     }
 
     fn endpoint(&self) -> Endpoint {
@@ -50,7 +46,7 @@ pub(crate) fn listen(path: &Path) -> NetResult<Arc<dyn Listener>> {
 
 pub(crate) fn connect(path: &Path) -> NetResult<Channel> {
     let stream = UnixStream::connect(path)?;
-    channel_from_stream("unix-client", stream)
+    Ok(Channel::from_stream("unix-client", stream))
 }
 
 #[cfg(test)]

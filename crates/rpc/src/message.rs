@@ -301,7 +301,10 @@ struct Reader<'a> {
     pos: usize,
 }
 
+// `#[inline]`: `serve_frame` checks, then reads, every call of a batch
+// through these, and left as calls they took a third of its time.
 impl<'a> Reader<'a> {
+    #[inline]
     fn take(&mut self, n: usize) -> XdrResult<&'a [u8]> {
         let remaining = self.bytes.len() - self.pos;
         if remaining < n {
@@ -315,20 +318,24 @@ impl<'a> Reader<'a> {
         Ok(taken)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> XdrResult<[u8; N]> {
         let mut out = [0; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)
     }
 
+    #[inline]
     fn u32(&mut self) -> XdrResult<u32> {
         self.array().map(u32::from_be_bytes)
     }
 
+    #[inline]
     fn u64(&mut self) -> XdrResult<u64> {
         self.array().map(u64::from_be_bytes)
     }
 
+    #[inline]
     fn opaque(&mut self) -> XdrResult<&'a [u8]> {
         let len = self.u32()? as usize;
         check_opaque(len)?;
@@ -339,6 +346,7 @@ impl<'a> Reader<'a> {
         Ok(bytes)
     }
 
+    #[inline]
     fn target(&mut self) -> XdrResult<Target> {
         match self.u32()? {
             0 => Ok(Target::Builtin(self.u32()?)),
@@ -354,6 +362,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn trace(&mut self) -> XdrResult<TraceContext> {
         let hi = self.u64()?;
         let lo = self.u64()?;
@@ -382,6 +391,7 @@ pub struct CallView<'a> {
 }
 
 impl<'a> CallView<'a> {
+    #[inline]
     fn read(reader: &mut Reader<'a>) -> XdrResult<CallView<'a>> {
         Ok(CallView {
             request_id: reader.u64()?,

@@ -5,7 +5,7 @@ use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::{Handle, ObjectTable};
 use crate::message::{Call, CallBatchView, Message, MessageView, Reply, Target};
 use clam_net::{Frame, MsgWriter, NetResult};
-use clam_obs::{EventKind, TraceContext};
+use clam_obs::{EventKind, TraceContext, TraceScope};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -25,6 +25,12 @@ fn obs_stale_rejections() -> &'static clam_obs::Counter {
 fn obs_duplicates_dropped() -> &'static clam_obs::Counter {
     static COUNTER: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| clam_obs::counter("rpc.duplicate_calls_dropped"))
+}
+
+/// Service registry reads to route a call (`rpc.route_lookups`).
+fn obs_route_lookups() -> &'static clam_obs::Counter {
+    static COUNTER: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| clam_obs::counter("rpc.route_lookups"))
 }
 
 thread_local! {
@@ -215,6 +221,8 @@ fn call_batch(frame: &[u8]) -> RpcResult<CallBatchView<'_>> {
 pub struct RpcServer {
     services: RwLock<HashMap<u32, Arc<dyn Service>>>,
     classes: RwLock<HashMap<u32, Arc<dyn ClassDispatch>>>,
+    /// Route generation: bumped after each change to `services`.
+    routes: AtomicU64,
     objects: Mutex<ObjectTable>,
     /// Observer invoked when dispatch catches a panic (class fault);
     /// `clam-core` hooks error-reporting upcalls here.
@@ -263,6 +271,7 @@ impl RpcServer {
         let server = RpcServer {
             services: RwLock::new(HashMap::new()),
             classes: RwLock::new(HashMap::new()),
+            routes: AtomicU64::new(0),
             objects: Mutex::new(ObjectTable::new()),
             fault_observer: RwLock::new(None),
             local_node: AtomicU64::new(0),
@@ -299,6 +308,7 @@ impl RpcServer {
     /// previous registration (used for hot upgrades in tests).
     pub fn register_service(&self, service_id: u32, service: Arc<dyn Service>) {
         self.services.write().insert(service_id, service);
+        self.routes.fetch_add(1, Ordering::Release);
     }
 
     /// Register method dispatch for `class_id`.
@@ -370,7 +380,7 @@ impl RpcServer {
             args: call.args,
             request_id: call.request_id,
         };
-        self.dispatch(&ctx, call.target, call.trace)
+        self.dispatch(&mut Kept::new(conn), &ctx, call.target, call.trace)
             .map(|result| Reply::from_outcome(ctx.request_id, result))
     }
 
@@ -380,11 +390,16 @@ impl RpcServer {
     /// nowhere to go) and for a suppressed duplicate.
     fn dispatch(
         &self,
+        kept: &mut Kept,
         ctx: &CallContext,
         target: Target,
         trace: TraceContext,
     ) -> Option<RpcResult<Opaque>> {
-        let _scope = clam_obs::enter(trace);
+        if kept.scope.as_ref().map(|(entered, _)| *entered) != Some(trace) {
+            // Leave the last scope first, so the outer context is restored last.
+            kept.scope = None;
+            kept.scope = Some((trace, clam_obs::enter(trace)));
+        }
         if !trace.is_none() {
             clam_obs::journal().record(
                 EventKind::ServerDispatch,
@@ -407,7 +422,7 @@ impl RpcServer {
             obs_duplicates_dropped().inc();
             return None;
         }
-        let result = self.route(ctx, target);
+        let result = self.route(kept, ctx, target);
         if let Err(e) = &result {
             if e.status_code() == Some(StatusCode::StaleHandle) {
                 obs_stale_rejections().inc();
@@ -418,10 +433,16 @@ impl RpcServer {
         (ctx.request_id != 0).then_some(result)
     }
 
-    fn route(&self, ctx: &CallContext, target: Target) -> RpcResult<Opaque> {
+    fn route(&self, kept: &mut Kept, ctx: &CallContext, target: Target) -> RpcResult<Opaque> {
         match target {
             Target::Builtin(id) => {
-                let service = self.services.read().get(&id).cloned().ok_or_else(|| {
+                // A kept service serves while its generation and id hold.
+                let key = (self.routes.load(Ordering::Acquire), id);
+                if kept.service.as_ref().map(|(at, _)| *at) != Some(key) {
+                    obs_route_lookups().inc();
+                    kept.service = self.services.read().get(&id).map(|s| (key, Arc::clone(s)));
+                }
+                let (_, service) = kept.service.as_ref().ok_or_else(|| {
                     RpcError::status(StatusCode::NoSuchService, format!("service {id}"))
                 })?;
                 self.guarded(ctx, || service.dispatch(self, ctx))
@@ -462,10 +483,7 @@ impl RpcServer {
         ctx: &CallContext,
         f: impl FnOnce() -> RpcResult<Opaque>,
     ) -> RpcResult<Opaque> {
-        let previous = CURRENT_CONN.with(|c| c.replace(Some(ctx.conn)));
-        let result = clam_task::catch_panic(f);
-        CURRENT_CONN.with(|c| c.set(previous));
-        result.unwrap_or_else(|fault| {
+        clam_task::catch_panic(f).unwrap_or_else(|fault| {
             let observer = self.fault_observer.read().clone();
             if let Some(observer) = observer {
                 observer(ctx.conn, ctx, fault.message());
@@ -479,8 +497,8 @@ impl RpcServer {
     /// through `writer` as its call completes ([`TaskWriter::send`]: a
     /// peer that does not read its replies stalls this task only), and
     /// recycle the frame into `pool`. The calls share one argument
-    /// buffer from `pool`. A reply that cannot be sent ends this frame's
-    /// replies only; a dead peer shows up at the connection's reader.
+    /// buffer and one dispatch context. A reply that cannot be sent ends
+    /// this frame's replies only; a dead peer shows up at its reader.
     ///
     /// # Errors
     ///
@@ -503,12 +521,13 @@ impl RpcServer {
                 args: Opaque::from(pool.acquire()),
                 request_id: 0,
             };
+            let mut kept = Kept::new(conn);
             let mut sending = true;
             for call in batch.iter() {
                 ctx.method = call.method;
                 ctx.request_id = call.request_id;
                 ctx.args.refill(call.args);
-                if let Some(outcome) = self.dispatch(&ctx, call.target, call.trace) {
+                if let Some(outcome) = self.dispatch(&mut kept, &ctx, call.target, call.trace) {
                     sending = sending
                         && Message::Reply(Reply::from_outcome(call.request_id, outcome))
                             .to_frame_in(pool)
@@ -540,6 +559,31 @@ impl RpcServer {
                 return; // protocol violation: drop the link
             }
         }
+    }
+}
+
+/// A frame's dispatch context, kept from call to call: the connection
+/// in [`current_conn`] until it drops, the last trace scope, and the
+/// last service routed to with its route generation and id.
+struct Kept {
+    outer_conn: Option<ConnId>,
+    scope: Option<(TraceContext, TraceScope)>,
+    service: Option<((u64, u32), Arc<dyn Service>)>,
+}
+
+impl Kept {
+    fn new(conn: ConnId) -> Kept {
+        Kept {
+            outer_conn: CURRENT_CONN.with(|c| c.replace(Some(conn))),
+            scope: None,
+            service: None,
+        }
+    }
+}
+
+impl Drop for Kept {
+    fn drop(&mut self) {
+        CURRENT_CONN.with(|c| c.set(self.outer_conn));
     }
 }
 
