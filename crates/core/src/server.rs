@@ -523,9 +523,10 @@ impl ClamServer {
     }
 
     /// Peer death: wake blocked upcall waiters with an error (mark_dead →
-    /// router.fail_all), drop the session, and bump the tags of every
-    /// object this client created so its capabilities — wherever they
-    /// leaked — fail with StaleHandle from now on.
+    /// router.fail_all), drop the session and its dedup window, and
+    /// remove every object this client created from the table, so its
+    /// capabilities — wherever they leaked — fail with StaleHandle from
+    /// now on.
     fn end_session(&self, session: &Session) {
         session.mark_dead();
         self.sessions.remove(session.conn());

@@ -7,7 +7,8 @@
 use crate::ruc::UpcallRouter;
 use clam_net::{Closer, Frame, MsgWriter};
 use clam_rpc::{
-    current_conn, ConnId, ProcId, RpcError, RpcResult, RpcServer, StatusCode, TaskWriter,
+    current_conn, ConnId, DedupWindow, ProcId, RpcError, RpcResult, RpcServer, StatusCode,
+    TaskWriter,
 };
 use clam_task::Scheduler;
 use clam_xdr::BufferPool;
@@ -43,6 +44,8 @@ pub struct Session {
     /// `Some` while a task serves ordinary RPC frames: the frames read
     /// meanwhile, for it to serve next in arrival order.
     turns: Mutex<Option<VecDeque<Frame>>>,
+    /// The sync request ids served lately, to drop re-delivered calls.
+    dedup: Mutex<DedupWindow>,
     /// Cleared when the session dies.
     alive: AtomicBool,
     error_proc: Mutex<Option<ProcId>>,
@@ -76,6 +79,7 @@ impl Session {
             rpc_writer: TaskWriter::new(sched, rpc_writer),
             rpc_closer,
             turns: Mutex::default(),
+            dedup: Mutex::default(),
             alive: AtomicBool::new(true),
             error_proc: Mutex::new(None),
             pool,
@@ -156,7 +160,7 @@ impl Session {
     /// session.
     pub(crate) fn serve(&self, rpc: &RpcServer, frame: Frame) {
         if rpc
-            .serve_frame(self.conn, frame, &self.pool, &self.rpc_writer)
+            .serve_frame(self.conn, &self.dedup, frame, &self.pool, &self.rpc_writer)
             .is_err()
         {
             self.mark_dead();

@@ -120,8 +120,9 @@ mod tests {
     use super::*;
     use crate::service::{LoaderImpl, LOADER_SERVICE_ID};
     use crate::{DynamicLoader, Loader};
-    use clam_rpc::{ConnId, RpcServer, Target};
-    use clam_xdr::Opaque;
+    use clam_rpc::{ConnId, Message, MessageView, Reply, RpcServer, Target, TaskWriter};
+    use clam_task::Scheduler;
+    use clam_xdr::{BufferPool, Opaque};
 
     fn rig() -> (Arc<RpcServer>, Arc<LoaderImpl>) {
         let server = Arc::new(RpcServer::new());
@@ -133,23 +134,45 @@ mod tests {
         (server, imp)
     }
 
-    fn dispatch_ok(server: &RpcServer, target: Target, method: u32, args: Opaque) -> Opaque {
-        // Distinct request ids: the per-connection dedup window drops a
-        // repeated id as a duplicate delivery.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT_REQUEST: AtomicU64 = AtomicU64::new(1);
-        let reply = server
-            .dispatch_call(
+    /// Serve one sync call alone in a frame through
+    /// [`RpcServer::serve_frame`], as a fresh connection's first frame,
+    /// and read back its reply.
+    fn serve(server: &RpcServer, target: Target, method: u32, args: Opaque) -> Reply {
+        let (client, channel) = clam_net::pair();
+        let (writer, _reader) = channel.split();
+        let writer = TaskWriter::new(&Scheduler::new("loader-test"), writer);
+        let call = clam_rpc::Call {
+            request_id: 1,
+            target,
+            method,
+            args,
+            ..clam_rpc::Call::default()
+        };
+        let frame = Message::CallBatch(vec![call]).to_frame().unwrap();
+        server
+            .serve_frame(
                 ConnId(1),
-                clam_rpc::Call {
-                    request_id: NEXT_REQUEST.fetch_add(1, Ordering::Relaxed),
-                    target,
-                    method,
-                    args,
-                    ..clam_rpc::Call::default()
-                },
+                &Mutex::default(),
+                frame,
+                &BufferPool::default(),
+                &writer,
             )
             .unwrap();
+        let (_, mut reader) = client.split();
+        let frame = reader.recv().unwrap();
+        let Ok(MessageView::Reply(reply)) = MessageView::parse(&frame) else {
+            panic!("not a reply");
+        };
+        Reply {
+            request_id: reply.request_id,
+            status: reply.status,
+            detail: reply.detail.to_owned(),
+            results: Opaque::from(reply.results.to_vec()),
+        }
+    }
+
+    fn dispatch_ok(server: &RpcServer, target: Target, method: u32, args: Opaque) -> Opaque {
+        let reply = serve(server, target, method, args);
         assert_eq!(
             reply.status,
             clam_rpc::StatusCode::Ok,
@@ -260,18 +283,7 @@ mod tests {
             .unwrap();
         imp.unload_module("counter".into(), Version::new(1, 0))
             .unwrap();
-        let reply = server
-            .dispatch_call(
-                ConnId(1),
-                clam_rpc::Call {
-                    request_id: 1,
-                    target: Target::Object(h),
-                    method: 1,
-                    args: Opaque::new(),
-                    ..clam_rpc::Call::default()
-                },
-            )
-            .unwrap();
+        let reply = serve(&server, Target::Object(h), 1, Opaque::new());
         assert_eq!(reply.status, clam_rpc::StatusCode::NoSuchClass);
     }
 
@@ -284,18 +296,7 @@ mod tests {
         let h = imp
             .create_object(report.classes[0].class_id, Opaque::new())
             .unwrap();
-        let reply = server
-            .dispatch_call(
-                ConnId(1),
-                clam_rpc::Call {
-                    request_id: 1,
-                    target: Target::Object(h),
-                    method: 1, // explode
-                    args: Opaque::new(),
-                    ..clam_rpc::Call::default()
-                },
-            )
-            .unwrap();
+        let reply = serve(&server, Target::Object(h), 1, Opaque::new()); // explode
         assert_eq!(reply.status, clam_rpc::StatusCode::Fault);
         // Same object still serves the healthy method afterwards.
         let results = dispatch_ok(&server, Target::Object(h), 2, Opaque::new());
@@ -330,18 +331,12 @@ mod tests {
     #[test]
     fn loader_service_id_is_registered_by_attach() {
         let (server, _imp) = rig();
-        let reply = server
-            .dispatch_call(
-                ConnId(1),
-                clam_rpc::Call {
-                    request_id: 1,
-                    target: Target::Builtin(LOADER_SERVICE_ID),
-                    method: 6, // list_classes
-                    args: Opaque::from(clam_xdr::encode(&()).unwrap()),
-                    ..clam_rpc::Call::default()
-                },
-            )
-            .unwrap();
+        let reply = serve(
+            &server,
+            Target::Builtin(LOADER_SERVICE_ID),
+            6,
+            Opaque::from(clam_xdr::encode(&()).unwrap()),
+        ); // list_classes
         assert_eq!(reply.status, clam_rpc::StatusCode::Ok);
     }
 }

@@ -96,8 +96,8 @@ pub struct ObjectEntry {
     tag: u64,
     object: Arc<dyn Any + Send + Sync>,
     /// The connection whose call created this object, if any. When that
-    /// peer dies the table bumps the entry's tag so the dead client's
-    /// handles — should they ever resurface — fail the Figure 3.3 check.
+    /// peer dies the table removes the entry, so the dead client's
+    /// handles — should they ever resurface — fail as stale.
     owner: Option<ConnId>,
 }
 
@@ -130,7 +130,8 @@ impl ObjectEntry {
     }
 
     /// The connection that created the object, if it was registered
-    /// while dispatching a client's call.
+    /// while dispatching a client's call. The entry leaves the table
+    /// when that connection dies.
     #[must_use]
     pub fn owner(&self) -> Option<ConnId> {
         self.owner
@@ -194,7 +195,7 @@ impl ObjectTable {
 
     /// [`register`](ObjectTable::register) with ownership: `owner` is
     /// the connection whose call created the object, so the entry can be
-    /// invalidated when that peer dies
+    /// removed when that peer dies
     /// (see [`invalidate_owner`](ObjectTable::invalidate_owner)).
     pub fn register_owned(
         &mut self,
@@ -227,45 +228,47 @@ impl ObjectTable {
         }
     }
 
-    /// Invalidate every entry owned by `owner`: each tag is bumped, so
-    /// handles the dead client held (or leaked to others) now fail the
-    /// Figure 3.3 tag check with [`StatusCode::StaleHandle`]. The objects
-    /// themselves stay registered — the server may still hold internal
-    /// references — but no stale capability reaches them again.
-    ///
-    /// Returns the number of entries invalidated.
-    pub fn invalidate_owner(&mut self, owner: ConnId) -> usize {
-        let mut bumped = 0;
-        for entry in self.entries.values_mut() {
-            if entry.owner == Some(owner) {
-                entry.tag = match entry.tag.wrapping_add(1) {
-                    0 => 1, // 0 is reserved for the nil handle
-                    t => t,
-                };
-                bumped += 1;
-            }
-        }
-        bumped
+    /// Remove every entry owned by `owner` (peer death): handles the dead
+    /// client held, or leaked to others, now fail with
+    /// [`StatusCode::StaleHandle`]. The removed entries are returned, so
+    /// the caller can drop their objects outside the table's lock.
+    pub fn invalidate_owner(&mut self, owner: ConnId) -> Vec<ObjectEntry> {
+        let ids: Vec<u64> = self
+            .entries
+            .iter()
+            .filter(|(_, entry)| entry.owner == Some(owner))
+            .map(|(&id, _)| id)
+            .collect();
+        let removed: Vec<ObjectEntry> = ids
+            .iter()
+            .filter_map(|id| self.entries.remove(id))
+            .collect();
+        #[allow(clippy::cast_possible_wrap)]
+        obs_table_size().adjust(-(removed.len() as i64));
+        removed
     }
 
     /// Look up a handle, validating its tag (Figure 3.3's check).
     ///
     /// # Errors
     ///
-    /// [`StatusCode::NoSuchObject`] for unknown identifiers (including
-    /// nil) and [`StatusCode::StaleHandle`] for tag mismatches.
+    /// [`StatusCode::NoSuchObject`] for identifiers this table never
+    /// minted (including nil), and [`StatusCode::StaleHandle`] for tag
+    /// mismatches and for removed objects.
     pub fn lookup(&self, handle: Handle) -> RpcResult<&ObjectEntry> {
-        let entry = self
-            .entries
-            .get(&handle.object_id)
-            .ok_or_else(|| RpcError::status(StatusCode::NoSuchObject, format!("{handle:?}")))?;
-        if entry.tag != handle.tag {
-            return Err(RpcError::status(
+        match self.entries.get(&handle.object_id) {
+            Some(entry) if entry.tag == handle.tag => Ok(entry),
+            // Ids are never reused, so an id below `next_id` with no entry
+            // names a removed object: its handles are stale.
+            None if !(1..self.next_id).contains(&handle.object_id) => Err(RpcError::status(
+                StatusCode::NoSuchObject,
+                format!("{handle:?}"),
+            )),
+            _ => Err(RpcError::status(
                 StatusCode::StaleHandle,
-                format!("tag mismatch for object {}", handle.object_id),
-            ));
+                format!("stale handle for object {}", handle.object_id),
+            )),
         }
-        Ok(entry)
     }
 
     /// Look up and downcast the object behind a handle.
@@ -445,15 +448,15 @@ mod tests {
         let other = table.register_owned(1, 1, Arc::new(2u8), Some(ConnId(8)));
         let unowned = table.register(1, 1, Arc::new(3u8));
 
-        assert_eq!(table.invalidate_owner(dead), 1);
-        // The dead client's handle now fails the tag check — StaleHandle,
-        // not NoSuchObject: the object still exists, the capability died.
+        assert_eq!(table.invalidate_owner(dead).len(), 1);
+        // The dead client's handle now fails as StaleHandle, not
+        // NoSuchObject: the table minted the id, and the capability died.
         let err = table.lookup(owned).unwrap_err();
         assert_eq!(err.status_code(), Some(StatusCode::StaleHandle));
         // Unrelated entries are untouched.
         assert!(table.lookup(other).is_ok());
         assert!(table.lookup(unowned).is_ok());
-        assert_eq!(table.len(), 3, "objects stay registered");
+        assert_eq!(table.len(), 2, "the dead client's object left the table");
     }
 
     #[test]

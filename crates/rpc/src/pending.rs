@@ -8,8 +8,8 @@
 //! waiter. So a lone request is answered on the thread that waits for
 //! it. The others wait on their own condition variables, each until its
 //! own deadline. So every waiter times its own wait — the leader with
-//! its read timeout, a follower with its condition variable — and no
-//! thread keeps time for the table. Whoever removes an entry removes its
+//! a timed read (`recv_until`, which sleeps in `ppoll`), a follower with
+//! its condition variable — and no thread keeps time for the table. Whoever removes an entry removes its
 //! deadline too, so armed deadlines never outnumber outstanding requests.
 
 use crate::error::{RpcError, RpcResult, StatusCode};

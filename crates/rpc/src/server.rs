@@ -3,7 +3,7 @@
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::{Handle, ObjectTable};
-use crate::message::{Call, CallBatchView, Message, MessageView, Reply, Target};
+use crate::message::{CallBatchView, Message, MessageView, Reply, Target};
 use clam_net::{Frame, MsgWriter, NetResult};
 use clam_obs::{EventKind, TraceContext, TraceScope};
 use clam_task::Scheduler;
@@ -180,9 +180,10 @@ const DEDUP_WINDOW: usize = 1024;
 /// retrying relay) replays the same ids; remembering them gives
 /// at-most-once execution for synchronous calls without a handshake.
 /// Async calls (`request_id == 0`) carry no identity and stay
-/// at-least-once under such transports.
+/// at-least-once under such transports. Whoever serves a connection
+/// owns its window and lends it to [`RpcServer::serve_frame`].
 #[derive(Debug, Default)]
-struct DedupWindow {
+pub struct DedupWindow {
     seen: HashSet<u64>,
     order: VecDeque<u64>,
 }
@@ -235,8 +236,6 @@ pub struct RpcServer {
     /// link; installed by the cluster layer. Without one, such calls are
     /// answered with a [`StatusCode::WrongNode`] redirect.
     forwarder: RwLock<Option<CallForwarder>>,
-    /// Per-connection duplicate-call suppression windows.
-    dedup: Mutex<HashMap<ConnId, DedupWindow>>,
 }
 
 /// Callback invoked when dispatch catches a panic in serving code.
@@ -276,7 +275,6 @@ impl RpcServer {
             fault_observer: RwLock::new(None),
             local_node: AtomicU64::new(0),
             forwarder: RwLock::new(None),
-            dedup: Mutex::new(HashMap::new()),
         };
         server.register_service(SYNC_SERVICE_ID, Arc::new(SyncPoint));
         server
@@ -336,7 +334,7 @@ impl RpcServer {
 
     /// Convenience: register an object and get its handle. If called
     /// while dispatching a client's call, that connection is recorded as
-    /// the object's owner so its handles can be invalidated when the
+    /// the object's owner, and the object leaves the table when that
     /// peer dies (see [`RpcServer::invalidate_owner`]).
     pub fn register_object(
         &self,
@@ -349,15 +347,13 @@ impl RpcServer {
             .register_owned(class_id, version, object, current_conn())
     }
 
-    /// Invalidate every object registered on behalf of `conn` (peer
-    /// death): their tags are bumped so any handle the dead client held
-    /// fails with [`StatusCode::StaleHandle`]. Returns how many entries
-    /// were invalidated. Also drops the connection's duplicate-call
-    /// window — connection ids are never reused, so the memory would
-    /// otherwise leak.
+    /// Remove every object registered on behalf of `conn` (peer death),
+    /// so any handle the dead client held fails with
+    /// [`StatusCode::StaleHandle`]. The objects drop after the table
+    /// lock is released. Returns how many entries were removed.
     pub fn invalidate_owner(&self, conn: ConnId) -> usize {
-        self.dedup.lock().remove(&conn);
-        self.objects.lock().invalidate_owner(conn)
+        let removed = self.objects.lock().invalidate_owner(conn);
+        removed.len()
     }
 
     /// Install the fault observer (at most one; replaces any previous).
@@ -365,27 +361,9 @@ impl RpcServer {
         *self.fault_observer.write() = Some(observer);
     }
 
-    /// Dispatch one call, producing a reply if the call wants one.
-    ///
-    /// Dispatch runs under the call's wire [`TraceContext`]: journal
-    /// events — and any distributed upcall the served code fires back at
-    /// the client — extend the caller's trace instead of starting orphan
-    /// trees.
-    ///
-    /// [`TraceContext`]: clam_obs::TraceContext
-    pub fn dispatch_call(&self, conn: ConnId, call: Call) -> Option<Reply> {
-        let ctx = CallContext {
-            conn,
-            method: call.method,
-            args: call.args,
-            request_id: call.request_id,
-        };
-        self.dispatch(&mut Kept::new(conn), &ctx, call.target, call.trace)
-            .map(|result| Reply::from_outcome(ctx.request_id, result))
-    }
-
-    /// The per-call work of every dispatch path: the trace scope, the
-    /// journal record, duplicate suppression, routing and the
+    /// The per-call work of serving: the trace scope (the call's wire
+    /// [`TraceContext`], which any upcall the served code makes extends),
+    /// the journal record, duplicate suppression, routing and the
     /// stale-handle count. `None` for an async call (its outcome has
     /// nowhere to go) and for a suppressed duplicate.
     fn dispatch(
@@ -408,14 +386,7 @@ impl RpcServer {
                 ctx.method,
             );
         }
-        if ctx.request_id != 0
-            && self
-                .dedup
-                .lock()
-                .entry(ctx.conn)
-                .or_default()
-                .is_duplicate(ctx.request_id)
-        {
+        if ctx.request_id != 0 && kept.dedup.lock().is_duplicate(ctx.request_id) {
             // A re-delivered frame: the call already executed and its
             // reply already went out. Executing again would break
             // at-most-once; replying again would confuse the caller.
@@ -492,8 +463,9 @@ impl RpcServer {
         })
     }
 
-    /// Serve one request frame, the body of every serving loop: dispatch
-    /// its calls in order straight out of the frame, send each reply
+    /// Serve one request frame from `conn`, the body of every serving
+    /// loop: drop the sync calls its `dedup` window has seen, dispatch
+    /// the rest in order straight out of the frame, send each reply
     /// through `writer` as its call completes ([`TaskWriter::send`]: a
     /// peer that does not read its replies stalls this task only), and
     /// recycle the frame into `pool`. The calls share one argument
@@ -508,6 +480,7 @@ impl RpcServer {
     pub fn serve_frame(
         &self,
         conn: ConnId,
+        dedup: &Mutex<DedupWindow>,
         frame: Frame,
         pool: &BufferPool,
         writer: &TaskWriter,
@@ -521,7 +494,7 @@ impl RpcServer {
                 args: Opaque::from(pool.acquire()),
                 request_id: 0,
             };
-            let mut kept = Kept::new(conn);
+            let mut kept = Kept::new(conn, dedup);
             let mut sending = true;
             for call in batch.iter() {
                 ctx.method = call.method;
@@ -554,8 +527,12 @@ impl RpcServer {
         // This loop is a plain thread, not a task: its scheduler never
         // holds a baton, and a send that must wait just waits.
         let writer = TaskWriter::new(&Scheduler::new("serve-channel"), writer);
+        let dedup = Mutex::default();
         while let Ok(frame) = reader.recv() {
-            if self.serve_frame(conn, frame, &pool, &writer).is_err() {
+            if self
+                .serve_frame(conn, &dedup, frame, &pool, &writer)
+                .is_err()
+            {
                 return; // protocol violation: drop the link
             }
         }
@@ -563,25 +540,27 @@ impl RpcServer {
 }
 
 /// A frame's dispatch context, kept from call to call: the connection
-/// in [`current_conn`] until it drops, the last trace scope, and the
-/// last service routed to with its route generation and id.
-struct Kept {
+/// in [`current_conn`] until it drops, its dedup window, the last trace
+/// scope, and the last service routed to with its route generation and id.
+struct Kept<'a> {
     outer_conn: Option<ConnId>,
+    dedup: &'a Mutex<DedupWindow>,
     scope: Option<(TraceContext, TraceScope)>,
     service: Option<((u64, u32), Arc<dyn Service>)>,
 }
 
-impl Kept {
-    fn new(conn: ConnId) -> Kept {
+impl Kept<'_> {
+    fn new(conn: ConnId, dedup: &Mutex<DedupWindow>) -> Kept<'_> {
         Kept {
             outer_conn: CURRENT_CONN.with(|c| c.replace(Some(conn))),
+            dedup,
             scope: None,
             service: None,
         }
     }
 }
 
-impl Drop for Kept {
+impl Drop for Kept<'_> {
     fn drop(&mut self) {
         CURRENT_CONN.with(|c| c.set(self.outer_conn));
     }
@@ -590,6 +569,7 @@ impl Drop for Kept {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Call;
     use clam_xdr::Opaque;
 
     struct EchoService;
@@ -649,12 +629,12 @@ mod tests {
     fn builtin_service_dispatches() {
         let server = RpcServer::new();
         server.register_service(1, Arc::new(EchoService));
-        let reply = server
-            .dispatch_call(
-                ConnId(1),
-                call(Target::Builtin(1), 0, Opaque::from(vec![5]), 10),
-            )
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Builtin(1), 0, Opaque::from(vec![5]), 10),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::Ok);
         assert_eq!(reply.results.as_slice(), &[5]);
         assert_eq!(reply.request_id, 10);
@@ -663,9 +643,12 @@ mod tests {
     #[test]
     fn missing_service_is_reported() {
         let server = RpcServer::new();
-        let reply = server
-            .dispatch_call(ConnId(1), call(Target::Builtin(9), 0, Opaque::new(), 1))
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Builtin(9), 0, Opaque::new(), 1),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::NoSuchService);
     }
 
@@ -673,9 +656,12 @@ mod tests {
     fn async_calls_produce_no_reply() {
         let server = RpcServer::new();
         server.register_service(1, Arc::new(EchoService));
-        assert!(server
-            .dispatch_call(ConnId(1), call(Target::Builtin(1), 0, Opaque::new(), 0))
-            .is_none());
+        assert!(serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Builtin(1), 0, Opaque::new(), 0)
+        )
+        .is_none());
     }
 
     #[test]
@@ -684,12 +670,12 @@ mod tests {
         server.register_class(7, Arc::new(CounterClass));
         let h = server.register_object(7, 1, Arc::new(Mutex::new(0u32)));
         for expected in 1..=3u32 {
-            let reply = server
-                .dispatch_call(
-                    ConnId(1),
-                    call(Target::Object(h), 0, Opaque::new(), u64::from(expected)),
-                )
-                .unwrap();
+            let reply = serve_one(
+                &server,
+                ConnId(1),
+                call(Target::Object(h), 0, Opaque::new(), u64::from(expected)),
+            )
+            .unwrap();
             assert_eq!(reply.status, StatusCode::Ok);
             let count: u32 = clam_xdr::decode(reply.results.as_slice()).unwrap();
             assert_eq!(count, expected);
@@ -705,9 +691,12 @@ mod tests {
             tag: h.tag.wrapping_add(1),
             ..h
         };
-        let reply = server
-            .dispatch_call(ConnId(1), call(Target::Object(forged), 0, Opaque::new(), 1))
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Object(forged), 0, Opaque::new(), 1),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::StaleHandle);
     }
 
@@ -715,9 +704,12 @@ mod tests {
     fn object_with_unloaded_class_is_no_such_class() {
         let server = RpcServer::new();
         let h = server.register_object(42, 1, Arc::new(Mutex::new(0u32)));
-        let reply = server
-            .dispatch_call(ConnId(1), call(Target::Object(h), 0, Opaque::new(), 1))
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Object(h), 0, Opaque::new(), 1),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::NoSuchClass);
     }
 
@@ -732,30 +724,42 @@ mod tests {
             f.lock().push((conn, msg.to_string()));
         }));
 
-        let reply = server
-            .dispatch_call(ConnId(3), call(Target::Builtin(1), 0, Opaque::new(), 1))
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(3),
+            call(Target::Builtin(1), 0, Opaque::new(), 1),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::Fault);
         assert!(reply.detail.contains("loaded class fault"));
         assert_eq!(faults.lock().len(), 1);
         assert_eq!(faults.lock()[0].0, ConnId(3));
 
         // The server keeps serving other calls.
-        let reply = server
-            .dispatch_call(ConnId(3), call(Target::Builtin(2), 0, Opaque::new(), 2))
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(3),
+            call(Target::Builtin(2), 0, Opaque::new(), 2),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::Ok);
     }
 
-    /// Serve the frame with payload `frame` through
-    /// [`RpcServer::serve_frame`] over a socket pair, and read back the
-    /// request id and status of each reply it sent, in order.
-    fn serve(server: &RpcServer, frame: &[u8]) -> RpcResult<Vec<(u64, StatusCode)>> {
+    /// Serve the frame with payload `frame` from `conn` through
+    /// [`RpcServer::serve_frame`] over a socket pair, against the
+    /// connection's `dedup` window, and read back the replies it sent,
+    /// in order.
+    fn serve(
+        server: &RpcServer,
+        conn: ConnId,
+        dedup: &Mutex<DedupWindow>,
+        frame: &[u8],
+    ) -> RpcResult<Vec<Reply>> {
         let (client, channel) = clam_net::pair();
         let (writer, _reader) = channel.split();
         let writer = TaskWriter::new(&Scheduler::new("serve"), writer);
         let frame = Frame::from_payload(frame).unwrap();
-        let served = server.serve_frame(ConnId(1), frame, &BufferPool::default(), &writer);
+        let served = server.serve_frame(conn, dedup, frame, &BufferPool::default(), &writer);
         drop(writer); // the hangup ends the replies
         let (_, mut reader) = client.split();
         let mut replies = Vec::new();
@@ -763,9 +767,23 @@ mod tests {
             let Ok(MessageView::Reply(reply)) = MessageView::parse(&frame) else {
                 panic!("not a reply");
             };
-            replies.push((reply.request_id, reply.status));
+            replies.push(Reply {
+                request_id: reply.request_id,
+                status: reply.status,
+                detail: reply.detail.to_owned(),
+                results: Opaque::from(reply.results.to_vec()),
+            });
         }
         served.map(|()| replies)
+    }
+
+    /// Serve `call` alone in a frame from `conn`, as the first frame of
+    /// its connection: the reply it sent, if any.
+    fn serve_one(server: &RpcServer, conn: ConnId, call: Call) -> Option<Reply> {
+        let frame = Message::CallBatch(vec![call]).to_frame().unwrap();
+        let mut replies = serve(server, conn, &Mutex::default(), &frame).unwrap();
+        assert!(replies.len() <= 1, "one call, {} replies", replies.len());
+        replies.pop()
     }
 
     #[test]
@@ -777,10 +795,16 @@ mod tests {
             call(Target::Builtin(1), 0, Opaque::from(vec![2]), 0), // async
             call(Target::Builtin(1), 0, Opaque::from(vec![3]), 12),
         ]);
-        let replies = serve(&server, &batch.to_frame().unwrap()).unwrap();
+        let replies = serve(
+            &server,
+            ConnId(1),
+            &Mutex::default(),
+            &batch.to_frame().unwrap(),
+        )
+        .unwrap();
         assert_eq!(replies.len(), 2);
-        assert_eq!(replies[0].0, 11);
-        assert_eq!(replies[1].0, 12);
+        assert_eq!(replies[0].request_id, 11);
+        assert_eq!(replies[1].request_id, 12);
     }
 
     #[test]
@@ -796,20 +820,23 @@ mod tests {
         // forwarder installed the caller gets a WrongNode redirect
         // naming the home node.
         let foreign = Handle { home: 3, ..h };
-        let reply = server
-            .dispatch_call(
-                ConnId(1),
-                call(Target::Object(foreign), 0, Opaque::new(), 1),
-            )
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Object(foreign), 0, Opaque::new(), 1),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::WrongNode);
         let err = RpcError::status(reply.status, reply.detail);
         assert_eq!(err.wrong_node_home(), Some(3));
 
         // The server's own handle still dispatches locally.
-        let reply = server
-            .dispatch_call(ConnId(1), call(Target::Object(h), 0, Opaque::new(), 2))
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Object(h), 0, Opaque::new(), 2),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::Ok);
     }
 
@@ -829,12 +856,12 @@ mod tests {
             tag: 1,
             home: 2,
         };
-        let reply = server
-            .dispatch_call(
-                ConnId(1),
-                call(Target::Object(foreign), 5, Opaque::new(), 1),
-            )
-            .unwrap();
+        let reply = serve_one(
+            &server,
+            ConnId(1),
+            call(Target::Object(foreign), 5, Opaque::new(), 1),
+        )
+        .unwrap();
         assert_eq!(reply.status, StatusCode::Ok);
         assert_eq!(reply.results.as_slice(), &[0xAB]);
         assert_eq!(*forwarded.lock(), vec![(2, 5)]);
@@ -845,34 +872,31 @@ mod tests {
         let server = RpcServer::new();
         server.register_class(7, Arc::new(CounterClass));
         let h = server.register_object(7, 1, Arc::new(Mutex::new(0u32)));
+        let bump = |id| {
+            Message::CallBatch(vec![call(Target::Object(h), 0, Opaque::new(), id)])
+                .to_frame()
+                .unwrap()
+        };
+        let window = Mutex::default();
 
-        let first = server
-            .dispatch_call(ConnId(1), call(Target::Object(h), 0, Opaque::new(), 42))
-            .unwrap();
-        assert_eq!(first.status, StatusCode::Ok);
-        let count: u32 = clam_xdr::decode(first.results.as_slice()).unwrap();
+        let first = serve(&server, ConnId(1), &window, &bump(42)).unwrap();
+        assert_eq!(first[0].status, StatusCode::Ok);
+        let count: u32 = clam_xdr::decode(first[0].results.as_slice()).unwrap();
         assert_eq!(count, 1);
 
         // The same frame re-delivered (a duplicating transport): no
         // second execution, no second reply.
-        assert!(server
-            .dispatch_call(ConnId(1), call(Target::Object(h), 0, Opaque::new(), 42))
-            .is_none());
-        let verify = server
-            .dispatch_call(ConnId(1), call(Target::Object(h), 0, Opaque::new(), 43))
-            .unwrap();
-        let count: u32 = clam_xdr::decode(verify.results.as_slice()).unwrap();
+        assert!(serve(&server, ConnId(1), &window, &bump(42))
+            .unwrap()
+            .is_empty());
+        let verify = serve(&server, ConnId(1), &window, &bump(43)).unwrap();
+        let count: u32 = clam_xdr::decode(verify[0].results.as_slice()).unwrap();
         assert_eq!(count, 2, "the duplicate must not have incremented");
 
-        // Another connection may use the same ids freely.
-        let other = server
-            .dispatch_call(ConnId(2), call(Target::Object(h), 0, Opaque::new(), 42))
-            .unwrap();
-        assert_eq!(other.status, StatusCode::Ok);
-
-        // Peer death frees the window.
-        server.invalidate_owner(ConnId(1));
-        assert!(server.dedup.lock().get(&ConnId(1)).is_none());
+        // Another connection, with its own window, may use the same ids
+        // freely.
+        let other = serve(&server, ConnId(2), &Mutex::default(), &bump(42)).unwrap();
+        assert_eq!(other[0].status, StatusCode::Ok);
     }
 
     #[test]
@@ -880,7 +904,12 @@ mod tests {
         let server = RpcServer::new();
         let msg = Message::Reply(Reply::default());
         assert!(matches!(
-            serve(&server, &msg.to_frame().unwrap()),
+            serve(
+                &server,
+                ConnId(1),
+                &Mutex::default(),
+                &msg.to_frame().unwrap()
+            ),
             Err(RpcError::Protocol(_))
         ));
     }
@@ -930,11 +959,14 @@ mod tests {
         let (writer, _reader) = channel.split();
         let writer = TaskWriter::new(&Scheduler::new("malformed-batch"), writer);
         for (name, frame) in cases {
-            assert!(serve(&server, &frame).is_err(), "{name}: accepted");
+            assert!(
+                serve(&server, ConnId(1), &Mutex::default(), &frame).is_err(),
+                "{name}: accepted"
+            );
             let frame = Frame::from_payload(&frame).unwrap();
             assert!(
                 server
-                    .serve_frame(ConnId(1), frame, &pool, &writer)
+                    .serve_frame(ConnId(1), &Mutex::default(), frame, &pool, &writer)
                     .is_err(),
                 "{name}: served"
             );
@@ -948,7 +980,7 @@ mod tests {
 
         // The intact batch runs all three calls and answers the two sync
         // ones.
-        let replies = serve(&server, &good).unwrap();
+        let replies = serve(&server, ConnId(1), &Mutex::default(), &good).unwrap();
         assert_eq!(replies.len(), 2);
         assert_eq!(counting.0.load(Ordering::SeqCst), 3);
     }

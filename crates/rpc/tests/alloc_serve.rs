@@ -101,6 +101,7 @@ fn batched_calls_allocate_nothing_from_call_async_through_serve_frame() {
     server_end.attach_pool(&pool);
     let (server_writer, mut reader) = server_end.split();
     let writer = TaskWriter::new(&Scheduler::new("alloc-serve-server"), server_writer);
+    let dedup = parking_lot::Mutex::default();
 
     let total = (WARM_UP_BATCHES + COUNTED_BATCHES) * BATCH;
     let mut args: Vec<Opaque> = (0..total)
@@ -117,7 +118,7 @@ fn batched_calls_allocate_nothing_from_call_async_through_serve_frame() {
         }
         let frame = reader.recv().expect("batch frame");
         server
-            .serve_frame(ConnId(1), frame, &pool, &writer)
+            .serve_frame(ConnId(1), &dedup, frame, &pool, &writer)
             .expect("serve batch");
     };
 

@@ -27,7 +27,13 @@ fn serve(server: &RpcServer, conn: ConnId, calls: Vec<Call>) -> Vec<Answer> {
     let writer = TaskWriter::new(&Scheduler::new("batch-serve"), writer);
     let frame = Message::CallBatch(calls).to_frame().expect("encode batch");
     server
-        .serve_frame(conn, frame, &BufferPool::default(), &writer)
+        .serve_frame(
+            conn,
+            &Mutex::default(),
+            frame,
+            &BufferPool::default(),
+            &writer,
+        )
         .expect("serve batch");
     drop(writer); // the hangup ends the replies
     let (_, mut reader) = client.split();

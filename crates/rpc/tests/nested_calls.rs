@@ -62,7 +62,13 @@ fn nested_batches_round_trip_and_dispatch_like_plain_ones() {
     let (writer, _reader) = channel.split();
     let writer = TaskWriter::new(&Scheduler::new("nested-serve"), writer);
     server
-        .serve_frame(clam_rpc::ConnId(1), frame, &BufferPool::default(), &writer)
+        .serve_frame(
+            clam_rpc::ConnId(1),
+            &parking_lot::Mutex::default(),
+            frame,
+            &BufferPool::default(),
+            &writer,
+        )
         .unwrap();
     drop(writer); // the hangup ends the replies
     let (_, mut reader) = client.split();

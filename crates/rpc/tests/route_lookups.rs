@@ -8,6 +8,7 @@ use clam_rpc::{
 };
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Method 1 registers a new copy of itself.
@@ -30,7 +31,13 @@ fn lookups(server: &RpcServer, calls: Vec<Call>) -> u64 {
     let frame = Message::CallBatch(calls).to_frame().expect("encode batch");
     let before = clam_obs::snapshot();
     server
-        .serve_frame(ConnId(1), frame, &BufferPool::default(), &writer)
+        .serve_frame(
+            ConnId(1),
+            &Mutex::default(),
+            frame,
+            &BufferPool::default(),
+            &writer,
+        )
         .expect("serve batch");
     clam_obs::snapshot()
         .delta(&before)

@@ -134,7 +134,7 @@ fn client_death_unblocks_the_upcaller_and_stales_its_handles() {
         "a dead session's RUC must refuse upcalls"
     );
 
-    // The dead client's capability goes stale (tag bumped, object kept).
+    // The dead client's capability goes stale (its object left the table).
     let handle = probe.handle.lock().take().expect("handle captured");
     poll_until("the handle to go stale", || {
         match server.rpc().objects().lookup(handle) {
