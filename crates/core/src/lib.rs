@@ -76,3 +76,7 @@ pub use upcall::{UpcallRegistry, UpcallTarget};
 // The loader service rides in every CLAM server; re-export the pieces
 // clients need to drive it.
 pub use clam_load::{LoaderProxy, LOADER_SERVICE_ID};
+
+#[cfg(test)]
+#[path = "../../task/tests/support/explore.rs"]
+mod explore;

@@ -12,19 +12,17 @@
 //! router; invoking it performs the distributed upcall.
 
 use clam_net::{MsgReader, MsgWriter};
-use clam_obs::Counter;
 use clam_rpc::{
     Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, TaskWriter, UpcallMsg,
 };
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Distributed upcalls sent through any router (`core.upcall.remote`).
-fn obs_remote_upcalls() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("core.upcall.remote"))
+clam_obs::handles! {
+    /// Distributed upcalls sent through any router (`core.upcall.remote`).
+    fn obs_remote_upcalls() -> Counter = counter("core.upcall.remote");
 }
 
 /// Per-client controller of the upcall channel.

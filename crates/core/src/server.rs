@@ -15,7 +15,8 @@ use crate::error::{CoreError, CoreResult};
 use crate::naming::NameServiceImpl;
 use crate::ruc::{RemoteUpcall, UpcallRouter};
 use crate::session::{
-    ErrorReport, Session, SessionCtlImpl, SessionCtlSkeleton, SessionRegistry, SESSION_SERVICE_ID,
+    Act, ErrorReport, Session, SessionCtlImpl, SessionCtlSkeleton, SessionRegistry, Turn,
+    SESSION_SERVICE_ID,
 };
 use crate::upcall::UpcallTarget;
 use crate::wire::{ChannelRole, Hello};
@@ -25,7 +26,7 @@ use clam_rpc::{ConnId, Message, ProcId, RpcError, RpcResult, RpcServer, StatusCo
 use clam_task::{JoinHandle, Scheduler, TaskResult};
 use clam_xdr::Bundle;
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -466,60 +467,73 @@ impl ClamServer {
     /// blocks, it lends the reader to a follower task running this same
     /// loop (Leader/Followers), which reads on and queues ordinary frames
     /// for it. A task that drains its queue and finds its reader lent
-    /// ends: the follower serves the next ordinary frame itself.
+    /// ends: the follower serves the next ordinary frame itself. Every
+    /// one of these choices is [`take_turn`](crate::session::take_turn)'s;
+    /// this loop performs them.
     fn run_session(self: &Arc<Self>, session: &Arc<Session>, reader: Box<dyn MsgReader>) {
-        let parked = Rc::new(Cell::new(Some(reader)));
+        let parked = Rc::new(RefCell::new(Some(reader)));
         let lend: Rc<dyn Fn()> = {
             let (server, session, parked) =
                 (Arc::clone(self), Arc::clone(session), Rc::clone(&parked));
             Rc::new(move || {
-                let Some(reader) = parked.take() else { return };
-                if server.spawn_reader(&session, reader).is_err() {
-                    server.end_session(&session); // the reader went with the task
+                let block = Turn::Block {
+                    parked: parked.borrow().is_some(),
+                };
+                if matches!(session.turn(block), Act::Lend) {
+                    let reader = parked.take().expect("a parked reader");
+                    if server.spawn_reader(&session, reader).is_err() {
+                        server.end_session(&session); // the reader went with the task
+                    }
                 }
             })
         };
         while let Some(reader) = parked.take() {
             let read = || self.read_turn(session, reader, &parked);
-            let Some((frame, nested)) = self.sched.outside(read) else {
+            let Some(mut act) = self.sched.outside(read) else {
                 return;
             };
-            let serve = if nested {
-                Session::serve
-            } else {
-                Session::serve_turn
-            };
-            clam_task::on_block(Rc::clone(&lend), || serve(session, &self.rpc, frame));
+            while let Act::Serve(frame, ordinary) = act {
+                clam_task::on_block(Rc::clone(&lend), || session.serve(&self.rpc, frame));
+                let parked = parked.borrow().is_some();
+                act = session.turn(Turn::Served { ordinary, parked });
+            }
+            if !matches!(act, Act::Read) {
+                return;
+            }
         }
     }
 
-    /// Read with `reader` until a nested frame arrives, or an ordinary one
-    /// that no task is serving; park the reader and return the frame, and
-    /// whether it is nested. `None` once the channel is dead, after the
-    /// session has been ended.
+    /// Read with `reader` until [`take_turn`](crate::session::take_turn)
+    /// hands this task a frame to serve; park the reader and return that
+    /// [`Act::Serve`]. `None` once the channel is dead, after the session
+    /// has been ended.
     fn read_turn(
         &self,
         session: &Arc<Session>,
         mut reader: Box<dyn MsgReader>,
-        parked: &Cell<Option<Box<dyn MsgReader>>>,
-    ) -> Option<(Frame, bool)> {
-        while let Ok(frame) = reader.recv() {
-            if !session.is_alive() {
-                break; // server shut the session down
-            }
-            let nested = Message::frame_is_nested(&frame);
-            let frame = if nested {
-                Some(frame)
-            } else {
-                session.take_turn(frame)
+        parked: &RefCell<Option<Box<dyn MsgReader>>>,
+    ) -> Option<Act<Frame>> {
+        loop {
+            let turn = match reader.recv() {
+                // A dead session's reader stops: the server shut it down.
+                Ok(frame) if session.is_alive() => {
+                    let nested = Message::frame_is_nested(&frame);
+                    Turn::Read(frame, nested)
+                }
+                _ => Turn::Failed,
             };
-            if let Some(frame) = frame {
-                parked.set(Some(reader));
-                return Some((frame, nested));
+            match session.turn(turn) {
+                serve @ Act::Serve(..) => {
+                    parked.replace(Some(reader));
+                    return Some(serve);
+                }
+                Act::Read => {}
+                _ => {
+                    self.end_session(session);
+                    return None;
+                }
             }
         }
-        self.end_session(session);
-        None
     }
 
     /// Peer death: wake blocked upcall waiters with an error (mark_dead →

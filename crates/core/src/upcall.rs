@@ -14,24 +14,18 @@
 //! compile time" through procedure-pointer declarations.
 
 use crate::ruc::RemoteUpcall;
-use clam_obs::{Counter, Histogram};
 use clam_rpc::RpcResult;
 use clam_xdr::{Bundle, Opaque};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Upcalls delivered to local (same-address-space) targets
-/// (`core.upcall.local`); the remote twin lives in [`crate::ruc`].
-fn obs_local_upcalls() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("core.upcall.local"))
-}
-
-/// Registrants notified per posted event (`core.upcall.fanout`).
-fn obs_fanout() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| clam_obs::histogram("core.upcall.fanout"))
+clam_obs::handles! {
+    /// Upcalls delivered to local (same-address-space) targets
+    /// (`core.upcall.local`); the remote twin lives in [`crate::ruc`].
+    fn obs_local_upcalls() -> Counter = counter("core.upcall.local");
+    /// Registrants notified per posted event (`core.upcall.fanout`).
+    fn obs_fanout() -> Histogram = histogram("core.upcall.fanout");
 }
 
 /// A registered upward procedure with typed arguments and result.

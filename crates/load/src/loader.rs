@@ -3,25 +3,19 @@
 
 use crate::module::{Constructor, Module};
 use crate::version::Version;
-use clam_obs::Counter;
 use clam_rpc::{Handle, RpcError, RpcResult, RpcServer, StatusCode};
 use clam_xdr::Opaque;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Module loads that actually ran a load hook (`load.modules_loaded`);
-/// idempotent re-loads are not counted.
-fn obs_modules_loaded() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("load.modules_loaded"))
-}
-
-/// Objects constructed from loaded classes (`load.objects_created`).
-fn obs_objects_created() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("load.objects_created"))
+clam_obs::handles! {
+    /// Module loads that actually ran a load hook (`load.modules_loaded`);
+    /// idempotent re-loads are not counted.
+    fn obs_modules_loaded() -> Counter = counter("load.modules_loaded");
+    /// Objects constructed from loaded classes (`load.objects_created`).
+    fn obs_objects_created() -> Counter = counter("load.objects_created");
 }
 
 /// A class made live by a load: where it came from and how to construct

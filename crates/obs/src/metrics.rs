@@ -478,6 +478,21 @@ macro_rules! counters {
     };
 }
 
+/// Declare process-wide metric handles: each `fn f() -> &'static Ty`
+/// resolves the global registry's metric once, so counting on a hot path
+/// neither allocates nor takes the registry's lock.
+#[macro_export]
+macro_rules! handles {
+    ($($(#[$m:meta])* $vis:vis fn $f:ident() -> $ty:ident = $make:ident($name:literal);)*) => {$(
+        $(#[$m])*
+        $vis fn $f() -> &'static $crate::$ty {
+            static H: ::std::sync::OnceLock<::std::sync::Arc<$crate::$ty>> =
+                ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::$make($name))
+        }
+    )*};
+}
+
 /// Get or create a gauge in the global registry.
 #[must_use]
 pub fn gauge(name: &str) -> Arc<Gauge> {

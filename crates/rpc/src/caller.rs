@@ -38,12 +38,18 @@ thread_local! {
 /// blocked) main RPC task. The client runtime wraps upcall handlers in
 /// this; spawning a task from inside a handler escapes the context —
 /// calls from such tasks may deadlock behind the outstanding upcall and
-/// are unsupported.
+/// are unsupported. The thread's previous context is back when `f`
+/// returns or unwinds.
 pub fn nested_call_scope<R>(f: impl FnOnce() -> R) -> R {
-    let previous = NESTED_CONTEXT.with(|c| c.replace(true));
-    let result = f();
-    NESTED_CONTEXT.with(|c| c.set(previous));
-    result
+    /// Puts the previous context back when dropped.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            NESTED_CONTEXT.set(self.0);
+        }
+    }
+    let _restore = Restore(NESTED_CONTEXT.replace(true));
+    f()
 }
 
 /// Is this thread currently inside [`nested_call_scope`]?

@@ -13,14 +13,13 @@ use crate::server::ConnId;
 use rand::RngCore;
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Live objects across every table in the process
-/// (`rpc.object_table_size`). Tables adjust it on register/unregister and
-/// give back their remaining entries on drop.
-fn obs_table_size() -> &'static clam_obs::Gauge {
-    static GAUGE: OnceLock<Arc<clam_obs::Gauge>> = OnceLock::new();
-    GAUGE.get_or_init(|| clam_obs::gauge("rpc.object_table_size"))
+clam_obs::handles! {
+    /// Live objects across every table in the process
+    /// (`rpc.object_table_size`). Tables adjust it on register/unregister and
+    /// give back their remaining entries on drop.
+    fn obs_table_size() -> Gauge = gauge("rpc.object_table_size");
 }
 
 clam_xdr::bundle_struct! {

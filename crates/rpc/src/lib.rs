@@ -64,3 +64,7 @@ pub use server::{
 pub mod __macro_support {
     pub use clam_xdr::{decode, encode, Bundle, Opaque, XdrResult, XdrStream};
 }
+
+#[cfg(test)]
+#[path = "../../task/tests/support/explore.rs"]
+mod explore;

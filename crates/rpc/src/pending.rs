@@ -11,13 +11,24 @@
 //! a timed read (`recv_until`, which sleeps in `ppoll`), a follower with
 //! its condition variable — and no thread keeps time for the table. Whoever removes an entry removes its
 //! deadline too, so armed deadlines never outnumber outstanding requests.
+//!
+//! Every decision of this protocol is one function, [`Proto::on`], over
+//! the token, the closed flag and the armed count; the table's methods
+//! only perform what it returns. The explorer in this module's tests
+//! drives `Proto::on` through every order of 3 waiters, with and without
+//! deadlines, against replies arriving in pieces, deadlines, a failed
+//! send, `fail_all`, a hangup and `attach_reader`, and checks: at most
+//! one leader and one reader of the stream; the reader is never lost, and
+//! is `Detached` once the table fails; every waiter ends with exactly one
+//! outcome, no wake-up is lost and none waits past its deadline; armed
+//! deadlines equal the outstanding entries that have one.
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::message::{MessageView, Reply};
 use clam_net::{Closer, MsgReader};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,9 +56,12 @@ struct Wait {
 }
 
 impl Wait {
-    fn finish(&self, outcome: RpcResult<Opaque>) {
+    /// Write the outcome, and wake this waiter if `wake` says so.
+    fn finish(&self, outcome: RpcResult<Opaque>, wake: Wake) {
         *self.slot.lock() = Some(outcome);
-        self.cv.notify_one();
+        if wake == Wake::Finished {
+            self.cv.notify_one();
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -63,12 +77,12 @@ struct Link {
 }
 
 impl Link {
-    /// Read until `wait` is done, routing every reply through `table`.
-    /// `false` means the link is dead: EOF, a read error, or a message
-    /// other than a reply of the link's kind.
-    fn lead(&mut self, table: &PendingReplies, id: u64, wait: &Wait) -> bool {
+    /// Read until `wait` is done, until its deadline if `timed`, routing
+    /// every reply through `table`. `false` means the link is dead: EOF,
+    /// a read error, or a message other than a reply of the link's kind.
+    fn lead(&mut self, table: &PendingReplies, id: u64, wait: &Wait, timed: bool) -> bool {
         while !wait.is_done() {
-            let frame = match wait.deadline {
+            let frame = match wait.deadline.filter(|_| timed) {
                 Some(at) => self.reader.recv_until(at),
                 None => self.reader.recv().map(Some),
             };
@@ -95,24 +109,139 @@ impl Link {
 }
 
 /// Where the reader is: the token of Leader/Followers.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum Token {
     /// No reader attached (or the table failed): waiters only wait.
     #[default]
     Detached,
     /// Attached and free: the next waiter to look takes it.
-    Free(Box<Link>),
+    Free,
     /// A waiter is reading.
     Leading,
+}
+
+/// The table's protocol state: the token, whether the table has failed,
+/// and how many entries have a deadline. [`Proto::on`] makes every
+/// decision of the protocol over this value alone (it takes no lock,
+/// reads no clock and wakes no thread), and the table performs what it
+/// returns under its lock. The tests below drive it through every
+/// interleaving of 3 waiters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+struct Proto {
+    token: Token,
+    closed: bool,
+    armed: usize,
+}
+
+/// What happens to the table. An entry is named by whether it has a
+/// deadline; `None` is one that has already left the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum On {
+    Request {
+        timed: bool,
+    },
+    SendFailed(Option<bool>),
+    /// A waiter looks, under the lock.
+    Look {
+        done: bool,
+        expired: bool,
+        timed: bool,
+    },
+    /// The leader routes an outcome: a reply, or its read's deadline.
+    Reply(Option<bool>),
+    /// The leader's read loop ends; `false` if the link died.
+    Led(bool),
+    FailAll,
+    Attach,
+}
+
+/// What the table does: carry on (register, route, or drop the reader
+/// handed in); refuse (fail the request, close the reader, or drop the
+/// link); return the outcome; finish the entry (with the routed outcome,
+/// or its own `DeadlineExceeded`); lead or follow, until its own
+/// deadline if `timed`; keep the link, now free; or fail every entry
+/// with `Disconnected` and close the reply channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Do {
+    Proceed,
+    Refuse,
+    Return,
+    Finish,
+    Lead { timed: bool },
+    Follow { timed: bool },
+    Keep,
+    Fail,
+}
+
+/// Whom the table wakes: nobody, the waiters of the entries just
+/// finished, or one waiting entry, to take the free reader.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    Nobody,
+    Finished,
+    One,
+}
+
+impl Proto {
+    fn on(&mut self, on: On) -> (Do, Wake) {
+        // Whoever removes an entry removes its deadline too.
+        match on {
+            On::Request { timed } if !self.closed => self.armed += usize::from(timed),
+            On::SendFailed(Some(true)) | On::Reply(Some(true)) => self.armed -= 1,
+            On::Look {
+                done: false,
+                expired: true,
+                ..
+            } => self.armed -= 1,
+            On::Led(false) | On::FailAll => self.armed = 0,
+            _ => {}
+        }
+        let offer = if self.token == Token::Free {
+            Wake::One
+        } else {
+            Wake::Nobody
+        };
+        match on {
+            On::Request { .. } | On::Led(true) | On::Attach if self.closed => {
+                (Do::Refuse, Wake::Nobody)
+            }
+            On::Request { .. } | On::Reply(None) => (Do::Proceed, Wake::Nobody),
+            On::SendFailed(_) => (Do::Proceed, offer),
+            // The reader may have been offered to this waiter just before
+            // its own outcome came in: pass it on.
+            On::Look { done: true, .. } => (Do::Return, offer),
+            On::Look { expired: true, .. } => (Do::Finish, Wake::Nobody),
+            On::Look { timed, .. } if self.token == Token::Free => {
+                self.token = Token::Leading;
+                (Do::Lead { timed }, Wake::Nobody)
+            }
+            On::Look { timed, .. } => (Do::Follow { timed }, Wake::Nobody),
+            On::Reply(Some(_)) => (Do::Finish, Wake::Finished),
+            On::Led(false) | On::FailAll => {
+                (self.token, self.closed) = (Token::Detached, true);
+                (Do::Fail, Wake::Finished)
+            }
+            On::Led(true) => {
+                self.token = Token::Free;
+                (Do::Keep, Wake::Nobody)
+            }
+            // A table takes one reader; a later one is dropped.
+            On::Attach if self.token != Token::Detached => (Do::Proceed, Wake::Nobody),
+            On::Attach => {
+                self.token = Token::Free;
+                (Do::Keep, Wake::One)
+            }
+        }
+    }
 }
 
 #[derive(Default)]
 struct State {
     next_id: u64,
     waits: HashMap<u64, Arc<Wait>>,
-    /// Entries of `waits` that have a deadline.
-    armed: usize,
-    token: Token,
+    proto: Proto,
+    /// The reader, while the token is `Free`.
+    link: Option<Box<Link>>,
     /// Closes the reply channel, waking a leader blocked mid-read.
     closer: Option<Closer>,
 }
@@ -121,15 +250,24 @@ impl std::fmt::Debug for State {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("State")
             .field("outstanding", &self.waits.len())
-            .field("armed", &self.armed)
+            .field("proto", &self.proto)
             .finish_non_exhaustive()
     }
 }
 
+/// A table's state is its protocol's, plus what the protocol moves.
+impl std::ops::Deref for State {
+    type Target = Proto;
+
+    fn deref(&self) -> &Proto {
+        &self.proto
+    }
+}
+
 impl State {
-    /// If the reader is free, wake one waiter to take it.
-    fn pass_token(&self) {
-        if matches!(self.token, Token::Free(_)) {
+    /// Wake one waiting entry if `wake` says so, to take the free reader.
+    fn offer(&self, wake: Wake) {
+        if wake == Wake::One {
             if let Some(wait) = self.waits.values().next() {
                 wait.cv.notify_one();
             }
@@ -161,6 +299,22 @@ impl PendingReplies {
         }
     }
 
+    /// Decide `on` with [`Proto::on`], keeping the gauge and `closed` in
+    /// step with it.
+    fn on(&self, st: &mut State, on: On) -> (Do, Wake) {
+        let armed = st.proto.armed;
+        let act = st.proto.on(on);
+        if st.proto.armed != armed {
+            #[allow(clippy::cast_possible_wrap)]
+            self.armed_gauge
+                .adjust(st.proto.armed as i64 - armed as i64);
+        }
+        if st.proto.closed {
+            self.closed.store(true, Ordering::Release);
+        }
+        act
+    }
+
     /// Register a request under a fresh id, hand the id to `send`, and
     /// block (a task, not the processor) until the reply arrives. While
     /// no one else reads the reply channel, the caller reads it itself.
@@ -181,21 +335,19 @@ impl PendingReplies {
             deadline,
         });
         let mut st = self.state.lock();
-        if self.is_closed() {
+        let timed = deadline.is_some();
+        if self.on(&mut st, On::Request { timed }).0 == Do::Refuse {
             return Err(RpcError::Disconnected);
         }
         st.next_id += 1;
         let id = st.next_id;
         st.waits.insert(id, Arc::clone(&wait));
-        if deadline.is_some() {
-            st.armed += 1;
-            self.armed_gauge.adjust(1);
-        }
         drop(st);
         if let Err(e) = send(id) {
             let mut st = self.state.lock();
-            self.remove(&mut st, id);
-            st.pass_token();
+            let entry = st.waits.remove(&id).map(|_| timed);
+            let (_, wake) = self.on(&mut st, On::SendFailed(entry));
+            st.offer(wake);
             return Err(e);
         }
         self.sched.outside(|| self.await_reply(id, &wait))
@@ -218,13 +370,17 @@ impl PendingReplies {
     /// [`RpcError::Disconnected`], and the reply channel closes.
     pub fn fail_all(&self) {
         let mut st = self.state.lock();
-        self.closed.store(true, Ordering::Release);
-        self.armed_gauge.adjust(-(st.armed as i64));
-        st.armed = 0;
+        let (_, wake) = self.on(&mut st, On::FailAll);
+        self.fail(st, wake);
+    }
+
+    /// Perform [`Do::Fail`]: finish every entry with `Disconnected`, wake
+    /// their waiters if `wake` says so, and close the reply channel.
+    fn fail(&self, mut st: MutexGuard<'_, State>, wake: Wake) {
         for (_, wait) in st.waits.drain() {
-            wait.finish(Err(RpcError::Disconnected));
+            wait.finish(Err(RpcError::Disconnected), wake);
         }
-        st.token = Token::Detached;
+        st.link = None;
         let closer = st.closer.take();
         drop(st);
         if let Some(closer) = closer {
@@ -263,86 +419,84 @@ impl PendingReplies {
         reader.attach_pool(pool);
         let closer = reader.closer();
         let mut st = self.state.lock();
-        if self.is_closed() {
-            drop(st);
-            closer.close();
-            return;
+        match self.on(&mut st, On::Attach) {
+            (Do::Refuse, _) => {
+                drop(st);
+                closer.close();
+            }
+            (Do::Keep, wake) => {
+                st.link = Some(Box::new(Link {
+                    reader,
+                    pool: pool.clone(),
+                    kind,
+                }));
+                st.closer = Some(closer);
+                st.offer(wake);
+            }
+            _ => {}
         }
-        if !matches!(st.token, Token::Detached) {
-            return;
-        }
-        st.token = Token::Free(Box::new(Link {
-            reader,
-            pool: pool.clone(),
-            kind,
-        }));
-        st.closer = Some(closer);
-        st.pass_token();
     }
 
-    /// Wait, outside the baton, for entry `id`'s outcome: lead whenever
-    /// the reader is free, follow otherwise, and expire the entry at its
-    /// own deadline.
+    /// Wait, outside the baton, for entry `id`'s outcome, doing what
+    /// [`Proto::on`] decides each time the waiter looks: lead, follow,
+    /// expire the entry at its own deadline, or return.
     fn await_reply(&self, id: u64, wait: &Wait) -> RpcResult<Opaque> {
         let mut st = self.state.lock();
         loop {
-            if let Some(outcome) = wait.slot.lock().take() {
-                // The token may have been offered to this waiter just
-                // before its own outcome came in: pass it on.
-                st.pass_token();
-                return outcome;
-            }
-            if wait.deadline.is_some_and(|at| Instant::now() >= at) {
-                self.finish_locked(&mut st, id, Err(RpcError::DeadlineExceeded));
-                continue;
-            }
-            match std::mem::replace(&mut st.token, Token::Leading) {
-                Token::Free(mut link) => {
+            let done = wait.is_done();
+            let look = On::Look {
+                done,
+                expired: !done && wait.deadline.is_some_and(|at| Instant::now() >= at),
+                timed: wait.deadline.is_some(),
+            };
+            match self.on(&mut st, look) {
+                (Do::Return, wake) => {
+                    st.offer(wake);
+                    let outcome = wait.slot.lock().take();
+                    return outcome.expect("a done entry has its outcome");
+                }
+                (Do::Finish, wake) => {
+                    st.waits.remove(&id);
+                    wait.finish(Err(RpcError::DeadlineExceeded), wake);
+                }
+                (Do::Lead { timed }, _) => {
+                    let mut link = st.link.take().expect("a free token has its link");
                     drop(st);
                     // `lead` returns once the entry is done, and
                     // `fail_all` finishes it.
-                    if !link.lead(self, id, wait) {
-                        self.fail_all();
-                    }
+                    let alive = link.lead(self, id, wait, timed);
                     st = self.state.lock();
-                    if !self.is_closed() {
-                        st.token = Token::Free(link);
-                    }
-                }
-                other => {
-                    st.token = other;
-                    match wait.deadline {
-                        Some(at) => {
-                            wait.cv.wait_until(&mut st, at);
+                    match self.on(&mut st, On::Led(alive)) {
+                        (Do::Keep, _) => st.link = Some(link),
+                        (Do::Fail, wake) => {
+                            self.fail(st, wake);
+                            st = self.state.lock();
                         }
-                        None => wait.cv.wait(&mut st),
+                        _ => {}
                     }
                 }
+                (Do::Follow { timed }, _) => match wait.deadline.filter(|_| timed) {
+                    Some(at) => {
+                        wait.cv.wait_until(&mut st, at);
+                    }
+                    None => wait.cv.wait(&mut st),
+                },
+                act => unreachable!("{act:?} on a look"),
             }
         }
     }
 
-    /// Remove an entry and its deadline; the caller owns its completion.
-    fn remove(&self, st: &mut State, id: u64) -> Option<Arc<Wait>> {
-        let wait = st.waits.remove(&id)?;
-        if wait.deadline.is_some() {
-            st.armed -= 1;
-            self.armed_gauge.adjust(-1);
-        }
-        Some(wait)
-    }
-
-    /// Remove entry `id` and wake its waiter with `outcome`. `false` if
-    /// no entry matches.
+    /// Remove entry `id` and hand its waiter `outcome`. `false` if no
+    /// entry matches.
     fn finish(&self, id: u64, outcome: RpcResult<Opaque>) -> bool {
-        self.finish_locked(&mut self.state.lock(), id, outcome)
-    }
-
-    fn finish_locked(&self, st: &mut State, id: u64, outcome: RpcResult<Opaque>) -> bool {
-        let Some(wait) = self.remove(st, id) else {
+        let mut st = self.state.lock();
+        let wait = st.waits.remove(&id);
+        let entry = wait.as_ref().map(|w| w.deadline.is_some());
+        let (_, wake) = self.on(&mut st, On::Reply(entry));
+        let Some(wait) = wait else {
             return false;
         };
-        wait.finish(outcome);
+        wait.finish(outcome, wake);
         true
     }
 }
@@ -708,5 +862,373 @@ mod tests {
         assert!(matches!(err, RpcError::Protocol(_)));
         assert_eq!((t.outstanding(), t.armed()), (0, 0));
         assert!(!t.complete(ok_reply(sent, 0)));
+    }
+
+    // ------------------------------------------------------------------
+    // Every interleaving of the token protocol.
+    // ------------------------------------------------------------------
+
+    /// Where one modelled waiter is.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    enum Pc {
+        Idle,
+        /// Registered, sending its request.
+        Sending,
+        /// Awake, about to look under the lock.
+        Looking,
+        /// On its condition variable, until its deadline if `timed`.
+        Asleep {
+            timed: bool,
+        },
+        /// Holding the reader, reading until its deadline if `timed`.
+        Leading {
+            timed: bool,
+        },
+        Gone,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    struct Waiter {
+        pc: Pc,
+        timed: bool,
+        expired: bool,
+        /// A notify is pending on its condition variable.
+        notified: bool,
+        in_table: bool,
+        /// Its outcome slot is written.
+        outcome: bool,
+        /// Its request reached the peer, which may now reply.
+        sent: bool,
+        replied: bool,
+    }
+
+    const WAITERS: usize = 3;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct Model {
+        proto: Proto,
+        waiters: [Waiter; WAITERS],
+        /// Reply frames on the channel, oldest first, by waiter; `false`
+        /// while only the frame's head has arrived. A waiter's reply is
+        /// sent once, so `WAITERS` frames at most.
+        wire: [(usize, bool); WAITERS],
+        on_wire: usize,
+        /// A reader was attached (so fail_all closes the channel).
+        attached: bool,
+        attach_done: bool,
+        failed: bool,
+        hung_up: bool,
+        fault: Option<&'static str>,
+    }
+
+    impl Model {
+        fn start(timed: [bool; WAITERS]) -> Model {
+            let waiter = |timed| Waiter {
+                pc: Pc::Idle,
+                timed,
+                expired: false,
+                notified: false,
+                in_table: false,
+                outcome: false,
+                sent: false,
+                replied: false,
+            };
+            Model {
+                proto: Proto::default(),
+                waiters: timed.map(waiter),
+                wire: [(0, false); WAITERS],
+                on_wire: 0,
+                attached: false,
+                attach_done: false,
+                failed: false,
+                hung_up: false,
+                fault: None,
+            }
+        }
+
+        fn notify(&mut self, w: usize) {
+            if matches!(self.waiters[w].pc, Pc::Asleep { .. }) {
+                self.waiters[w].notified = true;
+            }
+        }
+
+        /// Finish entry `w` as the table does, waking its waiter if told.
+        fn finish(&mut self, w: usize, wake: Wake) {
+            let waiter = &mut self.waiters[w];
+            if waiter.outcome {
+                self.fault = Some("a waiter got a second outcome");
+            }
+            (waiter.outcome, waiter.in_table) = (true, false);
+            if wake == Wake::Finished {
+                self.notify(w);
+            }
+        }
+
+        /// Perform `wake` for an offer: the table wakes whichever entry its
+        /// map yields first, so every entry is a successor.
+        fn offer(self, wake: Wake, out: &mut Vec<Model>) {
+            let mut entries = (0..WAITERS)
+                .filter(|&w| self.waiters[w].in_table)
+                .peekable();
+            if wake != Wake::One || entries.peek().is_none() {
+                return out.push(self);
+            }
+            for w in entries {
+                let mut m = self;
+                m.notify(w);
+                out.push(m);
+            }
+        }
+
+        /// Waiters are interchangeable: sort them, renaming the frames
+        /// on the wire to match, so that states differing only in which
+        /// waiter is which are visited once.
+        fn canonical(self) -> Model {
+            let mut order: [usize; WAITERS] = std::array::from_fn(|w| w);
+            order.sort_by_key(|&w| self.waiters[w]);
+            let mut m = self;
+            for (to, &from) in order.iter().enumerate() {
+                m.waiters[to] = self.waiters[from];
+            }
+            for frame in &mut m.wire[..m.on_wire] {
+                frame.0 = order
+                    .iter()
+                    .position(|&from| from == frame.0)
+                    .expect("a waiter");
+            }
+            m
+        }
+
+        fn fail(&mut self, wake: Wake) {
+            for w in 0..WAITERS {
+                if self.waiters[w].in_table {
+                    self.finish(w, wake);
+                }
+            }
+            self.hung_up |= self.attached;
+        }
+
+        fn waiter_steps(&self, w: usize, out: &mut Vec<Model>) {
+            let me = self.waiters[w];
+            let mut m = *self;
+            match me.pc {
+                Pc::Idle => {
+                    m.waiters[w].pc = if m.proto.on(On::Request { timed: me.timed }).0 == Do::Refuse
+                    {
+                        Pc::Gone
+                    } else {
+                        m.waiters[w].in_table = true;
+                        Pc::Sending
+                    };
+                    out.push(m);
+                }
+                Pc::Sending => {
+                    let mut sent = m;
+                    (sent.waiters[w].pc, sent.waiters[w].sent) = (Pc::Looking, true);
+                    out.push(sent);
+                    let entry = me.in_table.then_some(me.timed);
+                    (m.waiters[w].pc, m.waiters[w].in_table) = (Pc::Gone, false);
+                    let (_, wake) = m.proto.on(On::SendFailed(entry));
+                    m.offer(wake, out);
+                }
+                Pc::Looking => {
+                    let look = On::Look {
+                        done: me.outcome,
+                        expired: !me.outcome && me.expired,
+                        timed: me.timed,
+                    };
+                    match m.proto.on(look) {
+                        (Do::Return, wake) => {
+                            if !me.outcome {
+                                m.fault = Some("a waiter returned without an outcome");
+                            }
+                            m.waiters[w].pc = Pc::Gone;
+                            return m.offer(wake, out);
+                        }
+                        (Do::Finish, _) => m.finish(w, Wake::Nobody),
+                        (Do::Lead { timed }, _) => m.waiters[w].pc = Pc::Leading { timed },
+                        (Do::Follow { timed }, _) => {
+                            (m.waiters[w].pc, m.waiters[w].notified) =
+                                (Pc::Asleep { timed }, false);
+                        }
+                        _ => m.fault = Some("a look got an action it cannot perform"),
+                    }
+                    out.push(m);
+                }
+                Pc::Asleep { timed } => {
+                    if me.notified || (timed && me.expired) {
+                        (m.waiters[w].pc, m.waiters[w].notified) = (Pc::Looking, false);
+                        out.push(m);
+                    }
+                }
+                Pc::Leading { timed } => self.leader_steps(w, timed, out),
+                Pc::Gone => {}
+            }
+        }
+
+        /// The leader's read loop: it checks its own entry, then reads
+        /// one frame, times out, or finds the channel dead.
+        fn leader_steps(&self, w: usize, timed: bool, out: &mut Vec<Model>) {
+            let me = self.waiters[w];
+            let led = |alive: bool, out: &mut Vec<Model>| {
+                let mut m = *self;
+                m.waiters[w].pc = Pc::Looking;
+                match m.proto.on(On::Led(alive)) {
+                    (Do::Fail, wake) => m.fail(wake),
+                    (Do::Keep | Do::Refuse, _) => {}
+                    _ => m.fault = Some("the leader got an action it cannot perform"),
+                }
+                out.push(m);
+            };
+            if self.hung_up {
+                led(false, out);
+            }
+            if me.outcome {
+                return led(true, out);
+            }
+            if let (1.., (from, true)) = (self.on_wire, self.wire[0]) {
+                let mut m = *self;
+                m.wire.copy_within(1.., 0);
+                m.on_wire -= 1;
+                let entry = m.waiters[from].in_table.then_some(m.waiters[from].timed);
+                if let (Do::Finish, wake) = m.proto.on(On::Reply(entry)) {
+                    m.finish(from, wake);
+                }
+                out.push(m);
+            }
+            if timed && me.expired {
+                let mut m = *self;
+                if let (Do::Finish, wake) = m.proto.on(On::Reply(Some(me.timed))) {
+                    m.finish(w, wake);
+                }
+                out.push(m);
+            }
+        }
+
+        /// The peer, the clock and the table's owner.
+        fn world_steps(&self, out: &mut Vec<Model>) {
+            let half_frame = self.on_wire > 0 && !self.wire[self.on_wire - 1].1;
+            for w in 0..WAITERS {
+                let me = self.waiters[w];
+                if me.sent && !me.replied && !half_frame && !self.hung_up {
+                    let mut m = *self;
+                    m.waiters[w].replied = true;
+                    m.wire[m.on_wire] = (w, false);
+                    m.on_wire += 1;
+                    out.push(m);
+                }
+                if me.timed && !me.expired && !matches!(me.pc, Pc::Idle | Pc::Gone) {
+                    let mut m = *self;
+                    m.waiters[w].expired = true;
+                    out.push(m);
+                }
+            }
+            if half_frame {
+                let mut m = *self;
+                m.wire[m.on_wire - 1].1 = true;
+                out.push(m);
+            }
+            if !self.failed {
+                let mut m = *self;
+                m.failed = true;
+                let (_, wake) = m.proto.on(On::FailAll);
+                m.fail(wake);
+                out.push(m);
+            }
+            if !self.hung_up {
+                let mut m = *self;
+                m.hung_up = true;
+                out.push(m);
+            }
+            if !self.attach_done {
+                let mut m = *self;
+                m.attach_done = true;
+                match m.proto.on(On::Attach) {
+                    (Do::Keep, wake) => {
+                        m.attached = true;
+                        return m.offer(wake, out);
+                    }
+                    (Do::Refuse, _) => m.hung_up = true,
+                    _ => {}
+                }
+                out.push(m);
+            }
+        }
+
+        fn next(&self) -> Vec<Model> {
+            let mut out = Vec::new();
+            for w in 0..WAITERS {
+                self.waiter_steps(w, &mut out);
+            }
+            self.world_steps(&mut out);
+            out.into_iter().map(Model::canonical).collect()
+        }
+
+        fn check(&self, last: bool) -> Result<(), String> {
+            if let Some(fault) = self.fault {
+                return Err(fault.into());
+            }
+            let ws = &self.waiters;
+            let leaders = ws
+                .iter()
+                .filter(|w| matches!(w.pc, Pc::Leading { .. }))
+                .count();
+            let token = self.proto.token;
+            if leaders + usize::from(token == Token::Free) > 1
+                || (token == Token::Leading) != (leaders == 1) && !self.proto.closed
+            {
+                return Err(format!("{leaders} leaders with the token {token:?}"));
+            }
+            if self.proto.closed && token != Token::Detached {
+                return Err("a failed table keeps its reader".into());
+            }
+            let will_look = ws.iter().any(|w| {
+                matches!(w.pc, Pc::Looking | Pc::Sending)
+                    || matches!(w.pc, Pc::Asleep { .. }) && w.notified
+            });
+            if token == Token::Free && ws.iter().any(|w| w.in_table) && !will_look {
+                return Err("the reader is free and every waiter sleeps: reader lost".into());
+            }
+            let timed = ws.iter().filter(|w| w.in_table && w.timed).count();
+            if self.proto.armed != timed {
+                return Err(format!(
+                    "{} deadlines armed for {timed} timed entries",
+                    self.proto.armed
+                ));
+            }
+            for w in ws {
+                if matches!(w.pc, Pc::Asleep { .. }) && w.outcome && !w.notified {
+                    return Err("a waiter sleeps on its outcome: lost wake-up".into());
+                }
+                let untimed = matches!(
+                    w.pc,
+                    Pc::Asleep { timed: false } | Pc::Leading { timed: false }
+                );
+                if w.expired && !w.outcome && untimed {
+                    return Err("a waiter waits past its deadline".into());
+                }
+            }
+            if last && ws.iter().any(|w| w.pc != Pc::Gone) {
+                return Err("a waiter never returned".into());
+            }
+            Ok(())
+        }
+    }
+
+    /// Every order of 3 waiters, each with or without a deadline,
+    /// against replies to any of them (each arriving in two pieces), the
+    /// deadline of any, a failed send, `fail_all`, a hangup and
+    /// `attach_reader`: at most one leader and one reader, a reader that
+    /// is never lost and is `Detached` once the table fails, one outcome
+    /// per waiter with no lost wake-up and no wait past a deadline, and
+    /// armed deadlines equal to the entries that have one.
+    #[test]
+    fn every_interleaving_keeps_the_reader_and_wakes_each_waiter_once() {
+        let starts = (0..=WAITERS).map(|timed| Model::start(std::array::from_fn(|w| w < timed)));
+        let states = crate::explore::explore("reply token", starts, Model::next, Model::check);
+        assert!(
+            states > 10_000,
+            "the model explores too little: {states} states"
+        );
     }
 }

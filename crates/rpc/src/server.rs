@@ -12,25 +12,16 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Calls refused by the Figure 3.3 tag check (`rpc.stale_handle_rejections`).
-fn obs_stale_rejections() -> &'static clam_obs::Counter {
-    static COUNTER: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
-    COUNTER.get_or_init(|| clam_obs::counter("rpc.stale_handle_rejections"))
-}
-
-/// Re-delivered calls suppressed by the per-connection duplicate window
-/// (`rpc.duplicate_calls_dropped`).
-fn obs_duplicates_dropped() -> &'static clam_obs::Counter {
-    static COUNTER: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
-    COUNTER.get_or_init(|| clam_obs::counter("rpc.duplicate_calls_dropped"))
-}
-
-/// Service registry reads to route a call (`rpc.route_lookups`).
-fn obs_route_lookups() -> &'static clam_obs::Counter {
-    static COUNTER: OnceLock<Arc<clam_obs::Counter>> = OnceLock::new();
-    COUNTER.get_or_init(|| clam_obs::counter("rpc.route_lookups"))
+clam_obs::handles! {
+    /// Calls refused by the Figure 3.3 tag check (`rpc.stale_handle_rejections`).
+    fn obs_stale_rejections() -> Counter = counter("rpc.stale_handle_rejections");
+    /// Re-delivered calls suppressed by the per-connection duplicate window
+    /// (`rpc.duplicate_calls_dropped`).
+    fn obs_duplicates_dropped() -> Counter = counter("rpc.duplicate_calls_dropped");
+    /// Service registry reads to route a call (`rpc.route_lookups`).
+    fn obs_route_lookups() -> Counter = counter("rpc.route_lookups");
 }
 
 thread_local! {

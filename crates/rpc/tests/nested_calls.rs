@@ -31,6 +31,16 @@ fn nested_scope_is_thread_local_and_restores() {
 }
 
 #[test]
+fn a_panicking_handler_leaves_no_nested_context_behind() {
+    let unwound = std::panic::catch_unwind(|| nested_call_scope(|| panic!("handler fault")));
+    assert!(unwound.is_err());
+    assert!(
+        !in_nested_context(),
+        "a reused worker would frame every call as nested"
+    );
+}
+
+#[test]
 fn frame_header_identifies_nested_batches() {
     let plain = Message::CallBatch(Vec::new()).to_frame().unwrap();
     let nested = Message::NestedCallBatch(Vec::new()).to_frame().unwrap();

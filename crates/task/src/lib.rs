@@ -60,3 +60,7 @@ pub use error::{catch_panic, TaskError, TaskPanic, TaskResult};
 pub use event::Event;
 pub use scheduler::{on_block, Scheduler};
 pub use task::{JoinHandle, TaskId};
+
+#[cfg(test)]
+#[path = "../tests/support/explore.rs"]
+mod explore;

@@ -17,7 +17,7 @@ use std::cell::{Cell, OnceCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Unique id per scheduler instance, for the thread-local current-task
 /// marker.
@@ -34,11 +34,10 @@ thread_local! {
     static ON_BLOCK: Cell<Option<Rc<dyn Fn()>>> = const { Cell::new(None) };
 }
 
-/// Global `task.ready_depth` gauge, adjusted by ±1 as tasks enter and
-/// leave ready queues (summed over all schedulers in the process).
-fn obs_ready_depth() -> &'static clam_obs::Gauge {
-    static G: OnceLock<std::sync::Arc<clam_obs::Gauge>> = OnceLock::new();
-    G.get_or_init(|| clam_obs::gauge("task.ready_depth"))
+clam_obs::handles! {
+    /// Global `task.ready_depth` gauge, adjusted by ±1 as tasks enter and
+    /// leave ready queues (summed over all schedulers in the process).
+    fn obs_ready_depth() -> Gauge = gauge("task.ready_depth");
 }
 
 clam_obs::counters! {
@@ -111,10 +110,72 @@ impl Slot {
 }
 
 struct SchedState {
-    ready: VecDeque<Arc<Slot>>,
-    running: bool,
+    grants: Grants<Arc<Slot>>,
     live: usize,
     shutdown: bool,
+}
+
+/// Who holds the processor: the slots waiting for it, in order, and
+/// whether a task holds it. Every grant is decided by [`Grants::on`], a
+/// transition over this value alone: it takes no lock and wakes no
+/// thread, and the caller performs the [`Grant`] it returns. `S` is a
+/// worker's slot; the explorer in this module's tests drives plain ids.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Grants<S> {
+    ready: VecDeque<S>,
+    running: bool,
+}
+
+/// A change in who wants the processor: `S`'s task can run (spawned,
+/// woken or yielding), the holder gives it up (it blocks, exits or steps
+/// outside), or `S`'s task is back from outside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Want<S> {
+    Ready(S),
+    Release,
+    Rejoin(S),
+}
+
+/// What the caller does: wake `S`, whose task now holds the processor;
+/// wake the threads waiting for the scheduler to idle; run on, as a
+/// rejoining task that took the idle processor on its own thread; or
+/// wait for a grant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grant<S> {
+    Wake(S),
+    Idle,
+    Run,
+    Wait,
+}
+
+impl<S> Grants<S> {
+    fn on(&mut self, want: Want<S>) -> Grant<S> {
+        match want {
+            // Idle, so the ready queue is empty too: no thread switch.
+            Want::Rejoin(_) if !self.running => {
+                self.running = true;
+                Grant::Run
+            }
+            Want::Ready(slot) | Want::Rejoin(slot) => {
+                self.ready.push_back(slot);
+                if self.running {
+                    Grant::Wait
+                } else {
+                    self.on(Want::Release)
+                }
+            }
+            Want::Release => match self.ready.pop_front() {
+                Some(next) => {
+                    self.running = true;
+                    Grant::Wake(next)
+                }
+                None => {
+                    self.running = false;
+                    Grant::Idle
+                }
+            },
+        }
+    }
 }
 
 /// Shared scheduler internals; `Scheduler` is a cheap handle around this.
@@ -164,8 +225,10 @@ impl Scheduler {
                 uid: SCHED_IDS.fetch_add(1, Ordering::Relaxed),
                 name: name.to_string(),
                 state: Mutex::new(SchedState {
-                    ready: VecDeque::new(),
-                    running: false,
+                    grants: Grants {
+                        ready: VecDeque::new(),
+                        running: false,
+                    },
                     live: 0,
                     shutdown: false,
                 }),
@@ -228,7 +291,7 @@ impl Scheduler {
         inner.counters.tasks_spawned.inc();
         let mut st = inner.state.lock();
         st.live += 1;
-        make_ready_locked(inner, &mut st, slot);
+        grant(inner, &mut st, Want::Ready(slot));
         drop(st);
         Ok(JoinHandle {
             id,
@@ -247,8 +310,8 @@ impl Scheduler {
         SLOT.with(|slot| {
             let slot = slot.get().expect("a task runs on a worker thread");
             let mut st = inner.state.lock();
-            make_ready_locked(inner, &mut st, Arc::clone(slot));
-            grant_next_locked(inner, &mut st);
+            grant(inner, &mut st, Want::Ready(Arc::clone(slot)));
+            grant(inner, &mut st, Want::Release);
             drop(st);
             slot.park();
         });
@@ -291,7 +354,7 @@ impl Scheduler {
     pub fn wait_idle(&self) {
         let inner = &self.inner;
         let mut st = inner.state.lock();
-        while st.running || !st.ready.is_empty() {
+        while st.grants.running || !st.grants.ready.is_empty() {
             inner.idle_cv.wait(&mut st);
         }
     }
@@ -368,7 +431,7 @@ impl Scheduler {
         // Completed under the state lock, so a joiner never sees the task
         // done and still live.
         completion.complete(outcome);
-        grant_next_locked(&sched, &mut st);
+        grant(&sched, &mut st, Want::Release);
         drop(st);
         sched
     }
@@ -383,27 +446,29 @@ impl Scheduler {
 // scheduler state, then an event's own mutex, then a slot's.
 // ----------------------------------------------------------------------
 
-/// Hand the processor to the next ready task, or mark the scheduler idle;
-/// the caller has already disposed of the task giving the processor up.
-fn grant_next_locked(inner: &SchedInner, st: &mut SchedState) {
-    if let Some(next) = st.ready.pop_front() {
-        obs_ready_depth().adjust(-1);
-        inner.counters.context_switches.inc();
-        st.running = true;
-        next.grant();
-    } else {
-        st.running = false;
-        inner.idle_cv.notify_all();
+/// Decide `want` with [`Grants::on`] and perform the grant: wake the slot
+/// it names, or the threads waiting for the scheduler to idle. A task
+/// that is handed [`Grant::Wait`] parks on its slot once the caller has
+/// dropped the state lock.
+fn grant(inner: &SchedInner, st: &mut SchedState, want: Want<Arc<Slot>>) -> Grant<Arc<Slot>> {
+    let queued = st.grants.ready.len();
+    let grant = st.grants.on(want);
+    #[allow(clippy::cast_possible_wrap)]
+    let moved = st.grants.ready.len() as i64 - queued as i64;
+    if moved != 0 {
+        obs_ready_depth().adjust(moved);
     }
-}
-
-/// Queue `slot`'s task behind the ready tasks, and dispatch if idle.
-fn make_ready_locked(inner: &SchedInner, st: &mut SchedState, slot: Arc<Slot>) {
-    st.ready.push_back(slot);
-    obs_ready_depth().adjust(1);
-    if !st.running {
-        grant_next_locked(inner, st);
+    match &grant {
+        Grant::Wake(slot) => {
+            inner.counters.context_switches.inc();
+            slot.grant();
+        }
+        Grant::Idle => {
+            inner.idle_cv.notify_all();
+        }
+        Grant::Run | Grant::Wait => {}
     }
+    grant
 }
 
 /// Identify the calling task under `inner`, if any.
@@ -449,7 +514,7 @@ pub(crate) fn outside<R>(inner: &SchedInner, f: impl FnOnce() -> R) -> R {
     before_block();
     // Nothing wakes the task while it is outside: its slot is in no
     // event's waiter list.
-    grant_next_locked(inner, &mut inner.state.lock());
+    grant(inner, &mut inner.state.lock(), Want::Release);
     CURRENT.with(|c| c.set(None));
     // Rejoin even if `f` unwinds: the task's exit path expects to hold
     // the processor.
@@ -467,18 +532,16 @@ impl Drop for Rejoin<'_> {
     fn drop(&mut self) {
         let inner = self.inner;
         CURRENT.with(|c| c.set(Some((inner.uid, self.me.0))));
-        let mut st = inner.state.lock();
-        if !st.running {
-            // Idle (so the ready queue is empty too): take the processor
-            // on this very thread.
-            st.running = true;
-            return;
-        }
         SLOT.with(|slot| {
             let slot = slot.get().expect("a task runs on a worker thread");
-            make_ready_locked(inner, &mut st, Arc::clone(slot));
-            drop(st);
-            slot.park();
+            let mut st = inner.state.lock();
+            if !matches!(
+                grant(inner, &mut st, Want::Rejoin(Arc::clone(slot))),
+                Grant::Run
+            ) {
+                drop(st);
+                slot.park();
+            }
         });
     }
 }
@@ -494,7 +557,7 @@ pub(crate) fn block_current_task(inner: &SchedInner, prepare: impl FnOnce(&Arc<S
         let slot = slot.get().expect("a task runs on a worker thread");
         let mut st = inner.state.lock();
         if prepare(slot) {
-            grant_next_locked(inner, &mut st);
+            grant(inner, &mut st, Want::Release);
             // Never park holding the state lock: the grant that wakes us
             // takes it.
             drop(st);
@@ -509,6 +572,142 @@ pub(crate) fn block_current_task(inner: &SchedInner, prepare: impl FnOnce(&Arc<S
 pub(crate) fn wake_picked_task(inner: &SchedInner, pick: impl FnOnce() -> Option<Arc<Slot>>) {
     let mut st = inner.state.lock();
     if let Some(slot) = pick() {
-        make_ready_locked(inner, &mut st, slot);
+        grant(inner, &mut st, Want::Ready(slot));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Grant, Grants, Want};
+    use crate::explore::explore;
+    use std::collections::VecDeque;
+
+    /// Where one modelled task is.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Pc {
+        Unborn,
+        /// Parked on its slot: queued, or just granted the processor.
+        Parked,
+        Running,
+        Outside,
+        /// Waiting on an event.
+        Blocked,
+        Done,
+    }
+
+    /// A task: where it is, whether its slot holds a grant, and how many
+    /// more times it may yield, block or step outside before it exits.
+    type Task = (Pc, bool, u8);
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Model {
+        grants: Grants<usize>,
+        tasks: Vec<Task>,
+        fault: Option<&'static str>,
+    }
+
+    impl Model {
+        /// Decide `want` and perform the grant, as `super::grant` does.
+        fn want(&mut self, want: Want<usize>) -> Grant<usize> {
+            let grant = self.grants.on(want);
+            if let Grant::Wake(t) = grant {
+                if self.tasks[t].0 != Pc::Parked || self.tasks[t].1 {
+                    self.fault = Some("granted a slot that does not wait for a grant");
+                }
+                self.tasks[t].1 = true;
+            }
+            grant
+        }
+
+        fn next(&self) -> Vec<Model> {
+            let mut out = Vec::new();
+            for t in 0..self.tasks.len() {
+                let (pc, granted, budget) = self.tasks[t];
+                let mut step = |f: &dyn Fn(&mut Model)| {
+                    let mut m = self.clone();
+                    f(&mut m);
+                    out.push(m);
+                };
+                match pc {
+                    Pc::Unborn => step(&|m| {
+                        m.tasks[t].0 = Pc::Parked;
+                        m.want(Want::Ready(t));
+                    }),
+                    Pc::Parked if granted => step(&|m| m.tasks[t] = (Pc::Running, false, budget)),
+                    Pc::Running => {
+                        step(&|m| {
+                            m.tasks[t].0 = Pc::Done;
+                            m.want(Want::Release);
+                        });
+                        if budget == 0 {
+                            continue;
+                        }
+                        for to in [Pc::Parked, Pc::Outside, Pc::Blocked] {
+                            step(&|m| {
+                                m.tasks[t] = (to, false, budget - 1);
+                                if to == Pc::Parked {
+                                    m.want(Want::Ready(t)); // a yield
+                                }
+                                m.want(Want::Release);
+                            });
+                        }
+                    }
+                    Pc::Outside => step(&|m| {
+                        m.tasks[t].0 = Pc::Parked;
+                        if m.want(Want::Rejoin(t)) == Grant::Run {
+                            m.tasks[t].0 = Pc::Running;
+                        }
+                    }),
+                    Pc::Blocked => step(&|m| {
+                        m.tasks[t].0 = Pc::Parked;
+                        m.want(Want::Ready(t)); // a signal
+                    }),
+                    Pc::Parked | Pc::Done => {}
+                }
+            }
+            out
+        }
+
+        fn check(&self, last: bool) -> Result<(), String> {
+            if let Some(fault) = self.fault {
+                return Err(fault.into());
+            }
+            let holders = self
+                .tasks
+                .iter()
+                .filter(|&&(pc, granted, _)| pc == Pc::Running || granted)
+                .count();
+            if holders != usize::from(self.grants.running) {
+                return Err(format!("{holders} tasks hold the processor"));
+            }
+            if !self.grants.running && !self.grants.ready.is_empty() {
+                return Err("the scheduler idles while a task is ready".into());
+            }
+            if last && self.tasks.iter().any(|&(pc, ..)| pc != Pc::Done) {
+                return Err("a task never finished".into());
+            }
+            Ok(())
+        }
+    }
+
+    /// Every order in which up to 3 tasks are spawned, yield, block on an
+    /// event and are signalled, step outside and rejoin, and exit: the
+    /// processor is granted to at most one slot, never idles while a
+    /// task is ready, and every task finishes.
+    #[test]
+    fn every_interleaving_grants_the_processor_to_one_task() {
+        let starts = (1..=3).map(|n| Model {
+            grants: Grants {
+                ready: VecDeque::new(),
+                running: false,
+            },
+            tasks: vec![(Pc::Unborn, false, 2); n],
+            fault: None,
+        });
+        let states = explore("scheduler grants", starts, Model::next, Model::check);
+        assert!(
+            states > 1000,
+            "the model explores too little: {states} states"
+        );
     }
 }

@@ -20,14 +20,11 @@ use crate::geometry::{Point, Rect};
 use crate::screen::Screen;
 use crate::window::{Window, WindowId};
 use clam_core::{UpcallRegistry, UpcallTarget};
-use clam_obs::Counter;
 use clam_rpc::RpcResult;
-use std::sync::{Arc, OnceLock};
 
-/// Raw input events routed by any window manager (`wm.events_routed`).
-fn obs_events_routed() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| clam_obs::counter("wm.events_routed"))
+clam_obs::handles! {
+    /// Raw input events routed by any window manager (`wm.events_routed`).
+    fn obs_events_routed() -> Counter = counter("wm.events_routed");
 }
 
 clam_xdr::bundle_struct! {
