@@ -1,11 +1,13 @@
 //! The duplex message channel and its split reader/writer halves.
 //!
-//! Every socket's channel is metered once, at its stream halves: frames
-//! and bytes in each direction feed the global `net.*` counters, keyed by
-//! the transport kind (the label's first `-`-separated segment: `inmem`,
-//! `unix`, `tcp`). A channel layered over another — a fault injector, a
-//! WAN link among them — adds no count of its own, so each frame on the
-//! wire is counted once, under the transport that carries it.
+//! Every socket's channel is metered once, at its stream halves: each
+//! half counts its frames and bytes in counters of its own
+//! ([`Registry::instance`](clam_obs::Registry::instance)), which every
+//! snapshot sums into the `net.*` totals keyed by the transport kind
+//! (the label's first `-`-separated segment: `inmem`, `unix`, `tcp`).
+//! A channel layered over another — a fault injector, a WAN link among
+//! them — adds no count of its own, so each frame on the wire is counted
+//! once, under the transport that carries it.
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
@@ -158,7 +160,6 @@ impl Channel {
                 unsent: None,
                 pool: None,
                 meter: Meter::new("sent", kind),
-                frame_bytes: clam_obs::histogram("net.frame_bytes"),
             }),
             Box::new(StreamReader::new(socket, kind)),
         )
@@ -220,7 +221,8 @@ fn transport_kind(label: &str) -> &str {
     }
 }
 
-/// `net.frames_{dir}.{kind}` and `net.bytes_{dir}.{kind}` of a stream half.
+/// `net.frames_{dir}.{kind}` and `net.bytes_{dir}.{kind}`: a stream
+/// half's own counters, which no other half's thread writes.
 struct Meter {
     frames: Arc<clam_obs::Counter>,
     bytes: Arc<clam_obs::Counter>,
@@ -229,8 +231,8 @@ struct Meter {
 impl Meter {
     fn new(direction: &str, kind: &str) -> Meter {
         Meter {
-            frames: clam_obs::counter(&format!("net.frames_{direction}.{kind}")),
-            bytes: clam_obs::counter(&format!("net.bytes_{direction}.{kind}")),
+            frames: instance(&format!("frames_{direction}"), kind),
+            bytes: instance(&format!("bytes_{direction}"), kind),
         }
     }
 
@@ -238,6 +240,11 @@ impl Meter {
         self.frames.inc();
         self.bytes.add(wire_len as u64);
     }
+}
+
+/// A stream half's own `net.{name}.{kind}` counter.
+fn instance(name: &str, kind: &str) -> Arc<clam_obs::Counter> {
+    clam_obs::registry().instance(&format!("net.{name}.{kind}"))
 }
 
 // ----------------------------------------------------------------------
@@ -347,7 +354,6 @@ struct StreamWriter<S: Socket> {
     unsent: Option<(Frame, usize)>,
     pool: Option<BufferPool>,
     meter: Meter,
-    frame_bytes: Arc<clam_obs::Histogram>,
 }
 
 impl<S: Socket> StreamWriter<S> {
@@ -394,7 +400,6 @@ impl<S: Socket> MsgWriter for StreamWriter<S> {
         self.unsent = Some((frame, 0));
         let sent = self.write_some()?;
         self.meter.count(wire_len);
-        self.frame_bytes.observe(wire_len as u64);
         Ok(sent)
     }
 
@@ -481,7 +486,6 @@ struct StreamReader<S> {
 
 impl<S: Socket> StreamReader<S> {
     fn new(socket: Arc<S>, kind: &str) -> StreamReader<S> {
-        let instance = |name: &str| clam_obs::registry().instance(&format!("net.{name}.{kind}"));
         StreamReader {
             socket,
             buf: vec![0; RECV_BUF].into_boxed_slice(),
@@ -493,9 +497,9 @@ impl<S: Socket> StreamReader<S> {
             wait: None,
             pool: None,
             meter: Meter::new("recv", kind),
-            spun: instance("recv_spun"),
-            slept: instance("recv_slept"),
-            probes: instance("recv_probes"),
+            spun: instance("recv_spun", kind),
+            slept: instance("recv_slept", kind),
+            probes: instance("recv_probes", kind),
         }
     }
 
@@ -718,8 +722,6 @@ mod tests {
         assert!(delta.counter("net.frames_sent.inmem") >= 1);
         assert!(delta.counter("net.bytes_sent.inmem") >= 14);
         assert!(delta.counter("net.frames_recv.inmem") >= 1);
-        let hist = delta.histogram("net.frame_bytes").expect("histogram");
-        assert!(hist.count >= 1);
     }
 
     /// `net.frames_sent.{kind}` and `net.frames_recv.{kind}` in `snap`.

@@ -1,10 +1,16 @@
 //! Bounded per-process event journal with a JSON-lines dump.
 //!
-//! The journal is a preallocated ring of fixed-size [`Event`]s — no
-//! strings, no per-record allocation — so recording from hot paths costs
-//! one short mutex hold and a few word writes. When the ring fills, the
-//! oldest events fall off; `total` keeps counting so a reader can tell
-//! truncation happened.
+//! The journal keeps one preallocated ring of fixed-size [`Event`]s per
+//! recording thread — no strings, no per-record allocation — so
+//! recording from hot paths writes the calling thread's own ring under a
+//! lock no other recording thread takes, and shares no cache line with
+//! another recorder. A thread's first record takes a ring from the
+//! journal's free list (or makes one), and the ring goes back to that
+//! list when the thread exits, so the journal holds as many rings as it
+//! ever had live recording threads. When a ring fills, its oldest events
+//! fall off; `total` keeps counting so a reader can tell truncation
+//! happened. Readers merge the rings oldest first by a nanosecond
+//! timestamp taken from the journal's one start [`Instant`].
 //!
 //! Events carry the [`TraceContext`] under which they occurred plus the
 //! parent span, which is all a stitcher needs: dump the journals of two
@@ -12,8 +18,9 @@
 //! client → server → upcall-back-into-client chain reads as one tree.
 
 use crate::trace::{SpanId, TraceContext, TraceId};
+use std::cell::RefCell;
 use std::io::{self, Write};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
 /// What happened at one instant of a span's life.
@@ -140,25 +147,103 @@ impl Event {
     }
 }
 
+/// One recording thread's events, oldest at `head` once full. Aligned
+/// so that the thread writing it shares no cache line with another
+/// ring's writer.
+#[repr(align(128))]
 struct Ring {
-    buf: Vec<Event>,
+    /// Each event with its nanoseconds since the journal's start.
+    buf: Vec<(u64, Event)>,
     head: usize,
     total: u64,
 }
 
-/// A bounded ring of [`Event`]s. Normally accessed through the
-/// process-global [`journal`]; separate instances exist for tests.
-pub struct Journal {
-    inner: Mutex<Ring>,
+impl Ring {
+    fn push(&mut self, t_ns: u64, ev: Event, capacity: usize) {
+        self.total += 1;
+        if self.buf.len() < capacity {
+            self.buf.push((t_ns, ev)); // within preallocated capacity
+        } else {
+            self.buf[self.head] = (t_ns, ev);
+            self.head = (self.head + 1) % capacity;
+        }
+    }
+}
+
+/// Lock `m`, also after a panic: each update of a ring or a ring list
+/// is one push, pop or store, so no panic leaves one torn.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Every ring a journal has made, in the order it made them, and those
+/// no live thread holds.
+#[derive(Default)]
+struct Rings {
+    all: Vec<Arc<Mutex<Ring>>>,
+    free: Vec<Arc<Mutex<Ring>>>,
+}
+
+struct Shared {
+    rings: Mutex<Rings>,
     capacity: usize,
     start: Instant,
 }
 
-impl Journal {
-    /// Default ring capacity of the process-global journal.
-    pub const DEFAULT_CAPACITY: usize = 8192;
+impl Shared {
+    /// A free ring, or a new one when every ring is held.
+    fn take(&self) -> Arc<Mutex<Ring>> {
+        let mut rings = lock(&self.rings);
+        rings.free.pop().unwrap_or_else(|| {
+            let ring = Arc::new(Mutex::new(Ring {
+                buf: Vec::with_capacity(self.capacity),
+                head: 0,
+                total: 0,
+            }));
+            rings.all.push(Arc::clone(&ring));
+            ring
+        })
+    }
 
-    /// A journal retaining the most recent `capacity` events.
+    fn give_back(&self, ring: Arc<Mutex<Ring>>) {
+        lock(&self.rings).free.push(ring);
+    }
+}
+
+/// A ring this thread holds in one journal, given back when the thread
+/// exits.
+struct Held {
+    journal: Weak<Shared>,
+    ring: Arc<Mutex<Ring>>,
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        if let Some(journal) = self.journal.upgrade() {
+            journal.give_back(Arc::clone(&self.ring));
+        }
+    }
+}
+
+thread_local! {
+    /// The rings this thread records into, one per journal.
+    static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A bounded journal of [`Event`]s, one ring per recording thread.
+/// Normally accessed through the process-global [`journal`]; separate
+/// instances exist for tests.
+pub struct Journal {
+    shared: Arc<Shared>,
+}
+
+impl Journal {
+    /// Ring capacity of the process-global journal: the most recent
+    /// events it keeps of each recording thread, in 128 KiB a ring.
+    pub const DEFAULT_CAPACITY: usize = 2048;
+
+    /// A journal retaining the most recent `capacity` events of each
+    /// recording thread.
     ///
     /// # Panics
     ///
@@ -167,52 +252,70 @@ impl Journal {
     pub fn with_capacity(capacity: usize) -> Journal {
         assert!(capacity > 0, "journal capacity must be nonzero");
         Journal {
-            inner: Mutex::new(Ring {
-                buf: Vec::with_capacity(capacity),
-                head: 0,
-                total: 0,
+            shared: Arc::new(Shared {
+                rings: Mutex::default(),
+                capacity,
+                start: Instant::now(),
             }),
-            capacity,
-            start: Instant::now(),
         }
     }
 
-    /// Record an event under `ctx` with parent span `parent`.
+    /// Record an event under `ctx` with parent span `parent`, in the
+    /// calling thread's ring.
     pub fn record(&self, kind: EventKind, ctx: TraceContext, parent: SpanId, code: u32) {
-        let t_us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let t_ns = u64::try_from(self.shared.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let ev = Event {
             kind,
             trace: ctx.trace,
             span: ctx.span,
             parent,
-            t_us,
+            t_us: t_ns / 1000,
             code,
         };
-        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        ring.total += 1;
-        if ring.buf.len() < self.capacity {
-            ring.buf.push(ev); // within preallocated capacity
-        } else {
-            let head = ring.head;
-            ring.buf[head] = ev;
-            ring.head = (head + 1) % self.capacity;
+        let capacity = self.shared.capacity;
+        let recorded = HELD.try_with(|held| {
+            let mut held = held.borrow_mut();
+            let mine = Arc::as_ptr(&self.shared);
+            let ring = match held.iter().position(|h| h.journal.as_ptr() == mine) {
+                Some(i) => &held[i].ring,
+                None => {
+                    held.retain(|h| h.journal.strong_count() > 0);
+                    let ring = self.shared.take();
+                    let journal = Arc::downgrade(&self.shared);
+                    held.push(Held { journal, ring });
+                    &held[held.len() - 1].ring
+                }
+            };
+            lock(ring).push(t_ns, ev, capacity);
+        });
+        if recorded.is_err() {
+            // The thread is exiting and has given its rings back.
+            let ring = self.shared.take();
+            lock(&ring).push(t_ns, ev, capacity);
+            self.shared.give_back(ring);
         }
     }
 
-    /// All retained events, oldest first.
+    /// All retained events, oldest first. Events recorded in the same
+    /// nanosecond keep the order of their rings, so each thread's events
+    /// keep the order it recorded them in.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = Vec::with_capacity(ring.buf.len());
-        out.extend_from_slice(&ring.buf[ring.head..]);
-        out.extend_from_slice(&ring.buf[..ring.head]);
-        out
+        let mut all = Vec::new();
+        for ring in &lock(&self.shared.rings).all {
+            let ring = lock(ring);
+            all.extend_from_slice(&ring.buf[ring.head..]);
+            all.extend_from_slice(&ring.buf[..ring.head]);
+        }
+        all.sort_by_key(|&(t_ns, _)| t_ns); // stable
+        all.into_iter().map(|(_, ev)| ev).collect()
     }
 
-    /// Events ever recorded (≥ retained when the ring has wrapped).
+    /// Events ever recorded (≥ retained when a ring has wrapped).
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).total
+        let rings = lock(&self.shared.rings);
+        rings.all.iter().map(|ring| lock(ring).total).sum()
     }
 
     /// Write every retained event as JSON lines.
@@ -287,6 +390,98 @@ mod tests {
             vec![6, 7, 8, 9]
         );
         assert_eq!(j.total(), 10);
+    }
+
+    /// Rings `j` has made.
+    fn rings(j: &Journal) -> usize {
+        lock(&j.shared.rings).all.len()
+    }
+
+    /// `threads` threads record `each` events into `j` at once, each
+    /// under its own trace and with codes 0, 1, …, all holding a ring
+    /// before any records its second event; their traces.
+    fn record_from_threads(j: &Arc<Journal>, threads: usize, each: u32) -> Vec<TraceId> {
+        let start = Arc::new(std::sync::Barrier::new(threads));
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (j, start) = (Arc::clone(j), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let c = ctx();
+                    for code in 0..each {
+                        j.record(EventKind::ServerDispatch, c, SpanId::NONE, code);
+                        if code == 0 {
+                            start.wait(); // every thread holds its ring
+                        }
+                    }
+                    c.trace
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    }
+
+    #[test]
+    fn threads_record_into_rings_merged_in_time_order() {
+        let j = Arc::new(Journal::with_capacity(10_000));
+        let traces = record_from_threads(&j, 4, 10_000);
+        assert_eq!(j.total(), 40_000);
+        let evs = j.events();
+        assert_eq!(evs.len(), 40_000);
+        assert!(
+            evs.windows(2).all(|w| w[0].t_us <= w[1].t_us),
+            "oldest first"
+        );
+        for trace in traces {
+            let codes: Vec<u32> = evs
+                .iter()
+                .filter(|e| e.trace == trace)
+                .map(|e| e.code)
+                .collect();
+            assert_eq!(
+                codes,
+                (0..10_000).collect::<Vec<_>>(),
+                "in its thread's order"
+            );
+        }
+    }
+
+    #[test]
+    fn an_exited_threads_ring_serves_the_next_thread() {
+        let j = Arc::new(Journal::with_capacity(64));
+        record_from_threads(&j, 4, 100);
+        assert_eq!(rings(&j), 4, "one ring per recording thread");
+        record_from_threads(&j, 4, 100);
+        assert_eq!(rings(&j), 4, "the new threads reuse the free rings");
+        assert_eq!(j.total(), 800);
+    }
+
+    #[test]
+    fn a_warm_thread_records_without_the_list_of_rings() {
+        let j = Arc::new(Journal::with_capacity(16));
+        let (go, wait) = std::sync::mpsc::channel();
+        let (done, finished) = std::sync::mpsc::channel();
+        let recorder = {
+            let j = Arc::clone(&j);
+            std::thread::spawn(move || {
+                let c = ctx();
+                j.record(EventKind::CallStart, c, SpanId::NONE, 0);
+                done.send(()).unwrap();
+                wait.recv().unwrap();
+                for code in 1..=10_000 {
+                    j.record(EventKind::CallEnd, c, SpanId::NONE, code);
+                }
+                done.send(()).unwrap();
+            })
+        };
+        finished.recv().unwrap();
+        {
+            let _list = lock(&j.shared.rings);
+            go.send(()).unwrap();
+            let recorded = finished.recv_timeout(std::time::Duration::from_secs(30));
+            assert!(recorded.is_ok(), "record waited for the list of rings");
+        }
+        recorder.join().unwrap();
+        assert_eq!(j.total(), 10_001);
     }
 
     #[test]

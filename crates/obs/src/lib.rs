@@ -18,8 +18,8 @@
 //!    zero-allocation steady state; an owner's own ([`counters!`]) too.
 //! 3. **Event journal** ([`mod@journal`]): a bounded, preallocated ring of
 //!    fixed-size span events (call start/end, upcall enter/exit, fault
-//!    injected, deadline fired) with a JSON-lines dump for offline
-//!    stitching.
+//!    injected, deadline fired) per recording thread, merged in time
+//!    order on read, with a JSON-lines dump for offline stitching.
 //!
 //! The crate sits at the very bottom of the dependency graph and uses
 //! only `std`, so every layer — including `clam-xdr` — can depend on it

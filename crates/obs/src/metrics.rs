@@ -266,6 +266,14 @@ impl Registry {
         })
     }
 
+    /// Instances the registry holds under `name`: the live ones and those
+    /// dropped since `name` last registered or the registry was
+    /// snapshotted.
+    #[must_use]
+    pub fn instances(&self, name: &str) -> usize {
+        self.family(name, |f| f.instances.len())
+    }
+
     fn family<T>(&self, name: &str, get: impl FnOnce(&mut CounterFamily) -> T) -> T {
         let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         let new = || Metric::Counter(CounterFamily::default());
