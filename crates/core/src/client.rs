@@ -24,7 +24,6 @@ use clam_rpc::{
 use clam_task::Scheduler;
 use clam_xdr::{Bundle, Opaque};
 use parking_lot::Mutex;
-use rand::RngCore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -218,7 +217,7 @@ impl ClamClient {
     ///
     /// Transport errors connecting or handshaking.
     pub fn connect_opts(endpoint: &Endpoint, opts: ClientOptions) -> RpcResult<Arc<ClamClient>> {
-        let nonce = rand::thread_rng().next_u64();
+        let nonce = clam_obs::unique_id();
 
         let mut rpc_ch = opts.connector.connect(endpoint)?;
         rpc_ch.send(&clam_xdr::encode(&Hello {

@@ -605,7 +605,7 @@ mod tests {
             nonce: 0x5eed,
         };
         client
-            .send(clam_net::encode_frame(&clam_xdr::encode(&hello).unwrap()).unwrap())
+            .send(clam_net::Frame::from_payload(&clam_xdr::encode(&hello).unwrap()).unwrap())
             .unwrap();
         let (release, released) = std::sync::mpsc::channel();
         let listener = Arc::new(ScriptedListener {

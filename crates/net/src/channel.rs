@@ -230,9 +230,10 @@ struct Meter {
 
 impl Meter {
     fn new(direction: &str, kind: &str) -> Meter {
+        let registry = clam_obs::registry();
         Meter {
-            frames: instance(&format!("frames_{direction}"), kind),
-            bytes: instance(&format!("bytes_{direction}"), kind),
+            frames: registry.instance(&format!("net.frames_{direction}.{kind}")),
+            bytes: registry.instance(&format!("net.bytes_{direction}.{kind}")),
         }
     }
 
@@ -1220,12 +1221,26 @@ mod tests {
                 received: Arc::clone(&received),
             });
             let mut reader = StreamReader::new(Arc::new(ours), "test");
-            // Frames that are there when asked for: the reader probes.
+            // Frames that are there when asked for: a reader that expects
+            // a short wait probes, and one that expects a long one (it was
+            // fresh, or descheduled mid-receive) is back to probing within
+            // two receives.
+            let (mut expected, mut probed) = (vec![reader.wait], Vec::new());
             for _ in 0..100 {
+                let spun = reader.spun.get();
                 write_all(&*theirs, ping.wire());
                 assert_eq!(reader.recv().unwrap(), b"ping");
+                probed.push(reader.spun.get() > spun);
+                expected.push(reader.wait);
             }
-            assert!(reader.spun.get() >= 99, "kind {kind}: {:?}", waits(&reader));
+            let short = |i: usize| expected[i].is_some_and(|wait| wait < SPIN_CAP);
+            for (i, &probed) in probed.iter().enumerate() {
+                let back = short(i + 1) || short((i + 2).min(100));
+                assert!(
+                    probed || !short(i) && back,
+                    "kind {kind}, receive {i}: {expected:?}"
+                );
+            }
             // The peer falls silent twice, for 0.1 s and then for 1 s.
             let peer = std::thread::spawn(move || {
                 for silence in [100, 1_000] {

@@ -19,6 +19,13 @@
 //! peer observes a well-framed-but-garbage message (the protocol-violation
 //! path), never a wedged length prefix.
 //!
+//! A frame's fate is one function of the seed and the frame sequence:
+//! first the scripted disconnect and partition thresholds, then the four
+//! chances, the hold and the truncation point. The wrapped writer calls
+//! it for each frame and only counts, journals and delivers what it
+//! returns; [`FaultPlan::planned_fates`] replays the same function without
+//! a channel, so the replay cannot drift from the writer it checks.
+//!
 //! A plan's fixed [`latency`](FaultPlan::latency) is the one exception:
 //! it holds each frame the wrapped end *receives*, where reads wait,
 //! outside any scheduler's baton. A random delay's hold waits in
@@ -26,10 +33,8 @@
 
 use crate::channel::{Channel, Closer, MsgReader, MsgWriter};
 use crate::error::{NetError, NetResult};
-use crate::frame::{encode_frame, Frame};
+use crate::frame::Frame;
 use clam_xdr::BufferPool;
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,9 +43,10 @@ use std::time::{Duration, Instant};
 /// A deterministic, seedable schedule of transport faults.
 ///
 /// Probabilities are per frame, drawn independently in a fixed order
-/// (drop, delay, duplicate, truncate) from a [`SmallRng`] seeded with
-/// [`FaultPlan::seed`] — the same seed always produces the same fault
-/// sequence for the same frame sequence.
+/// (drop, delay, duplicate, truncate) from the SplitMix64 stream
+/// ([`clam_obs::splitmix64`]) that starts at [`FaultPlan::seed`] — the
+/// same seed always produces the same fault sequence for the same frame
+/// sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault RNG. Equal seeds replay equal fault sequences.
@@ -154,63 +160,27 @@ impl FaultPlan {
     /// Replay, without any channel, the fates this plan deals to a frame
     /// sequence with the given payload lengths.
     ///
-    /// This is the *pure function* the module docs promise: the live
-    /// [`FaultyChannel`] and this replay share one draw routine
-    /// (`draw_fate`) and one scripted-transition state machine, so for
-    /// the same seed and the same frame sequence the returned fates are
-    /// exactly what a wrapped channel would do — which is how tests prove
-    /// the fault *metrics* correct rather than merely present. Payload
-    /// lengths matter because empty payloads skip the truncation draw.
+    /// This is the *pure function* the module docs promise: a loop over
+    /// the one function that decides each frame's fate, which the live
+    /// [`FaultyChannel`] calls for every frame it sends. For the same seed
+    /// and the same frame sequence the returned fates are exactly what a
+    /// wrapped channel would do — which is how tests prove the fault
+    /// *metrics* correct rather than merely present. Payload lengths
+    /// matter because empty payloads skip the truncation draw.
     #[must_use]
     pub fn planned_fates(&self, payload_lens: &[usize]) -> Vec<FrameFate> {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut partitioned = false;
-        let mut disconnected = false;
-        let mut offered = 0u64;
-        let mut out = Vec::with_capacity(payload_lens.len());
-        for &len in payload_lens {
-            if disconnected {
-                out.push(FrameFate {
-                    disconnected: true,
-                    ..FrameFate::default()
-                });
-                continue;
-            }
-            offered += 1;
-            let n = offered;
-            if self.disconnect_after.is_some_and(|limit| n > limit) {
-                disconnected = true;
-                out.push(FrameFate {
-                    offered: true,
-                    disconnected: true,
-                    ..FrameFate::default()
-                });
-                continue;
-            }
-            if self.partition_after.is_some_and(|limit| n == limit + 1) {
-                partitioned = true;
-            }
-            if partitioned {
-                out.push(FrameFate {
-                    offered: true,
-                    dropped: true,
-                    partitioned: true,
-                    ..FrameFate::default()
-                });
-                continue;
-            }
-            let d = draw_fate(&mut rng, self, len);
-            out.push(FrameFate {
-                offered: true,
-                dropped: d.dropped,
-                delayed: d.hold.is_some(),
-                duplicated: d.duplicated,
-                truncated: d.keep.is_some(),
-                partitioned: false,
-                disconnected: false,
-            });
-        }
-        out
+        let mut fates = Fates {
+            plan: *self,
+            draws: 0,
+            offered: 0,
+        };
+        let (mut partitioned, mut disconnected) = (false, false);
+        let fate = |&len: &usize| {
+            let f = fates.next(len, partitioned, disconnected).0;
+            (partitioned, disconnected) = (f.partitioned, f.disconnected);
+            f
+        };
+        payload_lens.iter().map(fate).collect()
     }
 
     /// Fold [`FaultPlan::planned_fates`] into the reading
@@ -272,53 +242,84 @@ impl FrameFate {
     }
 }
 
-/// One frame's randomized fate. Draws happen in a fixed order — the four
-/// per-fault chances, then the delay hold, then the truncation keep —
-/// and conditional draws are skipped exactly as the send path skips
-/// them, so the RNG stream stays a pure function of (seed, frame
-/// sequence, payload emptiness).
-struct DrawnFate {
-    dropped: bool,
-    hold: Option<Duration>,
-    duplicated: bool,
-    keep: Option<usize>,
+/// The one decision of the fault layer: the fate of each frame a plan
+/// sees, in order. The live writer and [`FaultPlan::planned_fates`] both
+/// run it.
+struct Fates {
+    plan: FaultPlan,
+    /// Draws taken from the plan's SplitMix64 stream.
+    draws: u64,
+    /// Frames offered to the fault layer.
+    offered: u64,
 }
 
-fn chance(rng: &mut SmallRng, p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
+impl Fates {
+    fn draw(&mut self) -> u64 {
+        self.draws += 1;
+        clam_obs::splitmix64(self.plan.seed, self.draws)
     }
-    if p >= 1.0 {
-        return true;
-    }
-    // 53-bit uniform draw in [0, 1).
-    let draw = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    draw < p
-}
 
-fn draw_fate(rng: &mut SmallRng, plan: &FaultPlan, payload_len: usize) -> DrawnFate {
-    let dropped = chance(rng, plan.drop);
-    let delayed = chance(rng, plan.delay);
-    let duplicated = chance(rng, plan.duplicate);
-    let truncated = chance(rng, plan.truncate);
-    let hold = if !dropped && delayed && !plan.max_delay.is_zero() {
-        #[allow(clippy::cast_possible_truncation)]
-        let micros = rng.gen_range(0..=plan.max_delay.as_micros()) as u64;
-        Some(Duration::from_micros(micros))
-    } else {
-        None
-    };
-    let keep = if !dropped && truncated && payload_len > 0 {
-        #[allow(clippy::cast_possible_truncation)]
-        Some(rng.gen_range(0..payload_len as u64) as usize)
-    } else {
-        None
-    };
-    DrawnFate {
-        dropped,
-        hold,
-        duplicated: duplicated && !dropped,
-        keep,
+    /// True with probability `p`, from the top 53 bits of one draw; no
+    /// draw for `p <= 0` or `p >= 1`.
+    fn chance(&mut self, p: f64) -> bool {
+        if p <= 0.0 || p >= 1.0 {
+            return p >= 1.0;
+        }
+        ((self.draw() >> 11) as f64 / (1u64 << 53) as f64) < p
+    }
+
+    /// Uniform in `0..span`: two draws, high word first, reduced modulo
+    /// `span`.
+    fn below(&mut self, span: u128) -> u128 {
+        let high = u128::from(self.draw()) << 64;
+        (high | u128::from(self.draw())) % span
+    }
+
+    /// The fate of the next frame, of `len` payload bytes, on a link whose
+    /// flags (which a [`FaultHandle`] also sets) read `partitioned` and
+    /// `disconnected`; with it, the hold of a delayed frame and the
+    /// payload length a truncated one keeps. First the scripted
+    /// thresholds; then the four chances, the hold and the truncation
+    /// point, each conditional draw skipped unless its frame is delivered.
+    #[allow(clippy::cast_possible_truncation)]
+    fn next(
+        &mut self,
+        len: usize,
+        partitioned: bool,
+        disconnected: bool,
+    ) -> (FrameFate, Duration, usize) {
+        let mut frame = FrameFate {
+            offered: !disconnected,
+            disconnected,
+            ..FrameFate::default()
+        };
+        let (mut hold, mut keep) = (Duration::ZERO, len);
+        if !disconnected {
+            self.offered += 1;
+            let n = self.offered;
+            let plan = self.plan;
+            // A partition begins on crossing its threshold; a heal lifts it.
+            if plan.disconnect_after.is_some_and(|limit| n > limit) {
+                frame.disconnected = true;
+            } else if partitioned || plan.partition_after.is_some_and(|limit| n == limit + 1) {
+                frame.dropped = true;
+                frame.partitioned = true;
+            } else {
+                frame.dropped = self.chance(plan.drop);
+                let delayed = self.chance(plan.delay);
+                frame.duplicated = self.chance(plan.duplicate) && !frame.dropped;
+                let truncated = self.chance(plan.truncate);
+                frame.delayed = !frame.dropped && delayed && !plan.max_delay.is_zero();
+                if frame.delayed {
+                    hold = Duration::from_micros(self.below(plan.max_delay.as_micros() + 1) as u64);
+                }
+                frame.truncated = !frame.dropped && truncated && len > 0;
+                if frame.truncated {
+                    keep = self.below(len as u128) as usize;
+                }
+            }
+        }
+        (frame, hold, keep)
     }
 }
 
@@ -417,8 +418,7 @@ fn journal_fault(code: u32) {
 
 struct FaultyWriter {
     inner: Option<Box<dyn MsgWriter>>,
-    plan: FaultPlan,
-    rng: SmallRng,
+    fates: Fates,
     state: Arc<FaultState>,
     /// For recycling the buffers of dropped frames, like a real send.
     pool: Option<BufferPool>,
@@ -449,66 +449,55 @@ impl MsgWriter for FaultyWriter {
     /// when the inner writer stops at a full buffer.
     fn start_send(&mut self, frame: Frame) -> NetResult<bool> {
         self.finish_send()?;
-        if self.state.disconnected.load(Ordering::Acquire) {
+        let state = &self.state;
+        let partitioned = state.partitioned.load(Ordering::Acquire);
+        let disconnected = state.disconnected.load(Ordering::Acquire);
+        let len = frame.payload().len();
+        let (f, hold, keep) = self.fates.next(len, partitioned, disconnected);
+        let c = &state.counters;
+        c.offered.add(u64::from(f.offered));
+        for (dealt, counter, code) in [
+            (
+                f.offered && f.disconnected,
+                &c.disconnect,
+                FAULT_CODE_DISCONNECT,
+            ),
+            (f.partitioned, &c.partition, FAULT_CODE_PARTITION),
+            (f.dropped && !f.partitioned, &c.drop, FAULT_CODE_DROP),
+            (f.delayed, &c.delay, FAULT_CODE_DELAY),
+            (f.truncated, &c.truncate, FAULT_CODE_TRUNCATE),
+            (f.duplicated, &c.duplicate, FAULT_CODE_DUPLICATE),
+        ] {
+            if dealt {
+                counter.inc();
+                journal_fault(code);
+            }
+        }
+        c.delivered.add(f.delivered_copies());
+
+        if f.disconnected {
+            state.disconnected.store(true, Ordering::Release);
             self.inner = None; // drop the writer: the peer sees the hangup
             return Err(NetError::Closed);
         }
-        let c = &self.state.counters;
-        c.offered.inc();
-        let n = c.offered.get();
-        if self.plan.disconnect_after.is_some_and(|limit| n > limit) {
-            self.state.disconnected.store(true, Ordering::Release);
-            self.inner = None;
-            c.disconnect.inc();
-            journal_fault(FAULT_CODE_DISCONNECT);
-            return Err(NetError::Closed);
+        if f.partitioned && !partitioned {
+            state.partitioned.store(true, Ordering::Release);
         }
-        // Trigger exactly on crossing the threshold: the partition flag is
-        // sticky from then on, but a later heal() genuinely lifts it.
-        if self
-            .plan
-            .partition_after
-            .is_some_and(|limit| n == limit + 1)
-        {
-            self.state.partitioned.store(true, Ordering::Release);
-        }
-        if self.state.partitioned.load(Ordering::Acquire) {
+        if f.dropped {
             self.discard(frame);
-            c.partition.inc();
-            journal_fault(FAULT_CODE_PARTITION);
-            return Ok(true); // black hole: the sender never learns
+            return Ok(true); // a black hole: the sender never learns
         }
-
-        // The randomized fate comes from the same routine
-        // `FaultPlan::planned_fates` replays, so live counters and the
-        // pure replay can never disagree.
-        let fate = draw_fate(&mut self.rng, &self.plan, frame.payload().len());
-
-        if fate.dropped {
-            self.discard(frame);
-            c.drop.inc();
-            journal_fault(FAULT_CODE_DROP);
-            return Ok(true);
-        }
-        if let Some(hold) = fate.hold {
-            c.delay.inc();
-            journal_fault(FAULT_CODE_DELAY);
+        if f.delayed {
             self.hold_until = Some(Instant::now() + hold);
         }
-        let frame = if let Some(keep) = fate.keep {
-            c.truncate.inc();
-            journal_fault(FAULT_CODE_TRUNCATE);
-            encode_frame(&frame.payload()[..keep])?
+        let frame = if f.truncated {
+            Frame::from_payload(&frame.payload()[..keep])?
         } else {
             frame
         };
-        if fate.duplicated {
-            c.duplicate.inc();
-            c.delivered.inc();
-            journal_fault(FAULT_CODE_DUPLICATE);
-            self.held.push_back(encode_frame(frame.payload())?);
+        if f.duplicated {
+            self.held.push_back(Frame::from_payload(frame.payload())?);
         }
-        c.delivered.inc();
         self.held.push_back(frame);
         if self.hold_until.is_some() {
             return Ok(false);
@@ -634,8 +623,11 @@ impl FaultyChannel {
         };
         let writer = Box::new(FaultyWriter {
             inner: Some(writer),
-            rng: SmallRng::seed_from_u64(plan.seed),
-            plan,
+            fates: Fates {
+                plan,
+                draws: 0,
+                offered: 0,
+            },
             state,
             pool: None,
             held: VecDeque::new(),
@@ -802,6 +794,65 @@ mod tests {
             "the pure replay must predict the live counters exactly"
         );
         drop(b);
+    }
+
+    #[test]
+    fn one_seeds_fates_and_truncation_points_are_pinned() {
+        // Every random kind at once, then a partition, over lengths that
+        // include empty payloads (which skip the truncation draw). The
+        // strings are this seed's fault sequence: a change to the draw
+        // order, the mixing or the reductions shows here.
+        let plan = FaultPlan::seeded(2024)
+            .drop_frames(0.2)
+            .delay_frames(0.25, Duration::from_micros(30))
+            .duplicate_frames(0.2)
+            .truncate_frames(0.4)
+            .partition_after(56);
+        let payloads: Vec<Vec<u8>> = (0..64u8)
+            .map(|i| vec![i; usize::from(i) * 5 % 11])
+            .collect();
+        let lens: Vec<usize> = payloads.iter().map(Vec::len).collect();
+        // One token a frame: x dropped, p partitioned, h held, 2
+        // duplicated, t truncated, - delivered as sent.
+        let code = |f: &FrameFate| {
+            let marks = [
+                (f.dropped && !f.partitioned, 'x'),
+                (f.partitioned, 'p'),
+                (f.delayed, 'h'),
+                (f.duplicated, '2'),
+                (f.truncated, 't'),
+            ];
+            let s: String = marks.iter().filter(|m| m.0).map(|m| m.1).collect();
+            if s.is_empty() {
+                "-".to_string()
+            } else {
+                s
+            }
+        };
+        let fates: Vec<String> = plan.planned_fates(&lens).iter().map(code).collect();
+        assert_eq!(
+            fates.join(" "),
+            "h x - x - - 2t h2 - x - x ht t 2t t - t 2 x x t x - 2 ht - h h2t - t - ht h 2 t - - - - ht h2 - - 2 2t x - - - - t - x h2t 2 p p p p p p p p"
+        );
+
+        let (a, mut b) = pair();
+        let (mut a, _handle) = FaultyChannel::wrap(a, plan);
+        for p in &payloads {
+            a.send(&p[..]).unwrap();
+        }
+        drop(a);
+        let mut delivered = Vec::new();
+        while let Ok(frame) = b.recv() {
+            delivered.push(frame.payload().len());
+        }
+        assert_eq!(
+            delivered,
+            [
+                0, 10, 9, 3, 2, 2, 2, 2, 7, 6, 1, 2, 1, 1, 6, 3, 4, 2, 2, 2, 5, 10, 10, 3, 9, 3, 0,
+                0, 2, 0, 1, 3, 0, 5, 5, 8, 4, 9, 3, 8, 0, 7, 7, 1, 6, 0, 0, 0, 0, 4, 9, 3, 8, 0, 7,
+                4, 4, 0, 0
+            ]
+        );
     }
 
     #[test]

@@ -41,7 +41,8 @@ impl Frame {
     /// Build a frame by copying `payload` behind a freshly written prefix.
     ///
     /// One allocation, sized exactly. Prefer [`FrameEncoder`] (which
-    /// allocates nothing at steady state) on hot paths.
+    /// allocates nothing at steady state) on hot paths; this is the
+    /// reference the property tests check it against.
     ///
     /// # Errors
     ///
@@ -268,17 +269,6 @@ impl FrameEncoder {
     }
 }
 
-/// Encode `payload` as a finished frame in a single exact-sized
-/// allocation. The reference implementation the property tests check
-/// [`FrameEncoder`] against.
-///
-/// # Errors
-///
-/// Returns [`NetError::FrameTooLarge`] for oversized payloads.
-pub fn encode_frame(payload: &[u8]) -> NetResult<Frame> {
-    Frame::from_payload(payload)
-}
-
 /// Read one frame from a blocking byte stream `r` into a fresh buffer.
 /// Channels read with a reader of their own that survives timeouts
 /// mid-frame; this is for parsing a raw stream.
@@ -368,7 +358,7 @@ mod tests {
         enc.write(&payload[..5]);
         enc.write(&payload[5..]);
         let a = enc.finish().unwrap();
-        let b = encode_frame(payload).unwrap();
+        let b = Frame::from_payload(payload).unwrap();
         assert_eq!(a.wire(), b.wire(), "wire images must be identical");
     }
 

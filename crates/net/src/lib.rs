@@ -55,7 +55,7 @@ pub use connector::{Connector, DirectConnector, FaultyConnector};
 pub use endpoint::Endpoint;
 pub use error::{NetError, NetResult};
 pub use fault::{FaultHandle, FaultPlan, FaultyChannel, FrameFate};
-pub use frame::{encode_frame, read_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
+pub use frame::{read_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 
 // Re-exported so transport users can build one pool and attach it to
 // writers, readers, and encoders without importing `clam-xdr` directly.

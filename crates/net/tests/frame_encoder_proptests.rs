@@ -1,9 +1,9 @@
 //! Property tests: the prefix-reserving [`FrameEncoder`] produces wire
-//! images byte-identical to the copying [`encode_frame`] path, for any
+//! images byte-identical to the copying [`Frame::from_payload`] path, for any
 //! payload and any way of chunking the writes, and reusing a buffer
 //! across frames never leaks bytes from the previous frame.
 
-use clam_net::{encode_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN};
+use clam_net::{Frame, FrameEncoder, FRAME_PREFIX_LEN};
 use proptest::prelude::*;
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -39,14 +39,14 @@ proptest! {
         let mut enc = FrameEncoder::begin(Vec::new());
         enc.write(&payload);
         let ours = enc.finish().unwrap();
-        let reference = encode_frame(&payload).unwrap();
+        let reference = Frame::from_payload(&payload).unwrap();
         prop_assert_eq!(ours.wire(), reference.wire());
     }
 
     #[test]
     fn chunked_writes_match_one_shot((payload, cuts) in (arb_payload(), arb_cuts())) {
         let ours = encode_in_chunks(Vec::new(), &payload, cuts);
-        let reference = encode_frame(&payload).unwrap();
+        let reference = Frame::from_payload(&payload).unwrap();
         prop_assert_eq!(ours.wire(), reference.wire());
     }
 
@@ -60,7 +60,7 @@ proptest! {
         let mut enc = FrameEncoder::begin(buf);
         enc.write(&second);
         let reused = enc.finish().unwrap();
-        let reference = encode_frame(&second).unwrap();
+        let reference = Frame::from_payload(&second).unwrap();
         prop_assert_eq!(reused.wire(), reference.wire());
     }
 
@@ -85,7 +85,7 @@ proptest! {
         let frame = FrameEncoder::resume(buf).finish().unwrap();
         let mut whole = head.clone();
         whole.extend_from_slice(&tail);
-        let reference = encode_frame(&whole).unwrap();
+        let reference = Frame::from_payload(&whole).unwrap();
         prop_assert_eq!(frame.wire(), reference.wire());
     }
 }

@@ -10,7 +10,9 @@
 //!    8-byte [`SpanId`] assigned at call origin and carried in the RPC
 //!    message header, preserved across `RemoteUpcall`, so a
 //!    client → server call that upcalls back into the client stitches
-//!    into one tree spanning both address spaces.
+//!    into one tree spanning both address spaces. Its one SplitMix64
+//!    ([`splitmix64`]) also mints handle tags and connection nonces
+//!    ([`unique_id`]) and drives seeded fault plans.
 //! 2. **Metrics** ([`metrics`]): a process-global registry of atomic
 //!    counters, gauges, and fixed-bucket log2 histograms. Registration
 //!    may allocate; *recording never does* — an increment is one atomic
@@ -34,4 +36,4 @@ pub use metrics::{
     counter, gauge, histogram, registry, snapshot, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricValue, MetricsSnapshot, Registry,
 };
-pub use trace::{current, enter, SpanId, TraceContext, TraceId, TraceScope};
+pub use trace::{current, enter, splitmix64, unique_id, SpanId, TraceContext, TraceId, TraceScope};

@@ -275,12 +275,28 @@ impl Registry {
     }
 
     fn family<T>(&self, name: &str, get: impl FnOnce(&mut CounterFamily) -> T) -> T {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         let new = || Metric::Counter(CounterFamily::default());
-        match m.entry(name.to_string()).or_insert_with(new) {
-            Metric::Counter(f) => get(f),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
+        self.metric(name, new, |m| match m {
+            Metric::Counter(f) => Some(get(f)),
+            _ => None,
+        })
+    }
+
+    /// Get or create the metric `name` (made by `new`) and read it with
+    /// `get`, which returns `None` on a kind clash. The key is allocated
+    /// only when `name` is new.
+    fn metric<T>(
+        &self,
+        name: &str,
+        new: impl FnOnce() -> Metric,
+        get: impl FnOnce(&mut Metric) -> Option<T>,
+    ) -> T {
+        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let got = match m.get_mut(name) {
+            Some(metric) => get(metric),
+            None => get(m.entry(name.to_string()).or_insert_with(new)),
+        };
+        got.unwrap_or_else(|| panic!("metric {name:?} already registered with a different kind"))
     }
 
     /// Get or create the gauge named `name`.
@@ -290,14 +306,11 @@ impl Registry {
     /// Panics on a metric-kind clash, as for [`Registry::counter`].
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
+        let new = || Metric::Gauge(Arc::default());
+        self.metric(name, new, |m| match m {
+            Metric::Gauge(g) => Some(Arc::clone(g)),
+            _ => None,
+        })
     }
 
     /// Get or create the histogram named `name`.
@@ -307,14 +320,11 @@ impl Registry {
     /// Panics on a metric-kind clash, as for [`Registry::counter`].
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
+        let new = || Metric::Histogram(Arc::default());
+        self.metric(name, new, |m| match m {
+            Metric::Histogram(h) => Some(Arc::clone(h)),
+            _ => None,
+        })
     }
 
     /// A consistent point-in-time copy of every registered metric.

@@ -88,8 +88,8 @@ impl TraceContext {
     #[must_use]
     pub fn new_root() -> TraceContext {
         TraceContext {
-            trace: TraceId(u128::from(next_raw_id()) << 64 | u128::from(next_raw_id())),
-            span: SpanId(next_raw_id()),
+            trace: TraceId(u128::from(unique_id()) << 64 | u128::from(unique_id())),
+            span: SpanId(unique_id()),
         }
     }
 
@@ -102,7 +102,7 @@ impl TraceContext {
         }
         TraceContext {
             trace: self.trace,
-            span: SpanId(next_raw_id()),
+            span: SpanId(unique_id()),
         }
     }
 }
@@ -115,14 +115,29 @@ thread_local! {
     static IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// Process-unique id stream: a per-process random seed (from the hasher
-/// entropy `std` already owns, plus the pid so forked address spaces
-/// diverge) mixed through SplitMix64 with a counter value no other id
-/// took. Each thread takes its values a block at a time from one atomic
-/// counter, so drawing an id touches no line another thread writes. No
-/// ids collide within a process; across processes collision odds are the
-/// birthday bound on 64 bits.
-fn next_raw_id() -> u64 {
+/// Output `n` of the SplitMix64 stream that starts at `seed`: the
+/// finalizer over `seed + n·φ` (φ the golden-ratio increment). A
+/// generator seeded with `seed` draws `splitmix64(seed, 1)`,
+/// `splitmix64(seed, 2)`, and so on; [`unique_id`] is the same function
+/// of a per-process seed and a counter value.
+#[must_use]
+pub fn splitmix64(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// An id no other call in this process returns, and never 0: span and
+/// trace ids, handle tags, connection nonces. It is [`splitmix64`] over a
+/// per-process random seed (from the hasher entropy `std` already owns,
+/// plus the pid so forked address spaces diverge) and a counter value no
+/// other id took. Each thread takes its values a block at a time from one
+/// atomic counter, so drawing an id touches no line another thread
+/// writes. Across processes collision odds are the birthday bound on 64
+/// bits.
+#[must_use]
+pub fn unique_id() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
     static COUNTER: AtomicU64 = AtomicU64::new(1);
     let seed = *SEED.get_or_init(|| {
@@ -139,16 +154,10 @@ fn next_raw_id() -> u64 {
         ids.set((next + 1, end));
         next
     });
-    // SplitMix64 finalizer over seed + counter: well distributed, never
-    // zero in practice (zero would read as "no span"); guard anyway.
-    let mut z = seed.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    if z == 0 {
-        1
-    } else {
-        z
+    // Zero would read as "none" (no span, the nil handle); guard it.
+    match splitmix64(seed, n) {
+        0 => 1,
+        z => z,
     }
 }
 
@@ -228,7 +237,7 @@ mod tests {
     fn ids_drawn_on_many_threads_are_distinct() {
         let drawn: Vec<Vec<u64>> = std::thread::scope(|s| {
             let threads: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| (0..10_000).map(|_| next_raw_id()).collect()))
+                .map(|_| s.spawn(|| (0..10_000).map(|_| unique_id()).collect()))
                 .collect();
             threads.into_iter().map(|t| t.join().unwrap()).collect()
         });

@@ -10,7 +10,6 @@
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::server::ConnId;
-use rand::RngCore;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -205,10 +204,7 @@ impl ObjectTable {
     ) -> Handle {
         let object_id = self.next_id;
         self.next_id += 1;
-        let mut tag = rand::thread_rng().next_u64();
-        if tag == 0 {
-            tag = 1; // 0 is reserved for the nil handle
-        }
+        let tag = clam_obs::unique_id(); // never 0, the nil handle's tag
         self.entries.insert(
             object_id,
             ObjectEntry {
@@ -377,6 +373,16 @@ mod tests {
         assert_ne!(h.tag, 0);
         assert!(Handle::NIL.is_nil());
         assert!(!h.is_nil());
+    }
+
+    #[test]
+    fn minted_tags_are_distinct_and_never_nil() {
+        let mut table = ObjectTable::new();
+        let tags: std::collections::HashSet<u64> = (0..10_000)
+            .map(|_| table.register(1, 1, Arc::new(())).tag)
+            .collect();
+        assert_eq!(tags.len(), 10_000);
+        assert!(!tags.contains(&0));
     }
 
     #[test]

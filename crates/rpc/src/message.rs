@@ -961,7 +961,7 @@ mod tests {
         assert_eq!(enc.calls(), 3);
         let frame = enc.finish().unwrap();
         assert_eq!(frame, Message::CallBatch(calls.clone()).to_frame().unwrap());
-        let reframed = clam_net::encode_frame(frame.payload()).unwrap();
+        let reframed = clam_net::Frame::from_payload(frame.payload()).unwrap();
         assert_eq!(frame.wire(), reframed.wire(), "length prefix patched");
         assert_eq!(batch(&frame), views(&calls));
     }
