@@ -19,7 +19,7 @@ use clam_net::{Connector, DirectConnector, Endpoint};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
     Caller, CallerConfig, Message, MessageView, ProcId, Reply, RpcError, RpcResult, StatusCode,
-    Target, UpcallMsg,
+    Target, TaskWriter, UpcallMsg,
 };
 use clam_task::Scheduler;
 use clam_xdr::{Bundle, Opaque};
@@ -40,7 +40,8 @@ type RawProc = Arc<dyn Fn(&Opaque) -> RpcResult<Opaque> + Send + Sync>;
 #[derive(Default)]
 pub struct ProcRegistry {
     procs: Mutex<HashMap<u64, RawProc>>,
-    next_id: AtomicU64,
+    /// Ids minted so far; the next is one more, so none is the null 0.
+    minted: AtomicU64,
 }
 
 impl std::fmt::Debug for ProcRegistry {
@@ -55,15 +56,12 @@ impl ProcRegistry {
     /// An empty registry.
     #[must_use]
     pub fn new() -> ProcRegistry {
-        ProcRegistry {
-            procs: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-        }
+        ProcRegistry::default()
     }
 
     /// Register a raw (bytes-level) procedure.
     pub fn register_raw(&self, proc: RawProc) -> ProcId {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = self.minted.fetch_add(1, Ordering::Relaxed) + 1;
         self.procs.lock().insert(id, proc);
         ProcId { id }
     }
@@ -253,13 +251,14 @@ impl ClamClient {
 
         // The upcall-handler task: initially blocked, unblocked on
         // receipt of an upcall, replies, blocks again (section 4.4). It
-        // reads the upcall channel itself, outside the baton; until it
-        // comes back for the next upcall, later ones wait in the
-        // transport's buffer.
+        // reads the upcall channel and waits for room for its replies
+        // outside the baton; until it comes back for the next upcall,
+        // later ones wait in the transport's buffer.
         {
             let procs = Arc::clone(&client.procs);
             let handled = Arc::clone(&client.counters.upcalls_handled);
             let sched = client.sched.clone();
+            let up_writer = TaskWriter::new(&sched, up_writer);
             client.sched.spawn("upcall-handler", move || {
                 while let Ok(frame) = sched.outside(|| up_reader.recv()) {
                     let Ok(MessageView::Upcall(view)) = MessageView::parse(&frame) else {
@@ -433,6 +432,14 @@ mod tests {
         let out = raw(&args).unwrap();
         let v: u32 = clam_xdr::decode(out.as_slice()).unwrap();
         assert_eq!(v, 42);
+    }
+
+    #[test]
+    fn a_default_registry_never_hands_out_the_null_proc() {
+        let reg = ProcRegistry::default();
+        let first = reg.register(|(): ()| Ok(()));
+        assert!(!first.is_null(), "the first registration is {first:?}");
+        assert_eq!(first, ProcRegistry::new().register(|(): ()| Ok(())));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use clam_rpc::RpcResult;
 use clam_xdr::{Bundle, Opaque};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 clam_obs::handles! {
@@ -151,7 +152,8 @@ where
 /// interested so the caller can queue or discard.
 pub struct UpcallRegistry<A, R> {
     targets: Mutex<Vec<(u64, UpcallTarget<A, R>)>>,
-    next_id: Mutex<u64>,
+    /// Ids minted so far; the next is one more.
+    minted: AtomicU64,
 }
 
 impl<A, R> Default for UpcallRegistry<A, R> {
@@ -174,7 +176,7 @@ impl<A, R> UpcallRegistry<A, R> {
     pub fn new() -> UpcallRegistry<A, R> {
         UpcallRegistry {
             targets: Mutex::new(Vec::new()),
-            next_id: Mutex::new(1),
+            minted: AtomicU64::new(0),
         }
     }
 }
@@ -186,10 +188,7 @@ where
 {
     /// Register a target; returns a registration id for deregistration.
     pub fn register(&self, target: UpcallTarget<A, R>) -> u64 {
-        let mut next = self.next_id.lock();
-        let id = *next;
-        *next += 1;
-        drop(next);
+        let id = self.minted.fetch_add(1, Ordering::Relaxed) + 1;
         self.targets.lock().push((id, target));
         id
     }
@@ -270,7 +269,7 @@ impl<A, R> Clone for UpcallRegistry<A, R> {
     fn clone(&self) -> Self {
         UpcallRegistry {
             targets: Mutex::new(self.targets.lock().clone()),
-            next_id: Mutex::new(*self.next_id.lock()),
+            minted: AtomicU64::new(self.minted.load(Ordering::Relaxed)),
         }
     }
 }

@@ -21,8 +21,10 @@ use std::time::{Duration, Instant};
 
 /// The sending half of a channel.
 pub trait MsgWriter: Send {
-    /// Send one message frame. Blocks until the frame is handed to the
-    /// transport; the transports deliver reliably and in order.
+    /// Send one message frame. Blocks the thread until the frame is
+    /// handed to the transport, so task code sends through
+    /// `clam_rpc::TaskWriter`, which waits outside the scheduler's baton;
+    /// the transports deliver reliably and in order.
     ///
     /// Takes the frame by value: the transport writes its wire image and
     /// recycles the buffer into an attached [`BufferPool`].

@@ -16,7 +16,7 @@
 use crate::error::{RpcError, RpcResult};
 use crate::message::{BatchEncoder, CallView, Target};
 use crate::pending::{PendingReplies, ReplyKind};
-use crate::server::SYNC_SERVICE_ID;
+use crate::server::{TaskWriter, SYNC_SERVICE_ID};
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::EventKind;
 use clam_task::Scheduler;
@@ -161,23 +161,21 @@ clam_obs::counters! {
     }
 }
 
-struct Outbound {
-    writer: Box<dyn MsgWriter>,
-    /// The in-progress batch, already in wire form: calls are encoded
-    /// directly into this pooled frame buffer as they are issued, so a
-    /// flush only patches two headers and hands the buffer to the
-    /// transport — no `Vec<Call>`, no re-encode, no copy.
-    batch: Option<BatchEncoder>,
-}
+/// A caller's writer and, under its lock, its open batch.
+type Out = (Box<dyn MsgWriter>, Option<BatchEncoder>);
 
 /// The client end of one RPC channel.
 ///
 /// `Caller` is shared through an `Arc` by application stubs. Calls may be
 /// issued from tasks of the scheduler passed to [`Caller::new`] (the task
-/// blocks, others run) or from plain threads (the thread blocks); either
-/// way the caller reads its own reply when no other call is reading.
+/// blocks, others run: its sends go through a [`TaskWriter`]) or from
+/// plain threads (the thread blocks); either way the caller reads its own
+/// reply when no other call is reading.
 pub struct Caller {
-    out: Mutex<Outbound>,
+    /// The writer and the open batch in wire form: calls are encoded into
+    /// its pooled frame buffer as issued, so a flush only patches two
+    /// headers — no `Vec<Call>`, no re-encode, no copy.
+    out: TaskWriter<Option<BatchEncoder>>,
     /// Outstanding sync calls, their deadlines and retry backoffs.
     replies: PendingReplies,
     config: CallerConfig,
@@ -215,10 +213,7 @@ impl Caller {
         let pool = BufferPool::default();
         writer.attach_pool(&pool);
         Arc::new(Caller {
-            out: Mutex::new(Outbound {
-                writer,
-                batch: None,
-            }),
+            out: TaskWriter::with_state(sched, writer, None),
             replies: PendingReplies::new(sched),
             config,
             pool,
@@ -318,21 +313,21 @@ impl Caller {
                 args,
                 trace,
             };
-            let mut out = self.out.lock();
+            let out = &mut *self.out.hold();
             if in_nested_context() {
                 // Flush whatever the application batched first (its own
                 // ordinary frame), then send the nested call alone in a
                 // NestedCallBatch so only IT jumps the server's queue.
-                self.flush_locked(&mut out, &self.counters.flush_sync)?;
+                self.flush_locked(out, &self.counters.flush_sync)?;
                 self.counters.calls_sent.inc();
                 self.counters.batches_sent.inc();
                 let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
                 enc.push_view(&call)?;
-                out.writer.send(enc.finish()?)?;
+                self.out.send_held(&mut out.0, enc.finish()?)?;
                 Ok(())
             } else {
-                self.append_locked(&mut out, &call)?;
-                self.flush_locked(&mut out, &self.counters.flush_sync)
+                self.append(&mut out.1, &call)?;
+                self.flush_locked(out, &self.counters.flush_sync)
             }
         });
         if matches!(outcome, Err(RpcError::DeadlineExceeded)) {
@@ -362,13 +357,13 @@ impl Caller {
             return Err(RpcError::Disconnected);
         }
         self.counters.calls_async.inc();
-        let mut out = self.out.lock();
+        let out = &mut *self.out.hold();
         // Async calls carry the caller's current context verbatim: no
         // child span, no journal entry — this path must stay
         // allocation-free at steady state, so it costs one atomic add
         // and 24 trace bytes in the batch.
-        self.append_locked(
-            &mut out,
+        self.append(
+            &mut out.1,
             &CallView {
                 request_id: 0,
                 target,
@@ -380,7 +375,7 @@ impl Caller {
         // Adaptive flush: once the wire form crosses either threshold the
         // chunk streams out immediately, overlapping transport writes with
         // further call issue.
-        let reason = out.batch.as_ref().and_then(|b| {
+        let reason = out.1.as_ref().and_then(|b| {
             if b.calls() as usize >= self.config.flush_at_calls {
                 Some(&self.counters.flush_calls)
             } else if b.payload_len() >= self.config.flush_at_bytes {
@@ -391,7 +386,7 @@ impl Caller {
         });
         if let Some(reason) = reason {
             let reason = Arc::clone(reason);
-            self.flush_locked(&mut out, &reason)?;
+            self.flush_locked(out, &reason)?;
         }
         Ok(())
     }
@@ -402,7 +397,7 @@ impl Caller {
     ///
     /// Transport errors.
     pub fn flush(&self) -> RpcResult<()> {
-        self.flush_locked(&mut self.out.lock(), &self.counters.flush_sync)
+        self.flush_locked(&mut self.out.hold(), &self.counters.flush_sync)
     }
 
     /// Flush the current batch and wait — bounded by the configured
@@ -428,10 +423,8 @@ impl Caller {
 
     /// Write `call` onto the in-progress wire batch, starting one in a
     /// pooled buffer if none is open.
-    fn append_locked(&self, out: &mut Outbound, call: &CallView<'_>) -> RpcResult<()> {
-        let batch = out
-            .batch
-            .get_or_insert_with(|| BatchEncoder::begin(self.pool.acquire()));
+    fn append(&self, batch: &mut Option<BatchEncoder>, call: &CallView<'_>) -> RpcResult<()> {
+        let batch = batch.get_or_insert_with(|| BatchEncoder::begin(self.pool.acquire()));
         batch.push_view(call)?;
         Ok(())
     }
@@ -454,8 +447,8 @@ impl Caller {
     /// `reason` is the `rpc.flush.*` counter naming why this flush fired
     /// (batch full by calls, by bytes, or a synchronization point); it is
     /// bumped only when a non-empty batch actually goes out.
-    fn flush_locked(&self, out: &mut Outbound, reason: &clam_obs::Counter) -> RpcResult<()> {
-        let Some(batch) = out.batch.take() else {
+    fn flush_locked(&self, (writer, batch): &mut Out, reason: &clam_obs::Counter) -> RpcResult<()> {
+        let Some(batch) = batch.take() else {
             return Ok(());
         };
         if batch.is_empty() {
@@ -466,7 +459,7 @@ impl Caller {
         self.counters.batches_sent.inc();
         self.batch_calls.observe(u64::from(batch.calls()));
         reason.inc();
-        out.writer.send(batch.finish()?)?;
+        self.out.send_held(writer, batch.finish()?)?;
         Ok(())
     }
 

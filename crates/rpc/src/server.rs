@@ -58,21 +58,20 @@ impl Service for SyncPoint {
     }
 }
 
-/// A channel's writer half, shared by the tasks of one scheduler: the
-/// server's reply path and its upcall path both send through one.
-///
-/// The peer's receive queue is the transport's buffer. While it has room
-/// a send runs in place, holding the baton like any other step of the
-/// task. Only a send that must wait — for room in the buffer, or for
-/// another sender that is waiting for it — goes outside the baton, so a
-/// peer that stops reading stalls its own senders, not the scheduler's
-/// other tasks.
-pub struct TaskWriter {
+/// A channel's writer half, shared by the tasks of one scheduler: the one
+/// way a task sends a frame (replies, upcalls, upcall replies and each
+/// [`Caller`](crate::Caller)'s calls). A send runs in place while the
+/// transport's buffer has room. Only a send that must wait — for room, or
+/// for another sender that holds the writer — goes outside the baton, so
+/// a peer that stops reading stalls its own senders, not the scheduler's
+/// other tasks. `B` is state the senders keep under the writer's lock
+/// (the caller's open batch).
+pub struct TaskWriter<B = ()> {
     sched: Scheduler,
-    writer: Mutex<Box<dyn MsgWriter>>,
+    out: Mutex<(Box<dyn MsgWriter>, B)>,
 }
 
-impl std::fmt::Debug for TaskWriter {
+impl<B> std::fmt::Debug for TaskWriter<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskWriter")
             .field("sched", &self.sched.name())
@@ -84,9 +83,16 @@ impl TaskWriter {
     /// Share `writer` among the tasks of `sched`.
     #[must_use]
     pub fn new(sched: &Scheduler, writer: Box<dyn MsgWriter>) -> TaskWriter {
+        TaskWriter::with_state(sched, writer, ())
+    }
+}
+
+impl<B> TaskWriter<B> {
+    /// As [`new`](TaskWriter::new), with `state` under the writer's lock.
+    pub(crate) fn with_state(sched: &Scheduler, writer: Box<dyn MsgWriter>, state: B) -> Self {
         TaskWriter {
             sched: sched.clone(),
-            writer: Mutex::new(writer),
+            out: Mutex::new((writer, state)),
         }
     }
 
@@ -96,14 +102,24 @@ impl TaskWriter {
     ///
     /// As [`MsgWriter::send`].
     pub fn send(&self, frame: Frame) -> NetResult<()> {
-        if let Some(mut writer) = self.writer.try_lock() {
-            if !writer.start_send(frame)? {
-                self.sched.outside(|| writer.finish_send())?;
-            }
-            Ok(())
-        } else {
-            self.sched.outside(|| self.writer.lock().send(frame))
+        self.send_held(&mut self.hold().0, frame)
+    }
+
+    /// Take the writer and the senders' state, waiting outside the baton
+    /// while another sender holds them.
+    pub(crate) fn hold(&self) -> MutexGuard<'_, (Box<dyn MsgWriter>, B)> {
+        self.out
+            .try_lock()
+            .unwrap_or_else(|| self.sched.outside(|| self.out.lock()))
+    }
+
+    /// Send one frame through the writer [`hold`](Self::hold) took: in
+    /// place while the buffer has room, the rest outside the baton.
+    pub(crate) fn send_held(&self, writer: &mut Box<dyn MsgWriter>, frame: Frame) -> NetResult<()> {
+        if !writer.start_send(frame)? {
+            self.sched.outside(|| writer.finish_send())?;
         }
+        Ok(())
     }
 }
 
