@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p clam-bench --bin fig51`
 
 use clam_bench::{
-    loaded_proc_pair, local_upcall_target, row_endpoints, static_procedure, time_per_call, us,
+    loaded_proc_pair, local_upcall_target, row_endpoints, static_procedure, us, us_per_call,
     BenchRig, PAPER_US,
 };
 use std::hint::black_box;
@@ -22,7 +22,7 @@ fn main() {
 
     // Row 1: statically linked procedure call.
     let mut acc = 0u32;
-    measured.push(time_per_call(LOCAL_ITERS, || {
+    measured.push(us_per_call(LOCAL_ITERS, || {
         acc = acc.wrapping_add(static_procedure(black_box(7)));
     }));
     black_box(acc);
@@ -30,7 +30,7 @@ fn main() {
     // Row 2: dynamically loaded procedure calling another one.
     let loaded = loaded_proc_pair();
     let mut acc = 0u32;
-    measured.push(time_per_call(LOCAL_ITERS, || {
+    measured.push(us_per_call(LOCAL_ITERS, || {
         acc = acc.wrapping_add(loaded(black_box(7)));
     }));
     black_box(acc);
@@ -38,7 +38,7 @@ fn main() {
     // Row 3: upcall with both procedures in the server.
     let target = local_upcall_target();
     let mut acc = 0u32;
-    measured.push(time_per_call(LOCAL_ITERS, || {
+    measured.push(us_per_call(LOCAL_ITERS, || {
         acc = acc.wrapping_add(target.invoke(black_box(7)).expect("local upcall"));
     }));
     black_box(acc);
@@ -54,8 +54,8 @@ fn main() {
         // Warm both paths (connection setup, first-task creation).
         let _ = rig.measure_remote_call(16);
         let _ = rig.measure_remote_upcall(16);
-        measured.push(rig.measure_remote_call(iters));
-        measured.push(rig.measure_remote_upcall(iters));
+        measured.push(us(rig.measure_remote_call(iters)));
+        measured.push(us(rig.measure_remote_upcall(iters)));
     }
 
     // ------------------------------------------------------------------
@@ -69,8 +69,7 @@ fn main() {
         "configuration", "paper (us)", "measured (us)", "paper/meas"
     );
     println!("{:-<96}", "");
-    for ((label, paper), meas) in PAPER_US.iter().zip(&measured) {
-        let m = us(*meas);
+    for ((label, paper), &m) in PAPER_US.iter().zip(&measured) {
         println!(
             "{label:<46} {paper:>12.0} {m:>14.3} {:>12.0}x",
             paper / m.max(1e-9)
@@ -81,7 +80,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Shape checks: the claims that survive a 35-year hardware change.
     // ------------------------------------------------------------------
-    let m: Vec<f64> = measured.iter().map(|d| us(*d)).collect();
+    let m = &measured;
     let mut ok = true;
     let mut check = |name: &str, cond: bool| {
         println!("{} {name}", if cond { "PASS" } else { "FAIL" });

@@ -306,6 +306,18 @@ pub fn time_per_call(iters: u32, mut f: impl FnMut()) -> Duration {
     start.elapsed() / iters.max(1)
 }
 
+/// Time `iters` runs of `f`, returning the mean per-call time in
+/// microseconds. A local call can take under a nanosecond, which
+/// [`time_per_call`]'s whole-nanosecond `Duration` reads as 0 or 1.
+#[must_use]
+pub fn us_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    us(start.elapsed()) / f64::from(iters.max(1))
+}
+
 /// `d` in microseconds.
 #[must_use]
 pub fn us(d: Duration) -> f64 {

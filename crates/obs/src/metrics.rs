@@ -32,6 +32,16 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Add `n` with a load and a store instead of a read-modify-write,
+    /// for an owner's own counter whose adds a lock the owner holds
+    /// anyway already serializes. Adds that race each other here can
+    /// be lost; a reader still sees a whole value.
+    #[inline]
+    pub fn add_exclusive(&self, n: u64) {
+        let total = self.0.load(Ordering::Relaxed).wrapping_add(n);
+        self.0.store(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {

@@ -168,6 +168,7 @@ thread_local! {
 /// The calling thread's current trace context ([`TraceContext::NONE`]
 /// outside any traced scope).
 #[must_use]
+#[inline]
 pub fn current() -> TraceContext {
     CURRENT.with(Cell::get)
 }

@@ -146,6 +146,9 @@ clam_obs::counters! {
     /// batched async path — which must stay allocation-free at steady
     /// state — pays only relaxed atomic adds.
     struct CallerCounters {
+        /// Added to under the writer's lock only, so without an atomic
+        /// read-modify-write: exact whenever no `call_async` is under
+        /// way, and so at every flush.
         calls_async: "rpc.calls_async",
         /// Flushes by reason: batch full by calls, by bytes, or a
         /// synchronization point.
@@ -356,12 +359,12 @@ impl Caller {
         if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
-        self.counters.calls_async.inc();
         let out = &mut *self.out.hold();
+        self.counters.calls_async.add_exclusive(1);
         // Async calls carry the caller's current context verbatim: no
         // child span, no journal entry — this path must stay
-        // allocation-free at steady state, so it costs one atomic add
-        // and 24 trace bytes in the batch.
+        // allocation-free at steady state, so it costs 24 trace bytes
+        // in the batch.
         self.append(
             &mut out.1,
             &CallView {
@@ -618,6 +621,53 @@ mod tests {
         }
         assert_eq!(sent(&caller).0, 1, "hit flush_at_calls");
         drop(server);
+    }
+
+    /// (async calls issued, calls sent, batches sent) by `caller` so far.
+    fn counted(caller: &Caller) -> (u64, u64, u64) {
+        let m = caller.metrics();
+        let (batches, calls) = sent(caller);
+        (m.counter("rpc.calls_async"), calls, batches)
+    }
+
+    #[test]
+    fn calls_async_is_exact_at_every_flush() {
+        const N: u64 = 10;
+        let (caller, server) = test_caller();
+        let srv = serve_echo(server);
+        for _ in 0..N {
+            caller
+                .call_async(Target::Builtin(1), 0, Opaque::new())
+                .unwrap();
+        }
+        caller.call(Target::Builtin(1), 1, Opaque::new()).unwrap();
+        caller.flush().unwrap();
+        assert_eq!(counted(&caller), (N, N + 1, 1));
+        drop(caller);
+        let _ = srv.join();
+
+        // Flushed by the batch filling up at every fourth call.
+        let (client, server) = pair();
+        let (w, r) = client.split();
+        let config = CallerConfig {
+            flush_at_calls: 4,
+            ..CallerConfig::default()
+        };
+        let caller = Caller::new(&Scheduler::new("exact"), w, config);
+        caller.attach_reader(r);
+        let srv = serve_echo(server);
+        for n in 1..=N {
+            caller
+                .call_async(Target::Builtin(1), 0, Opaque::new())
+                .unwrap();
+            let flushed = n - n % 4;
+            assert_eq!(counted(&caller), (n, flushed, flushed / 4), "call {n}");
+        }
+        caller.call(Target::Builtin(1), 1, Opaque::new()).unwrap();
+        caller.flush().unwrap();
+        assert_eq!(counted(&caller), (N, N + 1, N / 4 + 1));
+        drop(caller);
+        let _ = srv.join();
     }
 
     #[test]

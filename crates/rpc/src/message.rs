@@ -254,15 +254,20 @@ fn check_opaque(len: usize) -> XdrResult<()> {
 /// is written, so a write never fails halfway.
 struct Writer<'b>(&'b mut Vec<u8>);
 
+// `#[inline]`, as `Reader`'s are: `Caller::call_async` writes each call
+// of a batch through these.
 impl Writer<'_> {
+    #[inline]
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn opaque(&mut self, bytes: &[u8]) {
         // Checked against MAX_OPAQUE_LEN, so it fits a u32.
         self.u32(bytes.len() as u32);
@@ -271,6 +276,7 @@ impl Writer<'_> {
             .extend_from_slice(&[0; XDR_UNIT][..padded_len(bytes.len()) - bytes.len()]);
     }
 
+    #[inline]
     fn target(&mut self, target: Target) {
         match target {
             Target::Builtin(id) => {
@@ -286,6 +292,7 @@ impl Writer<'_> {
         }
     }
 
+    #[inline]
     fn trace(&mut self, trace: TraceContext) {
         self.u64((trace.trace.0 >> 64) as u64);
         self.u64(trace.trace.0 as u64);
@@ -403,9 +410,16 @@ impl<'a> CallView<'a> {
     }
 
     /// Append this call to `buf`, or nothing if its arguments are too
-    /// long.
+    /// long. `buf` grows at most once, by the call's whole wire size.
+    #[inline]
     fn write(&self, buf: &mut Vec<u8>) -> XdrResult<()> {
         check_opaque(self.args.len())?;
+        let target = match self.target {
+            Target::Builtin(_) => 8,
+            Target::Object(_) => 28,
+        };
+        // Request id, target, method, args length and padded args, trace.
+        buf.reserve(8 + target + 4 + 4 + padded_len(self.args.len()) + 24);
         let mut writer = Writer(buf);
         writer.u64(self.request_id);
         writer.target(self.target);
@@ -645,6 +659,7 @@ impl BatchEncoder {
     ///
     /// An over-long argument payload, checked before anything is written,
     /// so the batch stays well-formed.
+    #[inline]
     pub fn push_view(&mut self, call: &CallView<'_>) -> XdrResult<()> {
         call.write(&mut self.buf)?;
         self.calls += 1;

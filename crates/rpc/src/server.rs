@@ -6,7 +6,7 @@ use crate::handle::{Handle, ObjectTable};
 use crate::message::{CallBatchView, Message, MessageView, Reply, Target};
 use clam_net::{Frame, MsgWriter, NetResult};
 use clam_obs::{EventKind, TraceContext, TraceScope};
-use clam_task::Scheduler;
+use clam_task::{Scheduler, TaskPanic};
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::any::Any;
@@ -149,7 +149,10 @@ pub struct CallContext {
 /// A builtin server service (bootstrap facilities addressed by number:
 /// the loader, the name service, …).
 pub trait Service: Send + Sync {
-    /// Handle one call; return bundled results.
+    /// Handle one call; return bundled results. A panic here is a fault
+    /// of this call alone ([`RpcServer::serve_frame`]): a sync call is
+    /// answered with [`StatusCode::Fault`], the fault observer hears of
+    /// it, and the frame's later calls still run.
     ///
     /// # Errors
     ///
@@ -423,7 +426,7 @@ impl RpcServer {
                 let (_, service) = kept.service.as_ref().ok_or_else(|| {
                     RpcError::status(StatusCode::NoSuchService, format!("service {id}"))
                 })?;
-                self.guarded(ctx, || service.dispatch(self, ctx))
+                served(&mut kept.serving, || service.dispatch(self, ctx))
             }
             Target::Object(handle) => {
                 let local = self.local_node.load(Ordering::Relaxed);
@@ -448,26 +451,20 @@ impl RpcServer {
                 let dispatch = self.classes.read().get(&class_id).cloned().ok_or_else(|| {
                     RpcError::status(StatusCode::NoSuchClass, format!("class {class_id}"))
                 })?;
-                self.guarded(ctx, || dispatch.dispatch(self, &object, ctx))
+                served(&mut kept.serving, || dispatch.dispatch(self, &object, ctx))
             }
         }
     }
 
-    /// Run served code under a panic guard: a fault in a loaded class
-    /// becomes a `Fault` status instead of tearing the server down, and
-    /// the fault observer is notified (error-reporting upcalls).
-    fn guarded(
-        &self,
-        ctx: &CallContext,
-        f: impl FnOnce() -> RpcResult<Opaque>,
-    ) -> RpcResult<Opaque> {
-        clam_task::catch_panic(f).unwrap_or_else(|fault| {
-            let observer = self.fault_observer.read().clone();
-            if let Some(observer) = observer {
-                observer(ctx.conn, ctx, fault.message());
-            }
-            Err(RpcError::status(StatusCode::Fault, fault.message()))
-        })
+    /// A fault in served code: notify the fault observer
+    /// (error-reporting upcalls) and, for a sync call, answer with a
+    /// `Fault` status instead of tearing the server down.
+    fn fault(&self, ctx: &CallContext, fault: &TaskPanic) -> Option<RpcResult<Opaque>> {
+        let observer = self.fault_observer.read().clone();
+        if let Some(observer) = observer {
+            observer(ctx.conn, ctx, fault.message());
+        }
+        (ctx.request_id != 0).then(|| Err(RpcError::status(StatusCode::Fault, fault.message())))
     }
 
     /// Serve one request frame from `conn`, the body of every serving
@@ -476,8 +473,11 @@ impl RpcServer {
     /// through `writer` as its call completes ([`TaskWriter::send`]: a
     /// peer that does not read its replies stalls this task only), and
     /// recycle the frame into `pool`. The calls share one argument
-    /// buffer and one dispatch context. A reply that cannot be sent ends
-    /// this frame's replies only; a dead peer shows up at its reader.
+    /// buffer, one dispatch context and one panic guard: a call whose
+    /// served code panics gets one `Fault` reply if it is sync and one
+    /// fault-observer notification, and serving resumes at the next
+    /// call. A reply that cannot be sent ends this frame's replies only;
+    /// a dead peer shows up at its reader.
     ///
     /// # Errors
     ///
@@ -502,16 +502,34 @@ impl RpcServer {
                 request_id: 0,
             };
             let mut kept = Kept::new(conn, dedup);
+            let mut calls = batch.iter();
             let mut sending = true;
-            for call in batch.iter() {
-                ctx.method = call.method;
-                ctx.request_id = call.request_id;
-                ctx.args.refill(call.args);
-                if let Some(outcome) = self.dispatch(&mut kept, &ctx, call.target, call.trace) {
-                    sending = sending
-                        && Message::Reply(Reply::from_outcome(call.request_id, outcome))
-                            .to_frame_in(pool)
-                            .is_ok_and(|out| writer.send(out).is_ok());
+            let mut reply = |request_id, outcome| {
+                sending = sending
+                    && Message::Reply(Reply::from_outcome(request_id, outcome))
+                        .to_frame_in(pool)
+                        .is_ok_and(|out| writer.send(out).is_ok());
+            };
+            // One guard serves the frame (one per call cost about a
+            // fifth of a served call): a panic ends the guarded run at the
+            // call that made it, and the next run resumes after it.
+            while let Err(fault) = clam_task::catch_panic(|| {
+                for call in calls.by_ref() {
+                    ctx.method = call.method;
+                    ctx.request_id = call.request_id;
+                    ctx.args.refill(call.args);
+                    if let Some(outcome) = self.dispatch(&mut kept, &ctx, call.target, call.trace) {
+                        reply(call.request_id, outcome);
+                    }
+                }
+            }) {
+                if !std::mem::take(&mut kept.serving) {
+                    // A fault in the runtime, not in served code: it is
+                    // no call's to answer for.
+                    std::panic::resume_unwind(Box::new(fault.message().to_owned()));
+                }
+                if let Some(outcome) = self.fault(&ctx, &fault) {
+                    reply(ctx.request_id, outcome);
                 }
             }
             pool.recycle(ctx.args.into_inner());
@@ -548,12 +566,14 @@ impl RpcServer {
 
 /// A frame's dispatch context, kept from call to call: the connection
 /// in [`current_conn`] until it drops, its dedup window, the last trace
-/// scope, and the last service routed to with its route generation and id.
+/// scope, the last service routed to with its route generation and id,
+/// and whether served code is running (see [`served`]).
 struct Kept<'a> {
     outer_conn: Option<ConnId>,
     dedup: &'a Mutex<DedupWindow>,
     scope: Option<(TraceContext, TraceScope)>,
     service: Option<((u64, u32), Arc<dyn Service>)>,
+    serving: bool,
 }
 
 impl Kept<'_> {
@@ -563,6 +583,7 @@ impl Kept<'_> {
             dedup,
             scope: None,
             service: None,
+            serving: false,
         }
     }
 }
@@ -571,6 +592,17 @@ impl Drop for Kept<'_> {
     fn drop(&mut self) {
         CURRENT_CONN.with(|c| c.set(self.outer_conn));
     }
+}
+
+/// Run served code with `serving` set, so that the frame's panic guard
+/// can tell a fault in loaded code, which the call answers for, from
+/// one in the runtime, which it passes on.
+#[inline]
+fn served<R>(serving: &mut bool, f: impl FnOnce() -> R) -> R {
+    *serving = true;
+    let result = f();
+    *serving = false;
+    result
 }
 
 #[cfg(test)]
@@ -872,6 +904,34 @@ mod tests {
         assert_eq!(reply.status, StatusCode::Ok);
         assert_eq!(reply.results.as_slice(), &[0xAB]);
         assert_eq!(*forwarded.lock(), vec![(2, 5)]);
+    }
+
+    #[test]
+    fn a_panic_outside_served_code_is_no_calls_fault() {
+        let server = RpcServer::new();
+        server.set_local_node(1);
+        server.set_forwarder(Arc::new(|_, _| panic!("fault in the forwarding fabric")));
+        let faults = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let f = Arc::clone(&faults);
+        server.set_fault_observer(Arc::new(move |_, _, _| {
+            f.fetch_add(1, Ordering::SeqCst);
+        }));
+        let foreign = Handle {
+            object_id: 9,
+            tag: 1,
+            home: 2,
+        };
+        let frame = Message::CallBatch(vec![call(Target::Object(foreign), 0, Opaque::new(), 1)])
+            .to_frame()
+            .unwrap();
+        let passed_on =
+            clam_task::catch_panic(|| serve(&server, ConnId(4), &Mutex::default(), &frame));
+        assert!(passed_on
+            .unwrap_err()
+            .message()
+            .contains("forwarding fabric"));
+        assert_eq!(faults.load(Ordering::SeqCst), 0, "the observer heard of it");
+        assert_eq!(current_conn(), None);
     }
 
     #[test]

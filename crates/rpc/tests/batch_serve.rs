@@ -73,6 +73,15 @@ impl Service for Tag {
     }
 }
 
+/// Answers with its arguments.
+struct Echo;
+
+impl Service for Echo {
+    fn dispatch(&self, _server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+        Ok(ctx.args.clone())
+    }
+}
+
 /// Runs its closure, then answers with nothing.
 struct Run<F>(F);
 
@@ -370,4 +379,61 @@ fn a_service_re_registered_by_another_thread_serves_every_later_call_once() {
         "a call reached a replaced service"
     );
     assert!(watch.published.load(Ordering::SeqCst) > 0);
+}
+
+#[test]
+fn a_panic_faults_only_its_own_call_and_the_frame_serves_on() {
+    let server = RpcServer::new();
+    let runs = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&runs);
+    server.register_service(
+        1,
+        run(move |_, ctx| {
+            log.lock()
+                .push((ctx.args.as_slice().to_vec(), current_conn()))
+        }),
+    );
+    server.register_service(2, run(|_, _| panic!("fault in served code")));
+    server.register_service(3, Arc::new(Echo));
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&faults);
+    server.set_fault_observer(Arc::new(move |conn, ctx, _| {
+        log.lock().push((conn, ctx.request_id));
+    }));
+    let with = |target: Target, request_id: u64, args: &[u8]| Call {
+        trace: TraceContext::new_root(),
+        args: Opaque::from(args.to_vec()),
+        ..call(target, 0, request_id)
+    };
+    let (note, panics, echo) = (Target::Builtin(1), Target::Builtin(2), Target::Builtin(3));
+    let conn = ConnId(8);
+
+    let outer = TraceContext::new_root();
+    let scope = clam_obs::enter(outer);
+    let replies = serve(
+        &server,
+        conn,
+        vec![
+            with(note, 0, &[1]),
+            with(panics, 5, &[]),
+            with(note, 0, &[2]),
+            with(panics, 0, &[]),
+            with(echo, 6, &[9]),
+        ],
+    );
+    assert_eq!(
+        clam_obs::current(),
+        outer,
+        "the outer trace context is back"
+    );
+    drop(scope);
+    assert_eq!(current_conn(), None, "the frame's connection is gone");
+
+    assert_eq!(replies, [failed(5, StatusCode::Fault), ok(6, &[9])]);
+    assert_eq!(
+        *runs.lock(),
+        [(vec![1], Some(conn)), (vec![2], Some(conn))],
+        "both notes ran, in order"
+    );
+    assert_eq!(*faults.lock(), [(conn, 5), (conn, 0)]);
 }

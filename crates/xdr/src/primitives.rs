@@ -15,6 +15,7 @@ macro_rules! int_filter {
         ///
         /// Returns [`XdrError::UnexpectedEof`] if a decoding stream runs
         /// out of bytes.
+        #[inline]
         pub fn $name(&mut self, v: &mut $ty) -> XdrResult<()> {
             match self.direction() {
                 Direction::Encode => {

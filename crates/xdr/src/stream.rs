@@ -72,6 +72,7 @@ impl<'a> XdrStream<'a> {
 
     /// Create a stream that decodes from `input`.
     #[must_use]
+    #[inline]
     pub fn decoder(input: &'a [u8]) -> XdrStream<'a> {
         XdrStream {
             dir: Direction::Decode,
@@ -84,6 +85,7 @@ impl<'a> XdrStream<'a> {
 
     /// The direction data flows through this stream.
     #[must_use]
+    #[inline]
     pub fn direction(&self) -> Direction {
         self.dir
     }
@@ -91,6 +93,7 @@ impl<'a> XdrStream<'a> {
     /// True if this stream is decoding (the paper's
     /// `xget_op() == XDR_DECODE` test).
     #[must_use]
+    #[inline]
     pub fn is_decoding(&self) -> bool {
         self.dir == Direction::Decode
     }
@@ -115,6 +118,7 @@ impl<'a> XdrStream<'a> {
     /// Bytes remaining to decode (decoding streams only; zero while
     /// encoding).
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len().saturating_sub(self.pos)
     }
@@ -146,6 +150,7 @@ impl<'a> XdrStream<'a> {
     /// # Errors
     ///
     /// Returns [`XdrError::Custom`] if bytes remain.
+    #[inline]
     pub fn finish_decode(&self) -> XdrResult<()> {
         if self.remaining() != 0 {
             return Err(XdrError::Custom(format!(
@@ -160,11 +165,13 @@ impl<'a> XdrStream<'a> {
     // Raw byte-level plumbing used by the primitive/opaque modules.
     // ------------------------------------------------------------------
 
+    #[inline]
     pub(crate) fn write_raw(&mut self, bytes: &[u8]) {
         debug_assert_eq!(self.dir, Direction::Encode);
         self.buf.extend_from_slice(bytes);
     }
 
+    #[inline]
     pub(crate) fn read_raw(&mut self, n: usize) -> XdrResult<&'a [u8]> {
         debug_assert_eq!(self.dir, Direction::Decode);
         if self.remaining() < n {
