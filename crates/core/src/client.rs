@@ -13,13 +13,14 @@
 //! as an ordinary bundled argument and comes back to life there as a RUC
 //! object (section 3.5.2).
 
+use crate::error::CoreError;
 use crate::wire::{ChannelRole, Hello};
 use clam_load::LoaderProxy;
 use clam_net::{Connector, DirectConnector, Endpoint};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
-    Caller, CallerConfig, Message, MessageView, ProcId, Reply, RpcError, RpcResult, StatusCode,
-    Target, TaskWriter, UpcallMsg,
+    Caller, CallerConfig, Message, MessageView, ProcId, RpcError, RpcResult, StatusCode, Target,
+    TaskWriter, UpcallView,
 };
 use clam_task::Scheduler;
 use clam_xdr::{Bundle, Opaque};
@@ -32,6 +33,11 @@ use crate::session::{SessionCtl, SessionCtlProxy, SESSION_SERVICE_ID};
 
 type RawProc = Arc<dyn Fn(&Opaque) -> RpcResult<Opaque> + Send + Sync>;
 
+/// A registered procedure as the upcall task runs it: it decodes its
+/// arguments where they lie in the upcall frame and bundles its result
+/// onto the end of the reply frame.
+type Proc = Arc<dyn Fn(&[u8], &mut Vec<u8>) -> RpcResult<()> + Send + Sync>;
+
 /// The client's table of procedures registered for upcalls.
 ///
 /// This is the client half of the paper's procedure-pointer bundling: the
@@ -39,7 +45,7 @@ type RawProc = Arc<dyn Fn(&Opaque) -> RpcResult<Opaque> + Send + Sync>;
 /// back to the real procedure when an upcall arrives.
 #[derive(Default)]
 pub struct ProcRegistry {
-    procs: Mutex<HashMap<u64, RawProc>>,
+    procs: Mutex<HashMap<u64, Proc>>,
     /// Ids minted so far; the next is one more, so none is the null 0.
     minted: AtomicU64,
 }
@@ -59,28 +65,36 @@ impl ProcRegistry {
         ProcRegistry::default()
     }
 
-    /// Register a raw (bytes-level) procedure.
-    pub fn register_raw(&self, proc: RawProc) -> ProcId {
+    fn insert(&self, proc: Proc) -> ProcId {
         let id = self.minted.fetch_add(1, Ordering::Relaxed) + 1;
         self.procs.lock().insert(id, proc);
         ProcId { id }
     }
 
+    /// Register a raw (bytes-level) procedure.
+    pub fn register_raw(&self, proc: RawProc) -> ProcId {
+        self.insert(Arc::new(move |args: &[u8], results: &mut Vec<u8>| {
+            results.extend_from_slice(proc(&Opaque::from(args))?.as_slice());
+            Ok(())
+        }))
+    }
+
     /// Register a typed procedure; arguments and result bundle through
     /// the generated stubs, so type agreement with the server's
     /// declaration is the registration-time contract (section 4.1's
-    /// compile-time typing).
+    /// compile-time typing). An upcall decodes its arguments from the
+    /// frame they came in and bundles the result straight into the
+    /// reply frame.
     pub fn register<A, R, F>(&self, f: F) -> ProcId
     where
         A: Bundle + Clone + 'static,
         R: Bundle + Clone + 'static,
         F: Fn(A) -> RpcResult<R> + Send + Sync + 'static,
     {
-        self.register_raw(Arc::new(move |args: &Opaque| {
-            let a: A = clam_xdr::decode(args.as_slice())
+        self.insert(Arc::new(move |args: &[u8], results: &mut Vec<u8>| {
+            let a: A = clam_xdr::decode(args)
                 .map_err(|e| RpcError::status(StatusCode::BadArgs, e.to_string()))?;
-            let r = f(a)?;
-            Ok(Opaque::from(clam_xdr::encode(&r)?))
+            Ok(clam_xdr::bundle_onto(f(a)?, results)?)
         }))
     }
 
@@ -89,10 +103,15 @@ impl ProcRegistry {
         self.procs.lock().remove(&proc.id).is_some()
     }
 
-    /// Look up a procedure.
+    /// Look up a procedure, as a raw (bytes-level) one.
     #[must_use]
     pub fn get(&self, proc: ProcId) -> Option<RawProc> {
-        self.procs.lock().get(&proc.id).cloned()
+        let proc = self.procs.lock().get(&proc.id).cloned()?;
+        Some(Arc::new(move |args: &Opaque| {
+            let mut results = Vec::new();
+            proc(args.as_slice(), &mut results)?;
+            Ok(Opaque::from(results))
+        }))
     }
 
     /// Number of registered procedures.
@@ -213,7 +232,9 @@ impl ClamClient {
     ///
     /// # Errors
     ///
-    /// Transport errors connecting or handshaking.
+    /// Transport errors connecting or handshaking; an `AppError` status
+    /// if the scheduler can start no upcall-handler task (it is shut
+    /// down, or no thread can be started).
     pub fn connect_opts(endpoint: &Endpoint, opts: ClientOptions) -> RpcResult<Arc<ClamClient>> {
         let nonce = clam_obs::unique_id();
 
@@ -236,7 +257,8 @@ impl ClamClient {
 
         let (mut up_writer, mut up_reader) = upcall_ch.split();
         // One pool for the upcall channel: inbound upcall frames are
-        // recycled right after decode, reply frames after the write.
+        // recycled once their handler has run, reply frames after the
+        // write.
         let upcall_pool = clam_xdr::BufferPool::default();
         up_writer.attach_pool(&upcall_pool);
         up_reader.attach_pool(&upcall_pool);
@@ -253,49 +275,53 @@ impl ClamClient {
         // receipt of an upcall, replies, blocks again (section 4.4). It
         // reads the upcall channel and waits for room for its replies
         // outside the baton; until it comes back for the next upcall,
-        // later ones wait in the transport's buffer.
-        {
-            let procs = Arc::clone(&client.procs);
-            let handled = Arc::clone(&client.counters.upcalls_handled);
-            let sched = client.sched.clone();
-            let up_writer = TaskWriter::new(&sched, up_writer);
-            client.sched.spawn("upcall-handler", move || {
-                while let Ok(frame) = sched.outside(|| up_reader.recv()) {
-                    let Ok(MessageView::Upcall(view)) = MessageView::parse(&frame) else {
-                        return;
-                    };
-                    // The arguments move from the frame to a pooled buffer,
-                    // so the frame goes back to the pool before the handler
-                    // runs.
-                    let mut args = upcall_pool.acquire();
-                    args.extend_from_slice(view.args);
-                    let up = UpcallMsg {
-                        proc_id: view.proc_id,
-                        request_id: view.request_id,
-                        args: Opaque::from(args),
-                        trace: view.trace,
-                    };
-                    upcall_pool.recycle(frame.into_wire());
-                    let reply = Self::run_upcall(&procs, &up);
-                    upcall_pool.recycle(up.args.into_inner());
+        // later ones wait in the transport's buffer. A handler reads its
+        // arguments from the upcall frame and writes its result into the
+        // reply frame; an async upcall's result goes to `discard`.
+        let procs = Arc::clone(&client.procs);
+        let handled = Arc::clone(&client.counters.upcalls_handled);
+        let sched = client.sched.clone();
+        let up_writer = TaskWriter::new(&sched, up_writer);
+        let handler = client.sched.try_spawn("upcall-handler", move || {
+            let mut discard = Vec::new();
+            while let Ok(frame) = sched.outside(|| up_reader.recv()) {
+                let Ok(MessageView::Upcall(up)) = MessageView::parse(&frame) else {
+                    return;
+                };
+                let replied = if up.request_id == 0 {
+                    discard.clear();
+                    let _ = Self::run_upcall(&procs, &up, &mut discard);
                     handled.inc();
-                    if up.request_id != 0 {
-                        let Ok(frame) = Message::UpcallReply(reply).to_frame_in(&upcall_pool)
-                        else {
-                            return;
-                        };
-                        if up_writer.send(frame).is_err() {
-                            return;
-                        }
-                    }
+                    true
+                } else {
+                    let reply =
+                        Message::upcall_reply_frame_in(&upcall_pool, up.request_id, |results| {
+                            Self::run_upcall(&procs, &up, results)
+                        });
+                    handled.inc();
+                    // The reply goes out before the upcall frame goes
+                    // back to the pool: the upcaller waits for the one.
+                    reply.is_ok_and(|reply| up_writer.send(reply).is_ok())
+                };
+                upcall_pool.recycle(frame.into_wire());
+                if !replied {
+                    return;
                 }
-            });
-        }
-
+            }
+        });
+        // A client whose upcalls no task would handle is not connected:
+        // dropping it (and the task's channel halves) closes both channels.
+        handler.map_err(|e| CoreError::spawn("upcall-handler")(std::io::Error::other(e)))?;
         Ok(client)
     }
 
-    fn run_upcall(procs: &ProcRegistry, up: &UpcallMsg) -> Reply {
+    /// Run upcall `up`'s procedure on its arguments, bundling its result
+    /// onto the end of `results`.
+    fn run_upcall(
+        procs: &ProcRegistry,
+        up: &UpcallView<'_>,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         // Adopt the trace context the server put on the wire: the
         // handler (and any nested calls it makes) becomes a child of
         // the server-side span that invoked the upcall.
@@ -308,28 +334,31 @@ impl ClamClient {
                 u32::try_from(up.proc_id).unwrap_or(u32::MAX),
             );
         }
-        let outcome = match procs.get(ProcId { id: up.proc_id }) {
-            // Handler faults must not kill the upcall task: report them
-            // as a Fault status instead. Calls the handler makes while
-            // its upcall is outstanding are nested (section 4.4); tag
-            // them so the server services them out of band.
-            Some(proc) => clam_task::catch_panic(|| clam_rpc::nested_call_scope(|| proc(&up.args)))
+        let proc = procs.procs.lock().get(&up.proc_id).cloned();
+        let outcome =
+            match proc {
+                // Handler faults must not kill the upcall task: report them
+                // as a Fault status instead. Calls the handler makes while
+                // its upcall is outstanding are nested (section 4.4); tag
+                // them so the server services them out of band.
+                Some(proc) => clam_task::catch_panic(|| {
+                    clam_rpc::nested_call_scope(|| proc(up.args, results))
+                })
                 .unwrap_or_else(|fault| Err(RpcError::status(StatusCode::Fault, fault.message()))),
-            None => Err(RpcError::status(
-                StatusCode::NoSuchMethod,
-                format!("no procedure {} registered", up.proc_id),
-            )),
-        };
-        let reply = Reply::from_outcome(up.request_id, outcome);
+                None => Err(RpcError::status(
+                    StatusCode::NoSuchMethod,
+                    format!("no procedure {} registered", up.proc_id),
+                )),
+            };
         if !up.trace.is_none() {
             clam_obs::journal().record(
                 EventKind::UpcallExit,
                 up.trace,
                 SpanId::NONE,
-                u32::from(reply.status != StatusCode::Ok),
+                u32::from(outcome.is_err()),
             );
         }
-        reply
+        outcome
     }
 
     /// The client's RPC caller (aim proxies through this).
@@ -421,6 +450,7 @@ impl ClamClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clam_rpc::{Reply, UpcallMsg};
 
     #[test]
     fn proc_registry_round_trips_typed_procedures() {
@@ -462,10 +492,41 @@ mod tests {
         assert_eq!(err.status_code(), Some(StatusCode::BadArgs));
     }
 
+    /// Run `up` as the upcall task does; the reply it makes.
+    fn run_upcall(procs: &ProcRegistry, up: &UpcallMsg) -> Reply {
+        let view = UpcallView {
+            proc_id: up.proc_id,
+            request_id: up.request_id,
+            args: up.args.as_slice(),
+            trace: up.trace,
+        };
+        let mut results = Vec::new();
+        let outcome = ClamClient::run_upcall(procs, &view, &mut results);
+        Reply::from_outcome(up.request_id, outcome.map(|()| Opaque::from(results)))
+    }
+
+    #[test]
+    fn a_connect_that_can_start_no_upcall_task_fails_and_closes_both_channels() {
+        let listener = clam_net::listen(&Endpoint::tcp("127.0.0.1:0")).unwrap();
+        let sched = Scheduler::new("client-shut-down");
+        sched.shutdown();
+        let opts = ClientOptions {
+            scheduler: Some(sched),
+            ..ClientOptions::default()
+        };
+        let err = ClamClient::connect_opts(&listener.endpoint(), opts).unwrap_err();
+        assert_eq!(err.status_code(), Some(StatusCode::AppError), "got {err:?}");
+        for _ in 0..2 {
+            let mut channel = listener.accept().unwrap();
+            assert!(channel.recv().is_ok(), "the hello");
+            assert!(channel.recv().is_err(), "the channel closes");
+        }
+    }
+
     #[test]
     fn run_upcall_reports_missing_procedure() {
         let reg = ProcRegistry::new();
-        let reply = ClamClient::run_upcall(
+        let reply = run_upcall(
             &reg,
             &UpcallMsg {
                 proc_id: 99,
@@ -481,7 +542,7 @@ mod tests {
     fn run_upcall_contains_handler_panics() {
         let reg = ProcRegistry::new();
         let id = reg.register(|(): ()| -> RpcResult<()> { panic!("handler bug") });
-        let reply = ClamClient::run_upcall(
+        let reply = run_upcall(
             &reg,
             &UpcallMsg {
                 proc_id: id.id,

@@ -12,17 +12,17 @@
 //! router; invoking it performs the distributed upcall.
 
 use clam_net::{MsgReader, MsgWriter};
-use clam_rpc::{
-    Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, TaskWriter, UpcallMsg,
-};
+use clam_rpc::{Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, TaskWriter};
 use clam_task::{Event, Scheduler};
-use clam_xdr::{BufferPool, Opaque};
+use clam_xdr::{BufferPool, Opaque, XdrResult};
 use std::sync::Arc;
 use std::time::Duration;
 
-clam_obs::handles! {
-    /// Distributed upcalls sent through any router (`core.upcall.remote`).
-    fn obs_remote_upcalls() -> Counter = counter("core.upcall.remote");
+clam_obs::counters! {
+    struct RouterCounters {
+        /// Distributed upcalls sent through this router.
+        remote: "core.upcall.remote",
+    }
 }
 
 /// Per-client controller of the upcall channel.
@@ -44,6 +44,7 @@ pub struct UpcallRouter {
     /// Deadline for synchronous upcalls; `None` is the paper's unbounded
     /// wait (a client that never replies blocks its server task forever).
     timeout: Option<Duration>,
+    counters: RouterCounters,
 }
 
 impl std::fmt::Debug for UpcallRouter {
@@ -82,6 +83,7 @@ impl UpcallRouter {
             max_active,
             pool,
             timeout,
+            counters: RouterCounters::register(),
         })
     }
 
@@ -103,6 +105,18 @@ impl UpcallRouter {
     /// Transport errors, [`RpcError::Disconnected`] if the client goes
     /// away, or the client procedure's error status.
     pub fn invoke(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
+        self.invoke_with(proc_id, copy(&args), |results| Ok(Opaque::from(results)))
+    }
+
+    /// [`invoke`](Self::invoke) with the arguments bundled by `args`
+    /// straight into the upcall frame, and the result decoded by
+    /// `results` straight from the reply frame.
+    pub(crate) fn invoke_with<T>(
+        &self,
+        proc_id: ProcId,
+        args: impl FnOnce(&mut Vec<u8>) -> XdrResult<()>,
+        results: impl FnOnce(&[u8]) -> RpcResult<T>,
+    ) -> RpcResult<T> {
         // One active upcall per client (section 4.4).
         self.permits.wait();
         // The upcall is a child span of whatever server-side span is
@@ -111,32 +125,24 @@ impl UpcallRouter {
         // the parent edge here: the wire carries only (trace, span).
         let parent = clam_obs::current();
         let ctx = parent.child(); // a child of NONE is a fresh root
-        obs_remote_upcalls().inc();
+        self.counters.remote.inc();
         clam_obs::journal().record(
             clam_obs::EventKind::UpcallSent,
             ctx,
             parent.span,
             u32::try_from(proc_id.id).unwrap_or(u32::MAX),
         );
-        let result = self.replies.request(self.timeout, |request_id| {
-            let msg = Message::Upcall(UpcallMsg {
-                proc_id: proc_id.id,
-                request_id,
-                args,
-                trace: ctx,
-            });
-            self.send(&msg)
-        });
+        let result = self.replies.request_with(
+            self.timeout,
+            |request_id| {
+                let frame =
+                    Message::upcall_frame_in(&self.pool, proc_id.id, request_id, ctx, args)?;
+                Ok(self.writer.send(frame)?)
+            },
+            results,
+        );
         self.permits.signal();
         result
-    }
-
-    /// Send an upcall. The client's upcall queue is the transport's
-    /// buffer; a send that must wait for room waits outside the baton
-    /// ([`TaskWriter::send`]).
-    fn send(&self, msg: &Message) -> RpcResult<()> {
-        self.writer.send(msg.to_frame_in(&self.pool)?)?;
-        Ok(())
     }
 
     /// Perform an asynchronous upcall: no reply, no slot consumed.
@@ -145,19 +151,33 @@ impl UpcallRouter {
     ///
     /// Transport and bundling errors.
     pub fn invoke_async(&self, proc_id: ProcId, args: Opaque) -> RpcResult<()> {
+        self.invoke_async_with(proc_id, copy(&args))
+    }
+
+    /// [`invoke_async`](Self::invoke_async) with the arguments bundled by
+    /// `args` straight into the upcall frame.
+    pub(crate) fn invoke_async_with(
+        &self,
+        proc_id: ProcId,
+        args: impl FnOnce(&mut Vec<u8>) -> XdrResult<()>,
+    ) -> RpcResult<()> {
         if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
-        obs_remote_upcalls().inc();
-        let msg = Message::Upcall(UpcallMsg {
-            proc_id: proc_id.id,
-            request_id: 0,
-            args,
-            // Async upcalls join the current trace without opening a
-            // span: nobody waits on them, so there is nothing to time.
-            trace: clam_obs::current(),
-        });
-        self.send(&msg)
+        self.counters.remote.inc();
+        // Async upcalls join the current trace without opening a span:
+        // nobody waits on them, so there is nothing to time.
+        let trace = clam_obs::current();
+        let frame = Message::upcall_frame_in(&self.pool, proc_id.id, 0, trace, args)?;
+        // The client's upcall queue is the transport's buffer; a send
+        // that must wait for room waits outside the baton.
+        Ok(self.writer.send(frame)?)
+    }
+
+    /// This router's own `core.*` counts, keyed by catalogue name.
+    #[must_use]
+    pub fn metrics(&self) -> clam_obs::MetricsSnapshot {
+        self.counters.metrics()
     }
 
     /// The router's pending-reply table.
@@ -192,6 +212,14 @@ impl UpcallRouter {
     }
 }
 
+/// Arguments already bundled, copied into the upcall frame as they are.
+fn copy(args: &Opaque) -> impl FnOnce(&mut Vec<u8>) -> XdrResult<()> + '_ {
+    |frame| {
+        frame.extend_from_slice(args.as_slice());
+        Ok(())
+    }
+}
+
 /// One RUC object: a client procedure bound to its connection's router.
 ///
 /// "The compiler generates code to call a procedure in the RUC class
@@ -200,8 +228,8 @@ impl UpcallRouter {
 /// `invoke` *is* that procedure.
 #[derive(Debug, Clone)]
 pub struct RemoteUpcall {
-    router: Arc<UpcallRouter>,
-    proc_id: ProcId,
+    pub(crate) router: Arc<UpcallRouter>,
+    pub(crate) proc_id: ProcId,
 }
 
 impl RemoteUpcall {
@@ -286,6 +314,18 @@ mod tests {
         let out = ruc.invoke(Opaque::from(vec![1, 2])).unwrap();
         assert_eq!(out.as_slice(), &[1, 2, 0xEE]);
         assert_eq!(router.outstanding(), 0);
+    }
+
+    #[test]
+    fn each_router_counts_its_own_upcalls() {
+        let (one, _client_one, _sched_one) = rig(1);
+        let (other, _client_other, _sched_other) = rig(1);
+        for _ in 0..2 {
+            one.invoke(ProcId { id: 7 }, Opaque::new()).unwrap();
+        }
+        other.invoke_async(ProcId { id: 7 }, Opaque::new()).unwrap();
+        let remote = |router: &UpcallRouter| router.metrics().counter("core.upcall.remote");
+        assert_eq!((remote(&one), remote(&other)), (2, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::ruc::RemoteUpcall;
 use clam_rpc::RpcResult;
-use clam_xdr::{Bundle, Opaque};
+use clam_xdr::Bundle;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,11 +112,11 @@ where
                 obs_local_upcalls().inc();
                 f(args)
             }
-            TargetKind::Remote { ruc, .. } => {
-                let bundled = Opaque::from(clam_xdr::encode(&args)?);
-                let results = ruc.invoke(bundled)?;
-                Ok(clam_xdr::decode(results.as_slice())?)
-            }
+            TargetKind::Remote { ruc, .. } => ruc.router.invoke_with(
+                ruc.proc_id,
+                |frame| clam_xdr::bundle_onto(args, frame),
+                |results| Ok(clam_xdr::decode(results)?),
+            ),
         }
     }
 
@@ -134,10 +134,9 @@ where
                 obs_local_upcalls().inc();
                 f(args).map(|_| ())
             }
-            TargetKind::Remote { ruc, .. } => {
-                let bundled = Opaque::from(clam_xdr::encode(&args)?);
-                ruc.invoke_async(bundled)
-            }
+            TargetKind::Remote { ruc, .. } => ruc
+                .router
+                .invoke_async_with(ruc.proc_id, |frame| clam_xdr::bundle_onto(args, frame)),
         }
     }
 }

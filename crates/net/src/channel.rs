@@ -224,7 +224,7 @@ fn transport_kind(label: &str) -> &str {
 }
 
 /// `net.frames_{dir}.{kind}` and `net.bytes_{dir}.{kind}`: a stream
-/// half's own counters, which no other half's thread writes.
+/// half's own counters, which only that half writes, under `&mut self`.
 struct Meter {
     frames: Arc<clam_obs::Counter>,
     bytes: Arc<clam_obs::Counter>,
@@ -240,8 +240,8 @@ impl Meter {
     }
 
     fn count(&self, wire_len: usize) {
-        self.frames.inc();
-        self.bytes.add(wire_len as u64);
+        self.frames.add_exclusive(1);
+        self.bytes.add_exclusive(wire_len as u64);
     }
 }
 
@@ -560,11 +560,11 @@ impl<S: Socket> StreamReader<S> {
                     .map(|wait| (wait * 3 / 2).clamp(SPIN_MIN, SPIN_CAP));
                 let read = match probe_for.and_then(|limit| self.probe(start + limit, deadline)) {
                     Some(n) => {
-                        self.spun.inc();
+                        self.spun.add_exclusive(1);
                         Ok(n)
                     }
                     None => {
-                        self.slept.inc();
+                        self.slept.add_exclusive(1);
                         match deadline {
                             None => self.receive(S::read),
                             Some(at) => match ready_by(self.socket.as_raw_fd(), POLLIN, Some(at)) {
@@ -619,7 +619,7 @@ impl<S: Socket> StreamReader<S> {
         loop {
             match self.receive(S::read_now).map_err(|e| e.kind()) {
                 Ok(n) => return Some(n),
-                Err(io::ErrorKind::WouldBlock) => self.probes.inc(),
+                Err(io::ErrorKind::WouldBlock) => self.probes.add_exclusive(1),
                 Err(io::ErrorKind::Interrupted) => {}
                 Err(_) => return None,
             }

@@ -175,19 +175,71 @@ impl Message {
             Message::Reply(reply) => return reply_frame_in(pool, MSG_REPLY, reply),
             Message::UpcallReply(reply) => return reply_frame_in(pool, MSG_UPCALL_REPLY, reply),
             Message::Upcall(upcall) => {
-                check_opaque(upcall.args.len())?;
-                return frame_in(pool, MSG_UPCALL, |writer| {
-                    writer.u64(upcall.proc_id);
-                    writer.u64(upcall.request_id);
-                    writer.opaque(upcall.args.as_slice());
-                    writer.trace(upcall.trace);
-                });
+                return Message::upcall_frame_in(
+                    pool,
+                    upcall.proc_id,
+                    upcall.request_id,
+                    upcall.trace,
+                    |args| {
+                        args.extend_from_slice(upcall.args.as_slice());
+                        Ok(())
+                    },
+                );
             }
         };
         for call in calls {
             enc.push_view(&call.view())?;
         }
         enc.finish()
+    }
+
+    /// An [`Upcall`](Message::Upcall) frame in a buffer from `pool`,
+    /// whose argument bytes `args` appends in place: the arguments are
+    /// bundled straight into the frame, with no buffer of their own.
+    ///
+    /// # Errors
+    ///
+    /// `args`' error, or arguments over the opaque cap.
+    pub fn upcall_frame_in(
+        pool: &BufferPool,
+        proc_id: u64,
+        request_id: u64,
+        trace: TraceContext,
+        args: impl FnOnce(&mut Vec<u8>) -> XdrResult<()>,
+    ) -> XdrResult<Frame> {
+        frame_in(pool, MSG_UPCALL, |buf| {
+            Writer(buf).u64(proc_id);
+            Writer(buf).u64(request_id);
+            opaque_in_place(buf, args)?;
+            Writer(buf).trace(trace);
+            Ok(())
+        })
+    }
+
+    /// The [`UpcallReply`](Message::UpcallReply) to upcall `request_id`
+    /// in a buffer from `pool`: `Ok` with the result bytes `results`
+    /// appends in place, or, if `results` fails or writes more than the
+    /// opaque cap, the error reply [`Reply::from_outcome`] makes of that.
+    ///
+    /// # Errors
+    ///
+    /// An over-[`MAX_FRAME_LEN`] error reply.
+    pub fn upcall_reply_frame_in(
+        pool: &BufferPool,
+        request_id: u64,
+        results: impl FnOnce(&mut Vec<u8>) -> RpcResult<()>,
+    ) -> XdrResult<Frame> {
+        frame_in(pool, MSG_UPCALL_REPLY, |buf| {
+            let mut writer = Writer(buf);
+            writer.u64(request_id);
+            writer.u32(StatusCode::Ok.discriminant());
+            writer.opaque(b"");
+            opaque_in_place(buf, results)
+        })
+        .or_else(|e| {
+            let error = Reply::from_outcome(request_id, Err(e));
+            reply_frame_in(pool, MSG_UPCALL_REPLY, &error)
+        })
     }
 }
 
@@ -200,13 +252,20 @@ fn finish_frame(enc: FrameEncoder) -> XdrResult<Frame> {
 }
 
 /// Write one message of `kind` into a frame buffer from `pool`: the kind
-/// word, then `body`.
-fn frame_in(pool: &BufferPool, kind: u32, body: impl FnOnce(&mut Writer<'_>)) -> XdrResult<Frame> {
+/// word, then what `body` appends. If `body` fails, the buffer goes back
+/// to the pool.
+fn frame_in<E: From<XdrError>>(
+    pool: &BufferPool,
+    kind: u32,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<Frame, E> {
     let mut buf = FrameEncoder::begin(pool.acquire()).into_buf();
-    let mut writer = Writer(&mut buf);
-    writer.u32(packed_kind(kind));
-    body(&mut writer);
-    finish_frame(FrameEncoder::resume(buf))
+    Writer(&mut buf).u32(packed_kind(kind));
+    if let Err(e) = body(&mut buf) {
+        pool.recycle(buf);
+        return Err(e);
+    }
+    Ok(finish_frame(FrameEncoder::resume(buf))?)
 }
 
 fn reply_frame_in(pool: &BufferPool, kind: u32, reply: &Reply) -> XdrResult<Frame> {
@@ -214,11 +273,13 @@ fn reply_frame_in(pool: &BufferPool, kind: u32, reply: &Reply) -> XdrResult<Fram
         let error = Reply::from_outcome(reply.request_id, Err(err.into()));
         return reply_frame_in(pool, kind, &error);
     }
-    frame_in(pool, kind, |writer| {
+    frame_in(pool, kind, |buf| {
+        let mut writer = Writer(buf);
         writer.u64(reply.request_id);
         writer.u32(reply.status.discriminant());
         writer.opaque(reply.detail.as_bytes());
         writer.opaque(reply.results.as_slice());
+        Ok(())
     })
 }
 
@@ -246,6 +307,24 @@ fn check_opaque(len: usize) -> XdrResult<()> {
             max: MAX_OPAQUE_LEN,
         });
     }
+    Ok(())
+}
+
+/// Append an opaque item whose bytes `fill` appends to `buf`: a length
+/// word, patched once `fill` returns and its length is checked, then
+/// the bytes and their padding.
+fn opaque_in_place<E: From<XdrError>>(
+    buf: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; XDR_UNIT]);
+    fill(buf)?;
+    let len = buf.len() - at - XDR_UNIT;
+    check_opaque(len)?;
+    // Checked against MAX_OPAQUE_LEN, so it fits a u32.
+    buf[at..at + XDR_UNIT].copy_from_slice(&(len as u32).to_be_bytes());
+    buf.extend_from_slice(&[0; XDR_UNIT][..padded_len(len) - len]);
     Ok(())
 }
 
@@ -465,19 +544,6 @@ impl<'a> ReplyView<'a> {
             detail: std::str::from_utf8(reader.opaque()?).map_err(|_| XdrError::InvalidUtf8)?,
             results: reader.opaque()?,
         })
-    }
-
-    /// The call's outcome: its results, or its status as an error.
-    ///
-    /// # Errors
-    ///
-    /// The reply's non-`Ok` status, as [`RpcError::Status`].
-    pub fn outcome(&self) -> RpcResult<Opaque> {
-        if self.status == StatusCode::Ok {
-            Ok(Opaque::from(self.results))
-        } else {
-            Err(RpcError::status(self.status, self.detail))
-        }
     }
 }
 
@@ -835,7 +901,7 @@ mod tests {
         let MessageView::UpcallReply(back) = MessageView::parse(&frame).unwrap() else {
             panic!("wrong kind");
         };
-        assert_eq!(back.outcome().unwrap().as_slice(), &[1]);
+        assert_eq!((back.status, back.results), (StatusCode::Ok, &[1][..]));
         assert_eq!(back.request_id, 3);
     }
 
@@ -1004,6 +1070,41 @@ mod tests {
         assert_eq!(frame, reference);
         // The kind word, then a zero count.
         assert_eq!(frame.payload(), &[0, 0, 3, 1, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn upcall_replies_written_in_place_match_to_frame() {
+        let pool = BufferPool::default();
+        for results in [vec![], vec![1, 2, 3], vec![9; 8]] {
+            let frame = Message::upcall_reply_frame_in(&pool, 4, |out| {
+                out.extend_from_slice(&results);
+                Ok(())
+            })
+            .unwrap();
+            let reference = Message::UpcallReply(Reply::from_outcome(4, Ok(results.into())));
+            assert_eq!(frame, reference.to_frame().unwrap());
+            pool.recycle(frame.into_wire());
+        }
+        // A failed handler, after writing part of its results, and
+        // results over the cap both become the error reply.
+        let refused = RpcError::status(StatusCode::BadArgs, "no");
+        let frame = Message::upcall_reply_frame_in(&pool, 4, |out| {
+            out.push(1);
+            Err(refused)
+        })
+        .unwrap();
+        let reference = Reply::from_outcome(4, Err(RpcError::status(StatusCode::BadArgs, "no")));
+        assert_eq!(frame, Message::UpcallReply(reference).to_frame().unwrap());
+        let frame = Message::upcall_reply_frame_in(&pool, 4, |out| {
+            out.resize(out.len() + MAX_OPAQUE_LEN + 1, 0);
+            Ok(())
+        })
+        .unwrap();
+        let Ok(MessageView::UpcallReply(reply)) = MessageView::parse(&frame) else {
+            panic!("an upcall reply");
+        };
+        assert_eq!(reply.status, StatusCode::AppError);
+        assert!(reply.results.is_empty());
     }
 
     #[test]

@@ -12,6 +12,16 @@
 //! its condition variable — and no thread keeps time for the table. Whoever removes an entry removes its
 //! deadline too, so armed deadlines never outnumber outstanding requests.
 //!
+//! The entries live in a slab that the request id indexes (the slot in
+//! the high 32 bits, a request count in the low 32, so a late reply never
+//! matches the request that reuses its slot). A slot and its condition
+//! variable are made only when every slot is taken: the slab never holds
+//! more slots than the most requests outstanding at once, and a request
+//! allocates nothing. Each outcome stays in its slot, under the table's
+//! one lock; an `Ok` reply stays the pooled frame it came in, which the
+//! waiter decodes its result from. A leader whose own reply comes in
+//! routes it, hands the reader back and takes its outcome in one pass.
+//!
 //! Every decision of this protocol is one function, [`Proto::on`], over
 //! the token, the closed flag and the armed count; the table's methods
 //! only perform what it returns. The explorer in this module's tests
@@ -29,9 +39,9 @@ use clam_net::{Closer, MsgReader};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which reply message the table's reader accepts; any other message is
@@ -45,28 +55,26 @@ pub enum ReplyKind {
     UpcallReply,
 }
 
-/// One outstanding request. Its outcome is only written under the
-/// table's lock, and `cv` (waited on with that lock) wakes this waiter
-/// alone: for its outcome, or to offer it the reader.
+/// How a request ended: with result bytes, the `range` of a buffer that
+/// goes to the pool once they are read (an `Ok` reply frame's wire
+/// image, or the results [`PendingReplies::complete`] was handed), or
+/// with an error.
 #[derive(Debug)]
-struct Wait {
-    cv: Condvar,
-    slot: Mutex<Option<RpcResult<Opaque>>>,
-    deadline: Option<Instant>,
+enum Outcome {
+    Results(Vec<u8>, Range<usize>),
+    Failed(RpcError),
 }
 
-impl Wait {
-    /// Write the outcome, and wake this waiter if `wake` says so.
-    fn finish(&self, outcome: RpcResult<Opaque>, wake: Wake) {
-        *self.slot.lock() = Some(outcome);
-        if wake == Wake::Finished {
-            self.cv.notify_one();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.slot.lock().is_some()
-    }
+/// One slot of the slab: free (id 0), or one outstanding request, which
+/// is done once it has its outcome.
+#[derive(Debug, Default)]
+struct Entry {
+    id: u64,
+    deadline: Option<Instant>,
+    outcome: Option<Outcome>,
+    /// Waited on with the table's lock; wakes this slot's waiter alone,
+    /// for its outcome or to offer it the reader.
+    cv: Arc<Condvar>,
 }
 
 /// The reply channel's read half and what decoding its frames needs.
@@ -77,34 +85,33 @@ struct Link {
 }
 
 impl Link {
-    /// Read until `wait` is done, until its deadline if `timed`, routing
-    /// every reply through `table`. `false` means the link is dead: EOF,
-    /// a read error, or a message other than a reply of the link's kind.
-    fn lead(&mut self, table: &PendingReplies, id: u64, wait: &Wait, timed: bool) -> bool {
-        while !wait.is_done() {
-            let frame = match wait.deadline.filter(|_| timed) {
-                Some(at) => self.reader.recv_until(at),
-                None => self.reader.recv().map(Some),
-            };
-            let frame = match frame {
-                Ok(Some(frame)) => frame,
-                Ok(None) => {
-                    table.finish(id, Err(RpcError::DeadlineExceeded));
-                    continue;
-                }
-                Err(_) => return false,
-            };
-            let (request_id, outcome) = match (MessageView::parse(&frame), self.kind) {
-                (Ok(MessageView::Reply(reply)), ReplyKind::Reply)
-                | (Ok(MessageView::UpcallReply(reply)), ReplyKind::UpcallReply) => {
-                    (reply.request_id, reply.outcome())
-                }
-                _ => return false,
-            };
+    /// Read one reply, until `deadline` if any, and the request it
+    /// finishes: its own, or request `mine` with `DeadlineExceeded` once
+    /// the deadline passes. `None` means the link is dead: EOF, a read
+    /// error, or a message other than a reply of the link's kind.
+    fn read(&mut self, deadline: Option<Instant>, mine: u64) -> Option<(u64, Outcome)> {
+        let frame = match deadline {
+            Some(at) => self.reader.recv_until(at),
+            None => self.reader.recv().map(Some),
+        };
+        let Some(frame) = frame.ok()? else {
+            return Some((mine, Outcome::Failed(RpcError::DeadlineExceeded)));
+        };
+        let reply = match (MessageView::parse(&frame), self.kind) {
+            (Ok(MessageView::Reply(reply)), ReplyKind::Reply)
+            | (Ok(MessageView::UpcallReply(reply)), ReplyKind::UpcallReply) => reply,
+            _ => return None,
+        };
+        let id = reply.request_id;
+        if reply.status != StatusCode::Ok {
+            let failed = RpcError::status(reply.status, reply.detail);
             self.pool.recycle(frame.into_wire());
-            table.finish(request_id, outcome);
+            return Some((id, Outcome::Failed(failed)));
         }
-        true
+        // The results are a slice of the frame's wire image.
+        let start = reply.results.as_ptr() as usize - frame.wire().as_ptr() as usize;
+        let results = start..start + reply.results.len();
+        Some((id, Outcome::Results(frame.into_wire(), results)))
     }
 }
 
@@ -237,8 +244,11 @@ impl Proto {
 
 #[derive(Default)]
 struct State {
-    next_id: u64,
-    waits: HashMap<u64, Arc<Wait>>,
+    /// Requests registered so far; the low half of the next id.
+    registered: u64,
+    slab: Vec<Entry>,
+    /// The free slots of `slab`.
+    free: Vec<usize>,
     proto: Proto,
     /// The reader, while the token is `Free`.
     link: Option<Box<Link>>,
@@ -249,7 +259,8 @@ struct State {
 impl std::fmt::Debug for State {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("State")
-            .field("outstanding", &self.waits.len())
+            .field("outstanding", &self.waiting().count())
+            .field("slots", &self.slab.len())
             .field("proto", &self.proto)
             .finish_non_exhaustive()
     }
@@ -265,11 +276,61 @@ impl std::ops::Deref for State {
 }
 
 impl State {
+    /// Register a request in a free slot, made if there is none; the slot.
+    fn insert(&mut self, deadline: Option<Instant>) -> usize {
+        self.registered += 1;
+        // The low half is never 0, so no id is the async calls' 0.
+        if self.registered as u32 == 0 {
+            self.registered += 1;
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Entry::default());
+            self.slab.len() - 1
+        });
+        let entry = &mut self.slab[slot];
+        entry.id = ((slot as u64) << 32) | u64::from(self.registered as u32);
+        entry.deadline = deadline;
+        slot
+    }
+
+    /// Free `slot`; the outcome it held.
+    fn remove(&mut self, slot: usize) -> Option<Outcome> {
+        self.slab[slot].id = 0;
+        self.free.push(slot);
+        self.slab[slot].outcome.take()
+    }
+
+    /// True if `slot` holds a request still waiting for its outcome.
+    fn waits(&self, slot: usize) -> bool {
+        let entry = &self.slab[slot];
+        entry.id != 0 && entry.outcome.is_none()
+    }
+
+    /// The slots of the requests still waiting for their outcome.
+    fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slab.len()).filter(|&slot| self.waits(slot))
+    }
+
+    /// The slot of request `id`, if it is still waiting.
+    fn find(&self, id: u64) -> Option<usize> {
+        let slot = usize::try_from(id >> 32).ok()?;
+        (slot < self.slab.len() && self.slab[slot].id == id && self.waits(slot)).then_some(slot)
+    }
+
+    /// Hand `slot`'s waiter `outcome`, and wake it if `wake` says so.
+    fn finish(&mut self, slot: usize, outcome: Outcome, wake: Wake) {
+        let entry = &mut self.slab[slot];
+        entry.outcome = Some(outcome);
+        if wake == Wake::Finished {
+            entry.cv.notify_one();
+        }
+    }
+
     /// Wake one waiting entry if `wake` says so, to take the free reader.
     fn offer(&self, wake: Wake) {
         if wake == Wake::One {
-            if let Some(wait) = self.waits.values().next() {
-                wait.cv.notify_one();
+            if let Some(slot) = self.waiting().next() {
+                self.slab[slot].cv.notify_one();
             }
         }
     }
@@ -283,6 +344,8 @@ pub struct PendingReplies {
     state: Mutex<State>,
     /// Written under `state`'s lock, read without it on fast paths.
     closed: AtomicBool,
+    /// The reader's pool, which reply frames go back to once decoded.
+    pool: OnceLock<BufferPool>,
     armed_gauge: Arc<clam_obs::Gauge>,
 }
 
@@ -295,6 +358,7 @@ impl PendingReplies {
             sched: sched.clone(),
             state: Mutex::new(State::default()),
             closed: AtomicBool::new(false),
+            pool: OnceLock::new(),
             armed_gauge: clam_obs::gauge("rpc.deadlines_armed"),
         }
     }
@@ -316,54 +380,72 @@ impl PendingReplies {
     }
 
     /// Register a request under a fresh id, hand the id to `send`, and
-    /// block (a task, not the processor) until the reply arrives. While
-    /// no one else reads the reply channel, the caller reads it itself.
+    /// block (a task, not the processor) until the reply arrives; its
+    /// results, copied out. While no one else reads the reply channel,
+    /// the caller reads it itself.
     ///
     /// # Errors
     ///
-    /// The reply's status; `DeadlineExceeded` once `timeout` passes;
-    /// `Disconnected` on teardown; `send`'s error.
+    /// As [`request_with`](Self::request_with).
     pub fn request(
         &self,
         timeout: Option<Duration>,
         send: impl FnOnce(u64) -> RpcResult<()>,
     ) -> RpcResult<Opaque> {
+        self.request_with(timeout, send, |results| Ok(Opaque::from(results)))
+    }
+
+    /// [`request`](Self::request), with the reply's result bytes handed
+    /// to `results` where they lie, in the reply frame, which then goes
+    /// back to the reader's pool.
+    ///
+    /// # Errors
+    ///
+    /// The reply's status; `DeadlineExceeded` once `timeout` passes;
+    /// `Disconnected` on teardown; `send`'s error; `results`' error.
+    pub fn request_with<T>(
+        &self,
+        timeout: Option<Duration>,
+        send: impl FnOnce(u64) -> RpcResult<()>,
+        results: impl FnOnce(&[u8]) -> RpcResult<T>,
+    ) -> RpcResult<T> {
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
-        let wait = Arc::new(Wait {
-            cv: Condvar::new(),
-            slot: Mutex::new(None),
-            deadline,
-        });
-        let mut st = self.state.lock();
         let timed = deadline.is_some();
+        let mut st = self.state.lock();
         if self.on(&mut st, On::Request { timed }).0 == Do::Refuse {
             return Err(RpcError::Disconnected);
         }
-        st.next_id += 1;
-        let id = st.next_id;
-        st.waits.insert(id, Arc::clone(&wait));
+        let slot = st.insert(deadline);
+        let id = st.slab[slot].id;
         drop(st);
         if let Err(e) = send(id) {
             let mut st = self.state.lock();
-            let entry = st.waits.remove(&id).map(|_| timed);
+            let entry = st.find(id).map(|_| timed);
+            st.remove(slot);
             let (_, wake) = self.on(&mut st, On::SendFailed(entry));
             st.offer(wake);
             return Err(e);
         }
-        self.sched.outside(|| self.await_reply(id, &wait))
+        match self.sched.outside(|| self.await_reply(slot)) {
+            Outcome::Results(bytes, range) => {
+                let out = results(&bytes[range]);
+                self.recycle(bytes);
+                out
+            }
+            Outcome::Failed(e) => Err(e),
+        }
     }
 
     /// Route `reply` to its waiter. Returns `false` if no entry matches:
     /// it expired, its send failed, or it never existed.
     pub fn complete(&self, reply: Reply) -> bool {
-        self.finish(
-            reply.request_id,
-            if reply.status == StatusCode::Ok {
-                Ok(reply.results)
-            } else {
-                Err(RpcError::status(reply.status, reply.detail))
-            },
-        )
+        let outcome = if reply.status == StatusCode::Ok {
+            let len = reply.results.len();
+            Outcome::Results(reply.results.into_inner(), 0..len)
+        } else {
+            Outcome::Failed(RpcError::status(reply.status, reply.detail))
+        };
+        self.route(&mut self.state.lock(), reply.request_id, outcome)
     }
 
     /// Close the table: every waiter and every later request fails with
@@ -377,8 +459,10 @@ impl PendingReplies {
     /// Perform [`Do::Fail`]: finish every entry with `Disconnected`, wake
     /// their waiters if `wake` says so, and close the reply channel.
     fn fail(&self, mut st: MutexGuard<'_, State>, wake: Wake) {
-        for (_, wait) in st.waits.drain() {
-            wait.finish(Err(RpcError::Disconnected), wake);
+        for slot in 0..st.slab.len() {
+            if st.waits(slot) {
+                st.finish(slot, Outcome::Failed(RpcError::Disconnected), wake);
+            }
         }
         st.link = None;
         let closer = st.closer.take();
@@ -397,7 +481,7 @@ impl PendingReplies {
     /// Number of requests awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.state.lock().waits.len()
+        self.state.lock().waiting().count()
     }
 
     /// Number of armed deadlines (at most [`outstanding`](Self::outstanding)).
@@ -425,6 +509,7 @@ impl PendingReplies {
                 closer.close();
             }
             (Do::Keep, wake) => {
+                let _ = self.pool.set(pool.clone());
                 st.link = Some(Box::new(Link {
                     reader,
                     pool: pool.clone(),
@@ -437,67 +522,100 @@ impl PendingReplies {
         }
     }
 
-    /// Wait, outside the baton, for entry `id`'s outcome, doing what
+    /// Wait, outside the baton, for `slot`'s outcome, doing what
     /// [`Proto::on`] decides each time the waiter looks: lead, follow,
-    /// expire the entry at its own deadline, or return.
-    fn await_reply(&self, id: u64, wait: &Wait) -> RpcResult<Opaque> {
+    /// expire the entry at its own deadline, or return; then free the
+    /// slot.
+    fn await_reply(&self, slot: usize) -> Outcome {
         let mut st = self.state.lock();
         loop {
-            let done = wait.is_done();
+            let entry = &st.slab[slot];
+            let (done, deadline) = (entry.outcome.is_some(), entry.deadline);
             let look = On::Look {
                 done,
-                expired: !done && wait.deadline.is_some_and(|at| Instant::now() >= at),
-                timed: wait.deadline.is_some(),
+                expired: !done && deadline.is_some_and(|at| Instant::now() >= at),
+                timed: deadline.is_some(),
             };
             match self.on(&mut st, look) {
                 (Do::Return, wake) => {
                     st.offer(wake);
-                    let outcome = wait.slot.lock().take();
-                    return outcome.expect("a done entry has its outcome");
+                    return st.remove(slot).expect("a done entry has its outcome");
                 }
                 (Do::Finish, wake) => {
-                    st.waits.remove(&id);
-                    wait.finish(Err(RpcError::DeadlineExceeded), wake);
+                    st.finish(slot, Outcome::Failed(RpcError::DeadlineExceeded), wake);
                 }
                 (Do::Lead { timed }, _) => {
-                    let mut link = st.link.take().expect("a free token has its link");
-                    drop(st);
-                    // `lead` returns once the entry is done, and
-                    // `fail_all` finishes it.
-                    let alive = link.lead(self, id, wait, timed);
-                    st = self.state.lock();
-                    match self.on(&mut st, On::Led(alive)) {
-                        (Do::Keep, _) => st.link = Some(link),
-                        (Do::Fail, wake) => {
-                            self.fail(st, wake);
-                            st = self.state.lock();
+                    let link = st.link.take().expect("a free token has its link");
+                    st = self.lead(st, slot, link, deadline.filter(|_| timed));
+                }
+                (Do::Follow { timed }, _) => {
+                    let cv = Arc::clone(&st.slab[slot].cv);
+                    match deadline.filter(|_| timed) {
+                        Some(at) => {
+                            cv.wait_until(&mut st, at);
                         }
-                        _ => {}
+                        None => cv.wait(&mut st),
                     }
                 }
-                (Do::Follow { timed }, _) => match wait.deadline.filter(|_| timed) {
-                    Some(at) => {
-                        wait.cv.wait_until(&mut st, at);
-                    }
-                    None => wait.cv.wait(&mut st),
-                },
                 act => unreachable!("{act:?} on a look"),
             }
         }
     }
 
-    /// Remove entry `id` and hand its waiter `outcome`. `false` if no
-    /// entry matches.
-    fn finish(&self, id: u64, outcome: RpcResult<Opaque>) -> bool {
-        let mut st = self.state.lock();
-        let wait = st.waits.remove(&id);
-        let entry = wait.as_ref().map(|w| w.deadline.is_some());
-        let (_, wake) = self.on(&mut st, On::Reply(entry));
-        let Some(wait) = wait else {
-            return false;
+    /// Read with `link`, outside the lock, routing every reply, until
+    /// `slot` is done (`deadline` finishes it too) or the link dies; then,
+    /// in the same pass under the lock, keep or drop the link as
+    /// [`Proto::on`] decides. `fail_all` closes the reader, so the read
+    /// ends then as well.
+    fn lead<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        slot: usize,
+        mut link: Box<Link>,
+        deadline: Option<Instant>,
+    ) -> MutexGuard<'a, State> {
+        let mine = st.slab[slot].id;
+        let alive = loop {
+            drop(st);
+            let read = link.read(deadline, mine);
+            st = self.state.lock();
+            let Some((id, outcome)) = read else {
+                break false;
+            };
+            self.route(&mut st, id, outcome);
+            if st.slab[slot].outcome.is_some() {
+                break true;
+            }
         };
-        wait.finish(outcome, wake);
-        true
+        match self.on(&mut st, On::Led(alive)) {
+            (Do::Keep, _) => st.link = Some(link),
+            (Do::Fail, wake) => {
+                self.fail(st, wake);
+                st = self.state.lock();
+            }
+            _ => {}
+        }
+        st
+    }
+
+    /// Finish request `id` with `outcome`. `false` if no entry waits
+    /// under `id`; the buffer of its results goes back to the pool.
+    fn route(&self, st: &mut State, id: u64, outcome: Outcome) -> bool {
+        let slot = st.find(id);
+        let entry = slot.map(|slot| st.slab[slot].deadline.is_some());
+        let (_, wake) = self.on(st, On::Reply(entry));
+        match (slot, outcome) {
+            (Some(slot), outcome) => st.finish(slot, outcome, wake),
+            (None, Outcome::Results(bytes, _)) => self.recycle(bytes),
+            (None, Outcome::Failed(_)) => {}
+        }
+        slot.is_some()
+    }
+
+    fn recycle(&self, bytes: Vec<u8>) {
+        if let Some(pool) = self.pool.get() {
+            pool.recycle(bytes);
+        }
     }
 }
 
@@ -595,6 +713,53 @@ mod tests {
             Ok(())
         });
         assert_eq!(out.unwrap().as_slice(), &[2]);
+    }
+
+    #[test]
+    fn a_reused_slot_matches_only_its_own_request() {
+        let t = table();
+        let mut late = 0;
+        let expired = t.request(Some(Duration::from_millis(5)), |id| {
+            late = id;
+            Ok(())
+        });
+        assert!(matches!(expired, Err(RpcError::DeadlineExceeded)));
+        let out = t.request(Some(Duration::from_secs(30)), |id| {
+            assert_eq!(id >> 32, late >> 32, "the expired request's slot is reused");
+            assert_ne!(id, late);
+            assert!(!t.complete(ok_reply(late, 1)), "the old id matches nothing");
+            assert!(t.complete(ok_reply(id, 2)));
+            assert!(
+                !t.complete(ok_reply(id, 3)),
+                "a finished request takes no second reply"
+            );
+            Ok(())
+        });
+        assert_eq!(out.unwrap().as_slice(), &[2]);
+        assert_eq!(
+            t.state.lock().slab.len(),
+            1,
+            "one slot for one request at a time"
+        );
+    }
+
+    #[test]
+    fn the_slab_holds_no_more_slots_than_requests_outstanding_at_once() {
+        const WAITERS: usize = 5;
+        let (t, mut server) = linked();
+        for _round in 0..3 {
+            let (handles, sent) = waiters(&t, &[Duration::from_secs(30); WAITERS]);
+            let all: Vec<(u64, bool)> = (0..WAITERS).map(|_| sent.recv().unwrap()).collect();
+            for (id, _) in all {
+                #[allow(clippy::cast_possible_truncation)]
+                server.send(reply_frame(id, id as u8)).unwrap();
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+        }
+        let st = t.state.lock();
+        assert_eq!((st.slab.len(), st.free.len()), (WAITERS, WAITERS));
     }
 
     #[test]

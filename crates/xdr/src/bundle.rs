@@ -88,6 +88,20 @@ pub fn encode_into<T: Bundle + Clone>(value: &T, buf: Vec<u8>) -> XdrResult<Vec<
     Ok(stream.into_bytes())
 }
 
+/// Encode `value` onto the end of `buf`, taking the value itself rather
+/// than a clone of it: how arguments and results are bundled straight
+/// into a pooled frame. After an error `buf` keeps whatever was written.
+///
+/// # Errors
+///
+/// Propagates any bundling error.
+pub fn bundle_onto<T: Bundle>(value: T, buf: &mut Vec<u8>) -> XdrResult<()> {
+    let mut stream = XdrStream::encoder_into(std::mem::take(buf));
+    let bundled = T::bundle(&mut stream, &mut Some(value));
+    *buf = stream.into_bytes();
+    bundled
+}
+
 /// Decode a single value from `bytes`, requiring the buffer to be fully
 /// consumed.
 ///
@@ -224,6 +238,15 @@ mod tests {
         assert_eq!(bytes, vec![0x12, 0x34, 0x56, 0x78]);
         let back: u32 = decode(&bytes).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn bundle_onto_appends_what_encode_writes() {
+        let value = (7u32, String::from("abc"));
+        let mut buf = vec![0xEE];
+        bundle_onto(value.clone(), &mut buf).unwrap();
+        assert_eq!(buf[0], 0xEE, "what was there stays");
+        assert_eq!(&buf[1..], encode(&value).unwrap().as_slice());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod stream;
 mod macros;
 
 pub use array::{bundle_seq_with, Opaque};
-pub use bundle::{decode, encode, encode_into, Bundle, Bundler};
+pub use bundle::{bundle_onto, decode, encode, encode_into, Bundle, Bundler};
 pub use error::{XdrError, XdrResult};
 pub use pool::{BufferPool, DEFAULT_MAX_BUFFERS, DEFAULT_TRIM_CAPACITY};
 pub use stream::{Direction, XdrStream, DEFAULT_MAX_LEN};

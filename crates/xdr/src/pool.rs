@@ -24,11 +24,17 @@ pub const DEFAULT_MAX_BUFFERS: usize = 32;
 /// is trimmed back so one huge frame cannot pin its capacity forever.
 pub const DEFAULT_TRIM_CAPACITY: usize = 256 * 1024;
 
+/// Capacity of a buffer the pool makes when it is dry: any small frame
+/// (a sync call, an upcall, a reply of a few words) fits without growing,
+/// so a buffer that carried a short reply never has to grow later to
+/// take a slightly longer frame.
+const FRESH_CAPACITY: usize = 256;
+
 clam_obs::counters! {
     struct PoolCounters {
         /// Acquisitions served from the free list (no allocation).
         hits: "xdr.pool.hits",
-        /// Acquisitions that fell through to `Vec::new`.
+        /// Acquisitions that found the pool dry and made a buffer.
         misses: "xdr.pool.misses",
         /// Buffers returned via [`BufferPool::recycle`].
         recycled: "xdr.pool.recycled",
@@ -74,19 +80,20 @@ impl BufferPool {
     /// keeps its previous capacity, which is the whole point.
     #[must_use]
     pub fn acquire(&self) -> Vec<u8> {
-        let popped = {
-            let mut free = self.inner.free.lock().unwrap_or_else(|e| e.into_inner());
-            free.pop()
-        };
-        match popped {
+        let counters = &self.inner.counters;
+        let mut free = self.inner.free.lock().unwrap_or_else(|e| e.into_inner());
+        // The pool's counters are written only under its lock.
+        match free.pop() {
             Some(buf) => {
-                self.inner.counters.hits.inc();
+                counters.hits.add_exclusive(1);
+                drop(free);
                 debug_assert!(buf.is_empty(), "pooled buffers are stored cleared");
                 buf
             }
             None => {
-                self.inner.counters.misses.inc();
-                Vec::new()
+                counters.misses.add_exclusive(1);
+                drop(free);
+                Vec::with_capacity(FRESH_CAPACITY)
             }
         }
     }
@@ -95,17 +102,18 @@ impl BufferPool {
     /// above the high-water mark is trimmed; if the pool is already full
     /// the buffer is dropped.
     pub fn recycle(&self, mut buf: Vec<u8>) {
-        self.inner.counters.recycled.inc();
         buf.clear();
         if buf.capacity() > self.inner.trim_capacity {
             buf.shrink_to(self.inner.trim_capacity);
         }
+        let counters = &self.inner.counters;
         let mut free = self.inner.free.lock().unwrap_or_else(|e| e.into_inner());
+        counters.recycled.add_exclusive(1);
         if free.len() < self.inner.max_buffers {
             free.push(buf);
         } else {
+            counters.dropped.add_exclusive(1);
             drop(free);
-            self.inner.counters.dropped.inc();
         }
     }
 
