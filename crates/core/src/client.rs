@@ -103,17 +103,6 @@ impl ProcRegistry {
         self.procs.lock().remove(&proc.id).is_some()
     }
 
-    /// Look up a procedure, as a raw (bytes-level) one.
-    #[must_use]
-    pub fn get(&self, proc: ProcId) -> Option<RawProc> {
-        let proc = self.procs.lock().get(&proc.id).cloned()?;
-        Some(Arc::new(move |args: &Opaque| {
-            let mut results = Vec::new();
-            proc(args.as_slice(), &mut results)?;
-            Ok(Opaque::from(results))
-        }))
-    }
-
     /// Number of registered procedures.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -255,12 +244,10 @@ impl ClamClient {
         let caller = Caller::new(&sched, rpc_writer, opts.caller);
         caller.attach_reader(rpc_reader);
 
-        let (mut up_writer, mut up_reader) = upcall_ch.split();
-        // One pool for the upcall channel: inbound upcall frames are
-        // recycled once their handler has run, reply frames after the
-        // write.
+        let (up_writer, mut up_reader) = upcall_ch.split();
+        // One pool for the upcall channel: inbound upcall frames go back
+        // to it once their handler has run, reply frames after the write.
         let upcall_pool = clam_xdr::BufferPool::default();
-        up_writer.attach_pool(&upcall_pool);
         up_reader.attach_pool(&upcall_pool);
 
         let client = Arc::new(ClamClient {
@@ -299,11 +286,8 @@ impl ClamClient {
                             Self::run_upcall(&procs, &up, results)
                         });
                     handled.inc();
-                    // The reply goes out before the upcall frame goes
-                    // back to the pool: the upcaller waits for the one.
                     reply.is_ok_and(|reply| up_writer.send(reply).is_ok())
                 };
-                upcall_pool.recycle(frame.into_wire());
                 if !replied {
                     return;
                 }
@@ -452,15 +436,24 @@ mod tests {
     use super::*;
     use clam_rpc::{Reply, UpcallMsg};
 
+    /// An upcall of `id` with argument bytes `args`.
+    fn upcall(id: ProcId, args: Vec<u8>) -> UpcallMsg {
+        UpcallMsg {
+            proc_id: id.id,
+            request_id: 1,
+            args: Opaque::from(args),
+            ..UpcallMsg::default()
+        }
+    }
+
     #[test]
     fn proc_registry_round_trips_typed_procedures() {
         let reg = ProcRegistry::new();
         let id = reg.register(|x: u32| Ok(x * 2));
         assert!(!id.is_null());
-        let raw = reg.get(id).unwrap();
-        let args = Opaque::from(clam_xdr::encode(&21u32).unwrap());
-        let out = raw(&args).unwrap();
-        let v: u32 = clam_xdr::decode(out.as_slice()).unwrap();
+        let reply = run_upcall(&reg, &upcall(id, clam_xdr::encode(&21u32).unwrap()));
+        assert_eq!(reply.status, StatusCode::Ok);
+        let v: u32 = clam_xdr::decode(reply.results.as_slice()).unwrap();
         assert_eq!(v, 42);
     }
 
@@ -479,7 +472,8 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert!(reg.unregister(id));
         assert!(!reg.unregister(id));
-        assert!(reg.get(id).is_none());
+        let reply = run_upcall(&reg, &upcall(id, clam_xdr::encode(&()).unwrap()));
+        assert_eq!(reply.status, StatusCode::NoSuchMethod);
         assert!(reg.is_empty());
     }
 
@@ -487,9 +481,8 @@ mod tests {
     fn bad_args_to_typed_proc_is_bad_args() {
         let reg = ProcRegistry::new();
         let id = reg.register(|x: u64| Ok(x));
-        let raw = reg.get(id).unwrap();
-        let err = raw(&Opaque::from(vec![1u8])).unwrap_err();
-        assert_eq!(err.status_code(), Some(StatusCode::BadArgs));
+        let reply = run_upcall(&reg, &upcall(id, vec![1u8]));
+        assert_eq!(reply.status, StatusCode::BadArgs);
     }
 
     /// Run `up` as the upcall task does; the reply it makes.

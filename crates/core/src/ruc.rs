@@ -39,7 +39,8 @@ pub struct UpcallRouter {
     replies: PendingReplies,
     permits: Event,
     max_active: usize,
-    /// Upcall frames cycle: acquire → encode → send → writer recycles.
+    /// Upcall frames cycle: acquire → encode → send → the sent frame drops
+    /// and its buffer comes back. Reply frames are read into it too.
     pool: BufferPool,
     /// Deadline for synchronous upcalls; `None` is the paper's unbounded
     /// wait (a client that never replies blocks its server task forever).
@@ -66,7 +67,7 @@ impl UpcallRouter {
     #[must_use]
     pub fn new(
         sched: &Scheduler,
-        mut writer: Box<dyn MsgWriter>,
+        writer: Box<dyn MsgWriter>,
         max_active: usize,
         timeout: Option<Duration>,
     ) -> Arc<Self> {
@@ -74,14 +75,12 @@ impl UpcallRouter {
         for _ in 0..max_active {
             permits.signal();
         }
-        let pool = BufferPool::default();
-        writer.attach_pool(&pool);
         Arc::new(UpcallRouter {
             writer: TaskWriter::new(sched, writer),
             replies: PendingReplies::new(sched),
             permits,
             max_active,
-            pool,
+            pool: BufferPool::default(),
             timeout,
             counters: RouterCounters::register(),
         })
@@ -184,12 +183,6 @@ impl UpcallRouter {
     #[must_use]
     pub fn replies(&self) -> &PendingReplies {
         &self.replies
-    }
-
-    /// The upcall channel's wire-buffer pool.
-    #[must_use]
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.pool
     }
 
     /// Number of upcalls awaiting replies.

@@ -50,7 +50,8 @@ pub struct Session {
     alive: AtomicBool,
     error_proc: Mutex<Option<ProcId>>,
     /// Wire buffers for this session's RPC channel: inbound call frames
-    /// and outbound replies cycle through here instead of the allocator.
+    /// and outbound replies go back here when they drop, not to the
+    /// allocator.
     pool: BufferPool,
 }
 
@@ -68,11 +69,9 @@ impl Session {
         sched: &Scheduler,
         conn: ConnId,
         router: Arc<UpcallRouter>,
-        mut rpc_writer: Box<dyn MsgWriter>,
+        rpc_writer: Box<dyn MsgWriter>,
         rpc_closer: Closer,
     ) -> Arc<Session> {
-        let pool = BufferPool::default();
-        rpc_writer.attach_pool(&pool);
         Arc::new(Session {
             conn,
             router,
@@ -82,12 +81,12 @@ impl Session {
             dedup: Mutex::default(),
             alive: AtomicBool::new(true),
             error_proc: Mutex::new(None),
-            pool,
+            pool: BufferPool::default(),
         })
     }
 
     /// The session's wire-buffer pool: the RPC channel's reader draws
-    /// inbound frames from it, and serving recycles them after dispatch.
+    /// inbound frames from it, and they go back once served.
     #[must_use]
     pub fn buffer_pool(&self) -> &BufferPool {
         &self.pool

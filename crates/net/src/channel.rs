@@ -10,7 +10,7 @@
 //! once, under the transport that carries it.
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{Frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
+use crate::frame::{Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use clam_xdr::BufferPool;
 use std::ffi::{c_long, c_ulong};
 use std::io::{self, Read};
@@ -27,7 +27,7 @@ pub trait MsgWriter: Send {
     /// the transports deliver reliably and in order.
     ///
     /// Takes the frame by value: the transport writes its wire image and
-    /// recycles the buffer into an attached [`BufferPool`].
+    /// drops the frame, which gives a pooled buffer back to its pool.
     ///
     /// # Errors
     ///
@@ -58,10 +58,6 @@ pub trait MsgWriter: Send {
     fn finish_send(&mut self) -> NetResult<()> {
         Ok(())
     }
-
-    /// Recycle spent frame buffers into `pool` after each send. Default:
-    /// no pooling (buffers are dropped).
-    fn attach_pool(&mut self, _pool: &BufferPool) {}
 }
 
 /// The receiving half of a channel.
@@ -86,8 +82,8 @@ pub trait MsgReader: Send {
     /// A handle that closes this channel from any thread (see [`Closer`]).
     fn closer(&self) -> Closer;
 
-    /// Draw receive buffers from `pool` instead of allocating. Default:
-    /// no pooling.
+    /// Read frames into buffers from `pool` instead of allocating; each
+    /// goes back to `pool` when its frame drops. Default: no pooling.
     fn attach_pool(&mut self, _pool: &BufferPool) {}
 }
 
@@ -160,7 +156,6 @@ impl Channel {
             Box::new(StreamWriter {
                 socket: Arc::clone(&socket),
                 unsent: None,
-                pool: None,
                 meter: Meter::new("sent", kind),
             }),
             Box::new(StreamReader::new(socket, kind)),
@@ -179,9 +174,8 @@ impl Channel {
         (self.writer, self.reader)
     }
 
-    /// Pool buffers on both halves (see the trait `attach_pool` methods).
+    /// Read frames into buffers from `pool` ([`MsgReader::attach_pool`]).
     pub fn attach_pool(&mut self, pool: &BufferPool) {
-        self.writer.attach_pool(pool);
         self.reader.attach_pool(pool);
     }
 
@@ -355,7 +349,6 @@ struct StreamWriter<S: Socket> {
     /// A frame [`start_send`](MsgWriter::start_send) left part-sent, and
     /// how many of its bytes are on the wire.
     unsent: Option<(Frame, usize)>,
-    pool: Option<BufferPool>,
     meter: Meter,
 }
 
@@ -380,9 +373,7 @@ impl<S: Socket> StreamWriter<S> {
                 }
             }
         }
-        if let (Some((frame, _)), Some(pool)) = (self.unsent.take(), &self.pool) {
-            pool.recycle(frame.into_wire());
-        }
+        self.unsent = None;
         Ok(true)
     }
 }
@@ -414,10 +405,6 @@ impl<S: Socket> MsgWriter for StreamWriter<S> {
             }
         }
         Ok(())
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
     }
 }
 
@@ -461,16 +448,17 @@ struct StreamReader<S> {
     buf: Box<[u8]>,
     pos: usize,
     end: usize,
-    /// The wire image of the frame being read. It grows with the bytes
+    /// The frame being read, in a buffer from `pool` if there is one;
+    /// `None` until a read starts it. Its wire image grows with the bytes
     /// that arrive, at most [`READ_STEP`] past them, so a peer that
     /// announces a large frame and sends little of it pins little memory.
     /// A timed read that gives up mid-frame leaves it here, and the next
     /// read goes on where that one stopped.
-    partial: Vec<u8>,
-    /// Bytes of `partial` read so far.
+    partial: Option<FrameEncoder>,
+    /// Bytes of `partial`'s wire image read so far.
     filled: usize,
     /// Wire length of the frame being read: the length prefix's until
-    /// that is in, then the whole frame's; 0 between frames.
+    /// that is in, then the whole frame's.
     frame_len: usize,
     /// How long this reader's recent waits for bytes took, probing or
     /// sleeping: each wait averaged in with weight 1/2, held at most at
@@ -494,9 +482,9 @@ impl<S: Socket> StreamReader<S> {
             buf: vec![0; RECV_BUF].into_boxed_slice(),
             pos: 0,
             end: 0,
-            partial: Vec::new(),
+            partial: None,
             filled: 0,
-            frame_len: 0,
+            frame_len: FRAME_PREFIX_LEN,
             wait: None,
             pool: None,
             meter: Meter::new("recv", kind),
@@ -509,18 +497,17 @@ impl<S: Socket> StreamReader<S> {
     /// Read until a frame is complete, or give up at `deadline` with
     /// `Ok(None)`, keeping what was read of the frame.
     fn read(&mut self, deadline: Option<Instant>) -> NetResult<Option<Frame>> {
-        if self.frame_len == 0 {
-            self.partial = self
-                .pool
-                .as_ref()
-                .map_or_else(Vec::new, BufferPool::acquire);
-            self.frame_len = FRAME_PREFIX_LEN;
+        if self.partial.is_none() {
+            self.partial = Some(match &self.pool {
+                Some(pool) => FrameEncoder::from(pool),
+                None => FrameEncoder::from(Vec::new()),
+            });
         }
         if self.filled < FRAME_PREFIX_LEN {
             if !self.fill(deadline)? {
                 return Ok(None);
             }
-            let prefix = self.partial[..FRAME_PREFIX_LEN]
+            let prefix = wire(&mut self.partial)[..FRAME_PREFIX_LEN]
                 .try_into()
                 .expect("4 bytes");
             let len = u32::from_be_bytes(prefix) as usize;
@@ -537,16 +524,18 @@ impl<S: Socket> StreamReader<S> {
         }
         self.meter.count(self.frame_len);
         self.filled = 0;
-        self.frame_len = 0;
-        Frame::from_wire(std::mem::take(&mut self.partial)).map(Some)
+        self.frame_len = FRAME_PREFIX_LEN;
+        let frame = self.partial.take().expect("a frame was read");
+        frame.finish().map(Some)
     }
 
     /// Read until `frame_len` bytes are in (`true`) or `deadline` passes.
     fn fill(&mut self, deadline: Option<Instant>) -> NetResult<bool> {
         while self.filled < self.frame_len {
-            if self.filled == self.partial.len() {
+            let partial = wire(&mut self.partial);
+            if self.filled == partial.len() {
                 let step = (self.frame_len - self.filled).min(READ_STEP);
-                self.partial.resize(self.filled + step, 0);
+                partial.resize(self.filled + step, 0);
             }
             if self.pos == self.end {
                 let start = Instant::now();
@@ -587,8 +576,9 @@ impl<S: Socket> StreamReader<S> {
                 }
             }
             let received = &self.buf[self.pos..self.end];
-            let n = received.len().min(self.partial.len() - self.filled);
-            self.partial[self.filled..][..n].copy_from_slice(&received[..n]);
+            let partial = wire(&mut self.partial);
+            let n = received.len().min(partial.len() - self.filled);
+            partial[self.filled..][..n].copy_from_slice(&received[..n]);
             (self.pos, self.filled) = (self.pos + n, self.filled + n);
         }
         Ok(true)
@@ -598,9 +588,10 @@ impl<S: Socket> StreamReader<S> {
     /// into the frame buffer when its room is at least the receive
     /// buffer's size, else into the receive buffer.
     fn receive(&mut self, read: fn(&S, &mut [u8]) -> io::Result<usize>) -> io::Result<usize> {
-        let direct = self.partial.len() - self.filled >= RECV_BUF;
+        let partial = wire(&mut self.partial);
+        let direct = partial.len() - self.filled >= RECV_BUF;
         let n = if direct {
-            read(&self.socket, &mut self.partial[self.filled..])?
+            read(&self.socket, &mut partial[self.filled..])?
         } else {
             read(&self.socket, &mut self.buf)?
         };
@@ -653,6 +644,12 @@ impl<S: Socket> MsgReader for StreamReader<S> {
     fn attach_pool(&mut self, pool: &BufferPool) {
         self.pool = Some(pool.clone());
     }
+}
+
+/// The wire image of the frame a reader is reading.
+fn wire(partial: &mut Option<FrameEncoder>) -> &mut Vec<u8> {
+    let frame = partial.as_mut().expect("a read starts its frame first");
+    frame.wire_mut()
 }
 
 /// Create a connected pair of in-process channels (no listener needed):
@@ -992,10 +989,10 @@ mod tests {
             let got = reader.recv_until(Instant::now() + Duration::from_millis(50));
             assert!(matches!(got, Ok(None)), "{got:?}");
             assert_eq!(reader.filled, FRAME_PREFIX_LEN + 100);
+            let capacity = wire(&mut reader.partial).capacity();
             assert!(
-                reader.partial.capacity() <= 128 * 1024,
-                "a 104-byte partial frame holds {} bytes",
-                reader.partial.capacity()
+                capacity <= 128 * 1024,
+                "a 104-byte partial frame holds {capacity} bytes"
             );
         }
     }

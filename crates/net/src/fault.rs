@@ -420,20 +420,10 @@ struct FaultyWriter {
     inner: Option<Box<dyn MsgWriter>>,
     fates: Fates,
     state: Arc<FaultState>,
-    /// For recycling the buffers of dropped frames, like a real send.
-    pool: Option<BufferPool>,
     /// Copies drawn for delivery that the inner writer has not taken yet,
     /// in order, and when a delayed frame's hold ends.
     held: VecDeque<Frame>,
     hold_until: Option<Instant>,
-}
-
-impl FaultyWriter {
-    fn discard(&self, frame: Frame) {
-        if let Some(pool) = &self.pool {
-            pool.recycle(frame.into_wire());
-        }
-    }
 }
 
 impl MsgWriter for FaultyWriter {
@@ -484,7 +474,6 @@ impl MsgWriter for FaultyWriter {
             state.partitioned.store(true, Ordering::Release);
         }
         if f.dropped {
-            self.discard(frame);
             return Ok(true); // a black hole: the sender never learns
         }
         if f.delayed {
@@ -496,7 +485,7 @@ impl MsgWriter for FaultyWriter {
             frame
         };
         if f.duplicated {
-            self.held.push_back(Frame::from_payload(frame.payload())?);
+            self.held.push_back(frame.clone());
         }
         self.held.push_back(frame);
         if self.hold_until.is_some() {
@@ -523,13 +512,6 @@ impl MsgWriter for FaultyWriter {
             inner.send(frame)?;
         }
         Ok(())
-    }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
-        if let Some(inner) = &mut self.inner {
-            inner.attach_pool(pool);
-        }
     }
 }
 
@@ -629,7 +611,6 @@ impl FaultyChannel {
                 offered: 0,
             },
             state,
-            pool: None,
             held: VecDeque::new(),
             hold_until: None,
         });

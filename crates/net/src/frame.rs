@@ -7,14 +7,19 @@
 //!
 //! A [`Frame`] owns its complete *wire image* — prefix and payload in one
 //! contiguous `Vec<u8>` — so the path from encoder to socket is a single
-//! buffer: the batcher reserves the prefix up front with
-//! [`FrameEncoder::begin`], encodes calls directly behind it, patches the
-//! length in [`FrameEncoder::finish`], and the transport writes the whole
-//! image as it is. After the write the `Vec` goes back to a
-//! [`BufferPool`](clam_xdr::BufferPool), so at steady state no wire-path
-//! allocation happens.
+//! buffer: a [`FrameEncoder`] reserves the prefix up front, encodes calls
+//! directly behind it, patches the length in [`FrameEncoder::finish`],
+//! and the transport writes the whole image as it is.
+//!
+//! One buffer rule: a frame whose buffer came from a
+//! [`BufferPool`] holds that pool, and the buffer goes back to it when the
+//! frame — or the encoder still building it — drops, wherever that
+//! happens: after a send, a failed send, a dispatch, or in a queue that
+//! dies. No sender, reader or server recycles a frame by hand, so at
+//! steady state no wire-path allocation happens.
 
 use crate::error::{NetError, NetResult};
+use clam_xdr::BufferPool;
 use std::io::Read;
 
 /// Maximum accepted frame length. Large enough for any batched call
@@ -32,9 +37,16 @@ pub const FRAME_PREFIX_LEN: usize = 4;
 /// that treats a received frame as bytes (`MessageView::parse(&frame)`,
 /// `clam_xdr::decode(&frame)`) works unchanged, while transports write
 /// [`Frame::wire`] in a single call with no copy and no scratch buffer.
-#[derive(Clone)]
+///
+/// A frame built in a pooled buffer gives it back to its pool when it
+/// drops; a clone, and a frame made by [`from_payload`](Frame::from_payload),
+/// [`from_wire`](Frame::from_wire) or [`read_frame`], has a buffer of
+/// its own, which goes to the allocator.
 pub struct Frame {
     wire: Vec<u8>,
+    /// The pool `wire` came from and goes back to; `None` if no pool
+    /// handed it out.
+    pool: Option<BufferPool>,
 }
 
 impl Frame {
@@ -53,7 +65,7 @@ impl Frame {
         let mut wire = Vec::with_capacity(FRAME_PREFIX_LEN + payload.len());
         wire.extend_from_slice(&len.to_be_bytes());
         wire.extend_from_slice(payload);
-        Ok(Frame { wire })
+        Ok(Frame { wire, pool: None })
     }
 
     /// Adopt a complete wire image (prefix already in place and
@@ -80,7 +92,7 @@ impl Frame {
                 max: MAX_FRAME_LEN,
             });
         }
-        Ok(Frame { wire })
+        Ok(Frame { wire, pool: None })
     }
 
     /// The payload bytes (what [`Deref`](std::ops::Deref) also yields).
@@ -96,12 +108,32 @@ impl Frame {
         &self.wire
     }
 
-    /// Take back the wire image, e.g. to recycle it into a
-    /// [`BufferPool`](clam_xdr::BufferPool) after the frame has been
-    /// written or dispatched.
+    /// Take the wire image out of the frame. A pooled buffer leaves its
+    /// pool with it.
     #[must_use]
-    pub fn into_wire(self) -> Vec<u8> {
-        self.wire
+    pub fn into_wire(mut self) -> Vec<u8> {
+        self.pool = None;
+        std::mem::take(&mut self.wire)
+    }
+}
+
+impl Drop for Frame {
+    /// A pooled buffer goes back to its pool, once: a frame is dropped
+    /// once, and a clone has no pool.
+    fn drop(&mut self) {
+        if let Some(pool) = &self.pool {
+            pool.recycle(std::mem::take(&mut self.wire));
+        }
+    }
+}
+
+impl Clone for Frame {
+    /// A copy in a buffer of its own, which no pool handed out.
+    fn clone(&self) -> Frame {
+        Frame {
+            wire: self.wire.clone(),
+            pool: None,
+        }
     }
 }
 
@@ -201,57 +233,42 @@ fn check_payload_len(len: usize) -> NetResult<()> {
 /// patched at the end, so the payload is encoded directly into its final
 /// wire position — no scratch buffer, no re-framing copy, and (with a
 /// pooled buffer) no allocation.
+///
+/// An encoder started from a [`BufferPool`] holds the pool, and so does
+/// the frame it finishes: the buffer goes back when whichever holds it
+/// last drops, an encoder dropped unfinished or a frame that fails
+/// to finish included.
 #[derive(Debug)]
 pub struct FrameEncoder {
-    buf: Vec<u8>,
+    /// The frame being built; its prefix is patched by `finish`.
+    frame: Frame,
 }
 
 impl FrameEncoder {
-    /// Start a frame in `buf` (typically from a
-    /// [`BufferPool`](clam_xdr::BufferPool)): clears it and reserves the
-    /// prefix.
-    #[must_use]
-    pub fn begin(mut buf: Vec<u8>) -> FrameEncoder {
-        buf.clear();
-        buf.extend_from_slice(&[0u8; FRAME_PREFIX_LEN]);
-        FrameEncoder { buf }
-    }
-
-    /// Resume a frame whose buffer was taken with [`into_buf`] so an
-    /// external encoder (e.g. `XdrStream::encoder_into`) could append
-    /// payload bytes behind the reserved prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is shorter than the reserved prefix — it did not
-    /// come from [`FrameEncoder::begin`].
-    ///
-    /// [`into_buf`]: FrameEncoder::into_buf
-    #[must_use]
-    pub fn resume(buf: Vec<u8>) -> FrameEncoder {
-        assert!(
-            buf.len() >= FRAME_PREFIX_LEN,
-            "resume() needs a buffer started by FrameEncoder::begin"
-        );
-        FrameEncoder { buf }
+    fn begin(mut wire: Vec<u8>, pool: Option<BufferPool>) -> FrameEncoder {
+        wire.clear();
+        wire.extend_from_slice(&[0u8; FRAME_PREFIX_LEN]);
+        FrameEncoder {
+            frame: Frame { wire, pool },
+        }
     }
 
     /// Append payload bytes.
     pub fn write(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.frame.wire.extend_from_slice(bytes);
+    }
+
+    /// The wire image so far, reserved prefix included, for code that
+    /// writes the payload in place. Write behind the prefix only:
+    /// [`finish`](FrameEncoder::finish) patches it.
+    pub fn wire_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.frame.wire
     }
 
     /// Payload bytes written so far.
     #[must_use]
     pub fn payload_len(&self) -> usize {
-        self.buf.len() - FRAME_PREFIX_LEN
-    }
-
-    /// Hand the in-progress buffer to an external encoder; pair with
-    /// [`FrameEncoder::resume`].
-    #[must_use]
-    pub fn into_buf(self) -> Vec<u8> {
-        self.buf
+        self.frame.wire.len() - FRAME_PREFIX_LEN
     }
 
     /// Patch the length prefix and produce the finished frame.
@@ -264,8 +281,24 @@ impl FrameEncoder {
         let payload_len = self.payload_len();
         check_payload_len(payload_len)?;
         let len = u32::try_from(payload_len).expect("MAX_FRAME_LEN fits in u32");
-        self.buf[..FRAME_PREFIX_LEN].copy_from_slice(&len.to_be_bytes());
-        Ok(Frame { wire: self.buf })
+        self.frame.wire[..FRAME_PREFIX_LEN].copy_from_slice(&len.to_be_bytes());
+        Ok(self.frame)
+    }
+}
+
+/// Start a frame in `buf`, which leaves with the frame: no pool takes it
+/// back.
+impl From<Vec<u8>> for FrameEncoder {
+    fn from(buf: Vec<u8>) -> FrameEncoder {
+        FrameEncoder::begin(buf, None)
+    }
+}
+
+/// Start a frame in a buffer from `pool`, which goes back to `pool` when
+/// the encoder or its frame drops.
+impl From<&BufferPool> for FrameEncoder {
+    fn from(pool: &BufferPool) -> FrameEncoder {
+        FrameEncoder::begin(pool.acquire(), Some(pool.clone()))
     }
 }
 
@@ -286,7 +319,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> NetResult<Frame> {
     let mut wire = vec![0; FRAME_PREFIX_LEN + len];
     wire[..FRAME_PREFIX_LEN].copy_from_slice(&prefix);
     r.read_exact(&mut wire[FRAME_PREFIX_LEN..])?;
-    Ok(Frame { wire })
+    Ok(Frame { wire, pool: None })
 }
 
 #[cfg(test)]
@@ -343,7 +376,7 @@ mod tests {
             Frame::from_payload(&huge).unwrap_err(),
             NetError::FrameTooLarge { .. }
         ));
-        let mut enc = FrameEncoder::begin(Vec::new());
+        let mut enc = FrameEncoder::from(Vec::new());
         enc.write(&huge);
         assert!(matches!(
             enc.finish().unwrap_err(),
@@ -354,7 +387,7 @@ mod tests {
     #[test]
     fn frame_encoder_matches_encode_frame() {
         let payload = b"some payload bytes";
-        let mut enc = FrameEncoder::begin(Vec::new());
+        let mut enc = FrameEncoder::from(Vec::new());
         enc.write(&payload[..5]);
         enc.write(&payload[5..]);
         let a = enc.finish().unwrap();
@@ -364,23 +397,46 @@ mod tests {
 
     #[test]
     fn frame_encoder_reuses_buffer_capacity() {
-        let mut enc = FrameEncoder::begin(Vec::with_capacity(1024));
-        enc.write(&[1u8; 100]);
-        let frame = enc.finish().unwrap();
-        let buf = frame.into_wire();
-        assert_eq!(buf.capacity(), 1024);
-        // Starting the next frame in the same buffer keeps the capacity.
-        let enc = FrameEncoder::begin(buf);
-        assert_eq!(enc.into_buf().capacity(), 1024);
+        let pool = BufferPool::default();
+        let mut enc = FrameEncoder::from(&pool);
+        enc.write(&[1u8; 1000]);
+        drop(enc.finish().unwrap());
+        // Starting the next frame from the pool keeps the capacity.
+        let mut enc = FrameEncoder::from(&pool);
+        assert!(enc.wire_mut().capacity() >= FRAME_PREFIX_LEN + 1000);
     }
 
     #[test]
-    fn frame_encoder_into_buf_resume_round_trip() {
-        let enc = FrameEncoder::begin(Vec::new());
-        let mut buf = enc.into_buf();
-        buf.extend_from_slice(b"externally encoded");
-        let frame = FrameEncoder::resume(buf).finish().unwrap();
+    fn frame_encoder_keeps_bytes_written_in_place() {
+        let mut enc = FrameEncoder::from(Vec::new());
+        enc.wire_mut().extend_from_slice(b"externally encoded");
+        let frame = enc.finish().unwrap();
         assert_eq!(frame, b"externally encoded");
+    }
+
+    #[test]
+    fn a_pooled_buffer_goes_back_once_however_its_frame_ends() {
+        let pool = BufferPool::default();
+        let goes_home = |ends: &dyn Fn(FrameEncoder)| {
+            let before = pool.metrics().counter("xdr.pool.recycled");
+            ends(FrameEncoder::from(&pool));
+            pool.metrics().counter("xdr.pool.recycled") - before
+        };
+        assert_eq!(goes_home(&|enc| drop(enc.finish().unwrap())), 1);
+        assert_eq!(goes_home(&|enc| drop(enc)), 1, "an unfinished encoder");
+        let oversized = |mut enc: FrameEncoder| {
+            enc.write(&vec![0u8; MAX_FRAME_LEN + 1]);
+            assert!(enc.finish().is_err());
+        };
+        assert_eq!(goes_home(&oversized), 1, "a frame that fails to finish");
+        let cloned = |enc: FrameEncoder| {
+            let frame = enc.finish().unwrap();
+            drop(frame.clone());
+            drop(frame);
+        };
+        assert_eq!(goes_home(&cloned), 1, "a clone has no pool");
+        let taken = |enc: FrameEncoder| drop(enc.finish().unwrap().into_wire());
+        assert_eq!(goes_home(&taken), 0, "a taken wire image leaves the pool");
     }
 
     #[test]

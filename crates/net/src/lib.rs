@@ -57,8 +57,8 @@ pub use error::{NetError, NetResult};
 pub use fault::{FaultHandle, FaultPlan, FaultyChannel, FrameFate};
 pub use frame::{read_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 
-// Re-exported so transport users can build one pool and attach it to
-// writers, readers, and encoders without importing `clam-xdr` directly.
+// Re-exported so transport users can build one pool and give it to
+// readers and encoders without importing `clam-xdr` directly.
 pub use clam_xdr::BufferPool;
 
 use std::sync::Arc;

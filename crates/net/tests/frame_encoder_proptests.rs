@@ -21,7 +21,7 @@ fn encode_in_chunks(buf: Vec<u8>, payload: &[u8], mut cuts: Vec<usize>) -> Frame
         *cut %= payload.len() + 1;
     }
     cuts.sort_unstable();
-    let mut enc = FrameEncoder::begin(buf);
+    let mut enc = FrameEncoder::from(buf);
     let mut at = 0;
     for cut in cuts {
         enc.write(&payload[at..cut.max(at)]);
@@ -36,7 +36,7 @@ proptest! {
 
     #[test]
     fn encoder_matches_encode_frame(payload in arb_payload()) {
-        let mut enc = FrameEncoder::begin(Vec::new());
+        let mut enc = FrameEncoder::from(Vec::new());
         enc.write(&payload);
         let ours = enc.finish().unwrap();
         let reference = Frame::from_payload(&payload).unwrap();
@@ -54,10 +54,10 @@ proptest! {
     fn reused_buffer_is_clean((first, second) in (arb_payload(), arb_payload())) {
         // Encode `first`, reclaim the buffer, encode `second` into it:
         // the second frame must be indistinguishable from a fresh encode.
-        let mut enc = FrameEncoder::begin(Vec::new());
+        let mut enc = FrameEncoder::from(Vec::new());
         enc.write(&first);
         let buf = enc.finish().unwrap().into_wire();
-        let mut enc = FrameEncoder::begin(buf);
+        let mut enc = FrameEncoder::from(buf);
         enc.write(&second);
         let reused = enc.finish().unwrap();
         let reference = Frame::from_payload(&second).unwrap();
@@ -66,7 +66,7 @@ proptest! {
 
     #[test]
     fn wire_round_trips_through_from_wire(payload in arb_payload()) {
-        let mut enc = FrameEncoder::begin(Vec::new());
+        let mut enc = FrameEncoder::from(Vec::new());
         enc.write(&payload);
         let frame = enc.finish().unwrap();
         let back = Frame::from_wire(frame.wire().to_owned()).unwrap();
@@ -75,14 +75,13 @@ proptest! {
     }
 
     #[test]
-    fn resume_preserves_staged_bytes((head, tail) in (arb_payload(), arb_payload())) {
-        // The escape hatch used by staged XDR encoding: hand the buffer
-        // out mid-frame, append out-of-band, resume, finish.
-        let mut enc = FrameEncoder::begin(Vec::new());
+    fn in_place_writes_preserve_staged_bytes((head, tail) in (arb_payload(), arb_payload())) {
+        // The path the message writers take: append to the wire image
+        // in place mid-frame, then finish.
+        let mut enc = FrameEncoder::from(Vec::new());
         enc.write(&head);
-        let mut buf = enc.into_buf();
-        buf.extend_from_slice(&tail);
-        let frame = FrameEncoder::resume(buf).finish().unwrap();
+        enc.wire_mut().extend_from_slice(&tail);
+        let frame = enc.finish().unwrap();
         let mut whole = head.clone();
         whole.extend_from_slice(&tail);
         let reference = Frame::from_payload(&whole).unwrap();

@@ -182,7 +182,8 @@ pub struct Caller {
     /// Outstanding sync calls, their deadlines and retry backoffs.
     replies: PendingReplies,
     config: CallerConfig,
-    /// Buffers cycle: acquire → encode batch → send → transport recycles.
+    /// Buffers cycle: acquire → encode batch → send → the sent frame
+    /// drops and its buffer comes back. Reply frames are read into it too.
     pool: BufferPool,
     counters: CallerCounters,
     batch_calls: Arc<clam_obs::Histogram>,
@@ -204,17 +205,9 @@ impl std::fmt::Debug for Caller {
 impl Caller {
     /// Create a caller writing to `writer`; hand it the matching reader
     /// with [`Caller::attach_reader`].
-    ///
-    /// The caller's [`BufferPool`] is attached to `writer`, so every sent
-    /// frame's buffer comes straight back for the next batch.
     #[must_use]
-    pub fn new(
-        sched: &Scheduler,
-        mut writer: Box<dyn MsgWriter>,
-        config: CallerConfig,
-    ) -> Arc<Caller> {
+    pub fn new(sched: &Scheduler, writer: Box<dyn MsgWriter>, config: CallerConfig) -> Arc<Caller> {
         let pool = BufferPool::default();
-        writer.attach_pool(&pool);
         Arc::new(Caller {
             out: TaskWriter::with_state(sched, writer, None),
             replies: PendingReplies::new(sched),
@@ -324,7 +317,7 @@ impl Caller {
                 self.flush_locked(out, &self.counters.flush_sync)?;
                 self.counters.calls_sent.inc();
                 self.counters.batches_sent.inc();
-                let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
+                let mut enc = BatchEncoder::begin_nested(&self.pool);
                 enc.push_view(&call)?;
                 self.out.send_held(&mut out.0, enc.finish()?)?;
                 Ok(())
@@ -427,7 +420,7 @@ impl Caller {
     /// Write `call` onto the in-progress wire batch, starting one in a
     /// pooled buffer if none is open.
     fn append(&self, batch: &mut Option<BatchEncoder>, call: &CallView<'_>) -> RpcResult<()> {
-        let batch = batch.get_or_insert_with(|| BatchEncoder::begin(self.pool.acquire()));
+        let batch = batch.get_or_insert_with(|| BatchEncoder::begin(&self.pool));
         batch.push_view(call)?;
         Ok(())
     }
@@ -451,13 +444,9 @@ impl Caller {
     /// (batch full by calls, by bytes, or a synchronization point); it is
     /// bumped only when a non-empty batch actually goes out.
     fn flush_locked(&self, (writer, batch): &mut Out, reason: &clam_obs::Counter) -> RpcResult<()> {
-        let Some(batch) = batch.take() else {
+        let Some(batch) = batch.take().filter(|batch| !batch.is_empty()) else {
             return Ok(());
         };
-        if batch.is_empty() {
-            self.pool.recycle(batch.abandon());
-            return Ok(());
-        }
         self.counters.calls_sent.add(u64::from(batch.calls()));
         self.counters.batches_sent.inc();
         self.batch_calls.observe(u64::from(batch.calls()));

@@ -170,8 +170,8 @@ impl Message {
     /// over-[`MAX_FRAME_LEN`] message: [`XdrError::LengthTooLarge`].
     pub fn to_frame_in(&self, pool: &BufferPool) -> XdrResult<Frame> {
         let (calls, mut enc) = match self {
-            Message::CallBatch(calls) => (calls, BatchEncoder::begin(pool.acquire())),
-            Message::NestedCallBatch(calls) => (calls, BatchEncoder::begin_nested(pool.acquire())),
+            Message::CallBatch(calls) => (calls, BatchEncoder::begin(pool)),
+            Message::NestedCallBatch(calls) => (calls, BatchEncoder::begin_nested(pool)),
             Message::Reply(reply) => return reply_frame_in(pool, MSG_REPLY, reply),
             Message::UpcallReply(reply) => return reply_frame_in(pool, MSG_UPCALL_REPLY, reply),
             Message::Upcall(upcall) => {
@@ -252,20 +252,17 @@ fn finish_frame(enc: FrameEncoder) -> XdrResult<Frame> {
 }
 
 /// Write one message of `kind` into a frame buffer from `pool`: the kind
-/// word, then what `body` appends. If `body` fails, the buffer goes back
-/// to the pool.
+/// word, then what `body` appends.
 fn frame_in<E: From<XdrError>>(
     pool: &BufferPool,
     kind: u32,
     body: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
 ) -> Result<Frame, E> {
-    let mut buf = FrameEncoder::begin(pool.acquire()).into_buf();
-    Writer(&mut buf).u32(packed_kind(kind));
-    if let Err(e) = body(&mut buf) {
-        pool.recycle(buf);
-        return Err(e);
-    }
-    Ok(finish_frame(FrameEncoder::resume(buf))?)
+    let mut enc = FrameEncoder::from(pool);
+    let buf = enc.wire_mut();
+    Writer(buf).u32(packed_kind(kind));
+    body(buf)?;
+    Ok(finish_frame(enc)?)
 }
 
 fn reply_frame_in(pool: &BufferPool, kind: u32, reply: &Reply) -> XdrResult<Frame> {
@@ -687,7 +684,7 @@ impl<'a> MessageView<'a> {
 /// allocate nothing at steady state.
 #[derive(Debug)]
 pub struct BatchEncoder {
-    buf: Vec<u8>,
+    enc: FrameEncoder,
     calls: u32,
 }
 
@@ -696,26 +693,24 @@ pub struct BatchEncoder {
 const BATCH_COUNT_OFFSET: usize = clam_net::FRAME_PREFIX_LEN + 4;
 
 impl BatchEncoder {
-    /// Start an ordinary call batch in `buf` (typically pool-acquired).
+    /// Start an ordinary call batch in `buf`: a [`BufferPool`], whose
+    /// buffer goes back to it when the batch or its frame drops, or a
+    /// `Vec<u8>` of the caller's (see [`FrameEncoder`]'s `From`s).
     #[must_use]
-    pub fn begin(buf: Vec<u8>) -> BatchEncoder {
-        BatchEncoder::begin_kind(buf, MSG_CALL_BATCH)
+    pub fn begin(buf: impl Into<FrameEncoder>) -> BatchEncoder {
+        BatchEncoder::begin_kind(buf.into(), MSG_CALL_BATCH)
     }
 
     /// Start a nested call batch (see [`Message::NestedCallBatch`]).
     #[must_use]
-    pub fn begin_nested(buf: Vec<u8>) -> BatchEncoder {
-        BatchEncoder::begin_kind(buf, MSG_NESTED_CALL_BATCH)
+    pub fn begin_nested(buf: impl Into<FrameEncoder>) -> BatchEncoder {
+        BatchEncoder::begin_kind(buf.into(), MSG_NESTED_CALL_BATCH)
     }
 
-    fn begin_kind(buf: Vec<u8>, kind: u32) -> BatchEncoder {
-        let mut enc = FrameEncoder::begin(buf);
+    fn begin_kind(mut enc: FrameEncoder, kind: u32) -> BatchEncoder {
         enc.write(&packed_kind(kind).to_be_bytes());
         enc.write(&0u32.to_be_bytes()); // count, patched in finish()
-        BatchEncoder {
-            buf: enc.into_buf(),
-            calls: 0,
-        }
+        BatchEncoder { enc, calls: 0 }
     }
 
     /// Write one call's header and argument bytes straight onto the end
@@ -727,7 +722,7 @@ impl BatchEncoder {
     /// so the batch stays well-formed.
     #[inline]
     pub fn push_view(&mut self, call: &CallView<'_>) -> XdrResult<()> {
-        call.write(&mut self.buf)?;
+        call.write(self.enc.wire_mut())?;
         self.calls += 1;
         Ok(())
     }
@@ -747,13 +742,7 @@ impl BatchEncoder {
     /// Payload bytes accumulated so far (kind + count + calls).
     #[must_use]
     pub fn payload_len(&self) -> usize {
-        self.buf.len() - clam_net::FRAME_PREFIX_LEN
-    }
-
-    /// Abandon the batch, returning the buffer for recycling.
-    #[must_use]
-    pub fn abandon(self) -> Vec<u8> {
-        self.buf
+        self.enc.payload_len()
     }
 
     /// Patch the call count and length prefix; return the finished frame.
@@ -763,9 +752,9 @@ impl BatchEncoder {
     /// Reports [`XdrError::LengthTooLarge`] if the batch outgrew
     /// [`MAX_FRAME_LEN`].
     pub fn finish(mut self) -> XdrResult<Frame> {
-        self.buf[BATCH_COUNT_OFFSET..BATCH_COUNT_OFFSET + 4]
+        self.enc.wire_mut()[BATCH_COUNT_OFFSET..BATCH_COUNT_OFFSET + 4]
             .copy_from_slice(&self.calls.to_be_bytes());
-        finish_frame(FrameEncoder::resume(self.buf))
+        finish_frame(self.enc)
     }
 }
 
@@ -1083,7 +1072,6 @@ mod tests {
             .unwrap();
             let reference = Message::UpcallReply(Reply::from_outcome(4, Ok(results.into())));
             assert_eq!(frame, reference.to_frame().unwrap());
-            pool.recycle(frame.into_wire());
         }
         // A failed handler, after writing part of its results, and
         // results over the cap both become the error reply.
@@ -1113,7 +1101,7 @@ mod tests {
         // their bytes may show through.
         let pool = BufferPool::default();
         let long = Message::CallBatch(vec![sample_call(1); 8]);
-        pool.recycle(long.to_frame_in(&pool).unwrap().into_wire());
+        drop(long.to_frame_in(&pool).unwrap());
         for msg in [
             Message::CallBatch(vec![sample_call(0), sample_call(2)]),
             Message::Reply(Reply {
@@ -1131,7 +1119,6 @@ mod tests {
         ] {
             let pooled = msg.to_frame_in(&pool).unwrap();
             assert_eq!(pooled, msg.to_frame().unwrap());
-            pool.recycle(pooled.into_wire());
         }
         assert_eq!(pool.metrics().counter("xdr.pool.hits"), 3);
     }

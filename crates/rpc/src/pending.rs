@@ -35,13 +35,13 @@
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::message::{MessageView, Reply};
-use clam_net::{Closer, MsgReader};
+use clam_net::{Closer, Frame, MsgReader};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which reply message the table's reader accepts; any other message is
@@ -55,13 +55,12 @@ pub enum ReplyKind {
     UpcallReply,
 }
 
-/// How a request ended: with result bytes, the `range` of a buffer that
-/// goes to the pool once they are read (an `Ok` reply frame's wire
-/// image, or the results [`PendingReplies::complete`] was handed), or
-/// with an error.
+/// How a request ended: with result bytes, the `range` of a frame's
+/// payload (an `Ok` reply frame, or one holding the results
+/// [`PendingReplies::complete`] was handed), or with an error.
 #[derive(Debug)]
 enum Outcome {
-    Results(Vec<u8>, Range<usize>),
+    Results(Frame, Range<usize>),
     Failed(RpcError),
 }
 
@@ -80,7 +79,6 @@ struct Entry {
 /// The reply channel's read half and what decoding its frames needs.
 struct Link {
     reader: Box<dyn MsgReader>,
-    pool: BufferPool,
     kind: ReplyKind,
 }
 
@@ -105,13 +103,12 @@ impl Link {
         let id = reply.request_id;
         if reply.status != StatusCode::Ok {
             let failed = RpcError::status(reply.status, reply.detail);
-            self.pool.recycle(frame.into_wire());
             return Some((id, Outcome::Failed(failed)));
         }
-        // The results are a slice of the frame's wire image.
-        let start = reply.results.as_ptr() as usize - frame.wire().as_ptr() as usize;
+        // The results are a slice of the frame's payload.
+        let start = reply.results.as_ptr() as usize - frame.as_ptr() as usize;
         let results = start..start + reply.results.len();
-        Some((id, Outcome::Results(frame.into_wire(), results)))
+        Some((id, Outcome::Results(frame, results)))
     }
 }
 
@@ -344,8 +341,6 @@ pub struct PendingReplies {
     state: Mutex<State>,
     /// Written under `state`'s lock, read without it on fast paths.
     closed: AtomicBool,
-    /// The reader's pool, which reply frames go back to once decoded.
-    pool: OnceLock<BufferPool>,
     armed_gauge: Arc<clam_obs::Gauge>,
 }
 
@@ -358,7 +353,6 @@ impl PendingReplies {
             sched: sched.clone(),
             state: Mutex::new(State::default()),
             closed: AtomicBool::new(false),
-            pool: OnceLock::new(),
             armed_gauge: clam_obs::gauge("rpc.deadlines_armed"),
         }
     }
@@ -396,8 +390,7 @@ impl PendingReplies {
     }
 
     /// [`request`](Self::request), with the reply's result bytes handed
-    /// to `results` where they lie, in the reply frame, which then goes
-    /// back to the reader's pool.
+    /// to `results` where they lie, in the reply frame.
     ///
     /// # Errors
     ///
@@ -427,11 +420,7 @@ impl PendingReplies {
             return Err(e);
         }
         match self.sched.outside(|| self.await_reply(slot)) {
-            Outcome::Results(bytes, range) => {
-                let out = results(&bytes[range]);
-                self.recycle(bytes);
-                out
-            }
+            Outcome::Results(frame, range) => results(&frame[range]),
             Outcome::Failed(e) => Err(e),
         }
     }
@@ -441,7 +430,7 @@ impl PendingReplies {
     pub fn complete(&self, reply: Reply) -> bool {
         let outcome = if reply.status == StatusCode::Ok {
             let len = reply.results.len();
-            Outcome::Results(reply.results.into_inner(), 0..len)
+            Outcome::Results(Frame::from(reply.results.as_slice()), 0..len)
         } else {
             Outcome::Failed(RpcError::status(reply.status, reply.detail))
         };
@@ -491,8 +480,8 @@ impl PendingReplies {
     }
 
     /// Hand the table its reply channel's read half: from now on its
-    /// waiters read `reader` themselves, recycle each frame into `pool`,
-    /// route replies of `kind`, and fail the table on EOF or any other
+    /// waiters read `reader` themselves, into buffers from `pool`, route
+    /// replies of `kind`, and fail the table on EOF or any other
     /// message. A table takes one reader; a later one is dropped.
     pub fn attach_reader(
         &self,
@@ -509,12 +498,7 @@ impl PendingReplies {
                 closer.close();
             }
             (Do::Keep, wake) => {
-                let _ = self.pool.set(pool.clone());
-                st.link = Some(Box::new(Link {
-                    reader,
-                    pool: pool.clone(),
-                    kind,
-                }));
+                st.link = Some(Box::new(Link { reader, kind }));
                 st.closer = Some(closer);
                 st.offer(wake);
             }
@@ -599,23 +583,15 @@ impl PendingReplies {
     }
 
     /// Finish request `id` with `outcome`. `false` if no entry waits
-    /// under `id`; the buffer of its results goes back to the pool.
+    /// under `id`.
     fn route(&self, st: &mut State, id: u64, outcome: Outcome) -> bool {
         let slot = st.find(id);
         let entry = slot.map(|slot| st.slab[slot].deadline.is_some());
         let (_, wake) = self.on(st, On::Reply(entry));
-        match (slot, outcome) {
-            (Some(slot), outcome) => st.finish(slot, outcome, wake),
-            (None, Outcome::Results(bytes, _)) => self.recycle(bytes),
-            (None, Outcome::Failed(_)) => {}
+        if let Some(slot) = slot {
+            st.finish(slot, outcome, wake);
         }
         slot.is_some()
-    }
-
-    fn recycle(&self, bytes: Vec<u8>) {
-        if let Some(pool) = self.pool.get() {
-            pool.recycle(bytes);
-        }
     }
 }
 

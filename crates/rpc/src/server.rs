@@ -200,7 +200,16 @@ pub struct DedupWindow {
 
 impl DedupWindow {
     /// Record `id`; true if it was already dispatched within the window.
+    /// The first call sizes the window for good, so no later one
+    /// allocates.
     fn is_duplicate(&mut self, id: u64) -> bool {
+        if self.order.capacity() == 0 {
+            // Twice the window: a set whose room the removals' tombstones
+            // used up rehashes in place if it is at most half full, and
+            // into a larger table otherwise.
+            self.seen.reserve(2 * DEDUP_WINDOW);
+            self.order.reserve_exact(DEDUP_WINDOW + 1);
+        }
         if !self.seen.insert(id) {
             return true;
         }
@@ -471,8 +480,8 @@ impl RpcServer {
     /// loop: drop the sync calls its `dedup` window has seen, dispatch
     /// the rest in order straight out of the frame, send each reply
     /// through `writer` as its call completes ([`TaskWriter::send`]: a
-    /// peer that does not read its replies stalls this task only), and
-    /// recycle the frame into `pool`. The calls share one argument
+    /// peer that does not read its replies stalls this task only), each
+    /// in a buffer from `pool`. The calls share one argument
     /// buffer, one dispatch context and one panic guard: a call whose
     /// served code panics gets one `Fault` reply if it is sync and one
     /// fault-observer notification, and serving resumes at the next
@@ -492,7 +501,7 @@ impl RpcServer {
         pool: &BufferPool,
         writer: &TaskWriter,
     ) -> RpcResult<()> {
-        let served = call_batch(&frame).map(|batch| {
+        call_batch(&frame).map(|batch| {
             // One context serves every call, each call's argument bytes
             // copied into its one buffer from `pool`.
             let mut ctx = CallContext {
@@ -533,9 +542,7 @@ impl RpcServer {
                 }
             }
             pool.recycle(ctx.args.into_inner());
-        });
-        pool.recycle(frame.into_wire());
-        served
+        })
     }
 
     /// Serve one connection on the calling thread until it closes or
@@ -543,9 +550,9 @@ impl RpcServer {
     /// single-threaded server loop (tests, benches; the full CLAM server
     /// in `clam-core` integrates tasks and upcalls instead).
     pub fn serve_channel(self: &Arc<Self>, conn: ConnId, mut channel: clam_net::Channel) {
-        // One pool serves the whole connection: inbound call frames are
-        // recycled after dispatch and reply frames after the write, so a
-        // steady request/reply exchange reuses the same two buffers.
+        // One pool serves the whole connection: inbound call frames and
+        // reply frames go back to it when they drop, so a steady
+        // request/reply exchange reuses the same two buffers.
         let pool = BufferPool::default();
         channel.attach_pool(&pool);
         let (writer, mut reader) = channel.split();

@@ -57,10 +57,6 @@ impl MsgWriter for RecycleWriter {
         }
         Ok(())
     }
-
-    fn attach_pool(&mut self, pool: &BufferPool) {
-        self.pool = Some(pool.clone());
-    }
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //!
 //! The zero-copy encode→frame→send pipeline moves each frame's backing
 //! `Vec<u8>` end to end: the batcher encodes into a pooled buffer, the
-//! transport writes it and recycles it here, and the next call acquires it
-//! back with its capacity intact. At steady state no wire-path allocation
-//! happens at all — every buffer in flight came from (and returns to) a
-//! [`BufferPool`].
+//! transport writes it, and the frame, which holds its pool, gives the
+//! buffer back here when it drops (`clam_net::Frame`); the next call
+//! acquires it back with its capacity intact. At steady state no
+//! wire-path allocation happens at all — every buffer in flight came
+//! from (and returns to) a [`BufferPool`].
 //!
 //! The pool lives in `clam-xdr` (the lowest crate on the wire path) so the
 //! encoder, the framing layer, and the transports can all share one type
@@ -17,11 +18,11 @@
 
 use std::sync::{Arc, Mutex};
 
-/// Default maximum number of idle buffers retained per pool.
+/// The most idle buffers a pool retains.
 pub const DEFAULT_MAX_BUFFERS: usize = 32;
 
-/// Default high-water capacity: a recycled buffer holding more than this
-/// is trimmed back so one huge frame cannot pin its capacity forever.
+/// High-water capacity: a recycled buffer holding more than this is
+/// trimmed back so one huge frame cannot pin its capacity forever.
 pub const DEFAULT_TRIM_CAPACITY: usize = 256 * 1024;
 
 /// Capacity of a buffer the pool makes when it is dry: any small frame
@@ -45,36 +46,22 @@ clam_obs::counters! {
 
 struct PoolInner {
     free: Mutex<Vec<Vec<u8>>>,
-    max_buffers: usize,
-    trim_capacity: usize,
     counters: PoolCounters,
 }
 
-/// A thread-safe pool of reusable `Vec<u8>` buffers.
+/// A thread-safe pool of reusable `Vec<u8>` buffers, retaining at most
+/// [`DEFAULT_MAX_BUFFERS`] idle ones, each trimmed to at most
+/// [`DEFAULT_TRIM_CAPACITY`] bytes of capacity on recycle.
 ///
 /// Cloning a `BufferPool` produces another handle to the *same* pool, so
-/// the handle can be attached to writers, readers, and the tasks that
-/// serve what they read, all feeding one free list.
+/// a reader, the encoders of a connection's tasks and every frame they
+/// make can hold it, all feeding one free list.
 #[derive(Clone)]
 pub struct BufferPool {
     inner: Arc<PoolInner>,
 }
 
 impl BufferPool {
-    /// A pool retaining at most `max_buffers` idle buffers, each trimmed
-    /// to at most `trim_capacity` bytes of capacity on recycle.
-    #[must_use]
-    pub fn new(max_buffers: usize, trim_capacity: usize) -> BufferPool {
-        BufferPool {
-            inner: Arc::new(PoolInner {
-                free: Mutex::new(Vec::with_capacity(max_buffers)),
-                max_buffers,
-                trim_capacity,
-                counters: PoolCounters::register(),
-            }),
-        }
-    }
-
     /// Take a cleared buffer from the pool, or a fresh empty one if the
     /// pool is dry. The returned buffer has `len() == 0`; a pooled buffer
     /// keeps its previous capacity, which is the whole point.
@@ -103,13 +90,13 @@ impl BufferPool {
     /// the buffer is dropped.
     pub fn recycle(&self, mut buf: Vec<u8>) {
         buf.clear();
-        if buf.capacity() > self.inner.trim_capacity {
-            buf.shrink_to(self.inner.trim_capacity);
+        if buf.capacity() > DEFAULT_TRIM_CAPACITY {
+            buf.shrink_to(DEFAULT_TRIM_CAPACITY);
         }
         let counters = &self.inner.counters;
         let mut free = self.inner.free.lock().unwrap_or_else(|e| e.into_inner());
         counters.recycled.add_exclusive(1);
-        if free.len() < self.inner.max_buffers {
+        if free.len() < DEFAULT_MAX_BUFFERS {
             free.push(buf);
         } else {
             counters.dropped.add_exclusive(1);
@@ -136,7 +123,12 @@ impl BufferPool {
 
 impl Default for BufferPool {
     fn default() -> BufferPool {
-        BufferPool::new(DEFAULT_MAX_BUFFERS, DEFAULT_TRIM_CAPACITY)
+        BufferPool {
+            inner: Arc::new(PoolInner {
+                free: Mutex::new(Vec::with_capacity(DEFAULT_MAX_BUFFERS)),
+                counters: PoolCounters::register(),
+            }),
+        }
     }
 }
 
@@ -144,8 +136,6 @@ impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
             .field("idle", &self.idle())
-            .field("max_buffers", &self.inner.max_buffers)
-            .field("trim_capacity", &self.inner.trim_capacity)
             .field("metrics", &self.metrics())
             .finish()
     }
@@ -184,25 +174,26 @@ mod tests {
 
     #[test]
     fn full_pool_drops_excess_buffers() {
-        let pool = BufferPool::new(2, usize::MAX);
-        for _ in 0..3 {
+        let pool = BufferPool::default();
+        for _ in 0..=DEFAULT_MAX_BUFFERS {
             pool.recycle(Vec::with_capacity(8));
         }
-        assert_eq!(pool.idle(), 2);
+        assert_eq!(pool.idle(), DEFAULT_MAX_BUFFERS);
         assert_eq!(pool.metrics().counter("xdr.pool.dropped"), 1);
     }
 
     #[test]
     fn oversized_buffers_are_trimmed_on_recycle() {
-        let pool = BufferPool::new(4, 128);
-        pool.recycle(Vec::with_capacity(4096));
+        let pool = BufferPool::default();
+        let spike = 4 * DEFAULT_TRIM_CAPACITY;
+        pool.recycle(Vec::with_capacity(spike));
         let buf = pool.acquire();
         assert!(
-            buf.capacity() <= 4096 && buf.capacity() >= 128,
+            buf.capacity() >= DEFAULT_TRIM_CAPACITY,
             "capacity {} should be trimmed toward the high-water mark",
             buf.capacity()
         );
-        assert!(buf.capacity() < 4096, "trim must shed the spike");
+        assert!(buf.capacity() < spike, "trim must shed the spike");
     }
 
     #[test]
