@@ -26,6 +26,7 @@ use clam_core::{ClamClient, ClamServer, ServerConfig, UpcallTarget};
 use clam_load::{ClassSpec, SimpleModule, Version};
 use clam_net::Endpoint;
 use clam_rpc::{current_conn, ProcId, RpcError, RpcResult, StatusCode, Target};
+use clam_task::TaskError;
 use clam_xdr::Opaque;
 use std::hint::black_box;
 use std::sync::{Arc, Weak};
@@ -179,19 +180,20 @@ impl Echo for EchoImpl {
     fn fan_out(&self, proc: ProcId, tasks: u32, per_task: u32) -> RpcResult<u64> {
         let (server, target) = self.target(proc)?;
         let start = Instant::now();
-        let handles: Vec<_> = (0..tasks)
-            .map(|_| {
-                let target = target.clone();
-                server.spawn_task("fan-out", move || {
-                    for i in 0..per_task {
-                        let _ = target.invoke(i);
-                    }
-                })
-            })
-            .collect();
+        let mut handles = Vec::with_capacity(tasks as usize);
+        let started = (0..tasks).try_for_each(|_| {
+            let target = target.clone();
+            handles.push(server.scheduler().try_spawn("fan-out", move || {
+                for i in 0..per_task {
+                    let _ = target.invoke(i);
+                }
+            })?);
+            Ok(())
+        });
         for h in handles {
             let _ = h.join();
         }
+        started.map_err(|e: TaskError| RpcError::status(StatusCode::AppError, e.to_string()))?;
         Ok(nanos_since(start))
     }
 }

@@ -9,15 +9,16 @@
 //! * [`UpcallTarget`] — a registered upward procedure. The lower layer
 //!   cannot tell a local registrant from a remote one (section 4.1):
 //!   `UpcallTarget::local` wraps a closure invoked directly (the paper
-//!   measures local upcalls at procedure-call cost), while a remote
-//!   registration resolves to a **RUC object** that bundles the arguments
-//!   and performs the upcall across the wire.
-//! * [`RemoteUpcall`] — the RUC class of section 3.5.2: it stores the
-//!   client's procedure identifier, the upcall stub, and the client's
-//!   IPC connection, and turns an invocation into a message on the upcall
-//!   channel. A *synchronous* upcall blocks the calling server **task**
-//!   while the client task runs (section 4.3); an *asynchronous* one
-//!   returns immediately.
+//!   measures local upcalls at procedure-call cost), while a remote one
+//!   is the **RUC object** of section 3.5.2: the server turns a client's
+//!   [`ProcId`](clam_rpc::ProcId) into an `UpcallTarget`
+//!   ([`ClamServer::upcall_target`]) that holds the client's procedure
+//!   identifier and IPC connection (its [`UpcallRouter`]), with its
+//!   argument and result types as the upcall stub, and turns an
+//!   invocation into a message on the upcall channel, bundling the
+//!   arguments straight into the frame. A *synchronous* upcall blocks
+//!   the calling server **task** while the client task runs (section
+//!   4.3); an *asynchronous* one returns immediately.
 //! * [`ClamServer`] — the server runtime: per client **two channels**
 //!   (RPC requests and upcalls, section 4.4), a main RPC task per client,
 //!   the one-active-upcall-per-client limit (relaxable via
@@ -68,7 +69,7 @@ pub use error::{CoreError, CoreResult};
 pub use naming::{
     NameService, NameServiceImpl, NameServiceProxy, NameServiceSkeleton, NAME_SERVICE_ID,
 };
-pub use ruc::{RemoteUpcall, UpcallRouter};
+pub use ruc::UpcallRouter;
 pub use server::{ClamServer, ClamServerBuilder};
 pub use session::{ErrorReport, SessionCtl, SessionCtlProxy, SESSION_SERVICE_ID};
 pub use upcall::{UpcallRegistry, UpcallTarget};

@@ -7,14 +7,16 @@
 //!
 //! [`UpcallRouter`] is the per-client side of that control: it owns the
 //! upcall channel's writer, matches upcall replies to waiting server
-//! tasks, and enforces the active-upcall limit of section 4.4.
-//! [`RemoteUpcall`] is one RUC object: a client procedure id bound to its
-//! router; invoking it performs the distributed upcall.
+//! tasks, and enforces the active-upcall limit of section 4.4. One RUC
+//! object is a remote [`UpcallTarget`](crate::UpcallTarget): the client's
+//! procedure id bound to its connection's router, with its argument and
+//! result types as the upcall stub; invoking it performs the distributed
+//! upcall.
 
 use clam_net::{MsgReader, MsgWriter};
 use clam_rpc::{Message, PendingReplies, ProcId, ReplyKind, RpcError, RpcResult, TaskWriter};
 use clam_task::{Event, Scheduler};
-use clam_xdr::{BufferPool, Opaque, XdrResult};
+use clam_xdr::{BufferPool, XdrResult};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +40,6 @@ pub struct UpcallRouter {
     /// Outstanding synchronous upcalls and their deadlines.
     replies: PendingReplies,
     permits: Event,
-    max_active: usize,
     /// Upcall frames cycle: acquire → encode → send → the sent frame drops
     /// and its buffer comes back. Reply frames are read into it too.
     pool: BufferPool,
@@ -51,14 +52,14 @@ pub struct UpcallRouter {
 impl std::fmt::Debug for UpcallRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpcallRouter")
-            .field("max_active", &self.max_active)
             .field("closed", &self.replies.is_closed())
             .finish_non_exhaustive()
     }
 }
 
 impl UpcallRouter {
-    /// Create a router over the upcall channel's writer half.
+    /// Create a router over the upcall channel's writer half, allowing
+    /// `max_active` synchronous upcalls at once.
     ///
     /// A synchronous upcall whose reply has not arrived within `timeout`
     /// fails with [`RpcError::DeadlineExceeded`] — a hung or dead client
@@ -79,38 +80,24 @@ impl UpcallRouter {
             writer: TaskWriter::new(sched, writer),
             replies: PendingReplies::new(sched),
             permits,
-            max_active,
             pool: BufferPool::default(),
             timeout,
             counters: RouterCounters::register(),
         })
     }
 
-    /// The configured active-upcall limit.
-    #[must_use]
-    pub fn max_active(&self) -> usize {
-        self.max_active
-    }
-
     /// Perform a synchronous distributed upcall: acquire an active slot,
-    /// send, block until the client's reply.
+    /// bundle the arguments with `args` straight into the upcall frame,
+    /// send, block until the client's reply and decode it with `results`
+    /// straight from the reply frame.
     ///
     /// From a server task, blocking suspends the *task* — the scheduler
     /// runs other work meanwhile, exactly the flow of section 4.3 ("while
     /// the client task is active the server task is blocked").
     ///
-    /// # Errors
-    ///
-    /// Transport errors, [`RpcError::Disconnected`] if the client goes
-    /// away, or the client procedure's error status.
-    pub fn invoke(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
-        self.invoke_with(proc_id, copy(&args), |results| Ok(Opaque::from(results)))
-    }
-
-    /// [`invoke`](Self::invoke) with the arguments bundled by `args`
-    /// straight into the upcall frame, and the result decoded by
-    /// `results` straight from the reply frame.
-    pub(crate) fn invoke_with<T>(
+    /// Fails with transport errors, [`RpcError::Disconnected`] if the
+    /// client goes away, or the client procedure's error status.
+    pub(crate) fn invoke<T>(
         &self,
         proc_id: ProcId,
         args: impl FnOnce(&mut Vec<u8>) -> XdrResult<()>,
@@ -144,18 +131,11 @@ impl UpcallRouter {
         result
     }
 
-    /// Perform an asynchronous upcall: no reply, no slot consumed.
+    /// Perform an asynchronous upcall, its arguments bundled by `args`
+    /// straight into the upcall frame: no reply, no slot consumed.
     ///
-    /// # Errors
-    ///
-    /// Transport and bundling errors.
-    pub fn invoke_async(&self, proc_id: ProcId, args: Opaque) -> RpcResult<()> {
-        self.invoke_async_with(proc_id, copy(&args))
-    }
-
-    /// [`invoke_async`](Self::invoke_async) with the arguments bundled by
-    /// `args` straight into the upcall frame.
-    pub(crate) fn invoke_async_with(
+    /// Fails with transport and bundling errors.
+    pub(crate) fn invoke_async(
         &self,
         proc_id: ProcId,
         args: impl FnOnce(&mut Vec<u8>) -> XdrResult<()>,
@@ -179,12 +159,6 @@ impl UpcallRouter {
         self.counters.metrics()
     }
 
-    /// The router's pending-reply table.
-    #[must_use]
-    pub fn replies(&self) -> &PendingReplies {
-        &self.replies
-    }
-
     /// Number of upcalls awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
@@ -205,67 +179,16 @@ impl UpcallRouter {
     }
 }
 
-/// Arguments already bundled, copied into the upcall frame as they are.
-fn copy(args: &Opaque) -> impl FnOnce(&mut Vec<u8>) -> XdrResult<()> + '_ {
-    |frame| {
-        frame.extend_from_slice(args.as_slice());
-        Ok(())
-    }
-}
-
-/// One RUC object: a client procedure bound to its connection's router.
-///
-/// "The compiler generates code to call a procedure in the RUC class
-/// whenever this procedure pointer is used" — here, lower layers hold a
-/// [`UpcallTarget`](crate::UpcallTarget) wrapping this object and its
-/// `invoke` *is* that procedure.
-#[derive(Debug, Clone)]
-pub struct RemoteUpcall {
-    pub(crate) router: Arc<UpcallRouter>,
-    pub(crate) proc_id: ProcId,
-}
-
-impl RemoteUpcall {
-    /// Bind a client procedure to its connection's router.
-    #[must_use]
-    pub fn new(router: Arc<UpcallRouter>, proc_id: ProcId) -> Arc<RemoteUpcall> {
-        Arc::new(RemoteUpcall { router, proc_id })
-    }
-
-    /// The client procedure this RUC object invokes.
-    #[must_use]
-    pub fn proc_id(&self) -> ProcId {
-        self.proc_id
-    }
-
-    /// Synchronous distributed upcall with pre-bundled arguments.
-    ///
-    /// # Errors
-    ///
-    /// See [`UpcallRouter::invoke`].
-    pub fn invoke(&self, args: Opaque) -> RpcResult<Opaque> {
-        self.router.invoke(self.proc_id, args)
-    }
-
-    /// Asynchronous distributed upcall with pre-bundled arguments.
-    ///
-    /// # Errors
-    ///
-    /// See [`UpcallRouter::invoke_async`].
-    pub fn invoke_async(&self, args: Opaque) -> RpcResult<()> {
-        self.router.invoke_async(self.proc_id, args)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UpcallTarget;
     use clam_net::pair;
     use clam_rpc::{MessageView, Reply, StatusCode};
+    use clam_xdr::Opaque;
     use parking_lot::Mutex;
 
-    /// A fake client: answers every sync upcall by echoing args with a
-    /// marker byte appended.
+    /// A fake client: answers every sync upcall `x: u32` with `x + 1`.
     fn fake_client(mut chan: clam_net::Channel) -> std::thread::JoinHandle<u64> {
         std::thread::spawn(move || {
             let mut served = 0;
@@ -275,13 +198,12 @@ mod tests {
                 };
                 served += 1;
                 if up.request_id != 0 {
-                    let mut results = up.args.to_vec();
-                    results.push(0xEE);
+                    let x: u32 = clam_xdr::decode(up.args).unwrap();
                     let reply = Message::UpcallReply(Reply {
                         request_id: up.request_id,
                         status: StatusCode::Ok,
                         detail: String::new(),
-                        results: Opaque::from(results),
+                        results: Opaque::from(clam_xdr::encode(&(x + 1)).unwrap()),
                     });
                     chan.send(reply.to_frame().unwrap()).unwrap();
                 }
@@ -303,9 +225,9 @@ mod tests {
     #[test]
     fn sync_upcall_round_trips() {
         let (router, _client, _sched) = rig(1);
-        let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 7 });
-        let out = ruc.invoke(Opaque::from(vec![1, 2])).unwrap();
-        assert_eq!(out.as_slice(), &[1, 2, 0xEE]);
+        let ruc: UpcallTarget<u32, u32> =
+            UpcallTarget::remote(Arc::clone(&router), ProcId { id: 7 });
+        assert_eq!(ruc.invoke(12).unwrap(), 13);
         assert_eq!(router.outstanding(), 0);
     }
 
@@ -313,10 +235,13 @@ mod tests {
     fn each_router_counts_its_own_upcalls() {
         let (one, _client_one, _sched_one) = rig(1);
         let (other, _client_other, _sched_other) = rig(1);
+        let ruc = |router: &Arc<UpcallRouter>| {
+            UpcallTarget::<u32, u32>::remote(Arc::clone(router), ProcId { id: 7 })
+        };
         for _ in 0..2 {
-            one.invoke(ProcId { id: 7 }, Opaque::new()).unwrap();
+            ruc(&one).invoke(0).unwrap();
         }
-        other.invoke_async(ProcId { id: 7 }, Opaque::new()).unwrap();
+        ruc(&other).invoke_async(0).unwrap();
         let remote = |router: &UpcallRouter| router.metrics().counter("core.upcall.remote");
         assert_eq!((remote(&one), remote(&other)), (2, 1));
     }
@@ -324,8 +249,9 @@ mod tests {
     #[test]
     fn async_upcall_does_not_wait() {
         let (router, _client, _sched) = rig(1);
-        let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 7 });
-        ruc.invoke_async(Opaque::from(vec![9])).unwrap();
+        let ruc: UpcallTarget<u32, u32> =
+            UpcallTarget::remote(Arc::clone(&router), ProcId { id: 7 });
+        ruc.invoke_async(9).unwrap();
         assert_eq!(router.outstanding(), 0);
     }
 
@@ -350,8 +276,8 @@ mod tests {
             client_end.send(reply.to_frame().unwrap()).unwrap();
             client_end
         });
-        let ruc = RemoteUpcall::new(router, ProcId { id: 1 });
-        let err = ruc.invoke(Opaque::new()).unwrap_err();
+        let ruc: UpcallTarget<(), ()> = UpcallTarget::remote(router, ProcId { id: 1 });
+        let err = ruc.invoke(()).unwrap_err();
         assert_eq!(err.status_code(), Some(StatusCode::Fault));
         drop(t.join().unwrap());
     }
@@ -368,12 +294,12 @@ mod tests {
             let _ = client_end.recv();
             drop(client_end); // hang up without replying
         });
-        let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 1 });
-        let err = ruc.invoke(Opaque::new()).unwrap_err();
+        let ruc: UpcallTarget<(), ()> = UpcallTarget::remote(Arc::clone(&router), ProcId { id: 1 });
+        let err = ruc.invoke(()).unwrap_err();
         assert!(matches!(err, RpcError::Disconnected));
         t.join().unwrap();
         assert!(matches!(
-            ruc.invoke(Opaque::new()).unwrap_err(),
+            ruc.invoke(()).unwrap_err(),
             RpcError::Disconnected
         ));
     }
@@ -392,9 +318,9 @@ mod tests {
             let mut chan = client_end;
             while chan.recv().is_ok() {}
         });
-        let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 1 });
+        let ruc: UpcallTarget<(), ()> = UpcallTarget::remote(Arc::clone(&router), ProcId { id: 1 });
         let start = Instant::now();
-        let err = ruc.invoke(Opaque::new()).unwrap_err();
+        let err = ruc.invoke(()).unwrap_err();
         let elapsed = start.elapsed();
         assert!(matches!(err, RpcError::DeadlineExceeded), "got {err:?}");
         assert!(
@@ -405,7 +331,7 @@ mod tests {
         // The active-upcall slot was released: the next upcall proceeds
         // (and deadlines again, rather than blocking on the permit).
         assert!(matches!(
-            ruc.invoke(Opaque::new()).unwrap_err(),
+            ruc.invoke(()).unwrap_err(),
             RpcError::DeadlineExceeded
         ));
         // Drop every router handle so the writer closes and the silent
@@ -454,8 +380,8 @@ mod tests {
         for _ in 0..2 {
             let router = Arc::clone(&router);
             handles.push(sched.spawn("upcaller", move || {
-                let ruc = RemoteUpcall::new(router, ProcId { id: 1 });
-                ruc.invoke(Opaque::new()).unwrap();
+                let ruc: UpcallTarget<(), ()> = UpcallTarget::remote(router, ProcId { id: 1 });
+                ruc.invoke(()).unwrap();
             }));
         }
         for h in handles {
@@ -503,8 +429,8 @@ mod tests {
         for _ in 0..2 {
             let router = Arc::clone(&router);
             handles.push(sched.spawn("upcaller", move || {
-                let ruc = RemoteUpcall::new(router, ProcId { id: 1 });
-                ruc.invoke(Opaque::new()).unwrap();
+                let ruc: UpcallTarget<(), ()> = UpcallTarget::remote(router, ProcId { id: 1 });
+                ruc.invoke(()).unwrap();
             }));
         }
         for h in handles {
@@ -529,10 +455,9 @@ mod tests {
                 // or ends.
                 let log2 = Arc::clone(&log);
                 s.spawn("bystander", move || log2.lock().push("bystander"));
+                let ruc: UpcallTarget<u32, u32> = UpcallTarget::remote(router, ProcId { id: 1 });
                 for i in 0..3 {
-                    router
-                        .invoke_async(ProcId { id: 1 }, Opaque::from(vec![i]))
-                        .unwrap();
+                    ruc.invoke_async(i).unwrap();
                     log.lock().push("sent");
                 }
             })

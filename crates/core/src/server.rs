@@ -13,7 +13,7 @@
 use crate::config::ServerConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::naming::NameServiceImpl;
-use crate::ruc::{RemoteUpcall, UpcallRouter};
+use crate::ruc::UpcallRouter;
 use crate::session::{
     Act, ErrorReport, Session, SessionCtlImpl, SessionCtlSkeleton, SessionRegistry, Turn,
     SESSION_SERVICE_ID,
@@ -285,24 +285,21 @@ impl ClamServer {
         &self.config
     }
 
-    /// Spawn a server task (input handling, error reporting, …).
-    pub fn spawn_task(
-        &self,
-        name: &str,
-        f: impl FnOnce() + Send + 'static,
-    ) -> clam_task::JoinHandle {
-        self.sched.spawn(name, f)
-    }
-
-    /// Build the RUC object for a client procedure: the translation the
+    /// Build the RUC object for a client procedure — the translation the
     /// compiler-generated procedure-pointer bundler performs in section
-    /// 3.5.2.
+    /// 3.5.2 — as the typed upcall target a lower layer stores at
+    /// registration time. Local and remote targets are indistinguishable
+    /// to the layer holding them (section 4.1).
     ///
     /// # Errors
     ///
     /// [`StatusCode::AppError`] if the connection has no live session or
     /// the procedure id is null.
-    pub fn ruc(&self, conn: ConnId, proc: ProcId) -> RpcResult<Arc<RemoteUpcall>> {
+    pub fn upcall_target<A, R>(&self, conn: ConnId, proc: ProcId) -> RpcResult<UpcallTarget<A, R>>
+    where
+        A: Bundle + Clone,
+        R: Bundle + Clone,
+    {
         if proc.is_null() {
             return Err(RpcError::status(
                 StatusCode::AppError,
@@ -312,22 +309,7 @@ impl ClamServer {
         let session = self.sessions.get(conn).ok_or_else(|| {
             RpcError::status(StatusCode::AppError, format!("{conn} has no session"))
         })?;
-        Ok(RemoteUpcall::new(Arc::clone(session.router()), proc))
-    }
-
-    /// Build a typed upcall target for a client procedure — what a lower
-    /// layer stores at registration time. Local and remote targets are
-    /// indistinguishable to the layer holding them (section 4.1).
-    ///
-    /// # Errors
-    ///
-    /// See [`ClamServer::ruc`].
-    pub fn upcall_target<A, R>(&self, conn: ConnId, proc: ProcId) -> RpcResult<UpcallTarget<A, R>>
-    where
-        A: Bundle + Clone,
-        R: Bundle + Clone,
-    {
-        Ok(UpcallTarget::remote(self.ruc(conn, proc)?))
+        Ok(UpcallTarget::remote(Arc::clone(session.router()), proc))
     }
 
     /// Report a fault to a client's registered error handler from a new

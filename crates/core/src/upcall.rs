@@ -8,13 +8,14 @@
 //!
 //! [`UpcallTarget<A, R>`] is what a lower layer stores: either a local
 //! procedure (invoked directly — local upcalls cost a procedure call,
-//! Figure 5.1 row 3) or a [`RemoteUpcall`] that crosses the wire. The
-//! argument and result types are fixed at registration, so typing is
-//! checked at compile time, exactly as the paper resolves typing "at
-//! compile time" through procedure-pointer declarations.
+//! Figure 5.1 row 3) or the RUC object of section 3.5.2: a client's
+//! procedure id on its connection's [`UpcallRouter`], invoked across the
+//! wire. The argument and result types are fixed at registration, so
+//! typing is checked at compile time, exactly as the paper resolves
+//! typing "at compile time" through procedure-pointer declarations.
 
-use crate::ruc::RemoteUpcall;
-use clam_rpc::RpcResult;
+use crate::ruc::UpcallRouter;
+use clam_rpc::{ProcId, RpcResult};
 use clam_xdr::Bundle;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
@@ -39,8 +40,11 @@ pub struct UpcallTarget<A, R> {
 
 enum TargetKind<A, R> {
     Local(Arc<dyn Fn(A) -> RpcResult<R> + Send + Sync>),
+    /// The RUC object: the client's connection, its procedure pointer,
+    /// and (in `A` and `R`) the stub that bundles the upcall.
     Remote {
-        ruc: Arc<RemoteUpcall>,
+        router: Arc<UpcallRouter>,
+        proc: ProcId,
         _types: PhantomData<fn(A) -> R>,
     },
 }
@@ -50,8 +54,9 @@ impl<A, R> Clone for UpcallTarget<A, R> {
         UpcallTarget {
             kind: match &self.kind {
                 TargetKind::Local(f) => TargetKind::Local(Arc::clone(f)),
-                TargetKind::Remote { ruc, .. } => TargetKind::Remote {
-                    ruc: Arc::clone(ruc),
+                TargetKind::Remote { router, proc, .. } => TargetKind::Remote {
+                    router: Arc::clone(router),
+                    proc: *proc,
                     _types: PhantomData,
                 },
             },
@@ -63,7 +68,7 @@ impl<A, R> std::fmt::Debug for UpcallTarget<A, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.kind {
             TargetKind::Local(_) => write!(f, "UpcallTarget::Local"),
-            TargetKind::Remote { ruc, .. } => write!(f, "UpcallTarget::Remote({ruc:?})"),
+            TargetKind::Remote { proc, .. } => write!(f, "UpcallTarget::Remote({proc:?})"),
         }
     }
 }
@@ -81,12 +86,15 @@ where
         }
     }
 
-    /// A remote registration: invocations travel through the RUC object.
+    /// A remote registration: the client procedure `proc` on the
+    /// connection whose upcalls `router` carries. Invocations cross the
+    /// wire.
     #[must_use]
-    pub fn remote(ruc: Arc<RemoteUpcall>) -> UpcallTarget<A, R> {
+    pub(crate) fn remote(router: Arc<UpcallRouter>, proc: ProcId) -> UpcallTarget<A, R> {
         UpcallTarget {
             kind: TargetKind::Remote {
-                ruc,
+                router,
+                proc,
                 _types: PhantomData,
             },
         }
@@ -112,8 +120,8 @@ where
                 obs_local_upcalls().inc();
                 f(args)
             }
-            TargetKind::Remote { ruc, .. } => ruc.router.invoke_with(
-                ruc.proc_id,
+            TargetKind::Remote { router, proc, .. } => router.invoke(
+                *proc,
                 |frame| clam_xdr::bundle_onto(args, frame),
                 |results| Ok(clam_xdr::decode(results)?),
             ),
@@ -134,9 +142,9 @@ where
                 obs_local_upcalls().inc();
                 f(args).map(|_| ())
             }
-            TargetKind::Remote { ruc, .. } => ruc
-                .router
-                .invoke_async_with(ruc.proc_id, |frame| clam_xdr::bundle_onto(args, frame)),
+            TargetKind::Remote { router, proc, .. } => {
+                router.invoke_async(*proc, |frame| clam_xdr::bundle_onto(args, frame))
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! 1. **Causal traces** ([`trace`]): a 16-byte [`TraceId`] plus an
 //!    8-byte [`SpanId`] assigned at call origin and carried in the RPC
-//!    message header, preserved across `RemoteUpcall`, so a
+//!    message header, preserved across distributed upcalls, so a
 //!    client → server call that upcalls back into the client stitches
 //!    into one tree spanning both address spaces. Its one SplitMix64
 //!    ([`splitmix64`]) also mints handle tags and connection nonces

@@ -13,7 +13,7 @@
 
 use crate::events::InputEvent;
 use crate::geometry::Point;
-use clam_task::Scheduler;
+use clam_task::{JoinHandle, Scheduler, TaskResult};
 use std::sync::Arc;
 
 clam_obs::counters! {
@@ -49,34 +49,45 @@ impl InputDriver {
 
     /// Deliver one event: a fresh task runs `sink(event)`. Returns the
     /// task handle (join it to know the layers finished with the event).
-    pub fn deliver<F>(&self, event: InputEvent, sink: F) -> clam_task::JoinHandle
+    ///
+    /// # Errors
+    ///
+    /// The scheduler's refusal to start the task
+    /// ([`Scheduler::try_spawn`]); the event is then not delivered.
+    pub fn deliver<F>(&self, event: InputEvent, sink: F) -> TaskResult<JoinHandle>
     where
         F: FnOnce(InputEvent) + Send + 'static,
     {
         let delivered = Arc::clone(&self.counters.events_delivered);
-        self.sched.spawn("input-event", move || {
+        self.sched.try_spawn("input-event", move || {
             sink(event);
             delivered.inc();
         })
     }
 
     /// Replay a whole script in order, one task per event, returning
-    /// once every event has been fully handled.
-    pub fn replay<F>(&self, script: &[InputEvent], sink: F)
+    /// once every delivered event has been fully handled.
+    ///
+    /// # Errors
+    ///
+    /// The first event whose task could not start ends the replay: the
+    /// events before it are still handled in full, and its error is
+    /// returned.
+    pub fn replay<F>(&self, script: &[InputEvent], sink: F) -> TaskResult<()>
     where
         F: Fn(InputEvent) + Send + Sync + 'static,
     {
         let sink = Arc::new(sink);
-        let handles: Vec<_> = script
-            .iter()
-            .map(|&event| {
-                let sink = Arc::clone(&sink);
-                self.deliver(event, move |ev| sink(ev))
-            })
-            .collect();
+        let mut handles = Vec::with_capacity(script.len());
+        let started = script.iter().try_for_each(|&event| {
+            let sink = Arc::clone(&sink);
+            handles.push(self.deliver(event, move |ev| sink(ev))?);
+            Ok(())
+        });
         for h in handles {
             let _ = h.join();
         }
+        started
     }
 
     /// Events fully delivered so far.
@@ -114,6 +125,7 @@ pub fn sweep_script(from: Point, to: Point, steps: u32) -> Vec<InputEvent> {
 mod tests {
     use super::*;
     use crate::events::MouseButton;
+    use clam_task::TaskError;
     use parking_lot::Mutex;
 
     #[test]
@@ -126,6 +138,7 @@ mod tests {
             .deliver(InputEvent::Key(9), move |ev| {
                 *s.lock() = Some(ev);
             })
+            .unwrap()
             .join()
             .unwrap();
         assert_eq!(*seen.lock(), Some(InputEvent::Key(9)));
@@ -139,13 +152,32 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         let script: Vec<_> = (0..10).map(InputEvent::Key).collect();
-        driver.replay(&script, move |ev| {
-            if let InputEvent::Key(k) = ev {
-                l.lock().push(k);
-            }
-        });
+        driver
+            .replay(&script, move |ev| {
+                if let InputEvent::Key(k) = ev {
+                    l.lock().push(k);
+                }
+            })
+            .unwrap();
         assert_eq!(*log.lock(), (0..10).collect::<Vec<_>>());
         assert_eq!(driver.events_delivered(), 10);
+    }
+
+    #[test]
+    fn a_shut_down_scheduler_refuses_delivery_and_replay() {
+        let sched = Scheduler::new("input-shut");
+        sched.shutdown();
+        let driver = InputDriver::new(&sched);
+        let ran = Arc::new(Mutex::new(0));
+        let r = Arc::clone(&ran);
+        let delivered = driver.deliver(InputEvent::Key(1), move |_| *r.lock() += 1);
+        assert!(matches!(delivered, Err(TaskError::ShutDown)));
+        let r = Arc::clone(&ran);
+        let script: Vec<_> = (0..3).map(InputEvent::Key).collect();
+        let replayed = driver.replay(&script, move |_| *r.lock() += 1);
+        assert_eq!(replayed, Err(TaskError::ShutDown));
+        assert_eq!(*ran.lock(), 0);
+        assert_eq!(driver.events_delivered(), 0);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! none once warm (its arguments are bundled straight into the pooled
 //! upcall frame, the client's handler reads them from that frame and
 //! bundles its result straight into the pooled reply frame, which the
-//! upcaller decodes in place; its reply waiter takes a reused slot), and
+//! upcaller decodes in place; its reply waiter takes a reused slot), nor
+//! does building the upcall target for it (the RUC object is the
+//! session's router and the client's procedure id, held by value), and
 //! a sync `echo(u32)` through `Caller::call` makes at most 3 (the stub's
 //! argument bundle, the skeleton's result bundle and the owned result
 //! the caller returns).
@@ -77,6 +79,10 @@ clam_rpc::remote_interface! {
         fn async_upcalls(proc: ProcId, n: u32) -> u64 = 2;
         /// Returns `x + 1`.
         fn echo(x: u32) -> u32 = 3;
+        /// Build a target for `proc` and sync-upcall it, once uncounted,
+        /// then `n` times counted; returns the allocations of the counted
+        /// ones.
+        fn targets(proc: ProcId, n: u32) -> u64 = 4;
     }
 }
 
@@ -126,6 +132,13 @@ impl Counted for CountedImpl {
     fn echo(&self, x: u32) -> RpcResult<u32> {
         Ok(x + 1)
     }
+
+    fn targets(&self, proc: ProcId, n: u32) -> RpcResult<u64> {
+        checked(0, self.to_caller(proc)?.invoke(0)?)?;
+        let (out, allocs) =
+            counted(|| (1..=n).try_for_each(|x| checked(x, self.to_caller(proc)?.invoke(x)?)));
+        out.map(|()| allocs)
+    }
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -161,6 +174,11 @@ fn sync_and_async_upcalls_allocate_nothing_and_a_sync_call_at_most_three_times()
         client.upcalls_handled(),
         u64::from(UPCALLS) * 2 + 4,
         "every upcall was handled"
+    );
+    let targets = counted_proxy.targets(proc, UPCALLS).expect("targets");
+    assert_eq!(
+        targets, 0,
+        "{UPCALLS} targets built and sync-upcalled allocated {targets} times"
     );
 
     // The server's at-most-once window is sized in full at the first

@@ -52,7 +52,7 @@ impl Overtake for OvertakeImpl {
         let target: UpcallTarget<u32, u32> = server.upcall_target(conn, proc)?;
         let upcaller = {
             let target = target.clone();
-            server.spawn_task("upcaller", move || {
+            server.scheduler().spawn("upcaller", move || {
                 target.invoke(1).expect("upcall");
             })
         };

@@ -7,7 +7,7 @@
 //! tag check turns the dangling handles into `StaleHandle` errors
 //! wherever they leaked.
 
-use clam_core::{ClamClient, ClamServer, RemoteUpcall};
+use clam_core::{ClamClient, ClamServer, UpcallTarget};
 use clam_integration::unique_inproc;
 use clam_rpc::{
     Call, CallContext, Handle, Message, MessageView, ProcId, RpcError, RpcResult, RpcServer,
@@ -26,8 +26,8 @@ const UPCALL_PROC: u64 = 5;
 #[derive(Default)]
 struct Probe {
     handle: Mutex<Option<Handle>>,
-    ruc: Mutex<Option<Arc<RemoteUpcall>>>,
-    outcome: Mutex<Option<RpcResult<Opaque>>>,
+    ruc: Mutex<Option<UpcallTarget<(), ()>>>,
+    outcome: Mutex<Option<RpcResult<()>>>,
 }
 
 /// A service that, on its first call, registers an object owned by the
@@ -43,11 +43,11 @@ impl Service for VictimService {
         *self.probe.handle.lock() = Some(handle);
 
         let server = self.server.upgrade().expect("server alive");
-        let ruc = server.ruc(ctx.conn, ProcId { id: UPCALL_PROC })?;
-        *self.probe.ruc.lock() = Some(Arc::clone(&ruc));
+        let ruc = server.upcall_target::<(), ()>(ctx.conn, ProcId { id: UPCALL_PROC })?;
+        *self.probe.ruc.lock() = Some(ruc.clone());
 
         // Blocks this server task until the client replies — or dies.
-        let outcome = ruc.invoke(Opaque::new());
+        let outcome = ruc.invoke(());
         *self.probe.outcome.lock() = Some(outcome);
         Ok(Opaque::new())
     }
@@ -130,7 +130,7 @@ fn client_death_unblocks_the_upcaller_and_stales_its_handles() {
     // The session's RUC is invalidated: further upcalls fail immediately.
     let ruc = probe.ruc.lock().take().expect("ruc captured");
     assert!(
-        matches!(ruc.invoke(Opaque::new()), Err(RpcError::Disconnected)),
+        matches!(ruc.invoke(()), Err(RpcError::Disconnected)),
         "a dead session's RUC must refuse upcalls"
     );
 

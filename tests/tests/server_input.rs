@@ -52,9 +52,11 @@ fn server_side_input_tasks_upcall_into_the_client() {
     let script = sweep_script(Point::new(10, 10), Point::new(60, 60), 6);
     let events = script.len() as u64;
     let desktop_for_sink = Arc::clone(&desktop_obj);
-    driver.replay(&script, move |ev| {
-        desktop_for_sink.inject(ev).expect("server-side inject");
-    });
+    driver
+        .replay(&script, move |ev| {
+            desktop_for_sink.inject(ev).expect("server-side inject");
+        })
+        .expect("replay");
 
     assert_eq!(driver.events_delivered(), events);
     let seen = seen.lock();
@@ -88,9 +90,11 @@ fn server_side_sweep_upcalls_once_from_an_input_task() {
     let driver = InputDriver::new(server.scheduler());
     let script = sweep_script(Point::new(20, 20), Point::new(100, 90), 30);
     let desktop_for_sink = Arc::clone(&desktop_obj);
-    driver.replay(&script, move |ev| {
-        desktop_for_sink.inject(ev).expect("inject");
-    });
+    driver
+        .replay(&script, move |ev| {
+            desktop_for_sink.inject(ev).expect("inject");
+        })
+        .expect("replay");
 
     assert_eq!(*completions.lock(), vec![Rect::new(20, 20, 80, 70)]);
     assert_eq!(

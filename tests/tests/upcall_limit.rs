@@ -39,7 +39,7 @@ impl Fan for FanImpl {
         let mut handles = Vec::new();
         for i in 0..tasks {
             let target: UpcallTarget<u32, u32> = server.upcall_target(conn, proc)?;
-            handles.push(server.spawn_task("fan", move || {
+            handles.push(server.scheduler().spawn("fan", move || {
                 let _ = target.invoke(i);
             }));
         }
