@@ -102,7 +102,8 @@ impl clam_rpc::ClassDispatch for NullDispatch {
         _server: &clam_rpc::RpcServer,
         _object: &Arc<dyn std::any::Any + Send + Sync>,
         _ctx: &clam_rpc::CallContext,
-    ) -> RpcResult<clam_xdr::Opaque> {
+        _results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         Err(RpcError::status(StatusCode::NoSuchMethod, "bench only"))
     }
 }

@@ -331,11 +331,11 @@ impl NodeInner {
         let result = if ctx.request_id == 0 {
             // Batched async call: forward without waiting for a reply.
             link.caller()
-                .call_async(Target::Object(handle), ctx.method, ctx.args.clone())
+                .call_async(Target::Object(handle), ctx.method, Opaque::from(ctx.args))
                 .map(|()| Opaque::new())
         } else {
             link.caller()
-                .call(Target::Object(handle), ctx.method, ctx.args.clone())
+                .call(Target::Object(handle), ctx.method, Opaque::from(ctx.args))
         };
         if let Err(RpcError::Net(_) | RpcError::Disconnected | RpcError::DeadlineExceeded) = &result
         {
@@ -692,12 +692,15 @@ impl ClusterNode {
                 )))),
             );
             let forward = weak.clone();
-            server.rpc().set_forwarder(Arc::new(move |ctx, handle| {
-                let inner = forward
-                    .upgrade()
-                    .ok_or_else(|| RpcError::status(StatusCode::AppError, "node is gone"))?;
-                inner.forward_call(ctx, handle)
-            }));
+            server
+                .rpc()
+                .set_forwarder(Arc::new(move |ctx, handle, results| {
+                    let inner = forward
+                        .upgrade()
+                        .ok_or_else(|| RpcError::status(StatusCode::AppError, "node is gone"))?;
+                    results.extend_from_slice(inner.forward_call(ctx, handle)?.as_slice());
+                    Ok(())
+                }));
             NodeInner {
                 id: config.node_id,
                 endpoint: config.listen.clone(),

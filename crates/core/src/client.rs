@@ -19,8 +19,8 @@ use clam_load::LoaderProxy;
 use clam_net::{Connector, DirectConnector, Endpoint};
 use clam_obs::{EventKind, SpanId};
 use clam_rpc::{
-    Caller, CallerConfig, Message, MessageView, ProcId, RpcError, RpcResult, StatusCode, Target,
-    TaskWriter, UpcallView,
+    Caller, CallerConfig, Message, MessageView, ProcId, ReplyKind, RpcError, RpcResult, StatusCode,
+    Target, TaskWriter, UpcallView,
 };
 use clam_task::Scheduler;
 use clam_xdr::{Bundle, Opaque};
@@ -281,10 +281,12 @@ impl ClamClient {
                     handled.inc();
                     true
                 } else {
-                    let reply =
-                        Message::upcall_reply_frame_in(&upcall_pool, up.request_id, |results| {
-                            Self::run_upcall(&procs, &up, results)
-                        });
+                    let reply = Message::reply_frame_in(
+                        &upcall_pool,
+                        ReplyKind::UpcallReply,
+                        up.request_id,
+                        |results| Self::run_upcall(&procs, &up, results),
+                    );
                     handled.inc();
                     reply.is_ok_and(|reply| up_writer.send(reply).is_ok())
                 };

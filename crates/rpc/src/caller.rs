@@ -14,8 +14,8 @@
 //! special synchronization procedure.
 
 use crate::error::{RpcError, RpcResult};
-use crate::message::{BatchEncoder, CallView, Target};
-use crate::pending::{PendingReplies, ReplyKind};
+use crate::message::{BatchEncoder, CallView, ReplyKind, Target};
+use crate::pending::PendingReplies;
 use crate::server::{TaskWriter, SYNC_SERVICE_ID};
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::EventKind;

@@ -19,14 +19,17 @@
 //!   [`ObjectTable`] of dynamically created objects addressed by
 //!   [`Handle`]s. A handle is the paper's capability: object identifier
 //!   plus validity *tag*, checked on every use (section 3.5.1,
-//!   Figure 3.3).
+//!   Figure 3.3). Served code reads its arguments in the request frame
+//!   and bundles its results into the reply frame (section 3.3).
 //! * [`MessageView`] — the wire messages read in place: a frame is
 //!   checked once, then its calls, reply or upcall are views that borrow
 //!   from it. The matching writers ([`BatchEncoder::push_view`],
 //!   [`Message::to_frame_in`]) put a message straight into a pooled frame
-//!   buffer. These are the one codec of the wire: [`Message`], [`Call`],
-//!   [`Reply`] and [`UpcallMsg`] are plain structs with no bundler of
-//!   their own.
+//!   buffer, and [`Message::reply_frame_in`] is the one way a served
+//!   call or upcall is answered: the served code bundles its results
+//!   behind the reply's header in place. These are the one codec of the
+//!   wire: [`Message`], [`Call`], [`Reply`] and [`UpcallMsg`] are plain
+//!   structs with no bundler of their own.
 //! * [`ParamMode`] — the `const`/`out`/`inout` parameter modes that let
 //!   stubs bundle each parameter in only the directions it travels.
 //!
@@ -49,11 +52,11 @@ pub use caller::{in_nested_context, nested_call_scope, CallOptions, Caller, Call
 pub use error::{RpcError, RpcResult, StatusCode};
 pub use handle::{Handle, ObjectEntry, ObjectTable, ProcId};
 pub use message::{
-    BatchEncoder, Call, CallBatchView, CallView, Message, MessageView, Reply, ReplyView, Target,
-    UpcallMsg, UpcallView, WIRE_VERSION,
+    BatchEncoder, Call, CallBatchView, CallView, Message, MessageView, Reply, ReplyKind, ReplyView,
+    Target, UpcallMsg, UpcallView, WIRE_VERSION,
 };
 pub use param::{Leg, ParamMode};
-pub use pending::{PendingReplies, ReplyKind};
+pub use pending::PendingReplies;
 pub use server::{
     current_conn, CallContext, CallForwarder, ClassDispatch, ConnId, DedupWindow, RpcServer,
     Service, TaskWriter, SYNC_SERVICE_ID,
@@ -62,19 +65,7 @@ pub use server::{
 // Re-exported for the code generated by `remote_interface!`.
 #[doc(hidden)]
 pub mod __macro_support {
-    pub use clam_xdr::{decode, encode, Bundle, Opaque, XdrResult, XdrStream};
-
-    /// A served method's results in wire form. `()` bundles to no bytes,
-    /// so a unit-returning method (every `oneway` one among them) skips
-    /// the encoder and answers with an empty buffer, which allocates
-    /// nothing.
-    #[inline]
-    pub fn results<T: Bundle + Clone + 'static>(value: &T) -> XdrResult<Opaque> {
-        if std::any::TypeId::of::<T>() == std::any::TypeId::of::<()>() {
-            return Ok(Opaque::new());
-        }
-        encode(value).map(Opaque::from)
-    }
+    pub use clam_xdr::{bundle_onto, decode, encode, Opaque};
 }
 
 #[cfg(test)]

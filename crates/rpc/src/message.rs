@@ -134,6 +134,18 @@ const MSG_UPCALL: u32 = 3;
 const MSG_UPCALL_REPLY: u32 = 4;
 const MSG_NESTED_CALL_BATCH: u32 = 5;
 
+/// A reply message's kind: what [`Message::reply_frame_in`] writes and
+/// a [`PendingReplies`](crate::PendingReplies) reader accepts (any other
+/// message is a protocol violation that drops the link).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub enum ReplyKind {
+    /// [`Message::Reply`], read by a client.
+    Reply = MSG_REPLY,
+    /// [`Message::UpcallReply`], read by a server.
+    UpcallReply = MSG_UPCALL_REPLY,
+}
+
 impl Message {
     /// Cheap frame-header test: is this the payload of a
     /// [`Message::NestedCallBatch`]? Lets a reader route nested frames
@@ -143,8 +155,8 @@ impl Message {
         frame.len() >= 4 && frame[..4] == packed_kind(MSG_NESTED_CALL_BATCH).to_be_bytes()
     }
 
-    /// Encode to a frame in a buffer of its own: [`to_frame_in`]
-    /// without a pool, for code off the wire path.
+    /// Encode to a frame in a buffer that no pool takes back:
+    /// [`to_frame_in`] for code off the wire path.
     ///
     /// # Errors
     ///
@@ -152,10 +164,11 @@ impl Message {
     ///
     /// [`to_frame_in`]: Message::to_frame_in
     pub fn to_frame(&self) -> XdrResult<Frame> {
-        self.to_frame_in(&BufferPool::default())
+        self.to_frame_in(Vec::new())
     }
 
-    /// Encode to a finished wire [`Frame`] in a buffer from `pool`.
+    /// Encode to a finished wire [`Frame`] in `buf`, a [`BufferPool`] or
+    /// a `Vec<u8>` (see [`FrameEncoder`]'s `From`s).
     ///
     /// The length prefix is reserved up front and the message written
     /// behind it by the in-place writers, straight from `self`: no clone
@@ -168,15 +181,18 @@ impl Message {
     ///
     /// An over-long argument payload in a call or an upcall, or an
     /// over-[`MAX_FRAME_LEN`] message: [`XdrError::LengthTooLarge`].
-    pub fn to_frame_in(&self, pool: &BufferPool) -> XdrResult<Frame> {
-        let (calls, mut enc) = match self {
-            Message::CallBatch(calls) => (calls, BatchEncoder::begin(pool)),
-            Message::NestedCallBatch(calls) => (calls, BatchEncoder::begin_nested(pool)),
-            Message::Reply(reply) => return reply_frame_in(pool, MSG_REPLY, reply),
-            Message::UpcallReply(reply) => return reply_frame_in(pool, MSG_UPCALL_REPLY, reply),
+    pub fn to_frame_in(&self, buf: impl Into<FrameEncoder>) -> XdrResult<Frame> {
+        let enc = buf.into();
+        let (calls, mut batch) = match self {
+            Message::CallBatch(calls) => (calls, BatchEncoder::begin(enc)),
+            Message::NestedCallBatch(calls) => (calls, BatchEncoder::begin_nested(enc)),
+            Message::Reply(reply) => return write_reply(enc, MSG_REPLY, reply, no_results),
+            Message::UpcallReply(reply) => {
+                return write_reply(enc, MSG_UPCALL_REPLY, reply, no_results)
+            }
             Message::Upcall(upcall) => {
                 return Message::upcall_frame_in(
-                    pool,
+                    enc,
                     upcall.proc_id,
                     upcall.request_id,
                     upcall.trace,
@@ -188,58 +204,52 @@ impl Message {
             }
         };
         for call in calls {
-            enc.push_view(&call.view())?;
+            batch.push_view(&call.view())?;
         }
-        enc.finish()
+        batch.finish()
     }
 
-    /// An [`Upcall`](Message::Upcall) frame in a buffer from `pool`,
-    /// whose argument bytes `args` appends in place: the arguments are
-    /// bundled straight into the frame, with no buffer of their own.
+    /// An [`Upcall`](Message::Upcall) frame in `buf`, whose argument
+    /// bytes `args` appends in place: the arguments are bundled straight
+    /// into the frame, with no buffer of their own.
     ///
     /// # Errors
     ///
     /// `args`' error, or arguments over the opaque cap.
     pub fn upcall_frame_in(
-        pool: &BufferPool,
+        buf: impl Into<FrameEncoder>,
         proc_id: u64,
         request_id: u64,
         trace: TraceContext,
         args: impl FnOnce(&mut Vec<u8>) -> XdrResult<()>,
     ) -> XdrResult<Frame> {
-        frame_in(pool, MSG_UPCALL, |buf| {
-            Writer(buf).u64(proc_id);
-            Writer(buf).u64(request_id);
-            opaque_in_place(buf, args)?;
-            Writer(buf).trace(trace);
-            Ok(())
-        })
+        let mut enc = buf.into();
+        let buf = enc.wire_mut();
+        Writer(buf).u32(packed_kind(MSG_UPCALL));
+        Writer(buf).u64(proc_id);
+        Writer(buf).u64(request_id);
+        opaque_in_place(buf, args)?;
+        Writer(buf).trace(trace);
+        finish_frame(enc)
     }
 
-    /// The [`UpcallReply`](Message::UpcallReply) to upcall `request_id`
-    /// in a buffer from `pool`: `Ok` with the result bytes `results`
-    /// appends in place, or, if `results` fails or writes more than the
-    /// opaque cap, the error reply [`Reply::from_outcome`] makes of that.
+    /// The reply of `kind` to request `request_id` in a buffer from
+    /// `pool`, the one way a served call or upcall is answered: `Ok`
+    /// with the result bytes `results` appends in place, or the error
+    /// reply if `results` fails, writes over the opaque cap or cuts the
+    /// frame short (see [`Reply::from_outcome`]).
     ///
     /// # Errors
     ///
     /// An over-[`MAX_FRAME_LEN`] error reply.
-    pub fn upcall_reply_frame_in(
+    pub fn reply_frame_in(
         pool: &BufferPool,
+        kind: ReplyKind,
         request_id: u64,
         results: impl FnOnce(&mut Vec<u8>) -> RpcResult<()>,
     ) -> XdrResult<Frame> {
-        frame_in(pool, MSG_UPCALL_REPLY, |buf| {
-            let mut writer = Writer(buf);
-            writer.u64(request_id);
-            writer.u32(StatusCode::Ok.discriminant());
-            writer.opaque(b"");
-            opaque_in_place(buf, results)
-        })
-        .or_else(|e| {
-            let error = Reply::from_outcome(request_id, Err(e));
-            reply_frame_in(pool, MSG_UPCALL_REPLY, &error)
-        })
+        let ok = Reply::from_outcome(request_id, Ok(Opaque::new()));
+        write_reply(FrameEncoder::from(pool), kind as u32, &ok, results)
     }
 }
 
@@ -251,33 +261,42 @@ fn finish_frame(enc: FrameEncoder) -> XdrResult<Frame> {
     })
 }
 
-/// Write one message of `kind` into a frame buffer from `pool`: the kind
-/// word, then what `body` appends.
-fn frame_in<E: From<XdrError>>(
-    pool: &BufferPool,
+/// Write `reply` as a message of `kind` into `enc`: its header, then its
+/// results followed by the bytes `results` appends in place. If the
+/// detail is over the opaque cap, or `results` fails, writes more than
+/// the cap or cuts the frame short, the frame is written again as the
+/// error reply [`Reply::from_outcome`] makes of that.
+fn write_reply(
+    mut enc: FrameEncoder,
     kind: u32,
-    body: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
-) -> Result<Frame, E> {
-    let mut enc = FrameEncoder::from(pool);
+    reply: &Reply,
+    results: impl FnOnce(&mut Vec<u8>) -> RpcResult<()>,
+) -> XdrResult<Frame> {
     let buf = enc.wire_mut();
     Writer(buf).u32(packed_kind(kind));
-    body(buf)?;
-    Ok(finish_frame(enc)?)
+    Writer(buf).u64(reply.request_id);
+    Writer(buf).u32(reply.status.discriminant());
+    let written = check_opaque(reply.detail.len())
+        .map_err(RpcError::from)
+        .and_then(|()| {
+            Writer(buf).opaque(reply.detail.as_bytes());
+            opaque_in_place(buf, |out| {
+                out.extend_from_slice(reply.results.as_slice());
+                results(out)
+            })
+        });
+    let Err(e) = written else {
+        return finish_frame(enc);
+    };
+    enc.wire_mut().resize(clam_net::FRAME_PREFIX_LEN, 0);
+    let error = Reply::from_outcome(reply.request_id, Err(e));
+    write_reply(enc, kind, &error, no_results)
 }
 
-fn reply_frame_in(pool: &BufferPool, kind: u32, reply: &Reply) -> XdrResult<Frame> {
-    if let Err(err) = check_opaque(reply.detail.len()).and(check_opaque(reply.results.len())) {
-        let error = Reply::from_outcome(reply.request_id, Err(err.into()));
-        return reply_frame_in(pool, kind, &error);
-    }
-    frame_in(pool, kind, |buf| {
-        let mut writer = Writer(buf);
-        writer.u64(reply.request_id);
-        writer.u32(reply.status.discriminant());
-        writer.opaque(reply.detail.as_bytes());
-        writer.opaque(reply.results.as_slice());
-        Ok(())
-    })
+/// No bytes beyond a reply's own. (A function, so that the retry in
+/// [`write_reply`] instantiates nothing new.)
+fn no_results(_: &mut Vec<u8>) -> RpcResult<()> {
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -309,18 +328,21 @@ fn check_opaque(len: usize) -> XdrResult<()> {
 
 /// Append an opaque item whose bytes `fill` appends to `buf`: a length
 /// word, patched once `fill` returns and its length is checked, then
-/// the bytes and their padding.
+/// the bytes and their padding. A `fill` that leaves `buf` shorter than
+/// it found it is an error.
 fn opaque_in_place<E: From<XdrError>>(
     buf: &mut Vec<u8>,
     fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
 ) -> Result<(), E> {
-    let at = buf.len();
+    let at = buf.len() + XDR_UNIT;
     buf.extend_from_slice(&[0; XDR_UNIT]);
     fill(buf)?;
-    let len = buf.len() - at - XDR_UNIT;
+    let len = buf.len().checked_sub(at).ok_or_else(|| {
+        XdrError::Custom(format!("a writer cut the frame short of its {at} bytes"))
+    })?;
     check_opaque(len)?;
     // Checked against MAX_OPAQUE_LEN, so it fits a u32.
-    buf[at..at + XDR_UNIT].copy_from_slice(&(len as u32).to_be_bytes());
+    buf[at - XDR_UNIT..at].copy_from_slice(&(len as u32).to_be_bytes());
     buf.extend_from_slice(&[0; XDR_UNIT][..padded_len(len) - len]);
     Ok(())
 }
@@ -1064,35 +1086,66 @@ mod tests {
     #[test]
     fn upcall_replies_written_in_place_match_to_frame() {
         let pool = BufferPool::default();
-        for results in [vec![], vec![1, 2, 3], vec![9; 8]] {
-            let frame = Message::upcall_reply_frame_in(&pool, 4, |out| {
-                out.extend_from_slice(&results);
+        for kind in [ReplyKind::Reply, ReplyKind::UpcallReply] {
+            let owned = |reply| match kind {
+                ReplyKind::Reply => Message::Reply(reply),
+                ReplyKind::UpcallReply => Message::UpcallReply(reply),
+            };
+            for results in [vec![], vec![1, 2, 3], vec![9; 8]] {
+                let frame = Message::reply_frame_in(&pool, kind, 4, |out| {
+                    out.extend_from_slice(&results);
+                    Ok(())
+                })
+                .unwrap();
+                let reference = owned(Reply::from_outcome(4, Ok(results.into())));
+                assert_eq!(frame, reference.to_frame().unwrap());
+            }
+            // A failed handler, after writing part of its results, and
+            // results over the cap both become the error reply.
+            let refused = RpcError::status(StatusCode::BadArgs, "no");
+            let frame = Message::reply_frame_in(&pool, kind, 4, |out| {
+                out.push(1);
+                Err(refused)
+            })
+            .unwrap();
+            let reference =
+                Reply::from_outcome(4, Err(RpcError::status(StatusCode::BadArgs, "no")));
+            assert_eq!(frame, owned(reference).to_frame().unwrap());
+            let frame = Message::reply_frame_in(&pool, kind, 4, |out| {
+                out.resize(out.len() + MAX_OPAQUE_LEN + 1, 0);
                 Ok(())
             })
             .unwrap();
-            let reference = Message::UpcallReply(Reply::from_outcome(4, Ok(results.into())));
+            let over = Opaque::from(vec![0; MAX_OPAQUE_LEN + 1]);
+            let reference = owned(Reply::from_outcome(4, Ok(over)));
             assert_eq!(frame, reference.to_frame().unwrap());
+            let (Ok(MessageView::Reply(reply)) | Ok(MessageView::UpcallReply(reply))) =
+                MessageView::parse(&frame)
+            else {
+                panic!("a reply");
+            };
+            assert_eq!(reply.status, StatusCode::AppError);
+            assert!(reply.results.is_empty());
         }
-        // A failed handler, after writing part of its results, and
-        // results over the cap both become the error reply.
-        let refused = RpcError::status(StatusCode::BadArgs, "no");
-        let frame = Message::upcall_reply_frame_in(&pool, 4, |out| {
-            out.push(1);
-            Err(refused)
-        })
-        .unwrap();
-        let reference = Reply::from_outcome(4, Err(RpcError::status(StatusCode::BadArgs, "no")));
-        assert_eq!(frame, Message::UpcallReply(reference).to_frame().unwrap());
-        let frame = Message::upcall_reply_frame_in(&pool, 4, |out| {
-            out.resize(out.len() + MAX_OPAQUE_LEN + 1, 0);
-            Ok(())
-        })
-        .unwrap();
-        let Ok(MessageView::UpcallReply(reply)) = MessageView::parse(&frame) else {
-            panic!("an upcall reply");
-        };
-        assert_eq!(reply.status, StatusCode::AppError);
-        assert!(reply.results.is_empty());
+    }
+
+    #[test]
+    fn a_results_writer_that_cuts_the_buffer_gets_an_error_reply() {
+        let pool = BufferPool::default();
+        // Into the results' length word, the header, and the prefix.
+        for cut in [1, 4, 9, 64] {
+            let frame = Message::reply_frame_in(&pool, ReplyKind::Reply, 6, |out| {
+                out.truncate(out.len().saturating_sub(cut));
+                Ok(())
+            })
+            .unwrap();
+            let Ok(MessageView::Reply(reply)) = MessageView::parse(&frame) else {
+                panic!("a reply");
+            };
+            assert_eq!((reply.request_id, reply.status), (6, StatusCode::AppError));
+            assert!(reply.detail.contains("cut the frame"), "{}", reply.detail);
+            assert!(reply.results.is_empty());
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! deadlines equal the outstanding entries that have one.
 
 use crate::error::{RpcError, RpcResult, StatusCode};
-use crate::message::{MessageView, Reply};
+use crate::message::{MessageView, Reply, ReplyKind};
 use clam_net::{Closer, Frame, MsgReader};
 use clam_task::Scheduler;
 use clam_xdr::{BufferPool, Opaque};
@@ -43,17 +43,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which reply message the table's reader accepts; any other message is
-/// a protocol violation that drops the link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyKind {
-    /// [`Message::Reply`](crate::Message::Reply), read by a client.
-    Reply,
-    /// [`Message::UpcallReply`](crate::Message::UpcallReply), read by a
-    /// server.
-    UpcallReply,
-}
 
 /// How a request ended: with result bytes, the `range` of a frame's
 /// payload (an `Ok` reply frame, or one holding the results

@@ -3,11 +3,11 @@
 
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::handle::{Handle, ObjectTable};
-use crate::message::{CallBatchView, Message, MessageView, Reply, Target};
+use crate::message::{CallBatchView, Message, MessageView, ReplyKind, Target};
 use clam_net::{Frame, MsgWriter, NetResult};
 use clam_obs::{EventKind, TraceContext, TraceScope};
-use clam_task::{Scheduler, TaskPanic};
-use clam_xdr::{BufferPool, Opaque};
+use clam_task::Scheduler;
+use clam_xdr::BufferPool;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -53,8 +53,8 @@ pub const SYNC_SERVICE_ID: u32 = 0;
 struct SyncPoint;
 
 impl Service for SyncPoint {
-    fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
-        Ok(Opaque::new())
+    fn dispatch(&self, _: &RpcServer, _: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
+        Ok(())
     }
 }
 
@@ -134,14 +134,14 @@ impl std::fmt::Display for ConnId {
 }
 
 /// Everything a service sees about one incoming call.
-#[derive(Debug, Clone)]
-pub struct CallContext {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CallContext<'a> {
     /// The connection the call arrived on.
     pub conn: ConnId,
     /// Method number within the target interface.
     pub method: u32,
-    /// Bundled argument bytes.
-    pub args: Opaque,
+    /// Bundled argument bytes, where they lie in the request frame.
+    pub args: &'a [u8],
     /// The call's request id (0 for batched async calls).
     pub request_id: u64,
 }
@@ -149,16 +149,17 @@ pub struct CallContext {
 /// A builtin server service (bootstrap facilities addressed by number:
 /// the loader, the name service, …).
 pub trait Service: Send + Sync {
-    /// Handle one call; return bundled results. A panic here is a fault
-    /// of this call alone ([`RpcServer::serve_frame`]): a sync call is
-    /// answered with [`StatusCode::Fault`], the fault observer hears of
-    /// it, and the frame's later calls still run.
+    /// Handle one call, appending its bundled results to `out` (a sync
+    /// call's reply frame). A panic here is a fault of this call
+    /// alone ([`RpcServer::serve_frame`]): a sync call is answered with
+    /// [`StatusCode::Fault`], the fault observer hears of it, and the
+    /// frame's later calls still run.
     ///
     /// # Errors
     ///
     /// Any [`RpcError`]; status errors travel back verbatim, others are
-    /// mapped to [`StatusCode::AppError`].
-    fn dispatch(&self, server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque>;
+    /// mapped to [`StatusCode::AppError`], and `out` is dropped.
+    fn dispatch(&self, server: &RpcServer, ctx: &CallContext, out: &mut Vec<u8>) -> RpcResult<()>;
 }
 
 /// Method dispatch for one loaded class: given an object of the class and
@@ -168,7 +169,7 @@ pub trait ClassDispatch: Send + Sync {
     /// The class's name (diagnostics and the loader's name table).
     fn class_name(&self) -> &str;
 
-    /// Handle one method call on `object`.
+    /// Handle one method call on `object` (see [`Service::dispatch`]).
     ///
     /// # Errors
     ///
@@ -178,7 +179,8 @@ pub trait ClassDispatch: Send + Sync {
         server: &RpcServer,
         object: &Arc<dyn Any + Send + Sync>,
         ctx: &CallContext,
-    ) -> RpcResult<Opaque>;
+        out: &mut Vec<u8>,
+    ) -> RpcResult<()>;
 }
 
 /// How many recently dispatched synchronous request ids are remembered
@@ -261,9 +263,10 @@ pub struct RpcServer {
 pub type FaultObserver = Arc<dyn Fn(ConnId, &CallContext, &str) + Send + Sync>;
 
 /// Proxies one call aimed at a foreign-homed handle to its home node,
-/// returning the remote result verbatim. For async calls
-/// (`ctx.request_id == 0`) the returned bytes are ignored.
-pub type CallForwarder = Arc<dyn Fn(&CallContext, Handle) -> RpcResult<Opaque> + Send + Sync>;
+/// appending the remote results verbatim to the bytes it is given (which
+/// an async call, `ctx.request_id == 0`, discards).
+pub type CallForwarder =
+    Arc<dyn Fn(&CallContext, Handle, &mut Vec<u8>) -> RpcResult<()> + Send + Sync>;
 
 impl std::fmt::Debug for RpcServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -380,18 +383,11 @@ impl RpcServer {
         *self.fault_observer.write() = Some(observer);
     }
 
-    /// The per-call work of serving: the trace scope (the call's wire
-    /// [`TraceContext`], which any upcall the served code makes extends),
-    /// the journal record, duplicate suppression, routing and the
-    /// stale-handle count. `None` for an async call (its outcome has
-    /// nowhere to go) and for a suppressed duplicate.
-    fn dispatch(
-        &self,
-        kept: &mut Kept,
-        ctx: &CallContext,
-        target: Target,
-        trace: TraceContext,
-    ) -> Option<RpcResult<Opaque>> {
+    /// The per-call work before serving: the trace scope (the call's
+    /// wire [`TraceContext`], which any upcall the served code makes
+    /// extends), the journal record and duplicate suppression. False for
+    /// a suppressed duplicate, which is not served.
+    fn admit(&self, kept: &mut Kept, ctx: &CallContext, trace: TraceContext) -> bool {
         if kept.scope.as_ref().map(|(entered, _)| *entered) != Some(trace) {
             // Leave the last scope first, so the outer context is restored last.
             kept.scope = None;
@@ -410,20 +406,18 @@ impl RpcServer {
             // reply already went out. Executing again would break
             // at-most-once; replying again would confuse the caller.
             obs_duplicates_dropped().inc();
-            return None;
+            return false;
         }
-        let result = self.route(kept, ctx, target);
-        if let Err(e) = &result {
-            if e.status_code() == Some(StatusCode::StaleHandle) {
-                obs_stale_rejections().inc();
-            }
-        }
-        // Async call: errors have nowhere to go; the paper's model
-        // accepts this (async calls are fire-and-forget).
-        (ctx.request_id != 0).then_some(result)
+        true
     }
 
-    fn route(&self, kept: &mut Kept, ctx: &CallContext, target: Target) -> RpcResult<Opaque> {
+    fn route(
+        &self,
+        kept: &mut Kept,
+        ctx: &CallContext,
+        target: Target,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         match target {
             Target::Builtin(id) => {
                 // A kept service serves while its generation and id hold.
@@ -435,7 +429,7 @@ impl RpcServer {
                 let (_, service) = kept.service.as_ref().ok_or_else(|| {
                     RpcError::status(StatusCode::NoSuchService, format!("service {id}"))
                 })?;
-                served(&mut kept.serving, || service.dispatch(self, ctx))
+                served(&mut kept.serving, || service.dispatch(self, ctx, results))
             }
             Target::Object(handle) => {
                 let local = self.local_node.load(Ordering::Relaxed);
@@ -445,7 +439,7 @@ impl RpcServer {
                     // the caller to the home node if no fabric is wired.
                     let forwarder = self.forwarder.read().clone();
                     return match forwarder {
-                        Some(forward) => forward(ctx, handle),
+                        Some(forward) => forward(ctx, handle, results),
                         None => Err(RpcError::wrong_node(handle.home)),
                     };
                 }
@@ -460,33 +454,26 @@ impl RpcServer {
                 let dispatch = self.classes.read().get(&class_id).cloned().ok_or_else(|| {
                     RpcError::status(StatusCode::NoSuchClass, format!("class {class_id}"))
                 })?;
-                served(&mut kept.serving, || dispatch.dispatch(self, &object, ctx))
+                served(&mut kept.serving, || {
+                    dispatch.dispatch(self, &object, ctx, results)
+                })
             }
         }
     }
 
-    /// A fault in served code: notify the fault observer
-    /// (error-reporting upcalls) and, for a sync call, answer with a
-    /// `Fault` status instead of tearing the server down.
-    fn fault(&self, ctx: &CallContext, fault: &TaskPanic) -> Option<RpcResult<Opaque>> {
-        let observer = self.fault_observer.read().clone();
-        if let Some(observer) = observer {
-            observer(ctx.conn, ctx, fault.message());
-        }
-        (ctx.request_id != 0).then(|| Err(RpcError::status(StatusCode::Fault, fault.message())))
-    }
-
     /// Serve one request frame from `conn`, the body of every serving
     /// loop: drop the sync calls its `dedup` window has seen, dispatch
-    /// the rest in order straight out of the frame, send each reply
+    /// the rest in order straight out of the frame, and send each reply
     /// through `writer` as its call completes ([`TaskWriter::send`]: a
-    /// peer that does not read its replies stalls this task only), each
-    /// in a buffer from `pool`. The calls share one argument
-    /// buffer, one dispatch context and one panic guard: a call whose
-    /// served code panics gets one `Fault` reply if it is sync and one
-    /// fault-observer notification, and serving resumes at the next
-    /// call. A reply that cannot be sent ends this frame's replies only;
-    /// a dead peer shows up at its reader.
+    /// peer that does not read its replies stalls this task only). Each
+    /// call's served code reads its arguments in `frame` and bundles a
+    /// sync call's results into its reply frame, in a buffer from `pool`
+    /// ([`Message::reply_frame_in`]). The calls share one dispatch
+    /// context and one panic guard: a call whose served code panics gets
+    /// one `Fault` reply if it is sync and one fault-observer
+    /// notification, and serving resumes at the next call. A reply that
+    /// cannot be sent ends this frame's replies only; a dead peer shows
+    /// up at its reader.
     ///
     /// # Errors
     ///
@@ -501,48 +488,63 @@ impl RpcServer {
         pool: &BufferPool,
         writer: &TaskWriter,
     ) -> RpcResult<()> {
-        call_batch(&frame).map(|batch| {
-            // One context serves every call, each call's argument bytes
-            // copied into its one buffer from `pool`.
-            let mut ctx = CallContext {
-                conn,
-                method: 0,
-                args: Opaque::from(pool.acquire()),
-                request_id: 0,
-            };
-            let mut kept = Kept::new(conn, dedup);
-            let mut calls = batch.iter();
-            let mut sending = true;
-            let mut reply = |request_id, outcome| {
-                sending = sending
-                    && Message::Reply(Reply::from_outcome(request_id, outcome))
-                        .to_frame_in(pool)
-                        .is_ok_and(|out| writer.send(out).is_ok());
-            };
-            // One guard serves the frame (one per call cost about a
-            // fifth of a served call): a panic ends the guarded run at the
-            // call that made it, and the next run resumes after it.
-            while let Err(fault) = clam_task::catch_panic(|| {
-                for call in calls.by_ref() {
-                    ctx.method = call.method;
-                    ctx.request_id = call.request_id;
-                    ctx.args.refill(call.args);
-                    if let Some(outcome) = self.dispatch(&mut kept, &ctx, call.target, call.trace) {
-                        reply(call.request_id, outcome);
-                    }
-                }
-            }) {
-                if !std::mem::take(&mut kept.serving) {
-                    // A fault in the runtime, not in served code: it is
-                    // no call's to answer for.
-                    std::panic::resume_unwind(Box::new(fault.message().to_owned()));
-                }
-                if let Some(outcome) = self.fault(&ctx, &fault) {
-                    reply(ctx.request_id, outcome);
-                }
+        let batch = call_batch(&frame)?;
+        let mut ctx = CallContext {
+            conn,
+            ..CallContext::default()
+        };
+        let mut kept = Kept::new(conn, dedup);
+        let mut calls = batch.iter();
+        let (mut discard, mut sending) = (Vec::new(), true);
+        // A sync call's results go into its reply frame. An async call's
+        // have nowhere to go (the paper's model accepts this), nor has a
+        // sync call's once a reply of the frame could not be sent.
+        let mut answer = |request_id, results: &mut dyn FnMut(&mut Vec<u8>) -> RpcResult<()>| {
+            if request_id == 0 || !sending {
+                discard.clear();
+                let _ = results(&mut discard);
+            } else {
+                sending = Message::reply_frame_in(pool, ReplyKind::Reply, request_id, results)
+                    .is_ok_and(|out| writer.send(out).is_ok());
             }
-            pool.recycle(ctx.args.into_inner());
-        })
+        };
+        // One guard serves the frame (one per call cost about a
+        // fifth of a served call): a panic ends the guarded run at the
+        // call that made it, and the next run resumes after it.
+        while let Err(fault) = clam_task::catch_panic(|| {
+            for call in calls.by_ref() {
+                ctx.method = call.method;
+                ctx.request_id = call.request_id;
+                ctx.args = call.args;
+                if !self.admit(&mut kept, &ctx, call.trace) {
+                    continue;
+                }
+                answer(call.request_id, &mut |results| {
+                    self.route(&mut kept, &ctx, call.target, results)
+                        .inspect_err(|e| {
+                            if e.status_code() == Some(StatusCode::StaleHandle) {
+                                obs_stale_rejections().inc();
+                            }
+                        })
+                });
+            }
+        }) {
+            if !std::mem::take(&mut kept.serving) {
+                // A fault in the runtime, not in served code: it is
+                // no call's to answer for.
+                std::panic::resume_unwind(Box::new(fault.message().to_owned()));
+            }
+            // Notify the fault observer (error-reporting upcalls) and
+            // answer the call with a `Fault` status.
+            let observer = self.fault_observer.read().clone();
+            if let Some(observer) = observer {
+                observer(ctx.conn, &ctx, fault.message());
+            }
+            answer(ctx.request_id, &mut |_| {
+                Err(RpcError::status(StatusCode::Fault, fault.message()))
+            });
+        }
+        Ok(())
     }
 
     /// Serve one connection on the calling thread until it closes or
@@ -615,19 +617,25 @@ fn served<R>(serving: &mut bool, f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Call;
+    use crate::message::{Call, Reply};
     use clam_xdr::Opaque;
 
     struct EchoService;
     impl Service for EchoService {
-        fn dispatch(&self, _server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
-            Ok(ctx.args.clone())
+        fn dispatch(
+            &self,
+            _: &RpcServer,
+            ctx: &CallContext,
+            results: &mut Vec<u8>,
+        ) -> RpcResult<()> {
+            results.extend_from_slice(ctx.args);
+            Ok(())
         }
     }
 
     struct PanicService;
     impl Service for PanicService {
-        fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+        fn dispatch(&self, _: &RpcServer, _: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
             panic!("loaded class fault");
         }
     }
@@ -642,7 +650,8 @@ mod tests {
             _server: &RpcServer,
             object: &Arc<dyn Any + Send + Sync>,
             ctx: &CallContext,
-        ) -> RpcResult<Opaque> {
+            results: &mut Vec<u8>,
+        ) -> RpcResult<()> {
             let counter = object
                 .clone()
                 .downcast::<Mutex<u32>>()
@@ -651,7 +660,7 @@ mod tests {
                 0 => {
                     let mut c = counter.lock();
                     *c += 1;
-                    Ok(Opaque::from(clam_xdr::encode(&*c)?))
+                    Ok(clam_xdr::bundle_onto(*c, results)?)
                 }
                 m => Err(RpcError::status(
                     StatusCode::NoSuchMethod,
@@ -892,9 +901,10 @@ mod tests {
         server.set_local_node(1);
         let forwarded = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&forwarded);
-        server.set_forwarder(Arc::new(move |ctx, handle| {
+        server.set_forwarder(Arc::new(move |ctx, handle, results| {
             log.lock().push((handle.home, ctx.method));
-            Ok(Opaque::from(vec![0xAB]))
+            results.push(0xAB);
+            Ok(())
         }));
 
         let foreign = Handle {
@@ -917,7 +927,7 @@ mod tests {
     fn a_panic_outside_served_code_is_no_calls_fault() {
         let server = RpcServer::new();
         server.set_local_node(1);
-        server.set_forwarder(Arc::new(|_, _| panic!("fault in the forwarding fabric")));
+        server.set_forwarder(Arc::new(|_, _, _| panic!("fault in the forwarding fabric")));
         let faults = Arc::new(std::sync::atomic::AtomicU32::new(0));
         let f = Arc::clone(&faults);
         server.set_fault_observer(Arc::new(move |_, _, _| {
@@ -990,9 +1000,9 @@ mod tests {
 
     struct CountingService(std::sync::atomic::AtomicU32);
     impl Service for CountingService {
-        fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+        fn dispatch(&self, _: &RpcServer, _: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
             self.0.fetch_add(1, Ordering::SeqCst);
-            Ok(Opaque::new())
+            Ok(())
         }
     }
 
@@ -1057,6 +1067,31 @@ mod tests {
         let replies = serve(&server, ConnId(1), &Mutex::default(), &good).unwrap();
         assert_eq!(replies.len(), 2);
         assert_eq!(counting.0.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_oneway_frame_is_served_without_a_buffer_from_the_pool() {
+        let server = RpcServer::new();
+        let counting = Arc::new(CountingService(std::sync::atomic::AtomicU32::new(0)));
+        server.register_service(1, Arc::clone(&counting) as Arc<dyn Service>);
+        let mut batch = crate::BatchEncoder::begin(Vec::new());
+        for _ in 0..64 {
+            let note = call(Target::Builtin(1), 0, Opaque::from(vec![7; 4]), 0);
+            batch.push_view(&note.view()).unwrap();
+        }
+        let frame = batch.finish().unwrap();
+        let pool = BufferPool::default();
+        let (_client, channel) = clam_net::pair();
+        let writer = TaskWriter::new(&Scheduler::new("oneway-frame"), channel.split().0);
+        let taken = |pool: &BufferPool| {
+            let counts = pool.metrics();
+            counts.counter("xdr.pool.hits") + counts.counter("xdr.pool.misses")
+        };
+        server
+            .serve_frame(ConnId(1), &Mutex::default(), frame, &pool, &writer)
+            .unwrap();
+        assert_eq!(counting.0.load(Ordering::SeqCst), 64);
+        assert_eq!(taken(&pool), 0, "buffers taken from the pool");
     }
 
     #[test]

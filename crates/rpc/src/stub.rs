@@ -11,10 +11,11 @@
 //!   asynchronous path of section 3.4;
 //! * a **skeleton** — the server stub as a [`Service`](crate::Service)
 //!   (for builtin targets) and a **class** adapter as a
-//!   [`ClassDispatch`](crate::ClassDispatch) (for object targets). A
-//!   method that returns `()`, `oneway` ones among them, answers with
-//!   empty results, the bytes `()` bundles to, without running the
-//!   encoder.
+//!   [`ClassDispatch`](crate::ClassDispatch) (for object targets). It
+//!   decodes the arguments in the request frame and bundles the result
+//!   onto the reply frame, with no buffer of their own. A method that
+//!   returns `()`, `oneway` ones among them, answers with empty results,
+//!   the bytes `()` bundles to, without running the encoder.
 //!
 //! Method numbers are declared explicitly (`= N`), making the wire
 //! protocol stable under reordering. Argument and result types must
@@ -150,18 +151,23 @@ macro_rules! remote_interface {
             fn dispatch_inner(
                 inner: &T,
                 ctx: &$crate::CallContext,
-            ) -> $crate::RpcResult<$crate::__macro_support::Opaque> {
+                results: &mut ::std::vec::Vec<u8>,
+            ) -> $crate::RpcResult<()> {
                 match ctx.method {
                     $(
                         $mid => {
                             let ($($arg,)*): ($($aty,)*) =
-                                $crate::__macro_support::decode(ctx.args.as_slice())
+                                $crate::__macro_support::decode(ctx.args)
                                     .map_err(|e| $crate::RpcError::status(
                                         $crate::StatusCode::BadArgs,
                                         e.to_string(),
                                     ))?;
                             let result = inner.$method($($arg),*)?;
-                            Ok($crate::__macro_support::results(&result)?)
+                            // `()` bundles to no bytes: skip the encoder.
+                            if ::std::any::Any::type_id(&result) != ::std::any::TypeId::of::<()>() {
+                                $crate::__macro_support::bundle_onto(result, results)?;
+                            }
+                            Ok(())
                         }
                     )*
                     other => Err($crate::RpcError::status(
@@ -180,8 +186,9 @@ macro_rules! remote_interface {
                 &self,
                 _server: &$crate::RpcServer,
                 ctx: &$crate::CallContext,
-            ) -> $crate::RpcResult<$crate::__macro_support::Opaque> {
-                Self::dispatch_inner(&self.inner, ctx)
+                results: &mut ::std::vec::Vec<u8>,
+            ) -> $crate::RpcResult<()> {
+                Self::dispatch_inner(&self.inner, ctx, results)
             }
         }
 
@@ -217,7 +224,8 @@ macro_rules! remote_interface {
                 _server: &$crate::RpcServer,
                 object: &::std::sync::Arc<dyn ::std::any::Any + Send + Sync>,
                 ctx: &$crate::CallContext,
-            ) -> $crate::RpcResult<$crate::__macro_support::Opaque> {
+                results: &mut ::std::vec::Vec<u8>,
+            ) -> $crate::RpcResult<()> {
                 let object = ::std::sync::Arc::clone(object)
                     .downcast::<T>()
                     .map_err(|_| $crate::RpcError::status(
@@ -227,7 +235,7 @@ macro_rules! remote_interface {
                             stringify!($trait_name),
                         ),
                     ))?;
-                $skeleton::<T>::dispatch_inner(&object, ctx)
+                $skeleton::<T>::dispatch_inner(&object, ctx, results)
             }
         }
     };

@@ -44,13 +44,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// transport does: every sent frame drops, and a frame built in a pooled
 /// buffer gives it back, so the next batch draws from the pool instead
 /// of the allocator.
-struct RecycleWriter {
-    frames: u64,
-}
+struct RecycleWriter;
 
 impl MsgWriter for RecycleWriter {
     fn send(&mut self, _frame: Frame) -> NetResult<()> {
-        self.frames += 1;
         Ok(())
     }
 }
@@ -58,7 +55,7 @@ impl MsgWriter for RecycleWriter {
 #[test]
 fn batched_async_calls_allocate_nothing_at_steady_state() {
     let sched = Scheduler::new("alloc-test");
-    let writer = Box::new(RecycleWriter { frames: 0 });
+    let writer = Box::new(RecycleWriter);
     let caller = Caller::new(
         &sched,
         writer,

@@ -68,8 +68,9 @@ fn failed(request_id: u64, status: StatusCode) -> Answer {
 struct Tag(u8);
 
 impl Service for Tag {
-    fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
-        Ok(Opaque::from(vec![self.0]))
+    fn dispatch(&self, _: &RpcServer, _: &CallContext, results: &mut Vec<u8>) -> RpcResult<()> {
+        results.push(self.0);
+        Ok(())
     }
 }
 
@@ -77,8 +78,9 @@ impl Service for Tag {
 struct Echo;
 
 impl Service for Echo {
-    fn dispatch(&self, _server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
-        Ok(ctx.args.clone())
+    fn dispatch(&self, _: &RpcServer, ctx: &CallContext, results: &mut Vec<u8>) -> RpcResult<()> {
+        results.extend_from_slice(ctx.args);
+        Ok(())
     }
 }
 
@@ -86,9 +88,9 @@ impl Service for Echo {
 struct Run<F>(F);
 
 impl<F: Fn(&RpcServer, &CallContext) + Send + Sync> Service for Run<F> {
-    fn dispatch(&self, server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, server: &RpcServer, ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
         (self.0)(server, ctx);
-        Ok(Opaque::new())
+        Ok(())
     }
 }
 
@@ -109,10 +111,12 @@ impl ClassDispatch for Counter {
         _server: &RpcServer,
         object: &Arc<dyn Any + Send + Sync>,
         _ctx: &CallContext,
-    ) -> RpcResult<Opaque> {
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         let calls = object.downcast_ref::<AtomicU64>().expect("a counter");
         let n = calls.fetch_add(1, Ordering::SeqCst) + 1;
-        Ok(Opaque::from(vec![u8::try_from(n).expect("few calls")]))
+        results.push(u8::try_from(n).expect("few calls"));
+        Ok(())
     }
 }
 
@@ -123,7 +127,12 @@ const COUNTER_CLASS: u32 = 7;
 struct Swapper(u8);
 
 impl Service for Swapper {
-    fn dispatch(&self, server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(
+        &self,
+        server: &RpcServer,
+        ctx: &CallContext,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         let next = || server.register_service(1, Arc::new(Swapper(self.0 + 1)));
         match ctx.method {
             1 => next(),
@@ -132,7 +141,8 @@ impl Service for Swapper {
             }),
             _ => {}
         }
-        Ok(Opaque::from(vec![self.0]))
+        results.push(self.0);
+        Ok(())
     }
 }
 
@@ -324,7 +334,7 @@ struct Leg {
 }
 
 impl Service for Leg {
-    fn dispatch(&self, _server: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, _: &RpcServer, _: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
         self.calls.fetch_add(1, Ordering::SeqCst);
         let watch = &self.watch;
         if self.registration < watch.floor.load(Ordering::SeqCst) {
@@ -332,7 +342,7 @@ impl Service for Leg {
         }
         let published = watch.published.load(Ordering::SeqCst);
         watch.floor.store(published, Ordering::SeqCst);
-        Ok(Opaque::new())
+        Ok(())
     }
 }
 
@@ -388,10 +398,7 @@ fn a_panic_faults_only_its_own_call_and_the_frame_serves_on() {
     let log = Arc::clone(&runs);
     server.register_service(
         1,
-        run(move |_, ctx| {
-            log.lock()
-                .push((ctx.args.as_slice().to_vec(), current_conn()))
-        }),
+        run(move |_, ctx| log.lock().push((ctx.args.to_vec(), current_conn()))),
     );
     server.register_service(2, run(|_, _| panic!("fault in served code")));
     server.register_service(3, Arc::new(Echo));

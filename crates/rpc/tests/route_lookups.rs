@@ -7,7 +7,7 @@ use clam_rpc::{
     Call, CallContext, ConnId, Message, RpcResult, RpcServer, Service, Target, TaskWriter,
 };
 use clam_task::Scheduler;
-use clam_xdr::{BufferPool, Opaque};
+use clam_xdr::BufferPool;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -15,11 +15,11 @@ use std::sync::Arc;
 struct Swap;
 
 impl Service for Swap {
-    fn dispatch(&self, server: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, server: &RpcServer, ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
         if ctx.method == 1 {
             server.register_service(1, Arc::new(Swap));
         }
-        Ok(Opaque::new())
+        Ok(())
     }
 }
 

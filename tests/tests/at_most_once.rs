@@ -11,7 +11,6 @@ use clam_rpc::{
     Call, CallContext, Message, MessageView, RpcResult, RpcServer, Service, StatusCode, Target,
     SYNC_SERVICE_ID,
 };
-use clam_xdr::Opaque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,9 +22,9 @@ const COUNTING_SERVICE_ID: u32 = 78;
 struct Counting(AtomicU32);
 
 impl Service for Counting {
-    fn dispatch(&self, _rpc: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, _rpc: &RpcServer, _ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
         self.0.fetch_add(1, Ordering::SeqCst);
-        Ok(Opaque::new())
+        Ok(())
     }
 }
 

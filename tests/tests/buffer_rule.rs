@@ -166,15 +166,15 @@ struct Upcaller {
 }
 
 impl Service for Upcaller {
-    fn dispatch(&self, _: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, _: &RpcServer, ctx: &CallContext, results: &mut Vec<u8>) -> RpcResult<()> {
         self.conn.get_or_init(|| ctx.conn);
         let server = self.server.upgrade().ok_or(RpcError::Disconnected)?;
-        let proc = clam_xdr::decode(ctx.args.as_slice())
+        let proc = clam_xdr::decode(ctx.args)
             .map_err(|e| RpcError::status(StatusCode::BadArgs, e.to_string()))?;
         let target = server.upcall_target::<u32, u32>(ctx.conn, proc)?;
         target.invoke_async(1)?;
         let got = target.invoke(2)?;
-        Ok(Opaque::from(clam_xdr::encode(&got)?))
+        Ok(clam_xdr::bundle_onto(got, results)?)
     }
 }
 

@@ -38,7 +38,7 @@ struct VictimService {
 }
 
 impl Service for VictimService {
-    fn dispatch(&self, rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, rpc: &RpcServer, ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
         let handle = rpc.register_object(VICTIM_CLASS_ID, 1, Arc::new(()));
         *self.probe.handle.lock() = Some(handle);
 
@@ -49,7 +49,7 @@ impl Service for VictimService {
         // Blocks this server task until the client replies — or dies.
         let outcome = ruc.invoke(());
         *self.probe.outcome.lock() = Some(outcome);
-        Ok(Opaque::new())
+        Ok(())
     }
 }
 

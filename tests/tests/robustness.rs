@@ -125,18 +125,23 @@ struct OversizedService {
 }
 
 impl Service for OversizedService {
-    fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(
+        &self,
+        _rpc: &RpcServer,
+        ctx: &CallContext,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         match ctx.method {
-            0 => Ok(Opaque::from(vec![0; OVERSIZED])),
-            1 => Ok(ctx.args.clone()),
+            0 => results.resize(results.len() + OVERSIZED, 0),
+            1 => results.extend_from_slice(ctx.args),
             _ => {
-                let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args.as_slice())?;
+                let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args)?;
                 let server = self.server.upgrade().expect("server alive");
                 let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
                 self.upcalls.lock().push(target.invoke(x));
-                Ok(Opaque::new())
             }
         }
+        Ok(())
     }
 }
 

@@ -48,7 +48,6 @@ fn new_connections_after_shutdown_are_refused() {
 mod blocked_upcall {
     use clam_core::{ClamServer, UpcallTarget};
     use clam_rpc::{CallContext, ProcId, RpcResult, RpcServer, Service};
-    use clam_xdr::Opaque;
     use parking_lot::Mutex;
     use std::sync::{Arc, Weak};
     use std::time::Instant;
@@ -63,13 +62,13 @@ mod blocked_upcall {
     }
 
     impl Service for UpcallOnce {
-        fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
-            let proc: ProcId = clam_xdr::decode(ctx.args.as_slice())?;
+        fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
+            let proc: ProcId = clam_xdr::decode(ctx.args)?;
             let server = self.server.upgrade().expect("server alive");
             let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
             let result = target.invoke(1);
             *self.outcome.lock() = Some((result, Instant::now()));
-            Ok(Opaque::new())
+            Ok(())
         }
     }
 }

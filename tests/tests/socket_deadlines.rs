@@ -39,8 +39,13 @@ struct TimedUpcall {
 }
 
 impl Service for TimedUpcall {
-    fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
-        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args.as_slice())?;
+    fn dispatch(
+        &self,
+        _rpc: &RpcServer,
+        ctx: &CallContext,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
+        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args)?;
         let server = self.server.upgrade().expect("server alive");
         let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
         let start = Instant::now();
@@ -49,7 +54,7 @@ impl Service for TimedUpcall {
         let waited = start.elapsed().as_micros() as u64;
         let expired = matches!(outcome, Err(RpcError::DeadlineExceeded));
         let value = outcome.unwrap_or(u32::MAX);
-        Ok(Opaque::from(clam_xdr::encode(&(value, expired, waited))?))
+        Ok(clam_xdr::bundle_onto((value, expired, waited), results)?)
     }
 }
 

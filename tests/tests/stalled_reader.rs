@@ -16,7 +16,6 @@ use clam_core::{ClamClient, ClamServer, SessionCtl};
 use clam_integration::{unique_inproc, unique_unix};
 use clam_net::Endpoint;
 use clam_rpc::{CallContext, Message, RpcResult, RpcServer, Service, Target};
-use clam_xdr::Opaque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -34,9 +33,15 @@ struct Blob {
 }
 
 impl Service for Blob {
-    fn dispatch(&self, _rpc: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(
+        &self,
+        _rpc: &RpcServer,
+        _ctx: &CallContext,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
         self.served.fetch_add(1, Ordering::Relaxed);
-        Ok(Opaque::from(vec![0xB1; 1024]))
+        results.extend_from_slice(&[0xB1; 1024]);
+        Ok(())
     }
 }
 

@@ -25,11 +25,16 @@ struct Bounce {
 }
 
 impl Service for Bounce {
-    fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
-        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args.as_slice())?;
+    fn dispatch(
+        &self,
+        _rpc: &RpcServer,
+        ctx: &CallContext,
+        results: &mut Vec<u8>,
+    ) -> RpcResult<()> {
+        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args)?;
         let server = self.server.upgrade().expect("server alive");
         let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
-        Ok(Opaque::from(clam_xdr::encode(&target.invoke(x)?)?))
+        Ok(clam_xdr::bundle_onto(target.invoke(x)?, results)?)
     }
 }
 
@@ -37,13 +42,13 @@ impl Service for Bounce {
 struct Gate(Mutex<mpsc::Receiver<()>>);
 
 impl Service for Gate {
-    fn dispatch(&self, _rpc: &RpcServer, _ctx: &CallContext) -> RpcResult<Opaque> {
+    fn dispatch(&self, _rpc: &RpcServer, _ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
         self.0
             .lock()
             .expect("gate lock")
             .recv()
             .expect("gate opens");
-        Ok(Opaque::from(Vec::new()))
+        Ok(())
     }
 }
 

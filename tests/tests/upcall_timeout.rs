@@ -29,14 +29,14 @@ struct UpcallService {
 }
 
 impl Service for UpcallService {
-    fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext) -> RpcResult<Opaque> {
-        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args.as_slice())?;
+    fn dispatch(&self, _rpc: &RpcServer, ctx: &CallContext, _: &mut Vec<u8>) -> RpcResult<()> {
+        let (proc, x): (ProcId, u32) = clam_xdr::decode(ctx.args)?;
         let server = self.server.upgrade().expect("server alive");
         let target: UpcallTarget<u32, u32> = server.upcall_target(ctx.conn, proc)?;
         let start = Instant::now();
         let outcome = target.invoke(x);
         self.outcomes.lock().push((outcome, start.elapsed()));
-        Ok(Opaque::new())
+        Ok(())
     }
 }
 
